@@ -14,6 +14,14 @@ The node order used for sorting summands and factors is: constants
 (lexicographic), then powers, then products, then sums, then function
 applications (by name, then argument).
 
+Derivatives are computed on the canonical form itself, not on trees:
+``derivatives`` applies a derivation, fixed by its values on the
+variables, to the numerator and denominator monomial dicts in one pass
+(product rule over each monomial's atoms, chain rule for kernels,
+quotient rule for denominators), then reduces and rebuilds the result
+once.  ``pdiff`` and the total derivatives and vector fields of
+``jets`` are such derivations.
+
 Zero testing is exact on the rational fragment.  When kernels are
 present and the canonical form is not syntactically zero, the verdict
 is decided numerically at seeded random rational points and reported
@@ -629,11 +637,6 @@ def _has_kernel_poly(p):
     return False
 
 
-def has_kernels(e) -> bool:
-    num, den = _rf_of(normalize(e))
-    return _has_kernel_poly(num) or _has_kernel_poly(den)
-
-
 def polynomial_terms(e) -> dict:
     """Coefficients of a polynomial expression, keyed by monomials given
     as sorted tuples of (variable name, exponent); raises on non-polynomial
@@ -712,49 +715,148 @@ def _subst_walk(e, named):
     return Func(e.name, _subst_walk(e.arg, named))
 
 
-_DERIV = {
-    "exp": lambda a: Func("exp", a),
-    "log": lambda a: Pow(a, -1),
-    "sin": lambda a: Func("cos", a),
-    "cos": lambda a: Mul((_NEG_ONE, Func("sin", a))),
-}
-
-
 def pdiff(e, v) -> Expr:
     """Partial derivative with respect to the variable ``v``; every other
     variable (jet coordinates included) is an independent symbol."""
     name = str(v)
-    return normalize(_diff_walk(as_expr(e), name))
+    return derivatives(e, lambda n: {0: ONE} if n == name else {}).get(0, ZERO)
 
 
-def _diff_walk(e, name):
-    cls = e.__class__
-    if cls is Const:
-        return ZERO
-    if cls is Var:
-        return ONE if str(e.name) == name else ZERO
-    if cls is Add:
-        return Add(tuple(_diff_walk(t, name) for t in e.terms))
-    if cls is Mul:
-        fs = e.factors
-        terms = []
-        for i in range(len(fs)):
-            d = _diff_walk(fs[i], name)
-            if d is ZERO:
+def derivatives(e, of_var) -> dict:
+    """Derivatives of ``e`` along one or more directions, in one pass over
+    its canonical form.
+
+    A derivation is fixed by its values on the variables: ``of_var(name)``
+    maps each variable name of ``e`` (inside kernels too) to a dict
+    ``{direction: value}``, empty when every direction treats the variable
+    as a constant.  Function kernels follow the chain rule.  Returns
+    ``{direction: canonical derivative}`` for the nonzero results.
+    """
+    rf = _Derivation(of_var).rf(_rf_of(normalize(e)))
+    return {d: _build(r) for d, r in rf.items()}
+
+
+def _outer_derivative(key):
+    """f'(g) of the function atom f(g), as a canonical pair."""
+    node = _atom_node(key)
+    name, arg = node.name, node.arg
+    if name == "exp":
+        return ({((key, 1),): _RAT_ONE}, _ONE_POLY)
+    if name == "log":
+        return _rpow(_rf_of(arg), -1)
+    if name == "sin":
+        return _rf_of(Func("cos", arg))
+    num, den = _rf_of(Func("sin", arg))
+    return (_k.poly_neg(num), den)
+
+
+def _add_term(p, m, c):
+    """Add ``c`` times the monomial ``m`` to ``p`` in place."""
+    v = p.get(m)
+    if v is None:
+        p[m] = c
+        return
+    v = _k.rat_add(v, c)
+    if v[0]:
+        p[m] = v
+    else:
+        del p[m]
+
+
+_CONSTANT = ((), ())  # an atom every direction treats as a constant
+
+
+class _Derivation:
+    """Derivatives of canonical pairs along several directions at once.
+
+    Each atom's derivatives are worked out once per instance: from
+    ``of_var`` for a variable, by the chain rule for a function atom.  A
+    polynomial is walked once, monomial by monomial, with the product
+    rule over its atoms; a quotient takes the quotient rule and one
+    ``_reduce``, so results are canonical like every other pair.
+    """
+
+    def __init__(self, of_var):
+        self.of_var = of_var
+        self.memo = {}
+
+    def atom(self, key):
+        """The atom's nonzero derivatives as ``(monos, others)``: single
+        exp-free monomials ``(direction, monomial, coefficient)``, which
+        the polynomial walk multiplies in place, and any other pairs
+        ``(direction, (num, den))``."""
+        if key[0] == 1:  # variable rank
+            vals = {d: _rf_of(v) for d, v in self.of_var(key[1]).items()}
+        else:
+            inner = self.rf(_rf_of(_atom_node(key).arg))
+            outer = _outer_derivative(key) if inner else None
+            vals = {d: _rmul(outer, r) for d, r in inner.items()}
+        monos, others = [], []
+        for d, (num, den) in vals.items():
+            if not num:
                 continue
-            terms.append(Mul(fs[:i] + (d,) + fs[i + 1:]))
-        return Add(tuple(terms)) if terms else ZERO
-    if cls is Pow:
-        if e.exponent == 0:
-            return ZERO
-        d = _diff_walk(e.base, name)
-        if d is ZERO:
-            return ZERO
-        return Mul((Const(e.exponent), Pow(e.base, e.exponent - 1), d))
-    d = _diff_walk(e.arg, name)
-    if d is ZERO:
-        return ZERO
-    return Mul((_DERIV[e.name](e.arg), d))
+            if len(num) == 1 and den == _ONE_POLY:
+                ((m, c),) = num.items()
+                if not any(_is_exp_key(a) for a, _e in m):
+                    monos.append((d, m, c))
+                    continue
+            others.append((d, (num, den)))
+        hit = (monos, others) if monos or others else _CONSTANT
+        self.memo[key] = hit
+        return hit
+
+    def poly(self, p) -> dict:
+        memo = self.memo
+        direct = {}  # direction -> numerator built monomial by monomial
+        partial = {}  # atom key -> partial derivative of p in that atom
+        for m, c in p.items():
+            for idx, (a, e) in enumerate(m):
+                hit = memo.get(a)
+                if hit is None:
+                    hit = self.atom(a)
+                if hit is _CONSTANT:
+                    continue
+                if e == 1:
+                    rest = m[:idx] + m[idx + 1:]
+                    ce = c
+                else:
+                    rest = m[:idx] + ((a, e - 1),) + m[idx + 1:]
+                    ce = _k.rat_mul(c, (e, 1))
+                monos, others = hit
+                for d, gm, gc in monos:
+                    acc = direct.get(d)
+                    if acc is None:
+                        acc = direct[d] = {}
+                    _add_term(acc, _k.monomial_mul(rest, gm), _k.rat_mul(ce, gc))
+                if others:
+                    _add_term(partial.setdefault(a, {}), rest, ce)
+        out = {d: (num, _ONE_POLY) for d, num in direct.items() if num}
+        for a, pa in partial.items():
+            if not pa:
+                continue
+            for d, r in memo[a][1]:
+                term = _rmul((pa, _ONE_POLY), r)
+                out[d] = _radd(out[d], term) if d in out else term
+        return {d: r for d, r in out.items() if r[0]}
+
+    def rf(self, r) -> dict:
+        num, den = r
+        dnum = self.poly(num)
+        if den == _ONE_POLY:
+            return dnum
+        dden = self.poly(den)
+        den_sq = _pmul(den, den)
+        zero = (_ZERO_POLY, _ONE_POLY)
+        out = {}
+        for d in list(dnum) + [d for d in dden if d not in dnum]:
+            a, b = dnum.get(d, zero)
+            c, e = dden.get(d, zero)
+            # (a/b)/den - num*(c/e)/den^2 = (a*e*den - num*c*b) / (b*e*den^2)
+            top = _k.poly_sub(_pmul(_pmul(a, e), den), _pmul(_pmul(num, c), b))
+            res = _reduce(top, _pmul(_pmul(b, e), den_sq))
+            if res[0]:
+                out[d] = res
+        return out
 
 
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}

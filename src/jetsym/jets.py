@@ -32,10 +32,10 @@ from .expr import (
     Verdict,
     ZERO,
     as_expr,
+    derivatives,
     expr_sum,
     free_variables,
     normalize,
-    pdiff,
     zero_verdict,
 )
 
@@ -166,13 +166,6 @@ class JetSpec:
         first slots first within each grade."""
         if max_order is None:
             max_order = self.order
-        out = []
-        def rec(prefix, remaining_slots, budget):
-            if remaining_slots == 1:
-                out.append(prefix + (budget,))
-                return
-            for c in range(budget + 1):
-                rec(prefix + (c,), remaining_slots - 1, budget - c)
         counts = []
         for total in range(min_order, max_order + 1):
             level = []
@@ -242,17 +235,16 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     the partial in x^i plus, for every jet variable present, the next
     derivative coordinate times the partial in that variable.  The result
     lives one jet order higher than its input."""
-    e = normalize(as_expr(e))
-    parts = [pdiff(e, spec.independent[i])]
-    for name in sorted(free_variables(e)):
+
+    def of_var(name):
         kind = spec.decode(name)
-        if kind[0] != "jet":
-            continue
-        _tag, a, J = kind
-        d = pdiff(e, name)
-        if d is not ZERO and d != ZERO:
-            parts.append(Mul((spec.jet_var(a, J.inc(i)), d)))
-    return expr_sum(parts)
+        if kind[0] == "jet":
+            return {0: spec.jet_var(kind[1], kind[2].inc(i))}
+        if kind[0] == "independent" and kind[1] == i:
+            return {0: Const(1)}
+        return {}
+
+    return derivatives(e, of_var).get(0, ZERO)
 
 
 def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
@@ -301,24 +293,18 @@ class JetVectorField:
 
     def apply(self, e) -> Expr:
         """Act as a derivation on a function of the jet coordinates."""
-        e = normalize(as_expr(e))
-        parts = []
-        for i in range(self.spec.p):
-            d = pdiff(e, self.spec.independent[i])
-            if d != ZERO:
-                parts.append(Mul((self.xi[i], d)))
-        for name in sorted(free_variables(e)):
+
+        def of_var(name):
             kind = self.spec.decode(name)
-            if kind[0] != "jet":
-                continue
-            _tag, a, J = kind
-            comp = self.psi_at(a, J)
-            if comp is ZERO:
-                continue
-            d = pdiff(e, name)
-            if d != ZERO:
-                parts.append(Mul((comp, d)))
-        return expr_sum(parts)
+            if kind[0] == "independent":
+                comp = self.xi[kind[1]]
+            elif kind[0] == "jet":
+                comp = self.psi_at(kind[1], kind[2])
+            else:
+                return {}
+            return {} if comp == ZERO else {0: comp}
+
+        return derivatives(e, of_var).get(0, ZERO)
 
     def scale(self, f) -> "JetVectorField":
         f = as_expr(f)
@@ -542,20 +528,16 @@ def _coordinate_key(spec, name):
 
 def scalar_differential(f, spec: JetSpec) -> OneForm:
     """The full coordinate differential of a function on jet space."""
-    f = normalize(as_expr(f))
-    coeffs = {}
-    for i, name in enumerate(spec.independent):
-        d = pdiff(f, name)
-        if d != ZERO:
-            coeffs[basis_key_dx(i)] = d
-    for name in sorted(free_variables(f)):
-        kind = spec.decode(name)
-        if kind[0] != "jet":
-            continue
-        d = pdiff(f, name)
-        if d != ZERO:
-            coeffs[basis_key_du(kind[1], kind[2])] = d
-    return OneForm(spec, coeffs)
+
+    def of_var(name):
+        key = _coordinate_key(spec, name)
+        return {} if key is None else {key: Const(1)}
+
+    grads = derivatives(f, of_var)
+    # independent directions first, then jet coordinates by name
+    order = [basis_key_dx(i) for i in range(spec.p)]
+    order += sorted((k for k in grads if k[0] == "u"), key=lambda k: _basis_name(k, spec))
+    return OneForm(spec, {k: grads[k] for k in order if k in grads})
 
 
 def exterior_derivative(omega: OneForm, spec: JetSpec) -> TwoForm:
@@ -764,16 +746,6 @@ def mat_identity(q: int):
     )
 
 
-def mat_zero(q: int):
-    return tuple(tuple(Const(0) for _ in range(q)) for _ in range(q))
-
-
-def mat_add(A, B):
-    return tuple(
-        tuple(normalize(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
 def mat_sub(A, B):
     return tuple(
         tuple(normalize(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B)
@@ -794,7 +766,3 @@ def mat_mul(A, B):
 
 def mat_total_derivative(A, i: int, spec: JetSpec):
     return tuple(tuple(total_derivative(e, i, spec) for e in row) for row in A)
-
-
-def mat_is_zero(A) -> bool:
-    return all(e == ZERO for row in A for e in row)

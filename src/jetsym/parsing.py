@@ -11,6 +11,11 @@ Grammar (fixed, text-level contract of the package):
   literals with no spaces is a rational constant, any other ``/`` is
   division;
 * unary minus.
+
+Parentheses, function calls, unary minus and exponents may nest at most
+``MAX_NESTING`` levels deep; deeper input is a ``ParseError``, so that
+hostile text fails cleanly instead of exhausting the interpreter stack
+in the parser or in the recursive layers that consume its trees.
 """
 
 from fractions import Fraction
@@ -19,6 +24,11 @@ from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
 from .expr import Add, Const, Expr, Func, FUNCTIONS, Mul, Pow, Var, normalize
 
 _NEG_ONE = Const(-1)
+
+# Deep enough for any real formula; at this depth the parser and the
+# recursive canonical-form, derivative and printing code stay well
+# inside Python's default recursion limit of 1000 frames.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -88,6 +98,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -102,6 +113,14 @@ class _Parser:
         if t.kind != kind:
             _err(self.text, t.pos, f"expected {kind!r}, found {t.value!r}")
         return t
+
+    def enter(self, token):
+        """Open one nesting level at ``token``; the caller closes it by
+        decrementing ``depth`` once the nested part is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            _err(self.text, token.pos,
+                 f"expression nested more than {MAX_NESTING} levels deep")
 
     def parse(self):
         e = self.expr()
@@ -128,8 +147,10 @@ class _Parser:
 
     def unary(self):
         if self.peek().kind == "-":
-            self.take()
-            return Mul((_NEG_ONE, self.unary()))
+            self.enter(self.take())
+            e = self.unary()
+            self.depth -= 1
+            return Mul((_NEG_ONE, e))
         return self.power()
 
     def power(self):
@@ -137,30 +158,35 @@ class _Parser:
         if self.peek().kind != "^":
             return base
         caret = self.take()
+        self.enter(caret)
         exponent = self.unary()
+        self.depth -= 1
         k = normalize(exponent)
         if k.__class__ is not Const or k.value.denominator != 1:
             _err(self.text, caret.pos, "exponent must be an integer constant",
                  cls=_NonIntExp)
         return Pow(base, int(k.value))
 
+    def group(self, opening):
+        """The expression inside parentheses, ``opening`` already taken."""
+        self.enter(opening)
+        e = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return e
+
     def atom(self):
         t = self.take()
         if t.kind == "number":
             return Const(t.value)
         if t.kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.group(t)
         if t.kind == "name":
             if self.peek().kind == "(":
                 if t.value not in FUNCTIONS:
                     _err(self.text, t.pos, f"unknown function {t.value!r}",
                          cls=UnknownFunctionError)
-                self.take()
-                arg = self.expr()
-                self.expect(")")
-                return Func(t.value, arg)
+                return Func(t.value, self.group(self.take()))
             return Var(t.value)
         _err(self.text, t.pos, f"unexpected token {t.value!r}")
 

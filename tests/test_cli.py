@@ -7,7 +7,7 @@ import pytest
 from jetsym.cli import main, run
 from jetsym.errors import ProblemFileError
 from jetsym.expr import normalize
-from jetsym.parsing import parse
+from jetsym.parsing import MAX_NESTING, parse
 from jetsym.problemfile import load_problem
 
 REGRESSION = """
@@ -250,6 +250,36 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert main(["run-file", str(missing_name)]) == 2
 
     assert main(["run-file", str(tmp_path / "absent.jsf")]) == 2
+
+
+def _nested_field(phi):
+    return (
+        "[jet]\nindependent = x\ndependent = u\norder = 2\n"
+        f"[field F]\nxi x = 0\nphi u = {phi}\n"
+        "[task prolong p]\nfield = F\norder = 1\n"
+    )
+
+
+def test_deeply_nested_field_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.jsf"
+    deep.write_text(_nested_field("(" * 3000 + "u" + ")" * 3000))
+    assert main(["run-file", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "nested more than" in err
+
+
+def test_nested_exp_field_at_the_limit_prolongs(tmp_path, capsys):
+    phi = "u"
+    for _ in range(MAX_NESTING):
+        phi = f"exp({phi})"
+    problem = tmp_path / "limit.jsf"
+    problem.write_text(_nested_field(phi))
+    out = tmp_path / "report.json"
+    assert main(["--json", str(out), "run-file", str(problem)]) == 0
+    capsys.readouterr()
+    record = json.loads(out.read_text())["tasks"][0]
+    assert record["verdict"] == "pass"
+    assert record["detail"][-1].startswith("Psi[u_x] = ")
 
 
 def test_problem_file_errors_carry_lines():

@@ -34,7 +34,7 @@ from jetsym.expr import (
     to_string,
     zero_verdict,
 )
-from jetsym.parsing import parse, parse_raw
+from jetsym.parsing import MAX_NESTING, parse, parse_raw
 
 
 def numeric_zero_oracle(raw, names, points=5, seed=7, tol=1e-9):
@@ -102,6 +102,25 @@ def test_parse_errors_carry_position():
         parse("x + ")
     with pytest.raises(ParseError):
         parse("(x + 1")
+
+
+def nested(template, levels, inner="u"):
+    text = inner
+    for _ in range(levels):
+        text = template.format(text)
+    return text
+
+
+@pytest.mark.parametrize(
+    "template, inner",
+    [("({})", "u"), ("exp({})", "u"), ("-{}", "u"), ("1^{}", "1"), ("sin(x + {})", "u")],
+)
+def test_parse_nesting_limit(template, inner):
+    assert parse(nested(template, MAX_NESTING, inner)) is not None
+    with pytest.raises(ParseError) as err:
+        parse("\n" + nested(template, MAX_NESTING + 1, inner))
+    assert "nested more than" in str(err.value)
+    assert err.value.line == 2
 
 
 def test_parse_print_parse_idempotent():

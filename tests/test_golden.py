@@ -1,0 +1,29 @@
+"""Golden reports: the refactor contract.
+
+Each ``golden/*.jsf`` problem is run through ``jetsym --json ... run-file``
+and the report must equal the recorded ``golden/*.json`` byte for byte.
+Together the two files cover standard, lambda, scalar-mu and path-checked
+matrix-mu prolongations, rational and kernel symmetry checks,
+gauge-check, potential, check-compat and darboux tasks.  A change that
+alters any printed canonical form or verdict fails here; re-record a
+report only for a deliberate change of output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from jetsym.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# exit code of each run: the ODE problem holds tasks that must fail
+EXIT_CODES = {"ode": 1, "pde": 0}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_json_report_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["--json", str(out), "run-file", str(GOLDEN / f"{name}.jsf")])
+    capsys.readouterr()
+    assert code == EXIT_CODES[name]
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -23,6 +23,7 @@ from jetsym.jets import (
     in_vector_contact_module,
     interior_product,
     lie_derivative,
+    scalar_differential,
     total_derivative,
     truncated_total_derivative,
 )
@@ -96,6 +97,19 @@ def test_total_derivative_chain_second_variable():
 def test_auxiliary_names_are_constants():
     assert total_derivative(parse("c"), 0, ODE1) == Const(0)
     assert total_derivative(parse("c*u"), 0, ODE1) == parse("c*u_x")
+
+
+@pytest.mark.parametrize("text", ["u_tx", "x*exp(u_zz)", "sin(c + u_xtx)"])
+def test_malformed_jet_names_raise_wherever_they_occur(text):
+    e = parse(text)
+    Y = field(PDE2, ["1", "0"], {(0, (0, 0)): "u"})
+    for derive in (
+        lambda: total_derivative(e, 0, PDE2),
+        lambda: Y.apply(e),
+        lambda: scalar_differential(e, PDE2),
+    ):
+        with pytest.raises(JetError):
+            derive()
 
 
 @settings(max_examples=25, deadline=None)
