@@ -1,4 +1,4 @@
-"""Pure-Python polynomial kernel.
+"""Polynomial kernel.
 
 A polynomial is a dict mapping monomials to nonzero rational
 coefficients; the empty dict is the zero polynomial.  A monomial is a
@@ -14,8 +14,7 @@ dispatch overhead of ``fractions.Fraction`` in the inner loops.
 Polynomial dicts are treated as frozen values everywhere above this
 layer: the kernel returns fresh dicts and never mutates its inputs.
 
-``_kernel_cy`` is the compiled twin; the two must stay semantically
-identical (see tests/test_kernel.py).
+The other library modules import the kernel through ``backend``.
 """
 
 from math import gcd

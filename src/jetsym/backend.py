@@ -1,41 +1,28 @@
-"""Polynomial-kernel selection.
+"""Public face of the polynomial kernel.
 
-The compiled extension is preferred when importable; the pure-Python
-twin is the fallback.  ``JETSYM_BACKEND`` overrides the choice:
-
-* ``auto`` (default): compiled if available, else Python;
-* ``c``: require the compiled kernel, fail loudly if missing;
-* ``py``: force the pure-Python kernel (used by the benchmark).
+The kernel itself lives in ``_kernel_py``; this module re-exports its
+functions under one stable name.  ``expr`` reaches them as
+``backend.poly_mul`` and friends, and the per-layer tracer of the
+benchmark (``perfbench/tracer.py``) wraps the kernel by rebinding the
+names here, so the module stays even though there is one kernel.
+``BACKEND`` names the kernel in use and is recorded in benchmark
+environment probes.
 """
 
-import os
+from ._kernel_py import (
+    RAT_ONE,
+    monomial_mul,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_scale,
+    poly_sub,
+    rat_add,
+    rat_inv,
+    rat_make,
+    rat_mul,
+    rat_neg,
+    rat_sub,
+)
 
-_choice = os.environ.get("JETSYM_BACKEND", "auto").strip().lower()
-if _choice not in {"auto", "c", "py"}:
-    raise ImportError(f"JETSYM_BACKEND must be auto, c, or py; got {_choice!r}")
-
-if _choice == "py":
-    from . import _kernel_py as _impl
-elif _choice == "c":
-    from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
-
-BACKEND = "compiled" if _impl.__name__.endswith("_cy") else "python"
-
-RAT_ONE = _impl.RAT_ONE
-rat_make = _impl.rat_make
-rat_add = _impl.rat_add
-rat_sub = _impl.rat_sub
-rat_neg = _impl.rat_neg
-rat_mul = _impl.rat_mul
-rat_inv = _impl.rat_inv
-monomial_mul = _impl.monomial_mul
-poly_add = _impl.poly_add
-poly_neg = _impl.poly_neg
-poly_sub = _impl.poly_sub
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
+BACKEND = "python"

@@ -135,6 +135,18 @@ class _Args:
             )
         return default
 
+    def get_int(self, name, default):
+        text = self.get(name)
+        if text is None:
+            return default
+        try:
+            return int(text)
+        except ValueError:
+            raise ProblemFileError(
+                f"task {self.task.task_id!r}: {name} must be an integer, "
+                f"got {text!r}", self.task.args[name][1]
+            ) from None
+
     def finish(self):
         extra = set(self.task.args) - self.seen
         if extra:
@@ -213,7 +225,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         elif task.kind == "prolong":
             X = problem.field_named(args.get("field", required=True), task.line)
             kind = args.get("kind", default="standard")
-            order = int(args.get("order", default=str(spec.order)))
+            order = args.get_int("order", spec.order)
             lam_text = args.get("lambda")
             mu_name = args.get("mu")
             path_check = _parse_flag(args.get("path-check"))
@@ -272,7 +284,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         elif task.kind == "gauge-check":
             X = problem.field_named(args.get("field", required=True), task.line)
             phi = parse(args.get("phi", required=True))
-            order = int(args.get("order", default=str(spec.order)))
+            order = args.get_int("order", spec.order)
             args.finish()
             res = verify_gauge_equivalence_scalar(X, phi, order, seed=seed)
             verdict = _word(res.verdict)
@@ -284,7 +296,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         elif task.kind == "coincide":
             X = problem.field_named(args.get("field", required=True), task.line)
             mu = problem.mu_named(args.get("mu", required=True), task.line)
-            order = int(args.get("order", default=str(spec.order)))
+            order = args.get_int("order", spec.order)
             path_check = _parse_flag(args.get("path-check"))
             args.finish()
             res = coincide_on_invariant_set(
@@ -308,21 +320,12 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
     return TaskRecord(task.task_id, task.kind, verdict, residuals, detail, duration)
 
 
-def run(problem: ProblemFile, *, seed=None, strict=False, parallel=False) -> Report:
-    """Execute the problem file's tasks; the report is always in file
-    order, even when tasks run concurrently (safe: the library is pure)."""
+def run(problem: ProblemFile, *, seed=None, strict=False) -> Report:
+    """Execute the problem file's tasks one after another, in file order."""
     seed = DEFAULT_SEED if seed is None else seed
     report = Report(seed=seed, strict=strict)
-    if parallel and len(problem.tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            report.records.extend(
-                pool.map(lambda t: run_task(problem, t, seed=seed), problem.tasks)
-            )
-    else:
-        for task in problem.tasks:
-            report.records.append(run_task(problem, task, seed=seed))
+    for task in problem.tasks:
+        report.records.append(run_task(problem, task, seed=seed))
     return report
 
 
@@ -397,15 +400,13 @@ def main(argv=None) -> int:
             "--order": {"type": int, "default": None},
         },
     )
-    add("run-file", **{"--parallel": {"action": "store_true",
-                                      "help": "run tasks concurrently"}})
+    add("run-file")
 
     opts = parser.parse_args(argv)
     try:
         problem = _load(opts.file)
         if opts.command == "run-file":
-            report = run(problem, seed=opts.seed, strict=opts.strict,
-                         parallel=opts.parallel)
+            report = run(problem, seed=opts.seed, strict=opts.strict)
         else:
             pairs = {}
             for key in ("field", "equation", "kind", "mu", "gauge", "phi"):

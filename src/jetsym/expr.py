@@ -24,8 +24,9 @@ once.  ``pdiff`` and the total derivatives and vector fields of
 
 Zero testing is exact on the rational fragment.  When kernels are
 present and the canonical form is not syntactically zero, the verdict
-is decided numerically at seeded random rational points and reported
-as ``Verdict.PROBABLY`` rather than as a proof.
+is decided numerically at seeded random rational points: FALSE when a
+sampled numerator is far above the rounding error of its terms, else
+``Verdict.PROBABLY`` rather than a proof.
 
 Products of exponentials are merged (``exp(a)*exp(b) -> exp(a+b)``,
 ``exp(a)**k -> exp(k*a)``, ``1/exp(a) -> exp(-a)``); this is the one
@@ -39,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from fractions import Fraction
 
 from . import backend as _k
@@ -54,7 +56,11 @@ from .errors import (
 
 DEFAULT_SEED = 1013904223
 DEFAULT_SAMPLES = 8
-ZERO_TOL = 1e-9
+# A sampled numerator proves nonzero-ness only when it exceeds this many
+# units of rounding, eps times the sum of its monomials' magnitudes.  The
+# margin is wide because kernel arguments are rounded before exp, log,
+# sin and cos see them, and that error is not bounded term by term.
+ZERO_MARGIN = 2.0 ** 24
 
 FUNCTIONS = ("exp", "log", "sin", "cos")
 
@@ -343,9 +349,9 @@ def expr_prod(factors) -> Expr:
 # rational-function layer
 #
 # Monomials hold atom SORT KEYS (plain nested tuples), not the atom nodes:
-# dict hashing and merge comparisons then run entirely in C, and the
-# compiled kernel needs no callbacks into Python.  The registry recovers
-# the node for a key when trees are rebuilt.
+# dict hashing and merge comparisons then run entirely in C, with no
+# calls back into the node classes.  The registry recovers the node for
+# a key when trees are rebuilt.
 
 _ATOMS: dict = {}
 
@@ -903,33 +909,39 @@ def _eval_walk(e, vals):
         raise DomainError("overflow in kernel function") from None
 
 
-def _tree_has_kernel(e):
-    cls = e.__class__
-    if cls is Func:
-        return True
-    if cls is Add:
-        return any(_tree_has_kernel(t) for t in e.terms)
-    if cls is Mul:
-        return any(_tree_has_kernel(f) for f in e.factors)
-    if cls is Pow:
-        return _tree_has_kernel(e.base)
-    return False
+def _poly_sample(p, atom_values):
+    """Value of ``p`` at sampled atom values and the sum of its monomials'
+    magnitudes; None when a monomial is not a finite float."""
+    terms = []
+    for m, (cn, cd) in p.items():
+        v = cn / cd
+        for a, k in m:
+            v *= atom_values[a] ** k
+        if not math.isfinite(v):
+            return None
+        terms.append(v)
+    return math.fsum(terms), math.fsum(abs(v) for v in terms)
 
 
-def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES, tol=ZERO_TOL) -> Verdict:
+def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
     """Classify ``e`` as zero.
 
     TRUE and FALSE are exact on the rational fragment.  When the
-    canonical form is nonzero but contains kernels, the expression is
+    canonical form ``N/D`` is nonzero but contains kernels, ``N`` is
     sampled at ``samples`` random rational points inside the kernel
-    domains; if every value stays below ``tol`` the verdict is PROBABLY
-    (never silently TRUE).  Domain errors trigger resampling up to a cap.
+    domains where ``D`` is finite and nonzero.  FALSE needs one sample
+    whose value exceeds ``ZERO_MARGIN`` times eps times the sum of
+    ``N``'s monomial magnitudes there, which rounding cannot explain;
+    otherwise the verdict is PROBABLY (never silently TRUE).  Domain
+    errors and overflow trigger resampling up to a cap.
     """
     nf = normalize(e)
     if nf.__class__ is Const:
         return Verdict.TRUE if nf.value == 0 else Verdict.FALSE
-    if not _tree_has_kernel(nf):
+    num, den = _rf_of(nf)
+    if not (_has_kernel_poly(num) or _has_kernel_poly(den)):
         return Verdict.FALSE
+    atoms = {a for p in (num, den) for m in p for a, _k in m}
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     names = sorted(free_variables(nf))
     good = 0
@@ -940,21 +952,24 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES, tol=ZERO_TOL) -> Verd
             raise DomainError("could not sample inside kernel domains")
         point = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for n in names}
         try:
-            val = eval_expr(nf, point)
-        except DomainError:
+            values = {a: eval_expr(_atom_node(a), point) for a in atoms}
+            d = _poly_sample(den, values)
+            n = _poly_sample(num, values)
+        except (DomainError, ZeroDivisionError, OverflowError):
             continue
-        if not math.isfinite(val):
+        if d is None or d[0] == 0.0 or n is None:
             continue
-        if abs(val) > tol:
+        value, scale = n
+        if abs(value) > ZERO_MARGIN * sys.float_info.epsilon * scale:
             return Verdict.FALSE
         good += 1
     return Verdict.PROBABLY
 
 
-def is_zero(e, *, seed=None, samples=DEFAULT_SAMPLES, tol=ZERO_TOL) -> bool:
+def is_zero(e, *, seed=None, samples=DEFAULT_SAMPLES) -> bool:
     """True only when ``e`` is exactly zero; a probably-zero outcome is
     reported as False here, use ``zero_verdict`` for the full verdict."""
-    return zero_verdict(e, seed=seed, samples=samples, tol=tol) is Verdict.TRUE
+    return zero_verdict(e, seed=seed, samples=samples) is Verdict.TRUE
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,6 @@ def test_inconsistent_mu_prolongation_fails_the_task():
     assert any("disagree" in d for d in rec.detail)
 
 
-def test_parallel_execution_preserves_order():
-    serial = run(load_problem(REGRESSION))
-    parallel = run(load_problem(REGRESSION), parallel=True)
-    assert [r.task_id for r in parallel.records] == [r.task_id for r in serial.records]
-    assert [r.verdict for r in parallel.records] == [r.verdict for r in serial.records]
-    assert [r.residuals for r in parallel.records] == [
-        r.residuals for r in serial.records
-    ]
-
-
 def test_json_report_is_deterministic(tmp_path):
     f = tmp_path / "problem.jsf"
     f.write_text(REGRESSION)
@@ -250,6 +240,23 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert main(["run-file", str(missing_name)]) == 2
 
     assert main(["run-file", str(tmp_path / "absent.jsf")]) == 2
+
+
+@pytest.mark.parametrize("task", [
+    "[task prolong p]\nfield = S\norder = abc\n",
+    "[task gauge-check g]\nfield = S\nphi = x\norder = 2.5\n",
+    "[task coincide c]\nfield = S\nmu = M\norder = two\n",
+], ids=["prolong", "gauge-check", "coincide"])
+def test_non_integer_task_order_exits_two(tmp_path, capsys, task):
+    problem = tmp_path / "order.jsf"
+    problem.write_text(
+        "[jet]\nindependent = x\ndependent = u\norder = 1\n"
+        "[field S]\nxi x = 0\nphi u = 1\n[mu M]\nx = u\n" + task
+    )
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    order_line = 9 + task.count("\n")  # last line, after 9 declaration lines
+    assert f"line {order_line}: " in err and "order must be an integer" in err
 
 
 def _nested_field(phi):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jetsym.errors import (
@@ -256,6 +256,68 @@ def test_zero_verdict_nonzero_transcendental():
 def test_zero_verdict_deterministic_under_seed():
     e = parse("sin(u)^2 + cos(u)^2 - 1")
     assert zero_verdict(e, seed=5) == zero_verdict(e, seed=5)
+
+
+PYTHAGORAS = parse("sin(x)^2 + cos(x)^2 - 1")
+
+
+@st.composite
+def _int_polys(draw, max_degree=12):
+    """Polynomial in x and u with small integer coefficients, as a tree."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(0, max_degree),
+                  st.integers(0, max_degree)),
+        min_size=1, max_size=6,
+    ))
+    return Add(tuple(Mul((Const(c), Pow(Var("x"), a), Pow(Var("u"), b)))
+                     for c, a, b in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys(), st.sampled_from(["1", "exp(u)", "exp(x*u)/(1+u^2)"]),
+       st.integers(0, 2**32))
+@example(parse("x^10"), "1", 0)
+@example(parse("1"), "exp(u)", 0)
+@example(parse("(x^2+u^2+1)^6"), "1", 0)
+def test_polynomial_times_identity_is_never_false(p, factor, seed):
+    # true identities whose terms are far above 1e-9 in absolute size
+    e = Mul((p, parse(factor), PYTHAGORAS))
+    assert zero_verdict(e, seed=seed) is not Verdict.FALSE
+
+
+_INDEPENDENT_KERNELS = ("exp(x)", "cos(x)", "sin(u)")
+
+
+@st.composite
+def _nonzero_kernel_exprs(draw):
+    """Nonzero rational functions of x, u, exp(x), cos(x) and sin(u).  The
+    three kernels are algebraically independent over Q(x, u), so a
+    canonical form that is not syntactically zero is a nonzero function."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        factors = [Const(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))),
+                   Pow(Var("x"), draw(st.integers(0, 6))),
+                   Pow(Var("u"), draw(st.integers(0, 6)))]
+        for k in _INDEPENDENT_KERNELS:
+            factors.append(Pow(parse(k), draw(st.integers(0, 2))))
+        terms.append(Mul(tuple(factors)))
+    e = Add(tuple(terms))
+    if draw(st.booleans()):
+        e = Mul((e, Pow(parse("1 + u^2"), -1)))
+    e = normalize(e)
+    assume(e != parse("0"))
+    return e
+
+
+# Bound: at most one PROBABLY among 20 nonzero expressions (5%); on
+# 2000 seeded draws of the same family none came back PROBABLY.
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_nonzero_kernel_exprs(), st.integers(0, 2**32)),
+                min_size=20, max_size=20))
+def test_nonzero_kernel_expressions_are_rarely_probably(batch):
+    verdicts = [zero_verdict(e, seed=seed) for e, seed in batch]
+    assert Verdict.TRUE not in verdicts
+    assert verdicts.count(Verdict.PROBABLY) <= 1
 
 
 def test_log_domain_triggers_resampling():
