@@ -22,6 +22,13 @@ quotient rule for denominators), then reduces and rebuilds the result
 once.  ``pdiff`` and the total derivatives and vector fields of
 ``jets`` are such derivations.
 
+Substitution works on the canonical form too.  ``substitute`` maps each
+atom once (a bound variable to its replacement, a function atom to the
+function of its substituted argument), brings the images of the changed
+atoms over one common denominator, and multiplies every monomial of the
+numerator and denominator by its share of it, so the result needs one
+reduction instead of one gcd per summand.
+
 Zero testing is exact on the rational fragment.  When kernels are
 present and the canonical form is not syntactically zero, the verdict
 is decided numerically at seeded random rational points: FALSE when a
@@ -32,7 +39,10 @@ Products of exponentials are merged (``exp(a)*exp(b) -> exp(a+b)``,
 ``exp(a)**k -> exp(k*a)``, ``1/exp(a) -> exp(-a)``); this is the one
 rewrite applied beyond rational-function arithmetic, and it keeps
 inverse-pair cancellations exact.  No other function identities are
-applied.
+applied.  The gcd works over the atoms, where ``exp(2*x)`` and
+``exp(x)**2`` are unrelated, so a denominator holding a sum with
+exponentials can keep a common factor, and its form then depends on the
+order of the arithmetic.
 """
 
 from __future__ import annotations
@@ -687,15 +697,18 @@ def _collect_vars(e, out):
 
 
 def substitute(e, bindings) -> Expr:
-    """Simultaneous substitution of variables, then normalization.
+    """Simultaneous substitution of variables into the canonical form.
 
     Rejects binding sets in which any bound variable occurs in any
     replacement expression (directly, and therefore also transitively).
+    The substitution acts on the canonical value of ``e``, not on the
+    tree as written: ``x * x^(-1)`` is ``1`` before anything is
+    substituted, so ``x -> 0`` gives ``1``.  A denominator of the
+    canonical form that the substitution makes zero raises
+    ``SymbolicDivisionError``.
     """
     e = as_expr(e)
     named = {str(k): as_expr(v) for k, v in bindings.items()}
-    if not named:
-        return normalize(e)
     bound = set(named)
     for name, repl in named.items():
         hit = free_variables(repl) & bound
@@ -703,22 +716,83 @@ def substitute(e, bindings) -> Expr:
             raise SubstitutionError(
                 f"replacement for {name!r} contains bound variable(s) {sorted(hit)}"
             )
-    return normalize(_subst_walk(e, named))
+    nf = normalize(e)
+    if not named:
+        return nf
+    out = _Substitution(named).rf(_rf_of(nf))
+    return nf if out is None else _build(out)
 
 
-def _subst_walk(e, named):
-    cls = e.__class__
-    if cls is Var:
-        return named.get(str(e.name), e)
-    if cls is Const:
-        return e
-    if cls is Add:
-        return Add(tuple(_subst_walk(t, named) for t in e.terms))
-    if cls is Mul:
-        return Mul(tuple(_subst_walk(f, named) for f in e.factors))
-    if cls is Pow:
-        return Pow(_subst_walk(e.base, named), e.exponent)
-    return Func(e.name, _subst_walk(e.arg, named))
+class _Substitution:
+    """Images of canonical pairs under a simultaneous substitution.
+
+    Each atom's image is worked out once per instance: the pair of its
+    replacement for a bound variable, the function rebuilt on the image
+    of its argument for a function atom, None for an untouched atom.  A
+    pair ``N/D`` is mapped over one common denominator: with ``p/q`` the
+    image of a changed atom ``a`` and ``k`` its top exponent in ``N`` and
+    ``D``, a monomial holding ``a^e`` is multiplied by ``p^e * q^(k-e)``,
+    so both sides gain the factor ``q^k`` and a single ``_reduce``
+    cancels what they share.
+    """
+
+    def __init__(self, named):
+        self.named = named
+        self.memo = {}
+
+    def atom(self, key):
+        if key[0] == 1:  # variable rank
+            repl = self.named.get(key[1])
+            img = None if repl is None else _rf_of(repl)
+        else:
+            node = _atom_node(key)
+            arg = self.rf(_rf_of(node.arg))
+            img = None if arg is None else _rf_of(Func(node.name, _build(arg)))
+        self.memo[key] = img
+        return img
+
+    def rf(self, r):
+        """The image of the pair ``r``; None when no atom of it changes."""
+        memo = self.memo
+        top = {}  # changed atom -> its top exponent in r
+        for p in r:
+            for m in p:
+                for a, e in m:
+                    # negative powers live in the denominator
+                    assert e > 0, "canonical monomials carry positive exponents"
+                    img = memo[a] if a in memo else self.atom(a)
+                    if img is not None and e > top.get(a, 0):
+                        top[a] = e
+        if not top:
+            return None
+        factors = {}  # exponents of the changed atoms -> their factor
+
+        def image(p):
+            out = {}
+            for m, c in p.items():
+                exps = dict.fromkeys(top, 0)
+                rest = []
+                for a, e in m:
+                    if a in exps:
+                        exps[a] = e
+                    else:
+                        rest.append((a, e))
+                key = tuple(exps.values())
+                f = factors.get(key)
+                if f is None:
+                    f = _ONE_POLY
+                    for a, e in exps.items():
+                        pa, qa = memo[a]
+                        f = _pmul(f, _pmul(_ppow(pa, e), _ppow(qa, top[a] - e)))
+                    factors[key] = f
+                for mm, cc in _pmul({tuple(rest): c}, f).items():
+                    _add_term(out, mm, cc)
+            return out
+
+        num, den = image(r[0]), image(r[1])
+        if not den:
+            raise SymbolicDivisionError("substitution makes a denominator zero")
+        return _reduce(num, den)
 
 
 def pdiff(e, v) -> Expr:

@@ -320,6 +320,13 @@ def test_nonzero_kernel_expressions_are_rarely_probably(batch):
     assert verdicts.count(Verdict.PROBABLY) <= 1
 
 
+def test_small_value_over_large_terms_is_false():
+    # value 1, terms of about 1e4 and more at every sample: FALSE needs a
+    # margin near 2^24 eps of the terms; at 2^40 every seed reads PROBABLY
+    e = parse("(x^2+u^2+100)^2*(sin(x)^2+cos(x)^2-1) + 1")
+    assert [zero_verdict(e, seed=s) for s in range(40)] == [Verdict.FALSE] * 40
+
+
 def test_log_domain_triggers_resampling():
     # log(x^2+1) is always defined; log(x) needs positive samples
     assert zero_verdict(parse("log(x) - log(x)")) is Verdict.TRUE
