@@ -1,13 +1,21 @@
 """Symbolic expression kernel.
 
-Expressions are immutable trees built from rational constants, named
+Expressions are immutable nodes over rational constants, named
 variables, sums, products, integer powers, and the kernel functions
-exp, log, sin, cos.  ``normalize`` rewrites any tree into a canonical
-form: a reduced rational function (expanded numerator and denominator,
+exp, log, sin, cos.  ``normalize`` maps any tree to its canonical
+value: a reduced rational function (expanded numerator and denominator,
 gcd cancelled, denominator scaled to leading coefficient 1) over the
-variables and function kernels, rebuilt as a tree with a fixed node
-order.  Two normalized trees are structurally equal exactly when they
-are the same rational function of their variables and kernels.
+variables and function kernels, held as the pair of numerator and
+denominator monomial dicts.  Arithmetic, ``expr_sum``/``expr_prod``,
+derivatives and substitution all combine these pairs and return
+canonical values without building trees.  A canonical value is still a
+node of one of the six classes, chosen from the shape of its pair; the
+children of a canonical sum or product, in a fixed node order, are
+built only when something reads them.  Two canonical values are equal
+exactly when their pairs are, that is when they are the same rational
+function of their variables and kernels.  ``to_string`` and
+``free_variables`` read the pair too: the printed text is the one the
+materialized tree would print.
 
 The node order used for sorting summands and factors is: constants
 (by numerator, then denominator, of the reduced value), then variables
@@ -18,9 +26,9 @@ Derivatives are computed on the canonical form itself, not on trees:
 ``derivatives`` applies a derivation, fixed by its values on the
 variables, to the numerator and denominator monomial dicts in one pass
 (product rule over each monomial's atoms, chain rule for kernels,
-quotient rule for denominators), then reduces and rebuilds the result
-once.  ``pdiff`` and the total derivatives and vector fields of
-``jets`` are such derivations.
+quotient rule for denominators), then reduces the result once.
+``pdiff`` and the total derivatives and vector fields of ``jets`` are
+such derivations.
 
 Substitution works on the canonical form too.  ``substitute`` maps each
 atom once (a bound variable to its replacement, a function atom to the
@@ -77,6 +85,7 @@ FUNCTIONS = ("exp", "log", "sin", "cos")
 _RAT_ONE = (1, 1)
 _ONE_POLY = {(): _RAT_ONE}
 _ZERO_POLY: dict = {}
+_RF_ONE = (_ONE_POLY, _ONE_POLY)
 
 
 class Verdict(enum.Enum):
@@ -148,6 +157,8 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
+        if self._canon and other._canon:
+            return _rf_of(self) == _rf_of(other)
         return self.sort_key() == other.sort_key()
 
     def __ne__(self, other):
@@ -156,12 +167,12 @@ class Expr:
             return r
         return not r
 
-    # arithmetic builds a raw node and normalizes once
+    # arithmetic combines the canonical pairs of its operands
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Add((self, other)))
+        return _node(_radd(_rf_of(self), _rf_of(other)))
 
     __radd__ = __add__
 
@@ -169,19 +180,19 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Add((self, Mul((_NEG_ONE, other)))))
+        return _node(_radd(_rf_of(self), _rneg(_rf_of(other))))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Add((other, Mul((_NEG_ONE, self)))))
+        return _node(_radd(_rf_of(other), _rneg(_rf_of(self))))
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Mul((self, other)))
+        return _node(_rmul(_rf_of(self), _rf_of(other)))
 
     __rmul__ = __mul__
 
@@ -189,21 +200,21 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Mul((self, Pow(other, -1))))
+        return _node(_rmul(_rf_of(self), _rpow(_rf_of(other), -1)))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return normalize(Mul((other, Pow(self, -1))))
+        return _node(_rmul(_rf_of(other), _rpow(_rf_of(self), -1)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
-        return normalize(Pow(self, k))
+        return _node(_rpow(_rf_of(self), k))
 
     def __neg__(self):
-        return normalize(Mul((_NEG_ONE, self)))
+        return _node(_rneg(_rf_of(self)))
 
     def __str__(self):
         return to_string(self)
@@ -252,24 +263,44 @@ class Pow(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ("_children",)
 
     def __init__(self, factors):
         super().__init__()
-        self.factors = tuple(factors)
+        self._children = tuple(factors)
+
+    @property
+    def factors(self):
+        fs = self._children
+        if fs is None:
+            fs = self._children = tuple(_part_node(*p[1:]) for p in _mul_parts(self._rf))
+        return fs
 
     def _make_key(self):
+        if self._children is None:
+            return (3, tuple(p[0] for p in _mul_parts(self._rf)))
         return (3, tuple(f.sort_key() for f in self.factors))
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ("_children",)
 
     def __init__(self, terms):
         super().__init__()
-        self.terms = tuple(terms)
+        self._children = tuple(terms)
+
+    @property
+    def terms(self):
+        ts = self._children
+        if ts is None:
+            ts = self._children = tuple(
+                _node(({m: c}, _ONE_POLY)) for _k, m, c, _f in _poly_terms(self._rf[0])
+            )
+        return ts
 
     def _make_key(self):
+        if self._children is None:
+            return _poly_key(_poly_terms(self._rf[0]))
         return (4, tuple(t.sort_key() for t in self.terms))
 
 
@@ -289,7 +320,6 @@ class Func(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
-_NEG_ONE = Const(-1)
 ZERO._canon = True
 ONE._canon = True
 
@@ -336,23 +366,22 @@ def cos(e) -> Expr:
 
 
 def expr_sum(terms) -> Expr:
-    """Sum of expressions, normalized once at the end."""
-    ts = tuple(as_expr(t) for t in terms)
-    if not ts:
-        return ZERO
-    if len(ts) == 1:
-        return normalize(ts[0])
-    return normalize(Add(ts))
+    """Sum of expressions, added left to right on their canonical pairs."""
+    r = None
+    for t in terms:
+        rt = _rf_of(as_expr(t))
+        r = rt if r is None else _radd(r, rt)
+    return ZERO if r is None else _node(r)
 
 
 def expr_prod(factors) -> Expr:
-    """Product of expressions, normalized once at the end."""
-    fs = tuple(as_expr(f) for f in factors)
-    if not fs:
-        return ONE
-    if len(fs) == 1:
-        return normalize(fs[0])
-    return normalize(Mul(fs))
+    """Product of expressions, multiplied left to right on their canonical
+    pairs."""
+    r = None
+    for f in factors:
+        rf = _rf_of(as_expr(f))
+        r = rf if r is None else _rmul(r, rf)
+    return ONE if r is None else _node(r)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +390,7 @@ def expr_prod(factors) -> Expr:
 # Monomials hold atom SORT KEYS (plain nested tuples), not the atom nodes:
 # dict hashing and merge comparisons then run entirely in C, with no
 # calls back into the node classes.  The registry recovers the node for
-# a key when trees are rebuilt.
+# a key when a tree is materialized or a kernel's argument is read.
 
 _ATOMS: dict = {}
 
@@ -500,6 +529,11 @@ def _reduce(num, den, *, use_gcd=True):
 def _radd(r1, r2):
     n1, d1 = r1
     n2, d2 = r2
+    # canonical pairs are reduced: adding zero changes nothing
+    if not n2:
+        return r1
+    if not n1:
+        return r2
     if d1 == d2:
         if d1 is _ONE_POLY or d1 == _ONE_POLY:
             return (_k.poly_add(n1, n2), _ONE_POLY)
@@ -511,9 +545,17 @@ def _radd(r1, r2):
 def _rmul(r1, r2):
     n1, d1 = r1
     n2, d2 = r2
+    if r2 == _RF_ONE:
+        return r1
+    if r1 == _RF_ONE:
+        return r2
     if (d1 is _ONE_POLY or d1 == _ONE_POLY) and (d2 is _ONE_POLY or d2 == _ONE_POLY):
         return (_pmul(n1, n2), _ONE_POLY)
     return _reduce(_pmul(n1, n2), _pmul(d1, d2))
+
+
+def _rneg(r):
+    return (_k.poly_neg(r[0]), r[1])
 
 
 def _rpow(r, k):
@@ -572,58 +614,110 @@ def _rf_of(e):
 
 
 # ---------------------------------------------------------------------------
-# canonical tree rebuild
+# canonical nodes
+#
+# A canonical value is a node that carries its reduced pair.  Its class
+# and its sort key follow from the pair; the children of a canonical Add
+# or Mul are built only when something reads them.  The keys below are
+# the sort keys those children would have, computed from monomials and
+# coefficients, so ordering and printing need no nodes.
 
 
-def _term_node(m, c):
-    factors = []
-    if not m:
-        return Const(Fraction(*c))
-    if c != _RAT_ONE:
-        factors.append(Const(Fraction(*c)))
-    for a, e in m:
-        atom = _atom_node(a)
-        factors.append(atom if e == 1 else Pow(atom, e))
-    if len(factors) == 1:
-        return factors[0]
-    factors.sort(key=lambda f: f.sort_key())
-    return Mul(tuple(factors))
+def _first(item):
+    return item[0]
 
 
-def _poly_node(p):
-    if not p:
-        return ZERO
-    terms = [_term_node(m, c) for m, c in p.items()]
-    if len(terms) == 1:
-        return terms[0]
-    terms.sort(key=lambda t: t.sort_key())
-    return Add(tuple(terms))
+def _factor_parts(m):
+    """``(sort key, atom, exponent)`` of each factor of the monomial ``m``,
+    in node order: an atom is its own key, a power ranks as ``Pow``."""
+    return sorted([(a if e == 1 else (2, a, e), a, e) for a, e in m])
 
 
-def _build(rf):
+def _poly_terms(p):
+    """``(sort key, monomial, coefficient, factor parts)`` of each term of
+    the polynomial ``p``, in node order."""
+    items = []
+    for m, c in p.items():
+        parts = _factor_parts(m)
+        if not m:
+            key = (0,) + c
+        elif c == _RAT_ONE and len(m) == 1:
+            key = parts[0][0]
+        else:
+            keys = tuple(k for k, _a, _e in parts)
+            key = (3, keys if c == _RAT_ONE else ((0,) + c,) + keys)
+        items.append((key, m, c, parts))
+    items.sort(key=_first)
+    return items
+
+
+def _poly_key(items):
+    return (4, tuple(item[0] for item in items))
+
+
+_CONST, _POWER, _SUM, _INVERSE = range(4)
+
+
+def _mul_parts(rf):
+    """``(sort key, kind, data)`` of each factor of the canonical product
+    of the pair ``rf``, in node order: a constant, an atom to a power,
+    the numerator as a sum, or the inverse of the denominator sum."""
     num, den = rf
-    if den == _ONE_POLY:
-        node = _poly_node(num)
+    parts = []
+    if len(num) == 1:
+        ((m, c),) = num.items()
+        if c != _RAT_ONE or not m:
+            parts.append(((0,) + c, _CONST, c))
+        parts.extend((k, _POWER, (a, e)) for k, a, e in _factor_parts(m))
     else:
+        items = _poly_terms(num)
+        parts.append((_poly_key(items), _SUM, (num, items)))
+    if den != _ONE_POLY:
         if len(den) == 1:
             ((dm, _dc),) = den.items()
-            den_factors = [Pow(_atom_node(a), -e) for a, e in dm]
+            parts.extend(((2, a, -e), _POWER, (a, -e)) for a, e in dm)
         else:
-            den_factors = [Pow(_poly_node(den), -1)]
-        if len(num) == 1:
-            ((nm, nc),) = num.items()
-            factors = [Const(Fraction(*nc))] if (nc != _RAT_ONE or not nm) else []
-            for a, e in nm:
-                atom = _atom_node(a)
-                factors.append(atom if e == 1 else Pow(atom, e))
-            factors.extend(den_factors)
+            items = _poly_terms(den)
+            parts.append(((2, _poly_key(items), -1), _INVERSE, (den, items)))
+    parts.sort(key=_first)
+    return parts
+
+
+def _part_node(kind, data):
+    if kind == _CONST:
+        return Const(Fraction(*data))
+    if kind == _POWER:
+        atom = _atom_node(data[0])
+        return atom if data[1] == 1 else Pow(atom, data[1])
+    node = _node((data[0], _ONE_POLY))
+    return node if kind == _SUM else Pow(node, -1)
+
+
+def _unbuilt(cls):
+    node = cls(())
+    node._children = None  # built from the pair when read
+    return node
+
+
+def _node(rf):
+    """The canonical node of the reduced pair ``rf``; a sum or a product
+    is left unbuilt until its children are read."""
+    num, den = rf
+    if den is not _ONE_POLY and den != _ONE_POLY:
+        node = _unbuilt(Mul)
+    elif not num:
+        return ZERO
+    elif len(num) > 1:
+        node = _unbuilt(Add)
+    else:
+        ((m, c),) = num.items()
+        if not m:
+            node = Const(Fraction(*c))
+        elif c == _RAT_ONE and len(m) == 1:
+            a, e = m[0]
+            node = _atom_node(a) if e == 1 else Pow(_atom_node(a), e)
         else:
-            factors = [_poly_node(num)] + den_factors
-        if len(factors) == 1:
-            node = factors[0]
-        else:
-            factors.sort(key=lambda f: f.sort_key())
-            node = Mul(tuple(factors))
+            node = _unbuilt(Mul)
     node._rf = rf
     node._canon = True
     return node
@@ -634,7 +728,7 @@ def normalize(e) -> Expr:
     e = as_expr(e)
     if e._canon:
         return e
-    return _build(_rf_of(e))
+    return _node(_rf_of(e))
 
 
 def is_polynomial(e) -> bool:
@@ -674,26 +768,40 @@ def polynomial_terms(e) -> dict:
 
 
 def free_variables(e) -> set:
-    """Names of all variables occurring in ``e`` (inside kernels too)."""
+    """Names of all variables occurring in ``e`` (inside kernels too).
+
+    A canonical value is read from its pair; any other tree is walked as
+    written, so ``x - x`` built by hand names ``x``."""
     out = set()
-    _collect_vars(as_expr(e), out)
+    _collect_vars(as_expr(e), out, set())
     return out
 
 
-def _collect_vars(e, out):
+def _collect_vars(e, out, seen):
+    if e._canon:
+        for p in _rf_of(e):
+            for m in p:
+                for a, _e in m:
+                    if a not in seen:
+                        seen.add(a)
+                        if a[0] == 1:  # variable rank
+                            out.add(a[1])
+                        else:
+                            _collect_vars(_atom_node(a).arg, out, seen)
+        return
     cls = e.__class__
     if cls is Var:
         out.add(str(e.name))
     elif cls is Add:
         for t in e.terms:
-            _collect_vars(t, out)
+            _collect_vars(t, out, seen)
     elif cls is Mul:
         for f in e.factors:
-            _collect_vars(f, out)
+            _collect_vars(f, out, seen)
     elif cls is Pow:
-        _collect_vars(e.base, out)
+        _collect_vars(e.base, out, seen)
     elif cls is Func:
-        _collect_vars(e.arg, out)
+        _collect_vars(e.arg, out, seen)
 
 
 def substitute(e, bindings) -> Expr:
@@ -720,7 +828,7 @@ def substitute(e, bindings) -> Expr:
     if not named:
         return nf
     out = _Substitution(named).rf(_rf_of(nf))
-    return nf if out is None else _build(out)
+    return nf if out is None else _node(out)
 
 
 class _Substitution:
@@ -747,7 +855,7 @@ class _Substitution:
         else:
             node = _atom_node(key)
             arg = self.rf(_rf_of(node.arg))
-            img = None if arg is None else _rf_of(Func(node.name, _build(arg)))
+            img = None if arg is None else _rf_of(Func(node.name, _node(arg)))
         self.memo[key] = img
         return img
 
@@ -813,7 +921,7 @@ def derivatives(e, of_var) -> dict:
     ``{direction: canonical derivative}`` for the nonzero results.
     """
     rf = _Derivation(of_var).rf(_rf_of(normalize(e)))
-    return {d: _build(r) for d, r in rf.items()}
+    return {d: _node(r) for d, r in rf.items()}
 
 
 def _outer_derivative(key):
@@ -1050,24 +1158,128 @@ def is_zero(e, *, seed=None, samples=DEFAULT_SAMPLES) -> bool:
 # printing
 
 
-def _paren(s):
-    return "(" + s + ")"
+def _rat_str(c):
+    n, d = c
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _pow_base_str(b):
-    cls = b.__class__
-    if cls is Var or cls is Func:
-        return to_string(b)
-    if cls is Const and b.value >= 0 and b.value.denominator == 1:
-        return str(b.value)
-    return _paren(to_string(b))
+class _Printer:
+    """Text of one expression.
 
+    A canonical value is printed from its pair, in the order of the
+    sort keys its nodes would have, so that the text equals the tree
+    walk of its materialized tree; other nodes are walked as written.
+    Atom texts are remembered for the duration of one call.
+    """
 
-def _factor_str(f):
-    cls = f.__class__
-    if cls is Add or cls is Mul:
-        return _paren(to_string(f))
-    return to_string(f)
+    def __init__(self):
+        self.atoms = {}
+
+    def atom(self, a):
+        s = self.atoms.get(a)
+        if s is None:
+            if a[0] == 1:  # variable rank
+                s = a[1]
+            else:
+                node = _atom_node(a)
+                s = f"{node.name}({self.expr(node.arg)})"
+            self.atoms[a] = s
+        return s
+
+    def power(self, a, e):
+        s = self.atom(a)
+        if e == 1:
+            return s
+        return f"{s}^{e}" if e > 0 else f"{s}^({e})"
+
+    def sum(self, items):
+        """A sum of two or more terms, minus signs pulled out."""
+        out = []
+        for _key, _m, (n, d), parts in items:
+            body = "*".join([self.power(a, e) for _k, a, e in parts])
+            if abs(n) != 1 or d != 1:
+                c = _rat_str((abs(n), d))
+                body = f"{c}*{body}" if parts else c
+            elif not parts:
+                body = "1"
+            if out:
+                out.append((" - " if n < 0 else " + ") + body)
+            else:
+                out.append("-" + body if n < 0 else body)
+        return "".join(out)
+
+    def pair(self, rf):
+        num, den = rf
+        if den == _ONE_POLY:
+            if not num:
+                return "0"
+            if len(num) > 1:
+                return self.sum(_poly_terms(num))
+            ((m, c),) = num.items()
+            if not m:
+                return _rat_str(c)
+            if c == _RAT_ONE and len(m) == 1:
+                return self.power(*m[0])
+        texts = []
+        for _key, kind, data in _mul_parts(rf):
+            if kind == _CONST:
+                texts.append(_rat_str(data))
+            elif kind == _POWER:
+                texts.append(self.power(*data))
+            elif kind == _SUM:
+                texts.append(f"({self.sum(data[1])})")
+            else:
+                texts.append(f"({self.sum(data[1])})^(-1)")
+        if texts[0] == "-1":
+            rest = texts[1:]
+            return "-" + rest[0] if len(rest) == 1 else "-(" + "*".join(rest) + ")"
+        return "*".join(texts)
+
+    def expr(self, e):
+        cls = e.__class__
+        if cls is Const:
+            return str(e.value)
+        if cls is Var:
+            return str(e.name)
+        if e._canon:
+            return self.pair(_rf_of(e))
+        if cls is Func:
+            return f"{e.name}({self.expr(e.arg)})"
+        if cls is Pow:
+            k = e.exponent
+            es = str(k) if k >= 0 else f"({k})"
+            return f"{self.pow_base(e.base)}^{es}"
+        if cls is Mul:
+            fs = e.factors
+            if fs and fs[0].__class__ is Const and fs[0].value == -1 and len(fs) > 1:
+                rest = fs[1] if len(fs) == 2 else Mul(fs[1:])
+                return "-" + self.factor(rest)
+            return "*".join(self.factor(f) for f in fs)
+        if cls is Add:
+            parts = []
+            for i, t in enumerate(e.terms):
+                neg, tt = _split_negative(t)
+                s = self.factor(tt) if tt.__class__ is Add else self.expr(tt)
+                if i == 0:
+                    parts.append("-" + s if neg else s)
+                else:
+                    parts.append((" - " if neg else " + ") + s)
+            return "".join(parts)
+        raise TypeError(f"unknown node {cls!r}")  # pragma: no cover
+
+    def pow_base(self, b):
+        cls = b.__class__
+        if cls is Var or cls is Func:
+            return self.expr(b)
+        if cls is Const and b.value >= 0 and b.value.denominator == 1:
+            return str(b.value)
+        return f"({self.expr(b)})"
+
+    def factor(self, f):
+        cls = f.__class__
+        if cls is Add or cls is Mul:
+            return f"({self.expr(f)})"
+        return self.expr(f)
 
 
 def _split_negative(t):
@@ -1087,31 +1299,4 @@ def _split_negative(t):
 
 def to_string(e) -> str:
     """Canonical text; re-parsing reproduces the same canonical form."""
-    cls = e.__class__
-    if cls is Const:
-        return str(e.value)
-    if cls is Var:
-        return str(e.name)
-    if cls is Func:
-        return f"{e.name}({to_string(e.arg)})"
-    if cls is Pow:
-        k = e.exponent
-        es = str(k) if k >= 0 else _paren(str(k))
-        return f"{_pow_base_str(e.base)}^{es}"
-    if cls is Mul:
-        fs = e.factors
-        if fs and fs[0].__class__ is Const and fs[0].value == -1 and len(fs) > 1:
-            rest = fs[1] if len(fs) == 2 else Mul(fs[1:])
-            return "-" + _factor_str(rest)
-        return "*".join(_factor_str(f) for f in fs)
-    if cls is Add:
-        parts = []
-        for i, t in enumerate(e.terms):
-            neg, tt = _split_negative(t)
-            s = _factor_str(tt) if tt.__class__ is Add else to_string(tt)
-            if i == 0:
-                parts.append("-" + s if neg else s)
-            else:
-                parts.append((" - " if neg else " + ") + s)
-        return "".join(parts)
-    raise TypeError(f"unknown node {cls!r}")  # pragma: no cover
+    return _Printer().expr(e)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import JetError
@@ -26,7 +25,6 @@ from .expr import (
     Const,
     Expr,
     Mul,
-    Pow,
     Var,
     VarName,
     Verdict,
@@ -34,7 +32,6 @@ from .expr import (
     as_expr,
     derivatives,
     expr_sum,
-    free_variables,
     normalize,
     zero_verdict,
 )
@@ -130,9 +127,6 @@ class JetSpec:
     def with_order(self, n: int) -> "JetSpec":
         return self if n == self.order else JetSpec(self.independent, self.dependent, n)
 
-    def lifted(self, k: int = 1) -> "JetSpec":
-        return self.with_order(self.order + k)
-
     # -- names ------------------------------------------------------------
 
     def independent_var(self, i: int) -> Var:
@@ -180,13 +174,6 @@ class JetSpec:
             counts.extend(level)
         return [MultiIndex(c) for c in counts]
 
-    def jet_coordinates(self, max_order=None, min_order=0):
-        return [
-            JetCoordinate(a, J)
-            for J in self.multi_indices(max_order, min_order)
-            for a in range(self.q)
-        ]
-
 
 @lru_cache(maxsize=4096)
 def _decode(spec: JetSpec, name: str):
@@ -221,9 +208,6 @@ class JetCoordinate:
 
     def name(self, spec: JetSpec) -> str:
         return spec.jet_name(self.a, self.index)
-
-    def var(self, spec: JetSpec) -> Var:
-        return spec.jet_var(self.a, self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -677,27 +661,11 @@ class MuForm:
     def matrix(self, i: int):
         return self.matrices[i]
 
-    def as_one_form(self) -> OneForm:
-        return OneForm(
-            self.spec, {basis_key_dx(i): l for i, l in enumerate(self.lambdas)}
-        )
-
     @property
     def is_structurally_zero(self) -> bool:
         return all(
             e == ZERO for M in self.matrices for row in M for e in row
         )
-
-    def max_jet_order(self) -> int:
-        best = -1
-        for M in self.matrices:
-            for row in M:
-                for e in row:
-                    for name in free_variables(e):
-                        kind = self.spec.decode(name)
-                        if kind[0] == "jet":
-                            best = max(best, kind[2].order)
-        return best
 
     def __eq__(self, other):
         if not isinstance(other, MuForm):

@@ -4,12 +4,16 @@ Four lifts are provided: the standard contact-preserving prolongation,
 the lambda-deformed lift for scalar ODEs, and the scalar and matrix
 variants deformed by a horizontal form ``mu``.  All of them run the same
 one-step recursion along the canonical multiindex path (all slot-0
-steps, then slot 1, ...); for the deformed variants the result is
-path-independent exactly when the form satisfies its compatibility
-condition (closedness in the scalar case, the flatness condition checked
-by :func:`mu_compatibility_residuals` in the matrix case), and a
-``path_check`` option verifies path independence directly instead of
-requiring compatibility up front.
+steps, then slot 1, ...), the standard lift being the one without a
+form and the lambda lift the scalar form in one direction.  Each step
+combines canonical values directly; the derivatives ``D_i xi^m`` of the
+field's base components, and the coefficients built from them, are
+computed once per lift and shared by every step.  For the deformed
+variants the result is path-independent exactly when the form satisfies
+its compatibility condition (closedness in the scalar case, the flatness
+condition checked by :func:`mu_compatibility_residuals` in the matrix
+case), and a ``path_check`` option verifies path independence directly
+instead of requiring compatibility up front.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
@@ -23,13 +27,9 @@ from dataclasses import dataclass
 
 from .errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
 from .expr import (
-    Const,
-    Expr,
-    Mul,
     Verdict,
     ZERO,
     as_expr,
-    expr_sum,
     free_variables,
     normalize,
     zero_verdict,
@@ -78,12 +78,6 @@ class PointVectorField:
                         "set generalized=True for jet-dependent coefficients"
                     )
 
-    def max_coefficient_order(self) -> int:
-        return max(
-            (_max_jet_order(e, self.spec) for e in self.xi + self.phi),
-            default=-1,
-        )
-
 
 def _max_jet_order(e, spec) -> int:
     best = -1
@@ -108,63 +102,51 @@ class NablaOperator:
         M = self.mu.matrices[self.i]
         out = []
         for a in range(spec.q):
-            parts = [total_derivative(vec[a], self.i, spec)]
+            r = total_derivative(vec[a], self.i, spec)
             for b in range(spec.q):
-                parts.append(Mul((M[a][b], vec[b])))
-            out.append(expr_sum(parts))
+                r = r + M[a][b] * vec[b]
+            out.append(r)
         return tuple(out)
 
 
-def _step_standard(i, J, psi_row, xi, spec):
-    """Undeformed step: D_i of the row minus u^a_{J,m} (D_i xi^m)."""
-    out = []
-    for a in range(spec.q):
-        parts = [total_derivative(psi_row[a], i, spec)]
-        for m in range(spec.p):
-            dxi = total_derivative(xi[m], i, spec)
-            parts.append(Mul((Const(-1), spec.jet_var(a, J.inc(m)), dxi)))
-        out.append(expr_sum(parts))
-    return tuple(out)
+def _make_step(X: PointVectorField, matrices=None):
+    """The one-step recursion of a lift along direction i,
 
+        Psi^a_{J+i} = D_i Psi^a_J + L_i[a][b] Psi^b_J - W_i[a][b][m] u^b_{J+m},
+        W_i[a][b][m] = delta_ab D_i xi^m + L_i[a][b] xi^m,
 
-def _make_scalar_step(mu):
-    """Scalar-deformed step (q = 1): the operator (D_i + lambda_i) applied
-    to the single component and to each xi coefficient."""
-    lambdas = mu.lambdas
+    summed over b and m, where L_i is the deforming form's matrix along i
+    (no L for the standard lift, the 1x1 matrix lambda_i for a scalar
+    form).  The coefficients W, and with them every D_i xi^m, are worked
+    out once per lift instead of once per step."""
+    spec = X.spec
+    p, q = spec.p, spec.q
+    W = {}
+    for i in range(p):
+        for m, x in enumerate(X.xi):
+            dxi = total_derivative(x, i, spec)
+            for a in range(q):
+                for b in range(q):
+                    w = dxi if a == b else ZERO
+                    if matrices is not None:
+                        w = w + matrices[i][a][b] * x
+                    if w != ZERO:
+                        W[i, a, b, m] = w
 
-    def step(i, J, psi_row, xi, spec):
-        lam = lambdas[i]
-        parts = [total_derivative(psi_row[0], i, spec), Mul((lam, psi_row[0]))]
-        for m in range(spec.p):
-            deformed_dxi = expr_sum(
-                [total_derivative(xi[m], i, spec), Mul((lam, xi[m]))]
-            )
-            parts.append(Mul((Const(-1), spec.jet_var(0, J.inc(m)), deformed_dxi)))
-        return (expr_sum(parts),)
-
-    return step
-
-
-def _make_vector_step(mu):
-    """Matrix-deformed step: the operator with matrix part L_i applied to
-    the component vector and to the xi coefficients."""
-
-    def step(i, J, psi_row, xi, spec):
-        M = mu.matrices[i]
-        q = spec.q
+    def step(i, J, row):
+        jets = [[spec.jet_var(b, J.inc(m)) for b in range(q)] for m in range(p)]
         out = []
         for a in range(q):
-            parts = [total_derivative(psi_row[a], i, spec)]
-            for b in range(q):
-                parts.append(Mul((M[a][b], psi_row[b])))
-            for m in range(spec.p):
-                dxi = total_derivative(xi[m], i, spec)
-                parts.append(Mul((Const(-1), spec.jet_var(a, J.inc(m)), dxi)))
+            r = total_derivative(row[a], i, spec)
+            if matrices is not None:
                 for b in range(q):
-                    parts.append(
-                        Mul((Const(-1), M[a][b], xi[m], spec.jet_var(b, J.inc(m))))
-                    )
-            out.append(expr_sum(parts))
+                    r = r + matrices[i][a][b] * row[b]
+            for m in range(p):
+                for b in range(q):
+                    w = W.get((i, a, b, m))
+                    if w is not None:
+                        r = r - jets[m][b] * w
+            out.append(r)
         return tuple(out)
 
     return step
@@ -177,7 +159,7 @@ def _build_table(X: PointVectorField, step, n: int):
     for J in spec.multi_indices(n, min_order=1):
         i = J.last_slot()
         base = J.dec(i)
-        table[J] = step(i, base, table[base], X.xi, spec)
+        table[J] = step(i, base, table[base])
     return table
 
 
@@ -190,10 +172,9 @@ def _as_field(X, table, n):
     return JetVectorField(spec, X.xi, psi, order=n)
 
 
-def _verify_path_independence(X, step, table, n, *, seed=None):
+def _verify_path_independence(step, table, spec, n, *, seed=None):
     """Every single-step edge of the table must be consistent; together
     the edges cover all increasing multiindex paths."""
-    spec = X.spec
     for J in spec.multi_indices(n, min_order=2):
         slots = [i for i, c in enumerate(J.counts) if c]
         if len(slots) < 2:
@@ -202,9 +183,9 @@ def _verify_path_independence(X, step, table, n, *, seed=None):
             if i == J.last_slot():
                 continue  # the canonical edge produced the stored value
             base = J.dec(i)
-            alt = step(i, base, table[base], X.xi, spec)
+            alt = step(i, base, table[base])
             for a in range(spec.q):
-                diff = normalize(table[J][a] - alt[a])
+                diff = table[J][a] - alt[a]
                 if zero_verdict(diff, seed=seed) is Verdict.FALSE:
                     raise InconsistentMuError(
                         f"recursion paths disagree at {spec.jet_name(a, J)}: "
@@ -217,7 +198,7 @@ def prolong_standard(X: PointVectorField, n=None) -> JetVectorField:
     n = X.spec.order if n is None else n
     if n < 1:
         raise ProlongationError("prolongation order must be at least 1")
-    table = _build_table(X, _step_standard, n)
+    table = _build_table(X, _make_step(X), n)
     return _as_field(X, table, n)
 
 
@@ -241,22 +222,7 @@ def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
     n = spec.order if n is None else n
     if n < 1:
         raise ProlongationError("prolongation order must be at least 1")
-    xi = X.xi[0]
-    deformed_dxi = expr_sum([total_derivative(xi, 0, spec), Mul((lam, xi))])
-    psi = [X.phi[0]]
-    index = MultiIndex.zero(1)
-    table = {index: (psi[0],)}
-    for _k in range(n):
-        index = index.inc(0)
-        nxt = expr_sum(
-            [
-                total_derivative(psi[-1], 0, spec),
-                Mul((lam, psi[-1])),
-                Mul((Const(-1), spec.jet_var(0, index), deformed_dxi)),
-            ]
-        )
-        psi.append(nxt)
-        table[index] = (nxt,)
+    table = _build_table(X, _make_step(X, [((lam,),)]), n)
     return _as_field(X, table, n)
 
 
@@ -278,10 +244,10 @@ def prolong_mu_scalar(
             f"the form is not closed (residuals {closed.residuals}); "
             "pass path_check=True to verify path independence instead"
         )
-    step = _make_scalar_step(mu)
+    step = _make_step(X, mu.matrices)
     table = _build_table(X, step, n)
     if path_check:
-        _verify_path_independence(X, step, table, n, seed=seed)
+        _verify_path_independence(step, table, spec, n, seed=seed)
     return _as_field(X, table, n)
 
 
@@ -301,10 +267,10 @@ def prolong_mu_vector(
             "the form fails its compatibility condition; "
             "pass path_check=True to verify path independence instead"
         )
-    step = _make_vector_step(mu)
+    step = _make_step(X, mu.matrices)
     table = _build_table(X, step, n)
     if path_check:
-        _verify_path_independence(X, step, table, n, seed=seed)
+        _verify_path_independence(step, table, spec, n, seed=seed)
     return _as_field(X, table, n)
 
 
@@ -371,7 +337,7 @@ def difference_terms(
     terms = {}
     for J in spec.multi_indices(n):
         for a in range(spec.q):
-            terms[(a, J)] = normalize(deformed.psi_at(a, J) - standard.psi_at(a, J))
+            terms[(a, J)] = deformed.psi_at(a, J) - standard.psi_at(a, J)
 
     residuals = None
     verdict = None
@@ -388,14 +354,12 @@ def difference_terms(
             dq = total_derivative_path(Q, J, spec)
             for i in range(spec.p):
                 lhs = terms[(0, J.inc(i))]
-                rhs = expr_sum(
-                    [
-                        total_derivative(terms[(0, J)], i, spec),
-                        Mul((lambdas[i], terms[(0, J)])),
-                        Mul((lambdas[i], dq)),
-                    ]
+                rhs = (
+                    total_derivative(terms[(0, J)], i, spec)
+                    + lambdas[i] * terms[(0, J)]
+                    + lambdas[i] * dq
                 )
-                r = normalize(lhs - rhs)
+                r = lhs - rhs
                 if r != ZERO:
                     residuals[(J, i)] = r
                 verdicts.append(zero_verdict(r, seed=seed))

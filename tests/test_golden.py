@@ -2,9 +2,11 @@
 
 Each ``golden/*.jsf`` problem is run through ``jetsym --json ... run-file``
 and the report must equal the recorded ``golden/*.json`` byte for byte.
-Together the two files cover standard, lambda, scalar-mu and path-checked
-matrix-mu prolongations, rational and kernel symmetry checks,
-gauge-check, potential, check-compat and darboux tasks.  A change that
+Together the files cover standard, lambda, scalar-mu and path-checked
+scalar- and matrix-mu prolongations, rational and kernel symmetry checks,
+gauge-check, potential, check-compat, darboux and coincide tasks, and
+the printing of sum and monomial denominators, fraction coefficients,
+leading minus signs and kernels of rational arguments.  A change that
 alters any printed canonical form or verdict fails here; re-record a
 report only for a deliberate change of output.
 """
@@ -16,8 +18,8 @@ import pytest
 from jetsym.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# exit code of each run: the ODE problem holds tasks that must fail
-EXIT_CODES = {"ode": 1, "pde": 0}
+# exit code of each run: the ODE and rational problems hold tasks that must fail
+EXIT_CODES = {"ode": 1, "pde": 0, "rational": 1}
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))

@@ -251,6 +251,27 @@ def test_vector_incompatible_matrices_raise():
     assert res[0][1] == Const(0)
 
 
+def test_vector_path_check_reports_first_disagreement():
+    # a non-flat form with a rational entry: the check must name the first
+    # edge that disagrees and print the canonical difference there
+    spec = JetSpec(("x", "t"), ("u", "v"), 2)
+    mu = MuForm(spec, [
+        ((parse("t"), parse("u")), (parse("0"), parse("1/(1 + x)"))),
+        ((parse("0"), parse("x")), (parse("v"), parse("0"))),
+    ])
+    X = pvf(spec, ["1", "x"], ["v", "-u/2"])
+    with pytest.raises(InconsistentMuError) as err:
+        prolong_mu_vector(X, mu, 2, path_check=True)
+    assert str(err.value) == (
+        "recursion paths disagree at u_xt: difference (1 + x)^(-1)*("
+        "v + v_x - u*x*v^2 - u*v^2 - u_t*v_t*x - u_t*v_t*x^2 - u_t*v_x"
+        " - u_t*v_x*x - u_t*x - u_t*x^2 - u_x - u_x*x - 1/2*u*u_t"
+        " - 1/2*u*u_t*x + 1/2*t*u*x + 1/2*t*u*x^2 + 1/2*u + t*v_t*x^2"
+        " + t*v_t*x^3 + t*v_x*x + t*v_x*x^2 + u*u_t*v*x + u*u_t*v*x^2"
+        " + u*u_x*v + u*u_x*v*x + v*x + v_t*x)"
+    )
+
+
 def test_nabla_operator_matches_definition():
     mu = MuForm(SYS1, [(
         (parse("x"), parse("u")),
