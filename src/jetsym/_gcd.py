@@ -4,6 +4,9 @@ Polynomials are the kernel's dict-of-monomials with rational-pair coefficients
 and opaque, totally ordered atoms.  The gcd uses the classical recursion:
 view both polynomials as univariate in a chosen main atom with polynomial
 coefficients, split off contents, and run a primitive pseudo-remainder
+sequence.  Each remainder is divided by its content and scaled to
+leading numeric coefficient 1: a constant content is not split off, so
+without the scaling rational coefficients grow exponentially along the
 sequence.  Sizes in this package are desk scale, so the primitive PRS is
 plenty.
 
@@ -13,7 +16,7 @@ atoms) keep them because a divisor of a polynomial only ever uses atom
 exponents bounded by the dividend's.
 """
 
-from .backend import RAT_ONE, poly_add, poly_mul, poly_neg, poly_scale, poly_sub, rat_inv
+from .backend import RAT_ONE, poly_mul, poly_scale, poly_sub, rat_inv
 
 def poly_one():
     return {(): RAT_ONE}
@@ -157,7 +160,10 @@ def poly_gcd(p, q):
         if max(r) == 0:
             return _monic(g_cont)
         cont_r = _content(r)
-        a, b = b, {k: poly_divexact(c, cont_r) for k, c in r.items()}
+        r = {k: poly_divexact(c, cont_r) for k, c in r.items()}
+        lead = r[max(r)]
+        inv = rat_inv(lead[max(lead)])
+        a, b = b, {k: poly_scale(c, inv) for k, c in r.items()}
     prim = _from_univariate(b, z)
     return _monic(poly_mul(g_cont, prim))
 

@@ -51,10 +51,6 @@ def rat_sub(a, b):
     return rat_make(an * bd - bn * ad, ad * bd)
 
 
-def rat_neg(a):
-    return (-a[0], a[1])
-
-
 def rat_mul(a, b):
     an, ad = a
     bn, bd = b

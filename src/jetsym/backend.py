@@ -21,7 +21,6 @@ from ._kernel_py import (
     rat_inv,
     rat_make,
     rat_mul,
-    rat_neg,
     rat_sub,
 )
 

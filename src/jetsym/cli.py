@@ -23,19 +23,18 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import JetsymError, ProblemFileError
-from .expr import DEFAULT_SEED, Verdict, normalize, to_string
+from .expr import DEFAULT_SEED, Verdict, to_string
 from .gauge import (
     darboux_derivative,
-    maurer_cartan_check,
     maurer_cartan_check_on_equation,
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
 from .parsing import parse
-from .problemfile import ProblemFile, TaskDecl, load_problem
+from .problemfile import ProblemFile, TaskDecl, load_problem, parse_flag
 from .prolong import (
+    maurer_cartan_check,
     prolong_lambda,
-    prolong_mu_scalar,
     prolong_mu_vector,
     prolong_standard,
 )
@@ -147,6 +146,10 @@ class _Args:
                 f"got {text!r}", self.task.args[name][1]
             ) from None
 
+    def get_flag(self, name):
+        text = self.get(name)
+        return text is not None and parse_flag(text, self.task.args[name][1])
+
     def finish(self):
         extra = set(self.task.args) - self.seen
         if extra:
@@ -154,10 +157,6 @@ class _Args:
                 f"task {self.task.task_id!r} has unknown argument(s) "
                 f"{sorted(extra)}", self.task.line
             )
-
-
-def _parse_flag(value) -> bool:
-    return value is not None and value.lower() in ("true", "yes", "1", "on")
 
 
 def _field_detail(Y, spec):
@@ -202,7 +201,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             kind = args.get("kind", default="standard")
             lam_text = args.get("lambda")
             mu_name = args.get("mu")
-            path_check = _parse_flag(args.get("path-check"))
+            path_check = args.get_flag("path-check")
             args.finish()
             if kind == "lambda" and lam_text is None:
                 raise ProblemFileError(
@@ -228,7 +227,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             order = args.get_int("order", spec.order)
             lam_text = args.get("lambda")
             mu_name = args.get("mu")
-            path_check = _parse_flag(args.get("path-check"))
+            path_check = args.get_flag("path-check")
             args.finish()
             if kind == "standard":
                 Y = prolong_standard(X, order)
@@ -244,10 +243,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                         "prolong kind=mu needs a 'mu =' argument", task.line
                     )
                 mu = problem.mu_named(mu_name, task.line)
-                if mu.is_scalar:
-                    Y = prolong_mu_scalar(X, mu, order, path_check=path_check, seed=seed)
-                else:
-                    Y = prolong_mu_vector(X, mu, order, path_check=path_check, seed=seed)
+                Y = prolong_mu_vector(X, mu, order, path_check=path_check, seed=seed)
             else:
                 raise ProblemFileError(f"unknown prolongation kind {kind!r}", task.line)
             verdict = PASS
@@ -297,7 +293,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             X = problem.field_named(args.get("field", required=True), task.line)
             mu = problem.mu_named(args.get("mu", required=True), task.line)
             order = args.get_int("order", spec.order)
-            path_check = _parse_flag(args.get("path-check"))
+            path_check = args.get_flag("path-check")
             args.finish()
             res = coincide_on_invariant_set(
                 X, mu, order, path_check=path_check, seed=seed

@@ -57,7 +57,7 @@ class ProlongationError(JetsymError):
 
 
 class MuNotClosedError(ProlongationError):
-    """The deforming form fails its closedness/compatibility precondition."""
+    """The deforming form is not flat (not closed when q = 1)."""
 
 
 class InconsistentMuError(ProlongationError):

@@ -1,8 +1,9 @@
 """Structure theory of the deforming form: flatness, potentials, gauge moves.
 
-The matrix form is admissible when its coefficient matrices satisfy the
-horizontal flatness condition ``D_i L_k - D_k L_i + [L_i, L_k] = 0``
-(:func:`maurer_cartan_check`); for symmetries of a fixed equation the
+The form is admissible when its coefficient matrices satisfy the
+horizontal flatness condition ``D_i L_k - D_k L_i + [L_i, L_k] = 0``,
+closedness when q = 1; the one check of it is
+``prolong.maurer_cartan_check``.  For symmetries of a fixed equation the
 condition only needs to hold on the solution manifold
 (:func:`maurer_cartan_check_on_equation`).
 
@@ -48,14 +49,16 @@ from .expr import (
 from .jets import (
     JetSpec,
     MuForm,
-    d_closed,
+    jet_order,
     mat_identity,
     mat_mul,
     mat_total_derivative,
     total_derivative,
 )
 from .prolong import (
+    MCResult,
     PointVectorField,
+    maurer_cartan_check,
     mu_compatibility_residuals,
     prolong_lambda,
     prolong_standard,
@@ -139,31 +142,6 @@ class GaugeFunction:
         return inv
 
 
-@dataclass
-class MCResult:
-    """Flatness residual matrices, one per direction pair i < k."""
-
-    verdict: Verdict
-    residuals: dict
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
-def maurer_cartan_check(mu: MuForm, *, seed=None) -> MCResult:
-    """Flatness of the form: for every pair of directions the residual
-    D_i L_k - D_k L_i + [L_i, L_k] must vanish entrywise.  For a scalar
-    form the commutator drops and this is plain closedness."""
-    residuals = mu_compatibility_residuals(mu)
-    verdicts = [
-        zero_verdict(e, seed=seed)
-        for R in residuals.values()
-        for row in R
-        for e in row
-    ]
-    return MCResult(Verdict.combine(verdicts), residuals)
-
-
 def maurer_cartan_check_on_equation(
     mu: MuForm, eq: DifferentialEquation, *, seed=None
 ) -> MCResult:
@@ -188,15 +166,6 @@ def maurer_cartan_check_on_equation(
 # scalar potentials
 
 
-def _jet_order_of(spec, e):
-    best = -1
-    for name in free_variables(e):
-        kind = spec.decode(name)
-        if kind[0] == "jet":
-            best = max(best, kind[2].order)
-    return best
-
-
 def _total_degree(e):
     return max((sum(k for _n, k in m) for m in polynomial_terms(e)), default=0)
 
@@ -217,13 +186,12 @@ def scalar_potential(mu: MuForm) -> Expr:
     for l in lambdas:
         if not is_polynomial(l):
             raise NonPolynomialError(f"coefficient {l} is not polynomial")
-    closed = d_closed(mu)
+    closed = maurer_cartan_check(mu)
     if closed.verdict is not Verdict.TRUE:
-        raise PotentialNotClosedError(
-            f"form is not closed: residuals {closed.residuals}"
-        )
+        nonzero = {k: R[0][0] for k, R in closed.residuals.items() if R[0][0] != ZERO}
+        raise PotentialNotClosedError(f"form is not closed: residuals {nonzero}")
 
-    max_order = max((_jet_order_of(spec, l) for l in lambdas), default=-1)
+    max_order = max((jet_order(l, spec) for l in lambdas), default=-1)
     degree = max((_total_degree(l) for l in lambdas), default=0) + 1
     names = list(spec.independent)
     for l in lambdas:
@@ -346,7 +314,7 @@ def verify_gauge_equivalence_scalar(
     if not is_polynomial(phi):
         raise NonPolynomialError("the potential must be polynomial")
     n = spec.order if n is None else n
-    jet_dependent = _jet_order_of(spec, phi) >= 1
+    jet_dependent = jet_order(phi, spec) >= 1
     if jet_dependent and not X.generalized:
         raise GaugeError(
             "jet-dependent potential needs a field with generalized=True"

@@ -12,6 +12,11 @@ One- and two-forms are coefficient maps over the basis ``dx^i``,
 ``du^a_J``; contact forms, exterior derivatives, interior products and
 Lie derivatives are provided, together with membership tests in the
 contact module (the span of the contact forms over smooth functions).
+
+The deforming horizontal form :class:`MuForm` holds one q-by-q matrix of
+coefficients per independent direction, a scalar form being the q = 1
+case; its one compatibility check, flatness, is
+``prolong.maurer_cartan_check``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .expr import (
     as_expr,
     derivatives,
     expr_sum,
+    free_variables,
     normalize,
     zero_verdict,
 )
@@ -197,6 +203,17 @@ def _decode(spec: JetSpec, name: str):
             )
         return ("jet", spec.dependent.index(head), MultiIndex(tuple(counts)))
     return ("auxiliary", None)
+
+
+def jet_order(e, spec: JetSpec) -> int:
+    """The highest order of a jet coordinate in ``e``, or -1 when ``e``
+    holds none."""
+    best = -1
+    for name in free_variables(e):
+        kind = spec.decode(name)
+        if kind[0] == "jet":
+            best = max(best, kind[2].order)
+    return best
 
 
 @dataclass(frozen=True)
@@ -646,20 +663,13 @@ class MuForm:
         return cls(spec, [z] * spec.p)
 
     @property
-    def is_scalar(self) -> bool:
-        return self.spec.q == 1
-
-    @property
     def lambdas(self):
-        if not self.is_scalar:
+        if self.spec.q != 1:
             raise JetError("matrix-valued form has no scalar coefficients")
         return tuple(M[0][0] for M in self.matrices)
 
     def entry(self, i: int, a: int, b: int) -> Expr:
         return self.matrices[i][a][b]
-
-    def matrix(self, i: int):
-        return self.matrices[i]
 
     @property
     def is_structurally_zero(self) -> bool:
@@ -674,34 +684,6 @@ class MuForm:
 
     def __repr__(self):
         return f"<MuForm p={self.spec.p} q={self.spec.q}>"
-
-
-@dataclass
-class ClosednessResult:
-    verdict: Verdict
-    residuals: dict
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
-def d_closed(mu: MuForm, *, seed=None) -> ClosednessResult:
-    """Closedness of a scalar horizontal form under the total exterior
-    derivative: the cross total derivatives of the coefficients agree."""
-    lambdas = mu.lambdas
-    spec = mu.spec
-    residuals = {}
-    verdicts = []
-    for i in range(spec.p):
-        for j in range(i + 1, spec.p):
-            r = normalize(
-                total_derivative(lambdas[j], i, spec)
-                - total_derivative(lambdas[i], j, spec)
-            )
-            if r != ZERO:
-                residuals[(i, j)] = r
-            verdicts.append(zero_verdict(r, seed=seed))
-    return ClosednessResult(Verdict.combine(verdicts), residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ bracketed header and hold ``key = expression`` lines:
 * ``[jet]`` with ``independent``, ``dependent`` (comma separated) and
   ``order``;
 * ``[field NAME]`` with ``xi <independent> = expr``,
-  ``phi <dependent> = expr`` and optional ``generalized = true``;
+  ``phi <dependent> = expr`` and optional ``generalized = true``
+  (flags read true/yes/1/on or false/no/0/off);
 * ``[mu NAME]`` with scalar entries ``<independent> = expr`` or matrix
   entries ``<independent> <dep-row> <dep-col> = expr``;
 * ``[gauge NAME]`` with ``<dep-row> <dep-col> = expr`` entries and
@@ -87,6 +88,18 @@ def _strip_comment(line):
     return line if pos < 0 else line[:pos]
 
 
+def parse_flag(text, line_no) -> bool:
+    """A boolean problem-file value: true/yes/1/on or false/no/0/off."""
+    value = text.strip().lower()
+    if value in ("true", "yes", "1", "on"):
+        return True
+    if value in ("false", "no", "0", "off"):
+        return False
+    raise ProblemFileError(
+        f"expected true/yes/1/on or false/no/0/off, got {text!r}", line_no
+    )
+
+
 def _parse_expr(text, line_no):
     try:
         return parse(text)
@@ -153,7 +166,7 @@ def _build_field(spec, entries, line_no):
     for key, value, ln in entries:
         parts = key.split()
         if parts == ["generalized"]:
-            generalized = value.lower() in ("true", "yes", "1")
+            generalized = parse_flag(value, ln)
             continue
         if len(parts) != 2 or parts[0] not in ("xi", "phi"):
             raise ProblemFileError(

@@ -1,19 +1,21 @@
 """Prolongations of point vector fields to jet space.
 
-Four lifts are provided: the standard contact-preserving prolongation,
-the lambda-deformed lift for scalar ODEs, and the scalar and matrix
-variants deformed by a horizontal form ``mu``.  All of them run the same
-one-step recursion along the canonical multiindex path (all slot-0
-steps, then slot 1, ...), the standard lift being the one without a
-form and the lambda lift the scalar form in one direction.  Each step
-combines canonical values directly; the derivatives ``D_i xi^m`` of the
-field's base components, and the coefficients built from them, are
-computed once per lift and shared by every step.  For the deformed
-variants the result is path-independent exactly when the form satisfies
-its compatibility condition (closedness in the scalar case, the flatness
-condition checked by :func:`mu_compatibility_residuals` in the matrix
-case), and a ``path_check`` option verifies path independence directly
-instead of requiring compatibility up front.
+Three lifts are provided: the standard contact-preserving prolongation,
+the lambda-deformed lift for scalar ODEs, and the lift deformed by a
+horizontal form ``mu`` with q-by-q matrix coefficients, the scalar form
+being its q = 1 case.  All of them run the same one-step recursion along
+the canonical multiindex path (all slot-0 steps, then slot 1, ...), the
+standard lift being the one without a form and the lambda lift the
+scalar form in one direction.  Each step combines canonical values
+directly; the derivatives ``D_i xi^m`` of the field's base components,
+and the coefficients built from them, are computed once per lift and
+shared by every step.
+
+The mu lift is path-independent exactly when the form is flat,
+``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
+and flatness is closedness.  :func:`maurer_cartan_check` is the one
+check of that condition, and a ``path_check`` option verifies path
+independence directly instead of requiring flatness up front.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
@@ -30,7 +32,6 @@ from .expr import (
     Verdict,
     ZERO,
     as_expr,
-    free_variables,
     normalize,
     zero_verdict,
 )
@@ -39,7 +40,7 @@ from .jets import (
     JetVectorField,
     MultiIndex,
     MuForm,
-    d_closed,
+    jet_order,
     mat_mul,
     mat_sub,
     mat_total_derivative,
@@ -71,21 +72,11 @@ class PointVectorField:
             raise JetError("component counts must match the jet space")
         if not self.generalized:
             for e in self.xi + self.phi:
-                order = _max_jet_order(e, self.spec)
-                if order >= 1:
+                if jet_order(e, self.spec) >= 1:
                     raise JetError(
                         "point field coefficients may depend on (x, u) only; "
                         "set generalized=True for jet-dependent coefficients"
                     )
-
-
-def _max_jet_order(e, spec) -> int:
-    best = -1
-    for name in free_variables(e):
-        kind = spec.decode(name)
-        if kind[0] == "jet":
-            best = max(best, kind[2].order)
-    return best
 
 
 class NablaOperator:
@@ -154,6 +145,8 @@ def _make_step(X: PointVectorField, matrices=None):
 
 def _build_table(X: PointVectorField, step, n: int):
     """Component table of the prolongation, filled along the canonical path."""
+    if n < 1:
+        raise ProlongationError("prolongation order must be at least 1")
     spec = X.spec
     table = {MultiIndex.zero(spec.p): tuple(X.phi)}
     for J in spec.multi_indices(n, min_order=1):
@@ -196,8 +189,6 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
 def prolong_standard(X: PointVectorField, n=None) -> JetVectorField:
     """The unique contact-preserving lift of ``X`` to order ``n``."""
     n = X.spec.order if n is None else n
-    if n < 1:
-        raise ProlongationError("prolongation order must be at least 1")
     table = _build_table(X, _make_step(X), n)
     return _as_field(X, table, n)
 
@@ -211,60 +202,33 @@ def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
     spec = X.spec
     if spec.p != 1 or spec.q != 1:
         raise ProlongationError(
-            "lambda prolongation needs p = q = 1; use the mu variants otherwise"
+            "lambda prolongation needs p = q = 1; use the mu lift otherwise"
         )
     lam = normalize(as_expr(lam))
-    order = _max_jet_order(lam, spec)
-    if order > 1 and not X.generalized:
+    if jet_order(lam, spec) > 1 and not X.generalized:
         raise ProlongationError(
             "lambda depends on jet order > 1; set generalized=True on the field"
         )
     n = spec.order if n is None else n
-    if n < 1:
-        raise ProlongationError("prolongation order must be at least 1")
     table = _build_table(X, _make_step(X, [((lam,),)]), n)
-    return _as_field(X, table, n)
-
-
-def prolong_mu_scalar(
-    X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
-) -> JetVectorField:
-    """The scalar mu-deformed lift.  Requires a closed form, or an
-    explicit ``path_check`` waiver under which path independence of the
-    recursion is verified directly and any disagreement raises."""
-    spec = X.spec
-    if spec.q != 1:
-        raise ProlongationError("scalar mu prolongation needs q = 1")
-    if not mu.is_scalar or mu.spec != spec:
-        raise ProlongationError("mu must be a scalar form on the field's jet space")
-    n = spec.order if n is None else n
-    closed = d_closed(mu, seed=seed)
-    if closed.verdict is Verdict.FALSE and not path_check:
-        raise MuNotClosedError(
-            f"the form is not closed (residuals {closed.residuals}); "
-            "pass path_check=True to verify path independence instead"
-        )
-    step = _make_step(X, mu.matrices)
-    table = _build_table(X, step, n)
-    if path_check:
-        _verify_path_independence(step, table, spec, n, seed=seed)
     return _as_field(X, table, n)
 
 
 def prolong_mu_vector(
     X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
 ) -> JetVectorField:
-    """The matrix mu-deformed lift for systems.  Requires the flatness
-    condition (checked through :func:`mu_compatibility_residuals`), or
-    the ``path_check`` waiver as in the scalar case."""
+    """The mu-deformed lift, for every number q of dependent variables.
+    Requires a flat form (:func:`maurer_cartan_check`; closed when
+    q = 1), or an explicit ``path_check`` waiver under which path
+    independence of the recursion is verified directly and any
+    disagreement raises."""
     spec = X.spec
     if mu.spec != spec:
         raise ProlongationError("mu must live on the field's jet space")
     n = spec.order if n is None else n
-    flat = mu_compatibility_verdict(mu, seed=seed)
-    if flat is Verdict.FALSE and not path_check:
+    if maurer_cartan_check(mu, seed=seed).verdict is Verdict.FALSE and not path_check:
         raise MuNotClosedError(
-            "the form fails its compatibility condition; "
+            "the form is not flat (not closed when q = 1); "
             "pass path_check=True to verify path independence instead"
         )
     step = _make_step(X, mu.matrices)
@@ -275,7 +239,7 @@ def prolong_mu_vector(
 
 
 # ---------------------------------------------------------------------------
-# compatibility residuals (shared with the gauge layer)
+# flatness of the form (shared with the gauge layer)
 
 
 def mu_compatibility_residuals(mu: MuForm):
@@ -296,13 +260,29 @@ def mu_compatibility_residuals(mu: MuForm):
     return out
 
 
-def mu_compatibility_verdict(mu: MuForm, *, seed=None) -> Verdict:
-    verdicts = []
-    for R in mu_compatibility_residuals(mu).values():
-        for row in R:
-            for e in row:
-                verdicts.append(zero_verdict(e, seed=seed))
-    return Verdict.combine(verdicts)
+@dataclass
+class MCResult:
+    """Flatness residual matrices, one per direction pair i < k."""
+
+    verdict: Verdict
+    residuals: dict
+
+    def __bool__(self):
+        return self.verdict is Verdict.TRUE
+
+
+def maurer_cartan_check(mu: MuForm, *, seed=None) -> MCResult:
+    """Flatness of the form: for every pair of directions the residual
+    D_i L_k - D_k L_i + [L_i, L_k] must vanish entrywise.  For a scalar
+    form the commutator drops and this is plain closedness."""
+    residuals = mu_compatibility_residuals(mu)
+    verdicts = [
+        zero_verdict(e, seed=seed)
+        for R in residuals.values()
+        for row in R
+        for e in row
+    ]
+    return MCResult(Verdict.combine(verdicts), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +309,7 @@ def difference_terms(
 ) -> DifferenceTerms:
     spec = X.spec
     n = spec.order if n is None else n
-    if spec.q == 1 and mu.is_scalar:
-        deformed = prolong_mu_scalar(X, mu, n, path_check=path_check, seed=seed)
-    else:
-        deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
+    deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
     standard = prolong_standard(X, n)
     terms = {}
     for J in spec.multi_indices(n):

@@ -42,6 +42,7 @@ from .jets import (
     MuForm,
     contact_form,
     interior_product,
+    jet_order,
     total_derivative,
     total_derivative_path,
     truncated_total_derivative,
@@ -50,7 +51,6 @@ from .prolong import (
     PointVectorField,
     difference_terms,
     prolong_lambda,
-    prolong_mu_scalar,
     prolong_mu_vector,
     prolong_standard,
 )
@@ -183,13 +183,8 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
     """Substitute the equation and its derivative consequences into ``e``."""
     spec = eq.spec
     e = normalize(as_expr(e))
-    max_order = -1
-    for name in free_variables(e):
-        kind = spec.decode(name)
-        if kind[0] == "jet":
-            max_order = max(max_order, kind[2].order)
     if depth is None:
-        depth = max(0, max_order - spec.order)
+        depth = max(0, jet_order(e, spec) - spec.order)
     bindings = _closed_substitutions(eq, depth)
     out = substitute(e, bindings)
     for name in free_variables(out):
@@ -228,8 +223,6 @@ def _prolong_by_kind(X, kind, n, lam=None, mu=None, path_check=False, seed=None)
     if kind == "mu":
         if mu is None:
             raise ProlongationError("kind 'mu' needs the deforming form")
-        if mu.is_scalar:
-            return prolong_mu_scalar(X, mu, n, path_check=path_check, seed=seed)
         return prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
     raise ProlongationError(f"unknown symmetry kind {kind!r}")
 

@@ -328,3 +328,62 @@ kind = standard
     assert report.records[0].verdict == "probably-pass"
     assert report.exit_code == 0
     assert run(load_problem(text), strict=True).exit_code == 1
+
+
+@pytest.mark.parametrize("kind", ["standard", "lambda", "mu"])
+@pytest.mark.parametrize("order", [0, -1])
+def test_prolong_order_below_one_fails(kind, order):
+    extra = {"standard": "", "lambda": "lambda = x\n", "mu": "mu = M\n"}[kind]
+    text = (
+        "[jet]\nindependent = x\ndependent = u\norder = 1\n"
+        "[field S]\nxi x = 0\nphi u = 1\n[mu M]\nx = u\n"
+        f"[task prolong p]\nfield = S\nkind = {kind}\n{extra}order = {order}\n"
+    )
+    record = run(load_problem(text)).records[0]
+    assert record.verdict == "fail"
+    assert record.detail == ["error: prolongation order must be at least 1"]
+
+
+FLAGS = """[jet]
+independent = x, t
+dependent = u
+order = 2
+[field V]
+xi x = 0
+xi t = 0
+phi u = 1
+generalized = {generalized}
+[mu BAD]
+x = u
+t = 0
+[task prolong p]
+field = V
+kind = mu
+mu = BAD
+path-check = {path_check}
+"""
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("Yes", True), ("1", True), ("on", True),
+    ("false", False), ("NO", False), ("0", False), ("off", False),
+])
+def test_problem_file_flags_share_one_vocabulary(text, value):
+    problem = load_problem(FLAGS.format(generalized=text, path_check=text))
+    assert problem.fields["V"].generalized is value
+    # the form is not closed: with the path check the recursion edges
+    # disagree, without it the flatness check refuses the form
+    record = run(problem).records[0]
+    assert record.verdict == "fail"
+    assert record.detail[0].startswith("error: recursion paths disagree") is value
+
+
+@pytest.mark.parametrize("key, line", [("generalized", 9), ("path-check", 17)])
+def test_unknown_flag_value_exits_two(tmp_path, capsys, key, line):
+    values = {"generalized": "true", "path_check": "true"}
+    values[key.replace("-", "_")] = "maybe"
+    problem = tmp_path / "flags.jsf"
+    problem.write_text(FLAGS.format(**values))
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err and "'maybe'" in err

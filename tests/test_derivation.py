@@ -5,10 +5,15 @@
 against sympy on seeded random rational functions with negative powers,
 ``log`` and nested ``exp``/``sin``/``cos``.  A result agrees when sympy
 simplifies the difference to zero after rewriting every kernel through
-exponentials.
+exponentials.  One standard prolongation with sum denominators is
+checked the same way, in a child process with a time limit.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +148,42 @@ def test_scalar_differential_matches_sympy():
         for name, key in keys.items():
             got = omega.coefficient(key)
             assert agrees(got, sp.diff(expr, SYMBOLS[name])), (str(e), name, str(got))
+
+
+LIFT = """
+from jetsym.expr import to_string
+from jetsym.jets import JetSpec, MultiIndex
+from jetsym.parsing import parse
+from jetsym.prolong import PointVectorField, prolong_standard
+
+spec = JetSpec(("x",), ("u",), 2)
+X = PointVectorField(spec, (parse("1/(1 + x)"),), (parse("u/x^2"),))
+Y = prolong_standard(X, 2)
+for k in (1, 2):
+    print(to_string(Y.psi_at(0, MultiIndex((k,)))))
+"""
+
+
+def test_rational_standard_lift_matches_sympy_in_time():
+    # the gcd's remainder sequence once let rational coefficients grow
+    # without bound here, and this lift did not finish in 30 s
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIFT], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = [sp.sympify(line.replace("^", "**"), locals=SYMBOLS)
+           for line in proc.stdout.splitlines()]
+    x, u, ux, uxx = (SYMBOLS[n] for n in ("x", "u", "u_x", "u_xx"))
+
+    def D(f):
+        return sp.diff(f, x) + ux * sp.diff(f, u) + uxx * sp.diff(f, ux)
+
+    xi, phi = 1 / (1 + x), u / x**2
+    psi_x = D(phi) - ux * D(xi)
+    psi_xx = D(psi_x) - uxx * D(xi)
+    assert len(got) == 2
+    assert sp.simplify(got[0] - psi_x) == 0
+    assert sp.simplify(got[1] - psi_xx) == 0

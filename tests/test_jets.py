@@ -15,7 +15,6 @@ from jetsym.jets import (
     basis_key_du,
     basis_key_dx,
     contact_form,
-    d_closed,
     du,
     dx,
     exterior_derivative,
@@ -28,6 +27,7 @@ from jetsym.jets import (
     truncated_total_derivative,
 )
 from jetsym.parsing import parse
+from jetsym.prolong import maurer_cartan_check
 
 ODE1 = JetSpec(("x",), ("u",), 1)
 ODE2 = JetSpec(("x",), ("u",), 2)
@@ -271,11 +271,12 @@ def test_vector_module_membership():
 # --- closedness -------------------------------------------------------------
 
 def test_d_closed_examples():
+    # closedness is flatness at q = 1: the residual is a 1x1 matrix
     mu = MuForm.scalar(PDE2, [parse("u_x"), parse("u_t")])
-    assert d_closed(mu).verdict is Verdict.TRUE
+    assert maurer_cartan_check(mu).verdict is Verdict.TRUE
     mu2 = MuForm.scalar(PDE2, [parse("u"), parse("0")])
-    res = d_closed(mu2)
+    res = maurer_cartan_check(mu2)
     assert res.verdict is Verdict.FALSE
-    assert res.residuals[(0, 1)] == parse("-u_t")
+    assert res.residuals[(0, 1)] == ((parse("-u_t"),),)
     mu3 = MuForm.scalar(ODE1, [parse("u*u_x")])
-    assert d_closed(mu3).verdict is Verdict.TRUE  # single direction, no pairs
+    assert maurer_cartan_check(mu3).verdict is Verdict.TRUE  # single direction, no pairs

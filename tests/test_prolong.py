@@ -1,4 +1,4 @@
-"""Prolongation tests: the four lifts, their degenerations, difference terms."""
+"""Prolongation tests: the three lifts, their degenerations, difference terms."""
 
 import random
 
@@ -25,7 +25,6 @@ from jetsym.prolong import (
     difference_terms,
     mu_compatibility_residuals,
     prolong_lambda,
-    prolong_mu_scalar,
     prolong_mu_vector,
     prolong_standard,
 )
@@ -156,14 +155,14 @@ def test_mu_zero_degenerates_to_standard():
     rng = random.Random(4)
     for _ in range(5):
         X = rand_point_field(rng, PDE2)
-        Y = prolong_mu_scalar(X, MuForm.zero(PDE2), 2)
+        Y = prolong_mu_vector(X, MuForm.zero(PDE2), 2)
         assert Y == prolong_standard(X, 2)
 
 
 def test_mu_constant_dx_example():
     X = pvf(PDE2, ["0", "0"], ["1"])
     mu = MuForm.scalar(PDE2, [parse("c"), parse("0")])
-    Y = prolong_mu_scalar(X, mu, 2, path_check=True)
+    Y = prolong_mu_vector(X, mu, 2, path_check=True)
     assert Y.psi_at(0, J((1, 0))) == parse("c")
     assert Y.psi_at(0, J((0, 1))) == Const(0)
     assert Y.psi_at(0, J((2, 0))) == parse("c^2")
@@ -177,7 +176,7 @@ def test_mu_single_direction_equals_lambda():
         X = rand_point_field(rng, ODE2)
         lam = parse("x*u + u_x")
         mu = MuForm.scalar(ODE2, [lam])
-        assert prolong_mu_scalar(X, mu, 2) == prolong_lambda(
+        assert prolong_mu_vector(X, mu, 2) == prolong_lambda(
             PointVectorField(ODE2, X.xi, X.phi, generalized=True), lam, 2
         )
 
@@ -186,14 +185,14 @@ def test_mu_not_closed_raises_without_waiver():
     mu = MuForm.scalar(PDE1, [parse("u"), parse("0")])
     X = pvf(PDE1, ["0", "0"], ["1"])
     with pytest.raises(MuNotClosedError):
-        prolong_mu_scalar(X, mu, 1)
+        prolong_mu_vector(X, mu, 1)
 
 
 def test_mu_not_closed_path_check_detects_disagreement():
     mu = MuForm.scalar(PDE2, [parse("u"), parse("0")])
     X = pvf(PDE2, ["0", "0"], ["1"])
     with pytest.raises(InconsistentMuError):
-        prolong_mu_scalar(X, mu, 2, path_check=True)
+        prolong_mu_vector(X, mu, 2, path_check=True)
 
 
 def test_mu_closed_is_path_independent():
@@ -201,8 +200,8 @@ def test_mu_closed_is_path_independent():
     for _ in range(5):
         X = rand_point_field(rng, PDE2)
         mu, _phi = rand_closed_scalar_mu(rng, PDE2)
-        Y1 = prolong_mu_scalar(X, mu, 2)
-        Y2 = prolong_mu_scalar(X, mu, 2, path_check=True)
+        Y1 = prolong_mu_vector(X, mu, 2)
+        Y2 = prolong_mu_vector(X, mu, 2, path_check=True)
         assert Y1 == Y2
 
 
@@ -226,14 +225,6 @@ def test_vector_constant_diagonal_example():
     Y = prolong_mu_vector(X, mu, 1)
     assert Y.psi_at(0, J((1,))) == parse("c")
     assert Y.psi_at(1, J((1,))) == Const(0)
-
-
-def test_vector_single_component_equals_scalar():
-    rng = random.Random(8)
-    for _ in range(4):
-        X = rand_point_field(rng, PDE2)
-        mu, _phi = rand_closed_scalar_mu(rng, PDE2)
-        assert prolong_mu_vector(X, mu, 2) == prolong_mu_scalar(X, mu, 2)
 
 
 def test_vector_incompatible_matrices_raise():
@@ -308,7 +299,7 @@ def test_mu_prolongation_satisfies_deformed_contact_condition():
     for _ in range(3):
         X = rand_point_field(rng, PDE2)
         mu, _phi = rand_closed_scalar_mu(rng, PDE2)
-        Y = prolong_mu_scalar(X, mu, 2)
+        Y = prolong_mu_vector(X, mu, 2)
         lambdas = mu.lambdas
         for a, Ji in theta_generators(PDE2):
             theta = contact_form(a, Ji, PDE2)
