@@ -117,6 +117,10 @@ def _word(verdict: Verdict, *, vacuous=False, unverifiable=False) -> str:
     return PROBABLY
 
 
+# the arguments that only some kinds of prolongation read, per kind
+_KIND_ARGS = {"standard": (), "lambda": ("lambda",), "mu": ("mu", "path-check")}
+
+
 class _Args:
     """Task argument accessor with typo detection."""
 
@@ -149,6 +153,27 @@ class _Args:
     def get_flag(self, name):
         text = self.get(name)
         return text is not None and parse_flag(text, self.task.args[name][1])
+
+    def get_kind(self):
+        """The prolongation kind of a prolong or check-symmetry task.  An
+        argument that only other kinds read is an error at its own line,
+        not silently dropped."""
+        kind = self.get("kind", default="standard")
+        if kind not in _KIND_ARGS:
+            raise ProblemFileError(
+                f"task {self.task.task_id!r}: unknown prolongation kind {kind!r}; "
+                f"expected one of {', '.join(_KIND_ARGS)}",
+                self.task.args["kind"][1],
+            )
+        for other, names in _KIND_ARGS.items():
+            for name in names:
+                if name in self.task.args and name not in _KIND_ARGS[kind]:
+                    raise ProblemFileError(
+                        f"task {self.task.task_id!r}: argument {name!r} belongs "
+                        f"to kind = {other}, not kind = {kind}",
+                        self.task.args[name][1],
+                    )
+        return kind
 
     def finish(self):
         extra = set(self.task.args) - self.seen
@@ -198,7 +223,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         if task.kind == "check-symmetry":
             X = problem.field_named(args.get("field", required=True), task.line)
             eq = problem.equation_named(args.get("equation", required=True), task.line)
-            kind = args.get("kind", default="standard")
+            kind = args.get_kind()
             lam_text = args.get("lambda")
             mu_name = args.get("mu")
             path_check = args.get_flag("path-check")
@@ -223,7 +248,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                 residuals = [to_string(r) for r in res.residuals]
         elif task.kind == "prolong":
             X = problem.field_named(args.get("field", required=True), task.line)
-            kind = args.get("kind", default="standard")
+            kind = args.get_kind()
             order = args.get_int("order", spec.order)
             lam_text = args.get("lambda")
             mu_name = args.get("mu")
@@ -237,15 +262,13 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                         "prolong kind=lambda needs a 'lambda =' argument", task.line
                     )
                 Y = prolong_lambda(X, parse(lam_text), order)
-            elif kind == "mu":
+            else:
                 if mu_name is None:
                     raise ProblemFileError(
                         "prolong kind=mu needs a 'mu =' argument", task.line
                     )
                 mu = problem.mu_named(mu_name, task.line)
                 Y = prolong_mu_vector(X, mu, order, path_check=path_check, seed=seed)
-            else:
-                raise ProblemFileError(f"unknown prolongation kind {kind!r}", task.line)
             verdict = PASS
             detail = _field_detail(Y, spec)
         elif task.kind == "check-compat":

@@ -231,6 +231,20 @@ class JetCoordinate:
 # total derivative
 
 
+@lru_cache(maxsize=4096)
+def _successor(spec: JetSpec, i: int, name: str):
+    """The image of a variable under D_i: ``u^a_{J+i}`` for ``u^a_J``, 1
+    for ``x^i``, None for any other name.  Resolved once per jet space,
+    direction and name, so every call hands out the same node and its
+    cached pair."""
+    kind = _decode(spec, name)
+    if kind[0] == "jet":
+        return spec.jet_var(kind[1], kind[2].inc(i))
+    if kind[0] == "independent" and kind[1] == i:
+        return Const(1)
+    return None
+
+
 def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     """The formal derivative along the i-th independent variable:
     the partial in x^i plus, for every jet variable present, the next
@@ -238,12 +252,8 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     lives one jet order higher than its input."""
 
     def of_var(name):
-        kind = spec.decode(name)
-        if kind[0] == "jet":
-            return {0: spec.jet_var(kind[1], kind[2].inc(i))}
-        if kind[0] == "independent" and kind[1] == i:
-            return {0: Const(1)}
-        return {}
+        image = _successor(spec, i, name)
+        return {} if image is None else {0: image}
 
     return derivatives(e, of_var).get(0, ZERO)
 

@@ -13,9 +13,14 @@ shared by every step.
 
 The mu lift is path-independent exactly when the form is flat,
 ``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
-and flatness is closedness.  :func:`maurer_cartan_check` is the one
-check of that condition, and a ``path_check`` option verifies path
-independence directly instead of requiring flatness up front.
+and flatness is closedness (Gaeta & Morando 2004, J. Phys. A 37:6955;
+Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467).
+:func:`maurer_cartan_check` is the one check of that condition.  A
+``path_check`` option accepts a form that is not proven flat and then
+verifies path independence edge by edge; an exactly flat form needs no
+edge check, because each step is ``Q_{J+i} = (D_i + L_i) Q_J`` on the
+characteristic ``Q_J = Psi_J - xi^m u_{J+m}`` and these deformed
+derivatives commute up to the curvature.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
@@ -220,20 +225,31 @@ def prolong_mu_vector(
     """The mu-deformed lift, for every number q of dependent variables.
     Requires a flat form (:func:`maurer_cartan_check`; closed when
     q = 1), or an explicit ``path_check`` waiver under which path
-    independence of the recursion is verified directly and any
-    disagreement raises."""
+    independence of the recursion is verified and any disagreement
+    raises.
+
+    Exact flatness already proves path independence, so ``path_check``
+    re-derives the edges of the table only when the flatness verdict is
+    not exactly TRUE.  With ``Q_J = Psi_J - xi^m u_{J+m}`` and the
+    deformed derivative ``nabla_i = D_i + L_i``, the step reads
+    ``Q_{J+i} = nabla_i Q_J``, for point and generalized fields alike;
+    ``[nabla_i, nabla_k]`` is multiplication by the curvature
+    ``D_i L_k - D_k L_i + [L_i, L_k]``, so when that vanishes every path
+    to ``J`` gives the same ``Q_J`` (Gaeta & Morando 2004, J. Phys. A
+    37:6955; Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467)."""
     spec = X.spec
     if mu.spec != spec:
         raise ProlongationError("mu must live on the field's jet space")
     n = spec.order if n is None else n
-    if maurer_cartan_check(mu, seed=seed).verdict is Verdict.FALSE and not path_check:
+    flat = maurer_cartan_check(mu, seed=seed).verdict
+    if flat is Verdict.FALSE and not path_check:
         raise MuNotClosedError(
             "the form is not flat (not closed when q = 1); "
             "pass path_check=True to verify path independence instead"
         )
     step = _make_step(X, mu.matrices)
     table = _build_table(X, step, n)
-    if path_check:
+    if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
     return _as_field(X, table, n)
 

@@ -387,3 +387,72 @@ def test_unknown_flag_value_exits_two(tmp_path, capsys, key, line):
     assert main(["run-file", str(problem)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}: " in err and "'maybe'" in err
+
+
+KINDS = """[jet]
+independent = x
+dependent = u
+order = 2
+[field S]
+xi x = 0
+phi u = 1
+[equation E]
+u_xx = u
+[mu M]
+x = 1
+[task {task} t]
+field = S
+equation = E
+kind = {kind}
+{needed}
+{stray}
+"""
+NEEDED = {"standard": "# reads nothing more", "lambda": "lambda = x", "mu": "mu = M"}
+
+
+@pytest.mark.parametrize("task", ["prolong", "check-symmetry"])
+@pytest.mark.parametrize("kind, stray", [
+    ("standard", "mu = M"),
+    ("standard", "mu = NOSUCH"),
+    ("standard", "path-check = true"),
+    ("standard", "path-check = false"),
+    ("standard", "lambda = x"),
+    ("lambda", "mu = M"),
+    ("lambda", "path-check = true"),
+    ("mu", "lambda = x"),
+])
+def test_argument_of_another_kind_exits_two(tmp_path, capsys, task, kind, stray):
+    text = KINDS.format(task=task, kind=kind, needed=NEEDED[kind], stray=stray)
+    if task == "prolong":
+        text = text.replace("equation = E\n", "")
+    lines = text.splitlines()
+    problem = tmp_path / "kinds.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    name = stray.split(" = ")[0]
+    assert f"line {lines.index(stray) + 1}: " in err and f"{name!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "--field", "S", "--mu", "M"],
+    ["prolong", "--field", "S", "--path-check"],
+    ["prolong", "--field", "S", "--kind", "mu", "--mu", "M", "--lam", "x"],
+    ["check-symmetry", "--field", "S", "--equation", "E", "--lam", "x"],
+    ["check-symmetry", "--field", "S", "--equation", "E", "--kind", "lambda",
+     "--lam", "x", "--path-check"],
+])
+def test_flag_of_another_kind_exits_two(tmp_path, capsys, argv):
+    problem = tmp_path / "kinds.jsf"
+    problem.write_text(KINDS.format(task="prolong", kind="standard", needed="", stray=""))
+    assert main([argv[0], str(problem)] + argv[1:]) == 2
+    assert "belongs to kind" in capsys.readouterr().err
+
+
+def test_unknown_symmetry_kind_exits_two(tmp_path, capsys):
+    text = KINDS.format(task="check-symmetry", kind="nosuch", needed="", stray="")
+    problem = tmp_path / "kinds.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert "line 15: " in err and "'nosuch'" in err

@@ -103,7 +103,9 @@ def test_auxiliary_names_are_constants():
 def test_malformed_jet_names_raise_wherever_they_occur(text):
     e = parse(text)
     Y = field(PDE2, ["1", "0"], {(0, (0, 0)): "u"})
+    # total_derivative twice: resolved names are cached, a bad name never is
     for derive in (
+        lambda: total_derivative(e, 0, PDE2),
         lambda: total_derivative(e, 0, PDE2),
         lambda: Y.apply(e),
         lambda: scalar_differential(e, PDE2),

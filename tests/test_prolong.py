@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from helpers import rand_closed_scalar_mu, rand_point_field
+from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_unipotent_gauge
+from jetsym import prolong
 from jetsym.errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
-from jetsym.expr import Const, Verdict, normalize
+from jetsym.expr import Const, Verdict, ZERO, normalize
+from jetsym.gauge import GaugeFunction, darboux_derivative
 from jetsym.jets import (
     JetSpec,
     MultiIndex,
@@ -17,12 +19,15 @@ from jetsym.jets import (
     in_vector_contact_module,
     interior_product,
     lie_derivative,
+    mat_mul,
+    total_derivative,
 )
 from jetsym.parsing import parse
 from jetsym.prolong import (
     NablaOperator,
     PointVectorField,
     difference_terms,
+    maurer_cartan_check,
     mu_compatibility_residuals,
     prolong_lambda,
     prolong_mu_vector,
@@ -203,6 +208,101 @@ def test_mu_closed_is_path_independent():
         Y1 = prolong_mu_vector(X, mu, 2)
         Y2 = prolong_mu_vector(X, mu, 2, path_check=True)
         assert Y1 == Y2
+
+
+# --- path independence of flat forms -----------------------------------------
+
+def _edge_differences(Y, X, mu):
+    """Test-only copy of the direct path check: for every edge into J
+    that is not the canonical one, recompute Psi_J from the stored
+    Psi_{J-i} by the deformed step
+
+        Psi_{J} = (D_i + L_i) Psi_{J-i} - (D_i xi^m + L_i xi^m) u_{J-i+m}
+
+    and yield the stored value minus the recomputed one."""
+    spec = Y.spec
+    for Jt in spec.multi_indices(Y.order, min_order=2):
+        for i, c in enumerate(Jt.counts):
+            if not c or i == Jt.last_slot():
+                continue
+            K = Jt.dec(i)
+            L = mu.matrices[i]
+            for a in range(spec.q):
+                alt = total_derivative(Y.psi_at(a, K), i, spec)
+                for b in range(spec.q):
+                    alt = alt + L[a][b] * Y.psi_at(b, K)
+                for m, xi in enumerate(X.xi):
+                    for b in range(spec.q):
+                        w = L[a][b] * xi
+                        if a == b:
+                            w = w + total_derivative(xi, i, spec)
+                        alt = alt - w * spec.jet_var(b, K.inc(m))
+                yield (a, Jt, i), Y.psi_at(a, Jt) - alt
+
+
+def _random_flat_forms(rng):
+    """Closed scalar forms and Darboux derivatives of 2x2 gauges, two of
+    them unipotent and two not, so the commutator term is live."""
+    scalar = JetSpec(("x", "t"), ("u",), 3)
+    for _ in range(2):
+        yield rand_closed_scalar_mu(rng, scalar)[0]
+    system = JetSpec(("x", "t"), ("u", "v"), 3)
+    names = ["x", "t", "u", "v"]
+    for _ in range(2):
+        yield darboux_derivative(GaugeFunction(system, rand_unipotent_gauge(rng, system)))
+    for _ in range(2):
+        # det [[1, f], [g, 1 + f g]] = 1: an inverse with polynomial entries
+        f = normalize(rand_poly(rng, names, 1, max_terms=2) + parse("u"))
+        g = normalize(rand_poly(rng, names, 1, max_terms=2) + parse("x*v"))
+        gamma = GaugeFunction(
+            system,
+            ((Const(1), f), (g, normalize(1 + f * g))),
+            inverse=((normalize(1 + f * g), normalize(-f)), (normalize(-g), Const(1))),
+        )
+        mu = darboux_derivative(gamma)
+        Lx, Lt = mu.matrices
+        assert mat_mul(Lx, Lt) != mat_mul(Lt, Lx)
+        yield mu
+
+
+def test_flat_forms_make_every_edge_exactly_consistent():
+    # the flat shortcut skips the edge check; this oracle re-derives every
+    # edge and requires the difference to be exactly zero, not merely
+    # "not provably nonzero"
+    rng = random.Random(41)
+    for mu in _random_flat_forms(rng):
+        assert maurer_cartan_check(mu).verdict is Verdict.TRUE
+        X = rand_point_field(rng, mu.spec)
+        Y = prolong_mu_vector(X, mu, 3, path_check=True)
+        assert Y == prolong_mu_vector(X, mu, 3)
+        edges = dict(_edge_differences(Y, X, mu))
+        assert edges
+        assert all(d == ZERO for d in edges.values()), [
+            k for k, d in edges.items() if d != ZERO
+        ]
+
+
+def test_path_check_skips_edges_only_on_exact_flatness(monkeypatch):
+    calls = []
+    real = prolong._verify_path_independence
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prolong, "_verify_path_independence", spy)
+    X = pvf(PDE2, ["t", "x*u"], ["u^2 + x"])
+    # closed, but only up to sin^2 + cos^2 = 1, so flatness reads PROBABLY;
+    # once zero testing proves that identity, use another PROBABLY form
+    probable = MuForm.scalar(PDE2, [parse("(u + x*u_x)*(sin(t)^2 + cos(t)^2)"),
+                                    parse("x*u_t")])
+    assert maurer_cartan_check(probable).verdict is Verdict.PROBABLY
+    prolong_mu_vector(X, probable, 2, path_check=True)
+    assert len(calls) == 1
+    exact = MuForm.scalar(PDE2, [parse("u + x*u_x"), parse("x*u_t")])
+    assert maurer_cartan_check(exact).verdict is Verdict.TRUE
+    prolong_mu_vector(X, exact, 2, path_check=True)
+    assert len(calls) == 1
 
 
 # --- vector mu prolongation ---------------------------------------------------
