@@ -30,15 +30,9 @@ from .gauge import (
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
-from .parsing import parse
-from .problemfile import ProblemFile, TaskDecl, load_problem, parse_flag
-from .prolong import (
-    maurer_cartan_check,
-    prolong_lambda,
-    prolong_mu_vector,
-    prolong_standard,
-)
-from .symmetry import check_symmetry, coincide_on_invariant_set
+from .problemfile import ProblemFile, TaskDecl, _parse_expr, load_problem, parse_flag
+from .prolong import maurer_cartan_check
+from .symmetry import _prolong_by_kind, check_symmetry, coincide_on_invariant_set
 
 PASS = "pass"
 FAIL = "fail"
@@ -154,10 +148,17 @@ class _Args:
         text = self.get(name)
         return text is not None and parse_flag(text, self.task.args[name][1])
 
-    def get_kind(self):
-        """The prolongation kind of a prolong or check-symmetry task.  An
-        argument that only other kinds read is an error at its own line,
-        not silently dropped."""
+    def get_expr(self, name, required=False):
+        """An expression argument, parsed like a section expression: a
+        malformed one is invalid input at its own line."""
+        text = self.get(name, required=required)
+        return None if text is None else _parse_expr(text, self.task.args[name][1])
+
+    def get_prolongation(self, problem):
+        """Kind, lambda, mu form and path-check flag of a prolong or
+        check-symmetry task.  An argument that only other kinds read is
+        an error at its own line, not silently dropped; one that the kind
+        needs and that is missing is an error at the task."""
         kind = self.get("kind", default="standard")
         if kind not in _KIND_ARGS:
             raise ProblemFileError(
@@ -173,7 +174,14 @@ class _Args:
                         f"to kind = {other}, not kind = {kind}",
                         self.task.args[name][1],
                     )
-        return kind
+        lam = self.get_expr("lambda")
+        mu_name = self.get("mu")
+        if (kind == "lambda" and lam is None) or (kind == "mu" and mu_name is None):
+            raise ProblemFileError(
+                f"kind={kind} needs a '{kind} =' argument", self.task.line
+            )
+        mu = None if mu_name is None else problem.mu_named(mu_name, self.task.line)
+        return kind, lam, mu, self.get_flag("path-check")
 
     def finish(self):
         extra = set(self.task.args) - self.seen
@@ -223,52 +231,22 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         if task.kind == "check-symmetry":
             X = problem.field_named(args.get("field", required=True), task.line)
             eq = problem.equation_named(args.get("equation", required=True), task.line)
-            kind = args.get_kind()
-            lam_text = args.get("lambda")
-            mu_name = args.get("mu")
-            path_check = args.get_flag("path-check")
+            kind, lam, mu, path_check = args.get_prolongation(problem)
             args.finish()
-            if kind == "lambda" and lam_text is None:
-                raise ProblemFileError(
-                    "kind=lambda needs a 'lambda =' argument", task.line
-                )
-            if kind == "mu" and mu_name is None:
-                raise ProblemFileError("kind=mu needs a 'mu =' argument", task.line)
             res = check_symmetry(
-                X,
-                eq,
-                kind,
-                lam=parse(lam_text) if lam_text else None,
-                mu=problem.mu_named(mu_name, task.line) if mu_name else None,
-                path_check=path_check,
-                seed=seed,
+                X, eq, kind, lam=lam, mu=mu, path_check=path_check, seed=seed
             )
             verdict = _word(res.verdict)
             if res.verdict is not Verdict.TRUE:
                 residuals = [to_string(r) for r in res.residuals]
         elif task.kind == "prolong":
             X = problem.field_named(args.get("field", required=True), task.line)
-            kind = args.get_kind()
+            kind, lam, mu, path_check = args.get_prolongation(problem)
             order = args.get_int("order", spec.order)
-            lam_text = args.get("lambda")
-            mu_name = args.get("mu")
-            path_check = args.get_flag("path-check")
             args.finish()
-            if kind == "standard":
-                Y = prolong_standard(X, order)
-            elif kind == "lambda":
-                if lam_text is None:
-                    raise ProblemFileError(
-                        "prolong kind=lambda needs a 'lambda =' argument", task.line
-                    )
-                Y = prolong_lambda(X, parse(lam_text), order)
-            else:
-                if mu_name is None:
-                    raise ProblemFileError(
-                        "prolong kind=mu needs a 'mu =' argument", task.line
-                    )
-                mu = problem.mu_named(mu_name, task.line)
-                Y = prolong_mu_vector(X, mu, order, path_check=path_check, seed=seed)
+            Y = _prolong_by_kind(
+                X, kind, order, lam=lam, mu=mu, path_check=path_check, seed=seed
+            )
             verdict = PASS
             detail = _field_detail(Y, spec)
         elif task.kind == "check-compat":
@@ -302,7 +280,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             detail = _mu_detail(mu)
         elif task.kind == "gauge-check":
             X = problem.field_named(args.get("field", required=True), task.line)
-            phi = parse(args.get("phi", required=True))
+            phi = args.get_expr("phi", required=True)
             order = args.get_int("order", spec.order)
             args.finish()
             res = verify_gauge_equivalence_scalar(X, phi, order, seed=seed)

@@ -1,32 +1,30 @@
 """Symbolic expression kernel.
 
-Expressions are immutable nodes over rational constants, named
-variables, sums, products, integer powers, and the kernel functions
-exp, log, sin, cos.  ``normalize`` maps any tree to its canonical
-value: a reduced rational function (expanded numerator and denominator,
-gcd cancelled, denominator scaled to leading coefficient 1) over the
-variables and function kernels, held as the pair of numerator and
-denominator monomial dicts.  Arithmetic, ``expr_sum``/``expr_prod``,
-derivatives and substitution all combine these pairs and return
-canonical values without building trees.  A canonical value is still a
-node of one of the six classes, chosen from the shape of its pair; the
-children of a canonical sum or product, in a fixed node order, are
-built only when something reads them.  Two canonical values are equal
-exactly when their pairs are, that is when they are the same rational
-function of their variables and kernels.  ``to_string`` and
-``free_variables`` read the pair too: the printed text is the one the
-materialized tree would print.
+Every expression is a canonical value: a reduced rational function
+(expanded numerator and denominator, gcd cancelled, denominator scaled
+to leading coefficient 1) over rational constants, named variables and
+the function kernels exp, log, sin, cos, held as the pair of numerator
+and denominator monomial dicts.  Values are built from constants and
+variables with the arithmetic operators, ``expr_sum``/``expr_prod`` and
+the kernel constructors ``exp``, ``log``, ``sin``, ``cos``; each of them
+combines pairs and returns a canonical value, so no unreduced tree ever
+exists.  A value is a node of one of six classes, chosen from the shape
+of its pair: a constant, a variable, a function atom, an atom to a
+power, a sum of two or more terms, or any other product.  Two values are
+equal exactly when their pairs are, that is when they are the same
+rational function of their variables and kernels.  ``to_string``,
+``free_variables`` and ``eval_expr`` read the pair too.
 
 The node order used for sorting summands and factors is: constants
 (by numerator, then denominator, of the reduced value), then variables
 (lexicographic), then powers, then products, then sums, then function
 applications (by name, then argument).
 
-Derivatives are computed on the canonical form itself, not on trees:
-``derivatives`` applies a derivation, fixed by its values on the
-variables, to the numerator and denominator monomial dicts in one pass
-(product rule over each monomial's atoms, chain rule for kernels,
-quotient rule for denominators), then reduces the result once.
+Derivatives are computed on the pair: ``derivatives`` applies a
+derivation, fixed by its values on the variables, to the numerator and
+denominator monomial dicts in one pass (product rule over each
+monomial's atoms, chain rule for kernels, quotient rule for
+denominators), then reduces the result once.
 ``pdiff`` and the total derivatives and vector fields of ``jets`` are
 such derivations.
 
@@ -65,7 +63,6 @@ from . import backend as _k
 from ._gcd import poly_divexact, poly_gcd
 from .errors import (
     DomainError,
-    NonIntegerExponentError,
     SubstitutionError,
     SymbolicDivisionError,
     UnboundVariableError,
@@ -125,13 +122,12 @@ class VarName(str):
 
 
 class Expr:
-    __slots__ = ("_skey", "_hash", "_rf", "_canon")
+    __slots__ = ("_skey", "_hash", "_rf")
 
     def __init__(self):
         self._skey = None
         self._hash = None
         self._rf = None
-        self._canon = False
 
     def sort_key(self):
         k = self._skey
@@ -157,9 +153,7 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        if self._canon and other._canon:
-            return _rf_of(self) == _rf_of(other)
-        return self.sort_key() == other.sort_key()
+        return _rf_of(self) == _rf_of(other)
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -249,12 +243,12 @@ class Var(Expr):
 
 
 class Pow(Expr):
+    """An atom to an integer power other than 0 and 1."""
+
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
         super().__init__()
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            raise NonIntegerExponentError(f"exponent must be an integer, got {exponent!r}")
         self.base = base
         self.exponent = exponent
 
@@ -263,48 +257,26 @@ class Pow(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("_children",)
+    """A product: a fraction, or a monomial that is not a single atom."""
 
-    def __init__(self, factors):
-        super().__init__()
-        self._children = tuple(factors)
-
-    @property
-    def factors(self):
-        fs = self._children
-        if fs is None:
-            fs = self._children = tuple(_part_node(*p[1:]) for p in _mul_parts(self._rf))
-        return fs
+    __slots__ = ()
 
     def _make_key(self):
-        if self._children is None:
-            return (3, tuple(p[0] for p in _mul_parts(self._rf)))
-        return (3, tuple(f.sort_key() for f in self.factors))
+        return (3, tuple(p[0] for p in _mul_parts(self._rf)))
 
 
 class Add(Expr):
-    __slots__ = ("_children",)
+    """A polynomial of two or more terms."""
 
-    def __init__(self, terms):
-        super().__init__()
-        self._children = tuple(terms)
-
-    @property
-    def terms(self):
-        ts = self._children
-        if ts is None:
-            ts = self._children = tuple(
-                _node(({m: c}, _ONE_POLY)) for _k, m, c, _f in _poly_terms(self._rf[0])
-            )
-        return ts
+    __slots__ = ()
 
     def _make_key(self):
-        if self._children is None:
-            return _poly_key(_poly_terms(self._rf[0]))
-        return (4, tuple(t.sort_key() for t in self.terms))
+        return _poly_key(_poly_terms(self._rf[0]))
 
 
 class Func(Expr):
+    """A function atom; its argument is a canonical value."""
+
     __slots__ = ("name", "arg")
 
     def __init__(self, name, arg):
@@ -320,8 +292,6 @@ class Func(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
-ZERO._canon = True
-ONE._canon = True
 
 
 def _coerce(x):
@@ -350,19 +320,19 @@ def variable(name, kind="auxiliary") -> Expr:
 
 
 def exp(e) -> Expr:
-    return normalize(Func("exp", as_expr(e)))
+    return _apply("exp", e)
 
 
 def log(e) -> Expr:
-    return normalize(Func("log", as_expr(e)))
+    return _apply("log", e)
 
 
 def sin(e) -> Expr:
-    return normalize(Func("sin", as_expr(e)))
+    return _apply("sin", e)
 
 
 def cos(e) -> Expr:
-    return normalize(Func("cos", as_expr(e)))
+    return _apply("cos", e)
 
 
 def expr_sum(terms) -> Expr:
@@ -390,7 +360,7 @@ def expr_prod(factors) -> Expr:
 # Monomials hold atom SORT KEYS (plain nested tuples), not the atom nodes:
 # dict hashing and merge comparisons then run entirely in C, with no
 # calls back into the node classes.  The registry recovers the node for
-# a key when a tree is materialized or a kernel's argument is read.
+# a key when a value is a single atom or a kernel's argument is read.
 
 _ATOMS: dict = {}
 
@@ -438,9 +408,7 @@ def _fix_exp(p):
             mm = m
         else:
             if pieces:
-                arg = expr_sum(
-                    a if e == 1 else Mul((Const(e), a)) for a, e in pieces
-                )
+                arg = expr_sum(a if e == 1 else a * e for a, e in pieces)
                 if arg != ZERO:
                     rest.append((_atom_key(Func("exp", arg)), 1))
             mm = tuple(sorted(rest))
@@ -578,49 +546,37 @@ _FOLDS = {
 
 
 def _rf_of(e):
+    """The reduced pair of the canonical value ``e``: set by ``_node`` for
+    sums, products and powers, worked out on first use for an atom."""
     r = e._rf
-    if r is not None:
-        return r
-    cls = e.__class__
-    if cls is Const:
-        v = e.value
-        r = ({(): (v.numerator, v.denominator)} if v else _ZERO_POLY, _ONE_POLY)
-    elif cls is Var:
-        r = ({((_atom_key(e), 1),): _RAT_ONE}, _ONE_POLY)
-    elif cls is Add:
-        r = (_ZERO_POLY, _ONE_POLY)
-        for t in e.terms:
-            r = _radd(r, _rf_of(t))
-    elif cls is Mul:
-        r = (_ONE_POLY, _ONE_POLY)
-        for f in e.factors:
-            r = _rmul(r, _rf_of(f))
-    elif cls is Pow:
-        r = _rpow(_rf_of(e.base), e.exponent)
-    elif cls is Func:
-        arg = normalize(e.arg)
-        folded = None
-        if arg.__class__ is Const:
-            folded = _FOLDS.get((e.name, arg.value))
-        if folded is not None:
-            r = _rf_of(folded)
-        else:
-            atom = e if arg is e.arg else Func(e.name, arg)
-            r = ({((_atom_key(atom), 1),): _RAT_ONE}, _ONE_POLY)
-    else:  # pragma: no cover - node set is closed
-        raise TypeError(f"unknown node {cls!r}")
-    e._rf = r
+    if r is None:
+        if e.__class__ is Const:
+            v = e.value
+            r = ({(): (v.numerator, v.denominator)} if v else _ZERO_POLY, _ONE_POLY)
+        else:  # a variable or a function atom
+            r = ({((_atom_key(e), 1),): _RAT_ONE}, _ONE_POLY)
+        e._rf = r
     return r
+
+
+def _apply(name, e) -> Expr:
+    """``name(e)`` as a canonical value: a folded constant, or the
+    registered function atom."""
+    arg = as_expr(e)
+    if arg.__class__ is Const:
+        folded = _FOLDS.get((name, arg.value))
+        if folded is not None:
+            return folded
+    return _atom_node(_atom_key(Func(name, arg)))
 
 
 # ---------------------------------------------------------------------------
 # canonical nodes
 #
-# A canonical value is a node that carries its reduced pair.  Its class
-# and its sort key follow from the pair; the children of a canonical Add
-# or Mul are built only when something reads them.  The keys below are
-# the sort keys those children would have, computed from monomials and
-# coefficients, so ordering and printing need no nodes.
+# Every value is a node that carries its reduced pair.  Its class and its
+# sort key follow from the pair.  The keys below are those of the node
+# order, computed from monomials and coefficients: the key of a sum is the
+# tuple of its terms' keys, the key of a product that of its factors'.
 
 
 def _first(item):
@@ -683,57 +639,39 @@ def _mul_parts(rf):
     return parts
 
 
-def _part_node(kind, data):
-    if kind == _CONST:
-        return Const(Fraction(*data))
-    if kind == _POWER:
-        atom = _atom_node(data[0])
-        return atom if data[1] == 1 else Pow(atom, data[1])
-    node = _node((data[0], _ONE_POLY))
-    return node if kind == _SUM else Pow(node, -1)
-
-
-def _unbuilt(cls):
-    node = cls(())
-    node._children = None  # built from the pair when read
-    return node
-
-
 def _node(rf):
-    """The canonical node of the reduced pair ``rf``; a sum or a product
-    is left unbuilt until its children are read."""
+    """The canonical node of the reduced pair ``rf``."""
     num, den = rf
     if den is not _ONE_POLY and den != _ONE_POLY:
-        node = _unbuilt(Mul)
+        node = Mul()
     elif not num:
         return ZERO
     elif len(num) > 1:
-        node = _unbuilt(Add)
+        node = Add()
     else:
         ((m, c),) = num.items()
         if not m:
             node = Const(Fraction(*c))
         elif c == _RAT_ONE and len(m) == 1:
             a, e = m[0]
-            node = _atom_node(a) if e == 1 else Pow(_atom_node(a), e)
+            if e == 1:
+                return _atom_node(a)
+            node = Pow(_atom_node(a), e)
         else:
-            node = _unbuilt(Mul)
+            node = Mul()
     node._rf = rf
-    node._canon = True
     return node
 
 
 def normalize(e) -> Expr:
-    """Canonical form of ``e``; idempotent, value preserving."""
-    e = as_expr(e)
-    if e._canon:
-        return e
-    return _node(_rf_of(e))
+    """``e`` as a canonical value: an expression is returned as it is, an
+    int or a Fraction becomes its constant; idempotent."""
+    return as_expr(e)
 
 
 def is_polynomial(e) -> bool:
     """True when the canonical form has denominator 1 and no kernels."""
-    num, den = _rf_of(normalize(e))
+    num, den = _rf_of(as_expr(e))
     if den != _ONE_POLY:
         return False
     return not _has_kernel_poly(num)
@@ -753,10 +691,10 @@ def polynomial_terms(e) -> dict:
     input (denominators or kernels)."""
     from .errors import ExprError
 
-    nf = normalize(e)
-    num, den = _rf_of(nf)
+    e = as_expr(e)
+    num, den = _rf_of(e)
     if den != _ONE_POLY or _has_kernel_poly(num):
-        raise ExprError(f"not a polynomial: {to_string(nf)}")
+        raise ExprError(f"not a polynomial: {to_string(e)}")
     out = {}
     for m, c in num.items():
         out[tuple(sorted((a[1], k) for a, k in m))] = Fraction(*c)
@@ -768,40 +706,23 @@ def polynomial_terms(e) -> dict:
 
 
 def free_variables(e) -> set:
-    """Names of all variables occurring in ``e`` (inside kernels too).
-
-    A canonical value is read from its pair; any other tree is walked as
-    written, so ``x - x`` built by hand names ``x``."""
+    """Names of all variables occurring in the canonical value ``e``
+    (inside kernels too): ``x - x`` names none."""
     out = set()
     _collect_vars(as_expr(e), out, set())
     return out
 
 
 def _collect_vars(e, out, seen):
-    if e._canon:
-        for p in _rf_of(e):
-            for m in p:
-                for a, _e in m:
-                    if a not in seen:
-                        seen.add(a)
-                        if a[0] == 1:  # variable rank
-                            out.add(a[1])
-                        else:
-                            _collect_vars(_atom_node(a).arg, out, seen)
-        return
-    cls = e.__class__
-    if cls is Var:
-        out.add(str(e.name))
-    elif cls is Add:
-        for t in e.terms:
-            _collect_vars(t, out, seen)
-    elif cls is Mul:
-        for f in e.factors:
-            _collect_vars(f, out, seen)
-    elif cls is Pow:
-        _collect_vars(e.base, out, seen)
-    elif cls is Func:
-        _collect_vars(e.arg, out, seen)
+    for p in _rf_of(e):
+        for m in p:
+            for a, _e in m:
+                if a not in seen:
+                    seen.add(a)
+                    if a[0] == 1:  # variable rank
+                        out.add(a[1])
+                    else:
+                        _collect_vars(_atom_node(a).arg, out, seen)
 
 
 def substitute(e, bindings) -> Expr:
@@ -809,11 +730,10 @@ def substitute(e, bindings) -> Expr:
 
     Rejects binding sets in which any bound variable occurs in any
     replacement expression (directly, and therefore also transitively).
-    The substitution acts on the canonical value of ``e``, not on the
-    tree as written: ``x * x^(-1)`` is ``1`` before anything is
-    substituted, so ``x -> 0`` gives ``1``.  A denominator of the
-    canonical form that the substitution makes zero raises
-    ``SymbolicDivisionError``.
+    The substitution acts on the canonical value of ``e``: ``x * x^(-1)``
+    is ``1`` before anything is substituted, so ``x -> 0`` gives ``1``.
+    A denominator of the canonical form that the substitution makes zero
+    raises ``SymbolicDivisionError``.
     """
     e = as_expr(e)
     named = {str(k): as_expr(v) for k, v in bindings.items()}
@@ -824,11 +744,10 @@ def substitute(e, bindings) -> Expr:
             raise SubstitutionError(
                 f"replacement for {name!r} contains bound variable(s) {sorted(hit)}"
             )
-    nf = normalize(e)
     if not named:
-        return nf
-    out = _Substitution(named).rf(_rf_of(nf))
-    return nf if out is None else _node(out)
+        return e
+    out = _Substitution(named).rf(_rf_of(e))
+    return e if out is None else _node(out)
 
 
 class _Substitution:
@@ -855,7 +774,7 @@ class _Substitution:
         else:
             node = _atom_node(key)
             arg = self.rf(_rf_of(node.arg))
-            img = None if arg is None else _rf_of(Func(node.name, _node(arg)))
+            img = None if arg is None else _rf_of(_apply(node.name, _node(arg)))
         self.memo[key] = img
         return img
 
@@ -920,7 +839,7 @@ def derivatives(e, of_var) -> dict:
     as a constant.  Function kernels follow the chain rule.  Returns
     ``{direction: canonical derivative}`` for the nonzero results.
     """
-    rf = _Derivation(of_var).rf(_rf_of(normalize(e)))
+    rf = _Derivation(of_var).rf(_rf_of(as_expr(e)))
     return {d: _node(r) for d, r in rf.items()}
 
 
@@ -933,9 +852,8 @@ def _outer_derivative(key):
     if name == "log":
         return _rpow(_rf_of(arg), -1)
     if name == "sin":
-        return _rf_of(Func("cos", arg))
-    num, den = _rf_of(Func("sin", arg))
-    return (_k.poly_neg(num), den)
+        return _rf_of(cos(arg))
+    return _rneg(_rf_of(sin(arg)))
 
 
 def _add_term(p, m, c):
@@ -1051,44 +969,41 @@ _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
 def eval_expr(e, point) -> float:
-    """Numeric value of ``e`` at ``point`` (variable name -> number)."""
+    """Numeric value of ``e`` at ``point`` (variable name -> number): the
+    atoms first, then numerator over denominator."""
     vals = {str(k): v for k, v in point.items()}
-    return _eval_walk(as_expr(e), vals)
+    return _eval_rf(_rf_of(as_expr(e)), vals)
 
 
-def _eval_walk(e, vals):
-    cls = e.__class__
-    if cls is Const:
-        return float(e.value)
-    if cls is Var:
-        name = str(e.name)
-        if name not in vals:
-            raise UnboundVariableError(f"variable {name!r} is not bound")
-        return float(vals[name])
-    if cls is Add:
-        return math.fsum(_eval_walk(t, vals) for t in e.terms)
-    if cls is Mul:
-        out = 1.0
-        for f in e.factors:
-            out *= _eval_walk(f, vals)
-        return out
-    if cls is Pow:
-        b = _eval_walk(e.base, vals)
-        try:
-            return b ** e.exponent
-        except ZeroDivisionError:
-            raise DomainError("zero raised to a negative power") from None
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    v = _eval_walk(e.arg, vals)
-    if e.name == "log":
+def _eval_atom(key, vals):
+    if key[0] == 1:  # variable rank
+        if key[1] not in vals:
+            raise UnboundVariableError(f"variable {key[1]!r} is not bound")
+        return float(vals[key[1]])
+    node = _atom_node(key)
+    v = _eval_rf(_rf_of(node.arg), vals)
+    if node.name == "log":
         if v <= 0.0:
             raise DomainError(f"log of non-positive value {v}")
         return math.log(v)
     try:
-        return _MATH[e.name](v)
+        return _MATH[node.name](v)
     except OverflowError:
         raise DomainError("overflow in kernel function") from None
+
+
+def _eval_rf(rf, vals):
+    atoms = {a for p in rf for m in p for a, _k in m}
+    values = {a: _eval_atom(a, vals) for a in atoms}
+    try:
+        num, den = [_poly_sample(p, values) for p in rf]
+    except OverflowError:
+        num = None
+    if num is None or den is None:
+        raise DomainError("overflow in evaluation")
+    if den[0] == 0.0:
+        raise DomainError("zero denominator")
+    return num[0] / den[0]
 
 
 def _poly_sample(p, atom_values):
@@ -1117,7 +1032,7 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
     otherwise the verdict is PROBABLY (never silently TRUE).  Domain
     errors and overflow trigger resampling up to a cap.
     """
-    nf = normalize(e)
+    nf = as_expr(e)
     if nf.__class__ is Const:
         return Verdict.TRUE if nf.value == 0 else Verdict.FALSE
     num, den = _rf_of(nf)
@@ -1134,7 +1049,7 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
             raise DomainError("could not sample inside kernel domains")
         point = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for n in names}
         try:
-            values = {a: eval_expr(_atom_node(a), point) for a in atoms}
+            values = {a: _eval_atom(a, point) for a in atoms}
             d = _poly_sample(den, values)
             n = _poly_sample(num, values)
         except (DomainError, ZeroDivisionError, OverflowError):
@@ -1164,12 +1079,12 @@ def _rat_str(c):
 
 
 class _Printer:
-    """Text of one expression.
+    """Text of one canonical value, printed from its pair.
 
-    A canonical value is printed from its pair, in the order of the
-    sort keys its nodes would have, so that the text equals the tree
-    walk of its materialized tree; other nodes are walked as written.
-    Atom texts are remembered for the duration of one call.
+    Terms and factors come in the order of their sort keys; a product
+    whose constant is -1 prints as a negation, and a sum pulls the minus
+    signs of its terms out.  Atom texts are remembered for the duration
+    of one call.
     """
 
     def __init__(self):
@@ -1182,7 +1097,7 @@ class _Printer:
                 s = a[1]
             else:
                 node = _atom_node(a)
-                s = f"{node.name}({self.expr(node.arg)})"
+                s = f"{node.name}({self.pair(_rf_of(node.arg))})"
             self.atoms[a] = s
         return s
 
@@ -1235,68 +1150,7 @@ class _Printer:
             return "-" + rest[0] if len(rest) == 1 else "-(" + "*".join(rest) + ")"
         return "*".join(texts)
 
-    def expr(self, e):
-        cls = e.__class__
-        if cls is Const:
-            return str(e.value)
-        if cls is Var:
-            return str(e.name)
-        if e._canon:
-            return self.pair(_rf_of(e))
-        if cls is Func:
-            return f"{e.name}({self.expr(e.arg)})"
-        if cls is Pow:
-            k = e.exponent
-            es = str(k) if k >= 0 else f"({k})"
-            return f"{self.pow_base(e.base)}^{es}"
-        if cls is Mul:
-            fs = e.factors
-            if fs and fs[0].__class__ is Const and fs[0].value == -1 and len(fs) > 1:
-                rest = fs[1] if len(fs) == 2 else Mul(fs[1:])
-                return "-" + self.factor(rest)
-            return "*".join(self.factor(f) for f in fs)
-        if cls is Add:
-            parts = []
-            for i, t in enumerate(e.terms):
-                neg, tt = _split_negative(t)
-                s = self.factor(tt) if tt.__class__ is Add else self.expr(tt)
-                if i == 0:
-                    parts.append("-" + s if neg else s)
-                else:
-                    parts.append((" - " if neg else " + ") + s)
-            return "".join(parts)
-        raise TypeError(f"unknown node {cls!r}")  # pragma: no cover
-
-    def pow_base(self, b):
-        cls = b.__class__
-        if cls is Var or cls is Func:
-            return self.expr(b)
-        if cls is Const and b.value >= 0 and b.value.denominator == 1:
-            return str(b.value)
-        return f"({self.expr(b)})"
-
-    def factor(self, f):
-        cls = f.__class__
-        if cls is Add or cls is Mul:
-            return f"({self.expr(f)})"
-        return self.expr(f)
-
-
-def _split_negative(t):
-    """(is_negative, positive-twin) for rendering sums with minus signs."""
-    cls = t.__class__
-    if cls is Const and t.value < 0:
-        return True, Const(-t.value)
-    if cls is Mul and t.factors and t.factors[0].__class__ is Const:
-        c = t.factors[0].value
-        if c < 0:
-            rest = t.factors[1:]
-            if c == -1 and rest:
-                return True, rest[0] if len(rest) == 1 else Mul(rest)
-            return True, Mul((Const(-c),) + rest)
-    return False, t
-
 
 def to_string(e) -> str:
     """Canonical text; re-parsing reproduces the same canonical form."""
-    return _Printer().expr(e)
+    return _Printer().pair(_rf_of(e))

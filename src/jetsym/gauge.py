@@ -30,19 +30,17 @@ from .errors import (
     PotentialNotClosedError,
 )
 from .expr import (
-    Const,
+    ONE,
     Expr,
-    Func,
-    Mul,
     Var,
     Verdict,
     ZERO,
     as_expr,
+    exp,
     expr_prod,
     expr_sum,
     free_variables,
     is_polynomial,
-    normalize,
     polynomial_terms,
     zero_verdict,
 )
@@ -52,6 +50,7 @@ from .jets import (
     jet_order,
     mat_identity,
     mat_mul,
+    mat_sub,
     mat_total_derivative,
     total_derivative,
 )
@@ -80,22 +79,18 @@ class GaugeFunction:
     def __init__(self, spec: JetSpec, entries, inverse=None):
         self.spec = spec
         q = spec.q
-        self.entries = tuple(
-            tuple(normalize(as_expr(e)) for e in row) for row in entries
-        )
+        self.entries = tuple(tuple(as_expr(e) for e in row) for row in entries)
         if len(self.entries) != q or any(len(r) != q for r in self.entries):
             raise GaugeError("gauge function must be a q by q matrix")
         if inverse is not None:
-            inverse = tuple(
-                tuple(normalize(as_expr(e)) for e in row) for row in inverse
-            )
+            inverse = tuple(tuple(as_expr(e) for e in row) for row in inverse)
             if len(inverse) != q or any(len(r) != q for r in inverse):
                 raise GaugeError("explicit inverse must be a q by q matrix")
             prod = mat_mul(self.entries, inverse)
+            gap = mat_sub(prod, mat_identity(q))
             for a in range(q):
                 for b in range(q):
-                    want = Const(1 if a == b else 0)
-                    if zero_verdict(normalize(prod[a][b] - want)) is not Verdict.TRUE:
+                    if zero_verdict(gap[a][b]) is not Verdict.TRUE:
                         raise GaugeError(
                             "supplied inverse does not normalize to the identity "
                             f"(entry {a},{b} gives {prod[a][b]})"
@@ -112,20 +107,14 @@ class GaugeFunction:
         lower = all(
             self.entries[a][b] == ZERO for a in range(q) for b in range(a + 1, q)
         )
-        unit = all(self.entries[a][a] == Const(1) for a in range(q))
+        unit = all(self.entries[a][a] == ONE for a in range(q))
         if not (unit and (upper or lower)):
             raise GaugeError(
                 "without an explicit inverse the matrix must be triangular "
                 "with unit diagonal"
             )
         # (I + N)^-1 = I - N + N^2 - ..., N nilpotent of index <= q
-        N = tuple(
-            tuple(
-                normalize(self.entries[a][b] - Const(1 if a == b else 0))
-                for b in range(q)
-            )
-            for a in range(q)
-        )
+        N = mat_sub(self.entries, mat_identity(q))
         inv = mat_identity(q)
         power = mat_identity(q)
         sign = 1
@@ -133,10 +122,7 @@ class GaugeFunction:
             power = mat_mul(power, N)
             sign = -sign
             inv = tuple(
-                tuple(
-                    normalize(inv[a][b] + Const(sign) * power[a][b])
-                    for b in range(q)
-                )
+                tuple(inv[a][b] + sign * power[a][b] for b in range(q))
                 for a in range(q)
             )
         return inv
@@ -182,7 +168,7 @@ def scalar_potential(mu: MuForm) -> Expr:
     differentiation before returning; failure raises instead of guessing.
     """
     spec = mu.spec
-    lambdas = [normalize(l) for l in mu.lambdas]
+    lambdas = mu.lambdas
     for l in lambdas:
         if not is_polynomial(l):
             raise NonPolynomialError(f"coefficient {l} is not polynomial")
@@ -228,13 +214,9 @@ def scalar_potential(mu: MuForm) -> Expr:
     solution = _solve_exact(matrix, len(candidates))
     if solution is None:
         raise NoPotentialError("no polynomial potential within the derived bounds")
-    phi = expr_sum(
-        Mul((Const(c), cand))
-        for c, cand in zip(solution, candidates)
-        if c
-    )
+    phi = expr_sum(c * cand for c, cand in zip(solution, candidates) if c)
     for i in range(spec.p):
-        if normalize(total_derivative(phi, i, spec) - lambdas[i]) != ZERO:
+        if total_derivative(phi, i, spec) - lambdas[i] != ZERO:
             raise NoPotentialError(
                 "candidate potential failed post-verification"
             )  # pragma: no cover - the solve guarantees this
@@ -310,7 +292,7 @@ def verify_gauge_equivalence_scalar(
     spec = X.spec
     if spec.p != 1 or spec.q != 1:
         raise GaugeError("scalar gauge equivalence needs p = q = 1")
-    phi = normalize(as_expr(phi))
+    phi = as_expr(phi)
     if not is_polynomial(phi):
         raise NonPolynomialError("the potential must be polynomial")
     n = spec.order if n is None else n
@@ -323,19 +305,16 @@ def verify_gauge_equivalence_scalar(
     A = prolong_lambda(
         PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
     )
-    scale = Func("exp", phi)
+    scale = exp(phi)
     rescaled = PointVectorField(
-        spec,
-        (normalize(Mul((scale, X.xi[0]))),),
-        (normalize(Mul((scale, X.phi[0]))),),
-        generalized=True,
+        spec, (scale * X.xi[0],), (scale * X.phi[0],), generalized=True
     )
     B = prolong_standard(rescaled, n)
     residuals = {}
     verdicts = []
     flagged = []
     for J in spec.multi_indices(n):
-        r = normalize(Mul((scale, A.psi_at(0, J))) - B.psi_at(0, J))
+        r = scale * A.psi_at(0, J) - B.psi_at(0, J)
         v = zero_verdict(r, seed=seed)
         verdicts.append(v)
         if r != ZERO:

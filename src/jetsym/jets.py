@@ -27,9 +27,8 @@ from functools import lru_cache
 
 from .errors import JetError
 from .expr import (
-    Const,
+    ONE,
     Expr,
-    Mul,
     Var,
     VarName,
     Verdict,
@@ -38,7 +37,6 @@ from .expr import (
     derivatives,
     expr_sum,
     free_variables,
-    normalize,
     zero_verdict,
 )
 
@@ -241,7 +239,7 @@ def _successor(spec: JetSpec, i: int, name: str):
     if kind[0] == "jet":
         return spec.jet_var(kind[1], kind[2].inc(i))
     if kind[0] == "independent" and kind[1] == i:
-        return Const(1)
+        return ONE
     return None
 
 
@@ -260,7 +258,7 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
 
 def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
     """D_J along the canonical path (slot 0 first, then slot 1, ...)."""
-    out = normalize(as_expr(e))
+    out = as_expr(e)
     for i, c in enumerate(index.counts):
         for _ in range(c):
             out = total_derivative(out, i, spec)
@@ -281,7 +279,7 @@ class JetVectorField:
     def __init__(self, spec: JetSpec, xi, psi, order=None):
         self.spec = spec
         self.order = spec.order if order is None else order
-        xi = tuple(normalize(as_expr(x)) for x in xi)
+        xi = tuple(as_expr(x) for x in xi)
         if len(xi) != spec.p:
             raise JetError("xi must have one component per independent variable")
         self.xi = xi
@@ -289,7 +287,7 @@ class JetVectorField:
         for (a, J), e in psi.items():
             if not isinstance(J, MultiIndex):
                 J = MultiIndex(tuple(J))
-            e = normalize(as_expr(e))
+            e = as_expr(e)
             if e != ZERO:
                 store[(a, J)] = e
         self.psi = store
@@ -321,8 +319,8 @@ class JetVectorField:
         f = as_expr(f)
         return JetVectorField(
             self.spec,
-            tuple(Mul((f, x)) for x in self.xi),
-            {k: Mul((f, v)) for k, v in self.psi.items()},
+            tuple(f * x for x in self.xi),
+            {k: f * v for k, v in self.psi.items()},
             order=self.order,
         )
 
@@ -343,7 +341,7 @@ def truncated_total_derivative(spec: JetSpec, i: int, order=None) -> JetVectorFi
     """The total-derivative direction as a vector field, truncated so its
     components stop at ``order`` (default: the spec's order)."""
     order = spec.order if order is None else order
-    xi = tuple(Const(1 if m == i else 0) for m in range(spec.p))
+    xi = tuple(ONE if m == i else ZERO for m in range(spec.p))
     psi = {}
     for J in spec.multi_indices(order):
         for a in range(spec.q):
@@ -385,7 +383,7 @@ class OneForm:
         self.spec = spec
         store = {}
         for k, e in coeffs.items():
-            e = normalize(as_expr(e))
+            e = as_expr(e)
             if e != ZERO:
                 store[k] = e
         self.coeffs = store
@@ -406,11 +404,13 @@ class OneForm:
         return OneForm(self.spec, {k: expr_sum(v) for k, v in acc.items()})
 
     def __sub__(self, other):
-        return self + other.scale(Const(-1))
+        if not isinstance(other, OneForm):
+            return NotImplemented
+        return self + OneForm(self.spec, {k: -v for k, v in other.coeffs.items()})
 
     def scale(self, f) -> "OneForm":
         f = as_expr(f)
-        return OneForm(self.spec, {k: Mul((f, v)) for k, v in self.coeffs.items()})
+        return OneForm(self.spec, {k: f * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OneForm):
@@ -437,7 +437,7 @@ class TwoForm:
         self.spec = spec
         store = {}
         for (k1, k2), e in coeffs.items():
-            e = normalize(as_expr(e))
+            e = as_expr(e)
             if e != ZERO:
                 store[(k1, k2)] = e
         self.coeffs = store
@@ -447,7 +447,7 @@ class TwoForm:
             return ZERO
         if _key_order(k1) < _key_order(k2):
             return self.coeffs.get((k1, k2), ZERO)
-        return normalize(Mul((Const(-1), self.coeffs.get((k2, k1), ZERO))))
+        return -self.coeffs.get((k2, k1), ZERO)
 
     @property
     def is_structurally_zero(self) -> bool:
@@ -464,10 +464,7 @@ class TwoForm:
     def __sub__(self, other):
         if not isinstance(other, TwoForm):
             return NotImplemented
-        acc = {k: [v] for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            acc.setdefault(k, []).append(Mul((Const(-1), v)))
-        return TwoForm(self.spec, {k: expr_sum(v) for k, v in acc.items()})
+        return self + TwoForm(self.spec, {k: -v for k, v in other.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
@@ -485,11 +482,11 @@ class TwoForm:
 
 
 def dx(spec: JetSpec, i: int) -> OneForm:
-    return OneForm(spec, {basis_key_dx(i): Const(1)})
+    return OneForm(spec, {basis_key_dx(i): ONE})
 
 
 def du(spec: JetSpec, a: int, index: MultiIndex) -> OneForm:
-    return OneForm(spec, {basis_key_du(a, index): Const(1)})
+    return OneForm(spec, {basis_key_du(a, index): ONE})
 
 
 def contact_form(a: int, index: MultiIndex, spec: JetSpec) -> OneForm:
@@ -499,9 +496,9 @@ def contact_form(a: int, index: MultiIndex, spec: JetSpec) -> OneForm:
         raise JetError(
             f"no contact form at order {index.order} on a jet space of order {spec.order}"
         )
-    coeffs = {basis_key_du(a, index): Const(1)}
+    coeffs = {basis_key_du(a, index): ONE}
     for i in range(spec.p):
-        coeffs[basis_key_dx(i)] = Mul((Const(-1), spec.jet_var(a, index.inc(i))))
+        coeffs[basis_key_dx(i)] = -spec.jet_var(a, index.inc(i))
     return OneForm(spec, coeffs)
 
 
@@ -512,7 +509,7 @@ def interior_product(Y: JetVectorField, omega: OneForm) -> Expr:
     for key, c in omega.coeffs.items():
         comp = Y.component(key)
         if comp is not ZERO and comp != ZERO:
-            parts.append(Mul((comp, c)))
+            parts.append(comp * c)
     return expr_sum(parts)
 
 
@@ -521,10 +518,10 @@ def contract_two_form(Y: JetVectorField, tau: TwoForm) -> OneForm:
     for (k1, k2), c in tau.coeffs.items():
         c1 = Y.component(k1)
         if c1 != ZERO:
-            acc.setdefault(k2, []).append(Mul((c1, c)))
+            acc.setdefault(k2, []).append(c1 * c)
         c2 = Y.component(k2)
         if c2 != ZERO:
-            acc.setdefault(k1, []).append(Mul((Const(-1), c2, c)))
+            acc.setdefault(k1, []).append(-c2 * c)
     return OneForm(tau.spec, {k: expr_sum(v) for k, v in acc.items()})
 
 
@@ -542,7 +539,7 @@ def scalar_differential(f, spec: JetSpec) -> OneForm:
 
     def of_var(name):
         key = _coordinate_key(spec, name)
-        return {} if key is None else {key: Const(1)}
+        return {} if key is None else {key: ONE}
 
     grads = derivatives(f, of_var)
     # independent directions first, then jet coordinates by name
@@ -562,7 +559,7 @@ def exterior_derivative(omega: OneForm, spec: JetSpec) -> TwoForm:
             if _key_order(vkey) < _key_order(key):
                 acc.setdefault((vkey, key), []).append(d)
             else:
-                acc.setdefault((key, vkey), []).append(Mul((Const(-1), d)))
+                acc.setdefault((key, vkey), []).append(-d)
     return TwoForm(spec, {k: expr_sum(v) for k, v in acc.items()})
 
 
@@ -605,7 +602,7 @@ def in_contact_module(omega: OneForm, spec: JetSpec, *, seed=None) -> ContactMem
         J = MultiIndex(counts)
         if J.order <= n - 1:
             for i in range(spec.p):
-                horizontal[i].append(Mul((c, spec.jet_var(a, J.inc(i)))))
+                horizontal[i].append(c * spec.jet_var(a, J.inc(i)))
         else:
             tops[(a, J)] = c
     h_res = {}
@@ -653,7 +650,7 @@ class MuForm:
         self.spec = spec
         mats = []
         for M in matrices:
-            rows = tuple(tuple(normalize(as_expr(e)) for e in row) for row in M)
+            rows = tuple(tuple(as_expr(e) for e in row) for row in M)
             if len(rows) != spec.q or any(len(r) != spec.q for r in rows):
                 raise JetError("each coefficient matrix must be q by q")
             mats.append(rows)
@@ -669,7 +666,7 @@ class MuForm:
 
     @classmethod
     def zero(cls, spec: JetSpec) -> "MuForm":
-        z = ((Const(0),) * spec.q,) * spec.q
+        z = ((ZERO,) * spec.q,) * spec.q
         return cls(spec, [z] * spec.p)
 
     @property
@@ -701,15 +698,11 @@ class MuForm:
 
 
 def mat_identity(q: int):
-    return tuple(
-        tuple(Const(1 if a == b else 0) for b in range(q)) for a in range(q)
-    )
+    return tuple(tuple(ONE if a == b else ZERO for b in range(q)) for a in range(q))
 
 
 def mat_sub(A, B):
-    return tuple(
-        tuple(normalize(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_mul(A, B):
@@ -717,7 +710,7 @@ def mat_mul(A, B):
     m = len(B[0])
     return tuple(
         tuple(
-            expr_sum(Mul((A[a][c], B[c][b])) for c in range(len(B)))
+            expr_sum(A[a][c] * B[c][b] for c in range(len(B)))
             for b in range(m)
         )
         for a in range(q)

@@ -4,7 +4,7 @@ Grammar (fixed, text-level contract of the package):
 
 * identifiers ``[A-Za-z][A-Za-z0-9_]*``;
 * binary ``+ - * / ^`` with the usual precedence, ``^`` right
-  associative and requiring an exponent that normalizes to an integer
+  associative and requiring an exponent whose value is an integer
   constant;
 * function calls ``f(expr)`` for f in exp, log, sin, cos;
 * rational literals ``3``, ``1/2``: a ``/`` squeezed between two integer
@@ -12,21 +12,28 @@ Grammar (fixed, text-level contract of the package):
   division;
 * unary minus.
 
+The parser builds no tree: each rule folds the canonical values of its
+operands with the arithmetic of ``expr`` (``expr_sum``, ``expr_prod``,
+negation, ``**`` and the kernel constructors), so a sub-expression is
+reduced as soon as it is read, and a division by zero raises
+``SymbolicDivisionError`` there, before any later syntax error.
+
 Parentheses, function calls, unary minus and exponents may nest at most
 ``MAX_NESTING`` levels deep; deeper input is a ``ParseError``, so that
 hostile text fails cleanly instead of exhausting the interpreter stack
-in the parser or in the recursive layers that consume its trees.
+in the parser or in the layers that recurse into kernel arguments.
 """
 
 from fractions import Fraction
 
 from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
-from .expr import Add, Const, Expr, Func, FUNCTIONS, Mul, Pow, Var, normalize
+from .expr import Const, Expr, Var, cos, exp, expr_prod, expr_sum, log, sin
 
-_NEG_ONE = Const(-1)
+_KERNELS = {f.__name__: f for f in (exp, log, sin, cos)}
 
-# Deep enough for any real formula; at this depth the parser and the
-# recursive canonical-form, derivative and printing code stay well
+# Deep enough for any real formula; at this depth the recursive descent
+# of the parser, and the derivative, substitution, evaluation and
+# printing code that recurses once per nested kernel argument, stay well
 # inside Python's default recursion limit of 1000 frames.
 MAX_NESTING = 100
 
@@ -134,23 +141,23 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.take()
             t = self.term()
-            terms.append(t if op.kind == "+" else Mul((_NEG_ONE, t)))
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+            terms.append(t if op.kind == "+" else -t)
+        return terms[0] if len(terms) == 1 else expr_sum(terms)
 
     def term(self):
         factors = [self.unary()]
         while self.peek().kind in ("*", "/"):
             op = self.take()
             f = self.unary()
-            factors.append(f if op.kind == "*" else Pow(f, -1))
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+            factors.append(f if op.kind == "*" else f ** -1)
+        return factors[0] if len(factors) == 1 else expr_prod(factors)
 
     def unary(self):
         if self.peek().kind == "-":
             self.enter(self.take())
             e = self.unary()
             self.depth -= 1
-            return Mul((_NEG_ONE, e))
+            return -e
         return self.power()
 
     def power(self):
@@ -159,13 +166,12 @@ class _Parser:
             return base
         caret = self.take()
         self.enter(caret)
-        exponent = self.unary()
+        k = self.unary()
         self.depth -= 1
-        k = normalize(exponent)
         if k.__class__ is not Const or k.value.denominator != 1:
             _err(self.text, caret.pos, "exponent must be an integer constant",
                  cls=_NonIntExp)
-        return Pow(base, int(k.value))
+        return base ** int(k.value)
 
     def group(self, opening):
         """The expression inside parentheses, ``opening`` already taken."""
@@ -183,10 +189,10 @@ class _Parser:
             return self.group(t)
         if t.kind == "name":
             if self.peek().kind == "(":
-                if t.value not in FUNCTIONS:
+                if t.value not in _KERNELS:
                     _err(self.text, t.pos, f"unknown function {t.value!r}",
                          cls=UnknownFunctionError)
-                return Func(t.value, self.group(self.take()))
+                return _KERNELS[t.value](self.group(self.take()))
             return Var(t.value)
         _err(self.text, t.pos, f"unexpected token {t.value!r}")
 
@@ -196,10 +202,5 @@ class _NonIntExp(ParseError, NonIntegerExponentError):
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` and return its canonical form."""
-    return normalize(_Parser(text).parse())
-
-
-def parse_raw(text: str) -> Expr:
-    """Parse without normalizing (used by tests of the grammar itself)."""
+    """Parse ``text`` and return its canonical value."""
     return _Parser(text).parse()

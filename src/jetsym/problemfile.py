@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import JetsymError, ParseError, ProblemFileError
+from .errors import ExprError, JetsymError, ProblemFileError
 from .expr import Const
 from .gauge import GaugeFunction
-from .jets import JetSpec, MuForm
+from .jets import JetSpec, MuForm, mat_identity
 from .parsing import parse
 from .prolong import PointVectorField
 from .symmetry import DifferentialEquation
@@ -103,7 +103,7 @@ def parse_flag(text, line_no) -> bool:
 def _parse_expr(text, line_no):
     try:
         return parse(text)
-    except ParseError as err:
+    except ExprError as err:  # bad syntax, or a division by zero
         raise ProblemFileError(f"bad expression {text.strip()!r}: {err}", line_no)
 
 
@@ -238,8 +238,8 @@ def _build_mu(spec, entries, line_no):
 
 
 def _build_gauge(spec, entries, line_no):
-    direct = [[Const(1 if a == b else 0) for b in range(spec.q)] for a in range(spec.q)]
-    inverse = [[Const(1 if a == b else 0) for b in range(spec.q)] for a in range(spec.q)]
+    direct = [list(row) for row in mat_identity(spec.q)]
+    inverse = [list(row) for row in mat_identity(spec.q)]
     has_inverse = False
     for key, value, ln in entries:
         parts = key.split()

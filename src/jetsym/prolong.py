@@ -37,7 +37,6 @@ from .expr import (
     Verdict,
     ZERO,
     as_expr,
-    normalize,
     zero_verdict,
 )
 from .jets import (
@@ -68,10 +67,10 @@ class PointVectorField:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "xi", tuple(normalize(as_expr(x)) for x in self.xi)
+            self, "xi", tuple(as_expr(x) for x in self.xi)
         )
         object.__setattr__(
-            self, "phi", tuple(normalize(as_expr(f)) for f in self.phi)
+            self, "phi", tuple(as_expr(f) for f in self.phi)
         )
         if len(self.xi) != self.spec.p or len(self.phi) != self.spec.q:
             raise JetError("component counts must match the jet space")
@@ -209,7 +208,7 @@ def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
         raise ProlongationError(
             "lambda prolongation needs p = q = 1; use the mu lift otherwise"
         )
-    lam = normalize(as_expr(lam))
+    lam = as_expr(lam)
     if jet_order(lam, spec) > 1 and not X.generalized:
         raise ProlongationError(
             "lambda depends on jet order > 1; set generalized=True on the field"

@@ -22,14 +22,12 @@ from .errors import EquationError, ProlongationError, RestrictionError
 from .expr import (
     Const,
     Expr,
-    Mul,
     Var,
     Verdict,
     ZERO,
     as_expr,
     expr_sum,
     free_variables,
-    normalize,
     pdiff,
     substitute,
     zero_verdict,
@@ -72,7 +70,7 @@ class DifferentialEquation:
         for coord, rhs in self.equations:
             if not isinstance(coord, JetCoordinate):
                 coord = JetCoordinate(coord[0], MultiIndex(tuple(coord[1])))
-            rhs = normalize(as_expr(rhs))
+            rhs = as_expr(rhs)
             if coord.index.order != self.spec.order:
                 raise EquationError(
                     f"leading coordinate {coord.name(self.spec)} must have "
@@ -129,9 +127,7 @@ def characteristic(X: PointVectorField):
     for a in range(spec.q):
         parts = [X.phi[a]]
         for i in range(spec.p):
-            parts.append(
-                Mul((Const(-1), spec.jet_var(a, MultiIndex.zero(spec.p).inc(i)), X.xi[i]))
-            )
+            parts.append(-spec.jet_var(a, MultiIndex.zero(spec.p).inc(i)) * X.xi[i])
         out.append(expr_sum(parts))
     return tuple(out)
 
@@ -182,7 +178,7 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
 def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Expr:
     """Substitute the equation and its derivative consequences into ``e``."""
     spec = eq.spec
-    e = normalize(as_expr(e))
+    e = as_expr(e)
     if depth is None:
         depth = max(0, jet_order(e, spec) - spec.order)
     bindings = _closed_substitutions(eq, depth)
@@ -253,7 +249,7 @@ def check_symmetry(
     residuals = []
     verdicts = []
     for coord, rhs in eq.equations:
-        raw = normalize(Y.psi_at(coord.a, coord.index) - Y.apply(rhs))
+        raw = Y.psi_at(coord.a, coord.index) - Y.apply(rhs)
         restricted = restrict_to_solution_manifold(raw, eq)
         residuals.append(restricted)
         verdicts.append(zero_verdict(restricted, seed=seed))
@@ -276,7 +272,7 @@ def commutator_with_total_derivative(Y: JetVectorField, i: int) -> JetVectorFiel
     dhat = truncated_total_derivative(spec, i, order=n)
 
     def bracket(v):
-        return normalize(Y.apply(dhat.apply(v)) - dhat.apply(Y.apply(v)))
+        return Y.apply(dhat.apply(v)) - dhat.apply(Y.apply(v))
 
     xi = tuple(bracket(spec.independent_var(j)) for j in range(spec.p))
     psi = {}
@@ -303,14 +299,14 @@ def characterization_check(
     field's own pairing (``lambda = 0`` for the standard kind)."""
     spec = Y.spec.with_order(Y.order)
     if kind == "standard":
-        lam = Const(0)
+        lam = ZERO
         directions = range(spec.p)
     elif kind == "lambda":
         if spec.p != 1:
             raise ProlongationError("the lambda characterization needs p = 1")
         if lam is None:
             raise ProlongationError("kind 'lambda' needs the deforming function")
-        lam = normalize(as_expr(lam))
+        lam = as_expr(lam)
         directions = (0,)
     else:
         raise ProlongationError(f"unknown characterization kind {kind!r}")
@@ -322,8 +318,7 @@ def characterization_check(
             for a in range(spec.q):
                 theta = contact_form(a, J, spec)
                 lhs = interior_product(C, theta)
-                rhs = Mul((lam, interior_product(Y, theta)))
-                r = normalize(lhs - rhs)
+                r = lhs - lam * interior_product(Y, theta)
                 if r != ZERO:
                     residuals[(i, a, J)] = r
                 verdicts.append(zero_verdict(r, seed=seed))
@@ -359,10 +354,10 @@ def _try_solve_linear(r, name, *, seed=None):
         return None
     if zero_verdict(A, seed=seed) is not Verdict.FALSE:
         return None  # coefficient not provably nonzero
-    B = normalize(r - Mul((A, Var(name))))
+    B = r - A * Var(name)
     if name in free_variables(B):
         return None
-    sol = normalize(Mul((Const(-1), B)) / A)
+    sol = -B / A
     if name in free_variables(sol):
         return None
     return sol
@@ -383,7 +378,7 @@ def coincide_on_invariant_set(
     unverifiable = False
 
     def apply_solutions(e):
-        return substitute(e, solved) if solved else normalize(e)
+        return substitute(e, solved) if solved else e
 
     for rel in relations:
         r = apply_solutions(rel)

@@ -2,7 +2,7 @@
 
 import random
 
-from jetsym.expr import Add, Const, Mul, Var, ZERO, normalize
+from jetsym.expr import Const, Var, expr_prod, expr_sum
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.prolong import PointVectorField
 
@@ -17,10 +17,8 @@ def rand_poly(rng, names, max_degree=2, max_terms=3, allow_zero=True):
         factors = [Const(c)]
         for _ in range(rng.randint(0, max_degree)):
             factors.append(Var(rng.choice(names)))
-        parts.append(Mul(tuple(factors)))
-    if not parts:
-        return ZERO
-    return normalize(Add(tuple(parts)))
+        parts.append(expr_prod(factors))
+    return expr_sum(parts)
 
 
 def base_names(spec: JetSpec):

@@ -17,7 +17,7 @@ from helpers import (
     rand_unipotent_gauge,
 )
 from jetsym.cli import run
-from jetsym.expr import Const, Mul, Verdict, normalize, zero_verdict
+from jetsym.expr import Const, Verdict, normalize
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -337,9 +337,7 @@ def _membership_verdict(Y, kind, lam, spec):
             theta = contact_form(a, J, spec)
             form = lie_derivative(Y, theta, spec)
             if kind == "lambda":
-                form = form + dx(spec, 0).scale(
-                    normalize(Mul((lam, interior_product(Y, theta))))
-                )
+                form = form + dx(spec, 0).scale(lam * interior_product(Y, theta))
             verdicts.append(in_contact_module(form, spec).verdict)
     return Verdict.combine(verdicts)
 

@@ -449,6 +449,19 @@ def test_flag_of_another_kind_exits_two(tmp_path, capsys, argv):
     assert "belongs to kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["prolong", "check-symmetry"])
+@pytest.mark.parametrize("kind", ["lambda", "mu"])
+def test_missing_argument_of_the_kind_exits_two(tmp_path, capsys, task, kind):
+    text = KINDS.format(task=task, kind=kind, needed="", stray="")
+    if task == "prolong":
+        text = text.replace("equation = E\n", "")
+    problem = tmp_path / "kinds.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert "line 12: " in err and f"kind={kind} needs a '{kind} =' argument" in err
+
+
 def test_unknown_symmetry_kind_exits_two(tmp_path, capsys):
     text = KINDS.format(task="check-symmetry", kind="nosuch", needed="", stray="")
     problem = tmp_path / "kinds.jsf"
@@ -456,3 +469,56 @@ def test_unknown_symmetry_kind_exits_two(tmp_path, capsys):
     assert main(["run-file", str(problem)]) == 2
     err = capsys.readouterr().err
     assert "line 15: " in err and "'nosuch'" in err
+
+
+EXPRESSION_ARGS = """[jet]
+independent = x
+dependent = u
+order = 2
+[field S]
+xi x = 0
+phi u = 1
+[equation E]
+u_xx = u
+[task {task} t]
+field = S
+{args}
+"""
+
+
+@pytest.mark.parametrize("task, args", [
+    ("prolong", "kind = lambda\nlambda = x +* 2"),
+    ("check-symmetry", "equation = E\nkind = lambda\nlambda = x +* 2"),
+    ("check-symmetry", "equation = E\nkind = lambda\nlambda = 1/(x - x)"),
+    ("gauge-check", "phi = (x"),
+], ids=["prolong", "check-symmetry", "check-symmetry-zero-divisor", "gauge-check"])
+def test_malformed_expression_argument_exits_two(tmp_path, capsys, task, args):
+    text = EXPRESSION_ARGS.format(task=task, args=args)
+    problem = tmp_path / "args.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(args.splitlines()[-1]) + 1
+    assert f"line {line}: bad expression" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "--field", "S", "--kind", "lambda", "--lam", "x +* 2"],
+    ["check-symmetry", "--field", "S", "--equation", "E", "--kind", "lambda",
+     "--lam", "x +* 2"],
+    ["gauge-check", "--field", "S", "--phi", "(x"],
+])
+def test_malformed_expression_flag_exits_two(tmp_path, capsys, argv):
+    problem = tmp_path / "args.jsf"
+    problem.write_text(EXPRESSION_ARGS.format(task="prolong", args=""))
+    assert main([argv[0], str(problem)] + argv[1:]) == 2
+    assert "bad expression" in capsys.readouterr().err
+
+
+def test_zero_divisor_in_a_section_exits_two(tmp_path, capsys):
+    problem = tmp_path / "zero.jsf"
+    problem.write_text(EXPRESSION_ARGS.format(task="prolong", args="").replace(
+        "xi x = 0", "xi x = 1/(x - x)"))
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert "line 6: bad expression" in err and "zero" in err

@@ -3,9 +3,10 @@
 ``pdiff``, ``total_derivative``, ``JetVectorField.apply`` and
 ``scalar_differential`` are checked
 against sympy on seeded random rational functions with negative powers,
-``log`` and nested ``exp``/``sin``/``cos``.  A result agrees when sympy
-simplifies the difference to zero after rewriting every kernel through
-exponentials.  One standard prolongation with sum denominators is
+``log`` and nested ``exp``/``sin``/``cos``.  sympy reads a result from
+its printed text (pinned by ``test_printing``), and the result agrees
+when sympy simplifies the difference to zero after rewriting every
+kernel through exponentials.  One standard prolongation with sum denominators is
 checked the same way, in a child process with a time limit.
 """
 
@@ -20,7 +21,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
-from jetsym.expr import Add, Const, Func, Mul, Pow, Var, pdiff  # noqa: E402
+from jetsym.expr import pdiff, to_string  # noqa: E402
 from jetsym.jets import (  # noqa: E402
     JetSpec,
     JetVectorField,
@@ -66,32 +67,29 @@ def _rand_tree(rng, depth):
     return f"({ta})*({tb})", ea * eb
 
 
-def rand_function(rng, depth=3, min_ops=4):
-    """A random function of x, u, u_x that jetsym and sympy both accept."""
+def rand_text(rng, depth=3, min_ops=4):
+    """A random function of x, u, u_x that jetsym and sympy both accept,
+    as (jetsym text, sympy expression)."""
     while True:
         text, expr = _rand_tree(rng, depth)
         if expr.has(sp.zoo, sp.nan) or sp.count_ops(expr) < min_ops:
             continue
         try:
-            return parse(text), expr
+            parse(text)
         except SymbolicDivisionError:
             continue
+        return text, expr
+
+
+def rand_function(rng, depth=3, min_ops=4):
+    """``rand_text`` with the text parsed."""
+    text, expr = rand_text(rng, depth, min_ops)
+    return parse(text), expr
 
 
 def to_sympy(e):
-    cls = e.__class__
-    if cls is Const:
-        return sp.Rational(e.value.numerator, e.value.denominator)
-    if cls is Var:
-        return SYMBOLS.get(str(e.name)) or sp.Symbol(str(e.name))
-    if cls is Add:
-        return sp.Add(*(to_sympy(t) for t in e.terms))
-    if cls is Mul:
-        return sp.Mul(*(to_sympy(f) for f in e.factors))
-    if cls is Pow:
-        return to_sympy(e.base) ** e.exponent
-    assert cls is Func
-    return FUNCS[e.name](to_sympy(e.arg))
+    """The printed text of ``e`` read by sympy."""
+    return sp.sympify(to_string(e).replace("^", "**"), locals={**SYMBOLS, **FUNCS})
 
 
 def agrees(got, want):

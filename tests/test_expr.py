@@ -1,8 +1,15 @@
-"""Expression kernel tests: grammar, canonical form, calculus, zero testing."""
+"""Expression kernel tests: grammar, canonical form, calculus, zero testing.
+
+Property tests draw small test-side trees (nested tuples) and build
+their values with the operators of the library; the trees' own float
+evaluator is the independent oracle for the values.
+"""
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,34 +25,73 @@ from jetsym.errors import (
     UnknownFunctionError,
 )
 from jetsym.expr import (
-    Add,
     Const,
-    Func,
-    Mul,
-    Pow,
     Var,
     Verdict,
+    cos,
     eval_expr,
-    free_variables,
+    exp,
+    expr_prod,
+    expr_sum,
     is_zero,
+    log,
     normalize,
     pdiff,
+    sin,
     substitute,
     to_string,
     zero_verdict,
 )
-from jetsym.parsing import MAX_NESTING, parse, parse_raw
+from jetsym.parsing import MAX_NESTING, parse
+
+# test-side trees: ("const", c), ("var", name), ("add", a, b, ...),
+# ("mul", a, b, ...), ("pow", a, k), ("func", name, a)
+KERNELS = {"exp": exp, "log": log, "sin": sin, "cos": cos}
+FLOAT_KERNELS = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos}
 
 
-def numeric_zero_oracle(raw, names, points=5, seed=7, tol=1e-9):
-    """Independent check that a raw tree evaluates to zero at random points."""
+def build(tree):
+    """The canonical value of a test-side tree, built with operators."""
+    op, *args = tree
+    if op == "const":
+        return Const(args[0])
+    if op == "var":
+        return Var(args[0])
+    if op == "add":
+        return reduce(operator.add, (build(a) for a in args))
+    if op == "mul":
+        return reduce(operator.mul, (build(a) for a in args))
+    if op == "pow":
+        return build(args[0]) ** args[1]
+    return KERNELS[args[0]](build(args[1]))
+
+
+def value(tree, point):
+    """Float value of a test-side tree at ``point``, walked as written."""
+    op, *args = tree
+    if op == "const":
+        return float(args[0])
+    if op == "var":
+        return float(point[args[0]])
+    if op == "add":
+        return math.fsum(value(a, point) for a in args)
+    if op == "mul":
+        return math.prod(value(a, point) for a in args)
+    if op == "pow":
+        return value(args[0], point) ** args[1]
+    return FLOAT_KERNELS[args[0]](value(args[1], point))
+
+
+def numeric_zero_oracle(tree, names, points=5, seed=7, tol=1e-9):
+    """Independent check that a test-side tree evaluates to zero at
+    random points."""
     rng = random.Random(seed)
     done = 0
     while done < points:
         pt = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in names}
         try:
-            v = eval_expr(raw, pt)
-        except DomainError:
+            v = value(tree, pt)
+        except (ValueError, ZeroDivisionError):
             continue
         if abs(v) > tol:
             return False
@@ -62,14 +108,16 @@ def test_parse_additive_identity():
 
 def test_parse_lowest_terms():
     e = parse("2/4 * u")
-    assert e == Mul((Const(Fraction(1, 2)), Var("u")))
+    assert e == Const(Fraction(1, 2)) * Var("u")
 
 
 def test_parse_square_cancels():
-    raw = parse_raw("u_x^2 - (u_x)*(u_x)")
-    # the oracle comes first: the unnormalized tree vanishes numerically
-    assert numeric_zero_oracle(raw, ["u_x"])
-    assert normalize(raw) == Const(0)
+    ux = ("var", "u_x")
+    tree = ("add", ("pow", ux, 2), ("mul", ("const", -1), ux, ux))
+    # the oracle comes first: the tree as written vanishes numerically
+    assert numeric_zero_oracle(tree, ["u_x"])
+    assert parse("u_x^2 - (u_x)*(u_x)") == Const(0)
+    assert build(tree) == Const(0)
 
 
 def test_parse_rational_literal_rule():
@@ -237,8 +285,12 @@ def test_substitute_rejects_cycles():
 # --- zero testing -----------------------------------------------------------
 
 def test_zero_verdict_pythagorean_is_probably():
+    u = ("var", "u")
+    tree = ("add", ("pow", ("func", "sin", u), 2), ("pow", ("func", "cos", u), 2),
+            ("const", -1))
     e = parse("sin(u)^2 + cos(u)^2 - 1")
-    assert numeric_zero_oracle(e, ["u"])
+    assert build(tree) == e
+    assert numeric_zero_oracle(tree, ["u"])
     assert zero_verdict(e) is Verdict.PROBABLY
     assert is_zero(e) is False  # probably-zero is never reported as true
 
@@ -263,14 +315,13 @@ PYTHAGORAS = parse("sin(x)^2 + cos(x)^2 - 1")
 
 @st.composite
 def _int_polys(draw, max_degree=12):
-    """Polynomial in x and u with small integer coefficients, as a tree."""
+    """Polynomial in x and u with small integer coefficients."""
     terms = draw(st.lists(
         st.tuples(st.integers(-9, 9), st.integers(0, max_degree),
                   st.integers(0, max_degree)),
         min_size=1, max_size=6,
     ))
-    return Add(tuple(Mul((Const(c), Pow(Var("x"), a), Pow(Var("u"), b)))
-                     for c, a, b in terms))
+    return expr_sum(c * Var("x") ** a * Var("u") ** b for c, a, b in terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +332,7 @@ def _int_polys(draw, max_degree=12):
 @example(parse("(x^2+u^2+1)^6"), "1", 0)
 def test_polynomial_times_identity_is_never_false(p, factor, seed):
     # true identities whose terms are far above 1e-9 in absolute size
-    e = Mul((p, parse(factor), PYTHAGORAS))
+    e = p * parse(factor) * PYTHAGORAS
     assert zero_verdict(e, seed=seed) is not Verdict.FALSE
 
 
@@ -296,15 +347,14 @@ def _nonzero_kernel_exprs(draw):
     terms = []
     for _ in range(draw(st.integers(1, 5))):
         factors = [Const(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))),
-                   Pow(Var("x"), draw(st.integers(0, 6))),
-                   Pow(Var("u"), draw(st.integers(0, 6)))]
+                   Var("x") ** draw(st.integers(0, 6)),
+                   Var("u") ** draw(st.integers(0, 6))]
         for k in _INDEPENDENT_KERNELS:
-            factors.append(Pow(parse(k), draw(st.integers(0, 2))))
-        terms.append(Mul(tuple(factors)))
-    e = Add(tuple(terms))
+            factors.append(parse(k) ** draw(st.integers(0, 2)))
+        terms.append(expr_prod(factors))
+    e = expr_sum(terms)
     if draw(st.booleans()):
-        e = Mul((e, Pow(parse("1 + u^2"), -1)))
-    e = normalize(e)
+        e = e / parse("1 + u^2")
     assume(e != parse("0"))
     return e
 
@@ -353,21 +403,23 @@ def test_eval_errors():
 # --- properties -------------------------------------------------------------
 
 _names = st.sampled_from(["x", "t", "u", "u_x"])
-_consts = st.integers(min_value=-4, max_value=4).map(Const)
-_leaves = st.one_of(_consts, _names.map(Var))
+_leaves = st.one_of(
+    st.tuples(st.just("const"), st.integers(min_value=-4, max_value=4)),
+    st.tuples(st.just("var"), _names),
+)
 
 
 def _expr_trees(allow_kernels=True):
     def extend(children):
         opts = [
-            st.tuples(children, children).map(Add),
-            st.tuples(children, children).map(Mul),
-            st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
+            st.tuples(st.just("add"), children, children),
+            st.tuples(st.just("mul"), children, children),
+            st.tuples(st.just("pow"), children, st.integers(min_value=0, max_value=3)),
         ]
         if allow_kernels:
-            opts.append(
-                st.builds(Func, st.sampled_from(["exp", "sin", "cos"]), children)
-            )
+            opts.append(st.tuples(
+                st.just("func"), st.sampled_from(["exp", "sin", "cos"]), children
+            ))
         return st.one_of(opts)
 
     return st.recursive(_leaves, extend, max_leaves=10)
@@ -375,19 +427,18 @@ def _expr_trees(allow_kernels=True):
 
 @settings(max_examples=60, deadline=None)
 @given(_expr_trees())
-def test_normalize_idempotent(e):
-    once = normalize(e)
-    # rebuild through the printer so no cached canonical flag can short-circuit
-    rebuilt = parse(to_string(once))
-    assert rebuilt == once
-    assert normalize(once) == once
+def test_normalize_idempotent(tree):
+    e = build(tree)
+    assert normalize(e) is e
+    # rebuild through the printer, so nothing cached on the value is reused
+    assert parse(to_string(e)) == e
 
 
 @settings(max_examples=60, deadline=None)
 @given(_expr_trees())
-def test_normalize_preserves_value(e):
+def test_normalize_preserves_value(tree):
     rng = random.Random(11)
-    nf = normalize(e)
+    e = build(tree)
     done = 0
     tries = 0
     while done < 3 and tries < 60:
@@ -395,9 +446,9 @@ def test_normalize_preserves_value(e):
         pt = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
               for n in ("x", "t", "u", "u_x")}
         try:
-            a = eval_expr(e, pt)
-            b = eval_expr(nf, pt)
-        except DomainError:
+            a = value(tree, pt)
+            b = eval_expr(e, pt)
+        except (DomainError, OverflowError):
             continue
         if not (math.isfinite(a) and math.isfinite(b)):
             continue
@@ -408,28 +459,29 @@ def test_normalize_preserves_value(e):
 @settings(max_examples=60, deadline=None)
 @given(_expr_trees(), _expr_trees(), st.sampled_from(["x", "u", "u_x"]))
 def test_leibniz_rule(a, b, v):
-    lhs = pdiff(Mul((a, b)), v)
-    rhs = pdiff(a, v) * normalize(b) + normalize(a) * pdiff(b, v)
-    assert lhs == rhs
+    a, b = build(a), build(b)
+    assert pdiff(a * b, v) == pdiff(a, v) * b + a * pdiff(b, v)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_expr_trees(), _expr_trees(), st.sampled_from(["x", "u", "u_x"]))
 def test_diff_linearity(a, b, v):
-    assert pdiff(Add((a, b)), v) == pdiff(a, v) + pdiff(b, v)
+    a, b = build(a), build(b)
+    assert pdiff(a + b, v) == pdiff(a, v) + pdiff(b, v)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_expr_trees(allow_kernels=False), _expr_trees(allow_kernels=False))
 def test_substitute_commutes_with_addition(a, b):
+    a, b = build(a), build(b)
     m = {"u": parse("x+1"), "u_x": parse("t^2")}
-    assert substitute(Add((a, b)), m) == substitute(a, m) + substitute(b, m)
+    assert substitute(a + b, m) == substitute(a, m) + substitute(b, m)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_expr_trees(allow_kernels=False))
-def test_polynomial_zero_test_is_exact(e):
-    v = zero_verdict(e)
+def test_polynomial_zero_test_is_exact(tree):
+    v = zero_verdict(build(tree))
     assert v in (Verdict.TRUE, Verdict.FALSE)
 
 

@@ -11,7 +11,7 @@ from jetsym.errors import (
     NoPotentialError,
     PotentialNotClosedError,
 )
-from jetsym.expr import Const, Func, Verdict, normalize, pdiff
+from jetsym.expr import Const, Verdict, exp, normalize
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -149,8 +149,8 @@ def test_gauge_scalar_exponential():
     phi = parse("x*u + t")
     gamma = GaugeFunction(
         spec,
-        ((Func("exp", phi),),),
-        inverse=((Func("exp", normalize(-phi)),),),
+        ((exp(phi),),),
+        inverse=((exp(-phi),),),
     )
     mu = darboux_derivative(gamma)
     for i in range(spec.p):
@@ -199,8 +199,8 @@ def test_darboux_then_potential_consistency():
         phi = rand_poly(rng, ["x", "t", "u"], max_degree=2)
         gamma = GaugeFunction(
             spec,
-            ((Func("exp", phi),),),
-            inverse=((Func("exp", normalize(-phi)),),),
+            ((exp(phi),),),
+            inverse=((exp(-phi),),),
         )
         mu = darboux_derivative(gamma)
         recovered = scalar_potential(mu)

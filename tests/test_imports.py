@@ -1,10 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Import and naming rules, checked on each module's syntax tree.
 
-There is no linter in the toolchain, so this walk of each module's
-syntax tree is what keeps dead imports out.  A name counts as used when
-it is read anywhere in the module, attribute bases included, or listed
-in ``__all__``.  ``__init__`` and ``backend`` exist to re-export names
-and are exempt; ``from __future__`` imports are directives, not names.
+Every name a module of the package imports is used in that module.
+There is no linter in the toolchain, so this walk is what keeps dead
+imports out.  A name counts as used when it is read anywhere in the
+module, attribute bases included, or listed in ``__all__``.  ``__init__``
+and ``backend`` exist to re-export names and are exempt; ``from
+__future__`` imports are directives, not names.
+
+No module but ``expr`` names the node classes ``Add``, ``Mul``, ``Pow``
+or ``Func``: every other module builds values with the operators and the
+kernel constructors, so only ``expr`` decides which node a value is.
 """
 
 import ast
@@ -14,6 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jetsym"
 REEXPORTS = {"__init__.py", "backend.py"}
+NODE_CLASSES = {"Add", "Mul", "Pow", "Func"}
 
 
 def unused_imports(source):
@@ -48,3 +54,36 @@ def test_the_walk_sees_an_unused_import():
 def test_module_uses_every_import(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def node_class_mentions(source):
+    """``(line, name)`` of every import, name or attribute that names a
+    node class."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in NODE_CLASSES:
+            found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_walk_sees_a_node_class():
+    assert node_class_mentions("from .expr import Mul as M\nM(())\n") == [(1, "Mul")]
+    assert node_class_mentions("from . import expr\nexpr.Add(())\n") == [(2, "Add")]
+    assert node_class_mentions("Pow = 1\n") == [(1, "Pow")]
+    assert node_class_mentions("x = a * b ** 2\nexp(x)\n") == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "expr.py")
+)
+def test_only_expr_names_node_classes(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert node_class_mentions(source) == []

@@ -193,6 +193,21 @@ def test_exterior_derivative_of_contact_form():
     assert len(tau.coeffs) == 1
 
 
+def test_form_subtraction_adds_the_negated_coefficients():
+    a = dx(ODE2, 0).scale(parse("u")) + du(ODE2, 0, J0_1).scale(parse("x"))
+    b = contact_form(0, J0_1, ODE2)
+    diff = a - b
+    assert diff.coefficient(basis_key_dx(0)) == parse("u + u_x")
+    assert diff.coefficient(basis_key_du(0, J0_1)) == parse("x - 1")
+    assert diff + b == a and (a - a).is_structurally_zero
+    tau, sigma = exterior_derivative(a, ODE2), exterior_derivative(b, ODE2)
+    # d(u dx + x du) = 0 and d(theta) = dx ^ du_x, so the difference is du_x ^ dx
+    assert tau.is_structurally_zero
+    low = tau - sigma
+    assert low.coefficient(basis_key_du(0, MultiIndex((1,))), basis_key_dx(0)) == Const(1)
+    assert low + sigma == tau and (sigma - sigma).is_structurally_zero
+
+
 # --- Lie derivative ---------------------------------------------------------
 
 def test_lie_derivative_translation_kills_dx():

@@ -3,22 +3,33 @@
 ``substitute`` is checked against sympy's ``subs`` on seeded random
 rational functions with negative powers, ``log`` and nested
 ``exp``/``sin``/``cos``, with replacements that carry denominators and
-kernels, and against normalizing the tree with its variables replaced.
+kernels, and against parsing the function's text with its variables
+replaced by the parenthesized replacement texts, which normalizes the
+syntax tree with its variables replaced.
 ``restrict_to_solution_manifold`` is checked against a sympy
 restriction on a random scalar second-order ODE.
 """
 
 import random
+import re
 
 import pytest
 
 sp = pytest.importorskip("sympy")
 
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
-from jetsym.expr import Add, Const, Func, Mul, Pow, Var, normalize, substitute  # noqa: E402
+from jetsym.expr import Const, Var, substitute  # noqa: E402
 from jetsym.parsing import parse  # noqa: E402
 from jetsym.symmetry import DifferentialEquation, restrict_to_solution_manifold  # noqa: E402
-from test_derivation import ODE, SEED, SYMBOLS, agrees, rand_function, to_sympy  # noqa: E402
+from test_derivation import (  # noqa: E402
+    ODE,
+    SEED,
+    SYMBOLS,
+    agrees,
+    rand_function,
+    rand_text,
+    to_sympy,
+)
 
 CASES = 20
 
@@ -53,53 +64,49 @@ def _agrees(got, want):
     return True
 
 
-def _walk(e, named):
-    """Tree with its bound variables replaced, not normalized."""
-    cls = e.__class__
-    if cls is Var:
-        return named.get(str(e.name), e)
-    if cls is Const:
-        return e
-    if cls is Add:
-        return Add(tuple(_walk(t, named) for t in e.terms))
-    if cls is Mul:
-        return Mul(tuple(_walk(f, named) for f in e.factors))
-    if cls is Pow:
-        return Pow(_walk(e.base, named), e.exponent)
-    return Func(e.name, _walk(e.arg, named))
+def _replaced_text(text, named):
+    """``text`` with every bound name replaced by its parenthesized
+    replacement text."""
+    return re.sub(
+        r"[A-Za-z][A-Za-z0-9_]*",
+        lambda m: f"({named[m.group()]})" if m.group() in named else m.group(),
+        text,
+    )
 
 
 def _cases(salt, n=CASES):
     rng = random.Random(f"{SEED}:{salt}")
     out = []
     while len(out) < n:
-        e, expr = rand_function(rng)
+        text, expr = rand_text(rng)
         chosen = rng.sample(REPLACEMENTS, 2)
-        bindings = {"u": parse(chosen[0]), "u_x": parse(chosen[1])}
+        named = {"u": chosen[0], "u_x": chosen[1]}
         want = expr.subs(
             {SYMBOLS["u"]: _sympy_of(chosen[0]), SYMBOLS["u_x"]: _sympy_of(chosen[1])},
             simultaneous=True,
         )
         if want.has(sp.zoo, sp.nan):
             continue
-        out.append((e, bindings, want))
+        out.append((text, named, want))
     return out
 
 
 def test_substitute_matches_sympy():
-    for e, bindings, want in _cases("subst"):
-        got = substitute(e, bindings)
-        assert _agrees(got, want), (str(e), {k: str(v) for k, v in bindings.items()}, str(got))
+    for text, named, want in _cases("subst"):
+        got = substitute(parse(text), {k: parse(v) for k, v in named.items()})
+        assert _agrees(got, want), (text, named, str(got))
 
 
 def test_substitute_equals_normalized_tree_walk():
-    # without exponential sums in denominators the reduced form is
-    # unique, so the two routes give the same tree
-    plain = parse(EXP_SUM_DENOMINATOR)
-    for e, bindings, _want in _cases("walk", 3 * CASES):
-        if plain in bindings.values():
+    # the parser walks the syntax tree of the text with its variables
+    # replaced and folds it to a canonical value; without exponential
+    # sums in denominators the reduced form is unique, so the two routes
+    # give the same value
+    for text, named, _want in _cases("walk", 3 * CASES):
+        if EXP_SUM_DENOMINATOR in named.values():
             continue
-        assert substitute(e, bindings) == normalize(_walk(e, bindings)), str(e)
+        got = substitute(parse(text), {k: parse(v) for k, v in named.items()})
+        assert got == parse(_replaced_text(text, named)), (text, named)
 
 
 @pytest.mark.parametrize("text, bindings, want", [
@@ -126,8 +133,8 @@ def test_substitute_into_vanishing_denominator_raises():
 
 def test_substitute_acts_on_the_canonical_value():
     # x * x^(-1) is 1 before anything is substituted, so x -> 0 is harmless
-    raw = Mul((Var("x"), Pow(Var("x"), -1)))
-    assert substitute(raw, {"x": parse("0")}) == Const(1)
+    x = Var("x")
+    assert substitute(x * x ** -1, {"x": parse("0")}) == Const(1)
 
 
 def _total_x(g):
