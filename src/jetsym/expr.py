@@ -8,17 +8,17 @@ and denominator monomial dicts.  Values are built from constants and
 variables with the arithmetic operators, ``expr_sum``/``expr_prod`` and
 the kernel constructors ``exp``, ``log``, ``sin``, ``cos``; each of them
 combines pairs and returns a canonical value, so no unreduced tree ever
-exists.  A value is a node of one of six classes, chosen from the shape
-of its pair: a constant, a variable, a function atom, an atom to a
-power, a sum of two or more terms, or any other product.  Two values are
+exists.  ``Expr`` is the one value class: it holds the pair, and works
+out its sort key and hash from the pair on first use.  Two values are
 equal exactly when their pairs are, that is when they are the same
 rational function of their variables and kernels.  ``to_string``,
 ``free_variables`` and ``eval_expr`` read the pair too.
 
-The node order used for sorting summands and factors is: constants
-(by numerator, then denominator, of the reduced value), then variables
-(lexicographic), then powers, then products, then sums, then function
-applications (by name, then argument).
+Sort keys rank values by the shape of their pairs: constants (by
+numerator, then denominator), then variables (lexicographic), then an
+atom to a power, then other products, then sums of two or more terms,
+then function applications (by name, then argument).  Summands and
+factors are printed in this order.
 
 Derivatives are computed on the pair: ``derivatives`` applies a
 derivation, fixed by its values on the variables, to the numerator and
@@ -66,7 +66,6 @@ from .errors import (
     SubstitutionError,
     SymbolicDivisionError,
     UnboundVariableError,
-    UnknownFunctionError,
 )
 
 DEFAULT_SEED = 1013904223
@@ -76,8 +75,6 @@ DEFAULT_SAMPLES = 8
 # margin is wide because kernel arguments are rounded before exp, log,
 # sin and cos see them, and that error is not bounded term by term.
 ZERO_MARGIN = 2.0 ** 24
-
-FUNCTIONS = ("exp", "log", "sin", "cos")
 
 _RAT_ONE = (1, 1)
 _ONE_POLY = {(): _RAT_ONE}
@@ -104,36 +101,24 @@ class Verdict(enum.Enum):
         return out
 
 
-class VarName(str):
-    """Variable identifier.  ``kind`` tags the jet role of the name
-    (independent, dependent-jet, auxiliary) without affecting identity:
-    two VarNames are the same variable exactly when the strings match."""
-
-    __slots__ = ("kind",)
-
-    def __new__(cls, name: str, kind: str = "auxiliary"):
-        obj = super().__new__(cls, name)
-        obj.kind = kind
-        return obj
-
-
 # ---------------------------------------------------------------------------
-# nodes
+# values
 
 
 class Expr:
-    __slots__ = ("_skey", "_hash", "_rf")
+    """A canonical value, built from its reduced pair ``(num, den)``."""
 
-    def __init__(self):
+    __slots__ = ("_rf", "_skey", "_hash")
+
+    def __init__(self, rf):
+        self._rf = rf
         self._skey = None
         self._hash = None
-        self._rf = None
 
     def sort_key(self):
         k = self._skey
         if k is None:
-            k = self._make_key()
-            self._skey = k
+            k = self._skey = _pair_key(self._rf)
         return k
 
     def __lt__(self, other):
@@ -144,8 +129,7 @@ class Expr:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.sort_key())
-            self._hash = h
+            h = self._hash = hash(self.sort_key())
         return h
 
     def __eq__(self, other):
@@ -153,20 +137,14 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return _rf_of(self) == _rf_of(other)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
+        return self._rf == other._rf
 
     # arithmetic combines the canonical pairs of its operands
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_radd(_rf_of(self), _rf_of(other)))
+        return Expr(_radd(self._rf, other._rf))
 
     __radd__ = __add__
 
@@ -174,19 +152,19 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_radd(_rf_of(self), _rneg(_rf_of(other))))
+        return Expr(_radd(self._rf, _rneg(other._rf)))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_radd(_rf_of(other), _rneg(_rf_of(self))))
+        return Expr(_radd(other._rf, _rneg(self._rf)))
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_rmul(_rf_of(self), _rf_of(other)))
+        return Expr(_rmul(self._rf, other._rf))
 
     __rmul__ = __mul__
 
@@ -194,21 +172,21 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_rmul(_rf_of(self), _rpow(_rf_of(other), -1)))
+        return Expr(_rmul(self._rf, _rpow(other._rf, -1)))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _node(_rmul(_rf_of(other), _rpow(_rf_of(self), -1)))
+        return Expr(_rmul(other._rf, _rpow(self._rf, -1)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
-        return _node(_rpow(_rf_of(self), k))
+        return Expr(_rpow(self._rf, k))
 
     def __neg__(self):
-        return _node(_rneg(_rf_of(self)))
+        return Expr(_rneg(self._rf))
 
     def __str__(self):
         return to_string(self)
@@ -217,81 +195,18 @@ class Expr:
         return f"<expr {to_string(self)}>"
 
 
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        super().__init__()
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
-        self.value = value
-
-    def _make_key(self):
-        # plain ints keep key comparisons out of Fraction dispatch
-        return (0, self.value.numerator, self.value.denominator)
+def _rf_of(e):
+    """The reduced pair of ``e``; perfbench's tracer reads it."""
+    return e._rf
 
 
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        super().__init__()
-        self.name = str(name)
-
-    def _make_key(self):
-        return (1, self.name)
+def _const(v):
+    """The constant of the int or Fraction ``v``."""
+    return Expr(({(): (v.numerator, v.denominator)} if v else _ZERO_POLY, _ONE_POLY))
 
 
-class Pow(Expr):
-    """An atom to an integer power other than 0 and 1."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        super().__init__()
-        self.base = base
-        self.exponent = exponent
-
-    def _make_key(self):
-        return (2, self.base.sort_key(), self.exponent)
-
-
-class Mul(Expr):
-    """A product: a fraction, or a monomial that is not a single atom."""
-
-    __slots__ = ()
-
-    def _make_key(self):
-        return (3, tuple(p[0] for p in _mul_parts(self._rf)))
-
-
-class Add(Expr):
-    """A polynomial of two or more terms."""
-
-    __slots__ = ()
-
-    def _make_key(self):
-        return _poly_key(_poly_terms(self._rf[0]))
-
-
-class Func(Expr):
-    """A function atom; its argument is a canonical value."""
-
-    __slots__ = ("name", "arg")
-
-    def __init__(self, name, arg):
-        super().__init__()
-        if name not in FUNCTIONS:
-            raise UnknownFunctionError(f"unknown function {name!r}")
-        self.name = name
-        self.arg = arg
-
-    def _make_key(self):
-        return (5, self.name, self.arg.sort_key())
-
-
-ZERO = Const(0)
-ONE = Const(1)
+ZERO = _const(0)
+ONE = _const(1)
 
 
 def _coerce(x):
@@ -300,7 +215,7 @@ def _coerce(x):
     if isinstance(x, bool):
         return None
     if isinstance(x, (int, Fraction)):
-        return Const(x)
+        return _const(x)
     return None
 
 
@@ -312,11 +227,22 @@ def as_expr(x) -> Expr:
 
 
 def rational(num, den=1) -> Expr:
-    return Const(Fraction(num, den))
+    return _const(Fraction(num, den))
 
 
-def variable(name, kind="auxiliary") -> Expr:
-    return Var(VarName(name, kind))
+def variable(name) -> Expr:
+    return Expr(({(((1, str(name)), 1),): _RAT_ONE}, _ONE_POLY))
+
+
+def constant_value(e):
+    """The value of ``e`` as a Fraction when it is a constant, else None."""
+    num, den = as_expr(e)._rf
+    if den != _ONE_POLY or len(num) > 1:
+        return None
+    if not num:
+        return Fraction(0)
+    c = num.get(())
+    return None if c is None else Fraction(*c)
 
 
 def exp(e) -> Expr:
@@ -339,9 +265,9 @@ def expr_sum(terms) -> Expr:
     """Sum of expressions, added left to right on their canonical pairs."""
     r = None
     for t in terms:
-        rt = _rf_of(as_expr(t))
+        rt = as_expr(t)._rf
         r = rt if r is None else _radd(r, rt)
-    return ZERO if r is None else _node(r)
+    return ZERO if r is None else Expr(r)
 
 
 def expr_prod(factors) -> Expr:
@@ -349,31 +275,28 @@ def expr_prod(factors) -> Expr:
     pairs."""
     r = None
     for f in factors:
-        rf = _rf_of(as_expr(f))
+        rf = as_expr(f)._rf
         r = rf if r is None else _rmul(r, rf)
-    return ONE if r is None else _node(r)
+    return ONE if r is None else Expr(r)
 
 
 # ---------------------------------------------------------------------------
 # rational-function layer
 #
-# Monomials hold atom SORT KEYS (plain nested tuples), not the atom nodes:
-# dict hashing and merge comparisons then run entirely in C, with no
-# calls back into the node classes.  The registry recovers the node for
-# a key when a value is a single atom or a kernel's argument is read.
+# Monomials hold atom SORT KEYS (plain nested tuples): a variable is
+# ``(1, name)``, a function atom ``(5, name, argument key)``.  Dict hashing
+# and merge comparisons then run entirely in C.  The registry maps the key
+# of each function atom to its argument, for the layers that read it.
 
 _ATOMS: dict = {}
 
 
-def _atom_key(atom) -> tuple:
-    key = atom.sort_key()
+def _function_key(name, arg) -> tuple:
+    """The key of the function atom ``name(arg)``, registered."""
+    key = (5, name, arg.sort_key())
     if key not in _ATOMS:
-        _ATOMS[key] = atom
+        _ATOMS[key] = arg
     return key
-
-
-def _atom_node(key) -> Expr:
-    return _ATOMS[key]
 
 
 def _is_exp_key(a) -> bool:
@@ -401,7 +324,7 @@ def _fix_exp(p):
         pieces = []
         for a, e in m:
             if _is_exp_key(a):
-                pieces.append((_atom_node(a).arg, e))
+                pieces.append((_ATOMS[a], e))
             else:
                 rest.append((a, e))
         if len(pieces) == 1 and pieces[0][1] == 1:
@@ -410,7 +333,7 @@ def _fix_exp(p):
             if pieces:
                 arg = expr_sum(a if e == 1 else a * e for a, e in pieces)
                 if arg != ZERO:
-                    rest.append((_atom_key(Func("exp", arg)), 1))
+                    rest.append((_function_key("exp", arg), 1))
             mm = tuple(sorted(rest))
         v = r.get(mm)
         if v is None:
@@ -456,7 +379,7 @@ def _uniform_exp_arg(p):
             arg_key = found
         elif arg_key != found:
             return None
-    return _atom_node(arg_key).arg if arg_key is not None else None
+    return _ATOMS[arg_key] if arg_key is not None else None
 
 
 def _finish(num, den):
@@ -479,7 +402,7 @@ def _reduce(num, den, *, use_gcd=True):
         return (_ZERO_POLY, _ONE_POLY)
     arg = _uniform_exp_arg(den)
     if arg is not None:
-        shift = {((_atom_key(Func("exp", -arg)), 1),): _RAT_ONE}
+        shift = {((_function_key("exp", -arg), 1),): _RAT_ONE}
         num = _pmul(num, shift)
         den = _pmul(den, shift)
     if len(den) == 1 and () in den:
@@ -545,38 +468,22 @@ _FOLDS = {
 }
 
 
-def _rf_of(e):
-    """The reduced pair of the canonical value ``e``: set by ``_node`` for
-    sums, products and powers, worked out on first use for an atom."""
-    r = e._rf
-    if r is None:
-        if e.__class__ is Const:
-            v = e.value
-            r = ({(): (v.numerator, v.denominator)} if v else _ZERO_POLY, _ONE_POLY)
-        else:  # a variable or a function atom
-            r = ({((_atom_key(e), 1),): _RAT_ONE}, _ONE_POLY)
-        e._rf = r
-    return r
-
-
 def _apply(name, e) -> Expr:
     """``name(e)`` as a canonical value: a folded constant, or the
-    registered function atom."""
+    function atom."""
     arg = as_expr(e)
-    if arg.__class__ is Const:
-        folded = _FOLDS.get((name, arg.value))
-        if folded is not None:
-            return folded
-    return _atom_node(_atom_key(Func(name, arg)))
+    folded = _FOLDS.get((name, constant_value(arg)))
+    if folded is not None:
+        return folded
+    return Expr(({((_function_key(name, arg), 1),): _RAT_ONE}, _ONE_POLY))
 
 
 # ---------------------------------------------------------------------------
-# canonical nodes
+# sort keys
 #
-# Every value is a node that carries its reduced pair.  Its class and its
-# sort key follow from the pair.  The keys below are those of the node
-# order, computed from monomials and coefficients: the key of a sum is the
-# tuple of its terms' keys, the key of a product that of its factors'.
+# The key of a value follows from its pair, computed from monomials and
+# coefficients: the key of a sum is the tuple of its terms' keys, the key
+# of a product that of its factors'.
 
 
 def _first(item):
@@ -585,13 +492,13 @@ def _first(item):
 
 def _factor_parts(m):
     """``(sort key, atom, exponent)`` of each factor of the monomial ``m``,
-    in node order: an atom is its own key, a power ranks as ``Pow``."""
+    in key order: an atom is its own key, a power ranks as a power."""
     return sorted([(a if e == 1 else (2, a, e), a, e) for a, e in m])
 
 
 def _poly_terms(p):
     """``(sort key, monomial, coefficient, factor parts)`` of each term of
-    the polynomial ``p``, in node order."""
+    the polynomial ``p``, in key order."""
     items = []
     for m, c in p.items():
         parts = _factor_parts(m)
@@ -616,7 +523,7 @@ _CONST, _POWER, _SUM, _INVERSE = range(4)
 
 def _mul_parts(rf):
     """``(sort key, kind, data)`` of each factor of the canonical product
-    of the pair ``rf``, in node order: a constant, an atom to a power,
+    of the pair ``rf``, in key order: a constant, an atom to a power,
     the numerator as a sum, or the inverse of the denominator sum."""
     num, den = rf
     parts = []
@@ -639,28 +546,15 @@ def _mul_parts(rf):
     return parts
 
 
-def _node(rf):
-    """The canonical node of the reduced pair ``rf``."""
+def _pair_key(rf):
+    """The sort key of the value of the reduced pair ``rf``."""
     num, den = rf
-    if den is not _ONE_POLY and den != _ONE_POLY:
-        node = Mul()
-    elif not num:
-        return ZERO
-    elif len(num) > 1:
-        node = Add()
-    else:
-        ((m, c),) = num.items()
-        if not m:
-            node = Const(Fraction(*c))
-        elif c == _RAT_ONE and len(m) == 1:
-            a, e = m[0]
-            if e == 1:
-                return _atom_node(a)
-            node = Pow(_atom_node(a), e)
-        else:
-            node = Mul()
-    node._rf = rf
-    return node
+    if den != _ONE_POLY:
+        return (3, tuple(p[0] for p in _mul_parts(rf)))
+    if not num:
+        return (0, 0, 1)
+    items = _poly_terms(num)
+    return items[0][0] if len(items) == 1 else _poly_key(items)
 
 
 def normalize(e) -> Expr:
@@ -671,7 +565,7 @@ def normalize(e) -> Expr:
 
 def is_polynomial(e) -> bool:
     """True when the canonical form has denominator 1 and no kernels."""
-    num, den = _rf_of(as_expr(e))
+    num, den = as_expr(e)._rf
     if den != _ONE_POLY:
         return False
     return not _has_kernel_poly(num)
@@ -692,7 +586,7 @@ def polynomial_terms(e) -> dict:
     from .errors import ExprError
 
     e = as_expr(e)
-    num, den = _rf_of(e)
+    num, den = e._rf
     if den != _ONE_POLY or _has_kernel_poly(num):
         raise ExprError(f"not a polynomial: {to_string(e)}")
     out = {}
@@ -714,7 +608,7 @@ def free_variables(e) -> set:
 
 
 def _collect_vars(e, out, seen):
-    for p in _rf_of(e):
+    for p in e._rf:
         for m in p:
             for a, _e in m:
                 if a not in seen:
@@ -722,7 +616,7 @@ def _collect_vars(e, out, seen):
                     if a[0] == 1:  # variable rank
                         out.add(a[1])
                     else:
-                        _collect_vars(_atom_node(a).arg, out, seen)
+                        _collect_vars(_ATOMS[a], out, seen)
 
 
 def substitute(e, bindings) -> Expr:
@@ -746,8 +640,8 @@ def substitute(e, bindings) -> Expr:
             )
     if not named:
         return e
-    out = _Substitution(named).rf(_rf_of(e))
-    return e if out is None else _node(out)
+    out = _Substitution(named).rf(e._rf)
+    return e if out is None else Expr(out)
 
 
 class _Substitution:
@@ -770,11 +664,10 @@ class _Substitution:
     def atom(self, key):
         if key[0] == 1:  # variable rank
             repl = self.named.get(key[1])
-            img = None if repl is None else _rf_of(repl)
+            img = None if repl is None else repl._rf
         else:
-            node = _atom_node(key)
-            arg = self.rf(_rf_of(node.arg))
-            img = None if arg is None else _rf_of(_apply(node.name, _node(arg)))
+            arg = self.rf(_ATOMS[key]._rf)
+            img = None if arg is None else _apply(key[1], Expr(arg))._rf
         self.memo[key] = img
         return img
 
@@ -839,21 +732,20 @@ def derivatives(e, of_var) -> dict:
     as a constant.  Function kernels follow the chain rule.  Returns
     ``{direction: canonical derivative}`` for the nonzero results.
     """
-    rf = _Derivation(of_var).rf(_rf_of(as_expr(e)))
-    return {d: _node(r) for d, r in rf.items()}
+    rf = _Derivation(of_var).rf(as_expr(e)._rf)
+    return {d: Expr(r) for d, r in rf.items()}
 
 
 def _outer_derivative(key):
     """f'(g) of the function atom f(g), as a canonical pair."""
-    node = _atom_node(key)
-    name, arg = node.name, node.arg
+    name, arg = key[1], _ATOMS[key]
     if name == "exp":
         return ({((key, 1),): _RAT_ONE}, _ONE_POLY)
     if name == "log":
-        return _rpow(_rf_of(arg), -1)
+        return _rpow(arg._rf, -1)
     if name == "sin":
-        return _rf_of(cos(arg))
-    return _rneg(_rf_of(sin(arg)))
+        return cos(arg)._rf
+    return _rneg(sin(arg)._rf)
 
 
 def _add_term(p, m, c):
@@ -892,9 +784,9 @@ class _Derivation:
         the polynomial walk multiplies in place, and any other pairs
         ``(direction, (num, den))``."""
         if key[0] == 1:  # variable rank
-            vals = {d: _rf_of(v) for d, v in self.of_var(key[1]).items()}
+            vals = {d: v._rf for d, v in self.of_var(key[1]).items()}
         else:
-            inner = self.rf(_rf_of(_atom_node(key).arg))
+            inner = self.rf(_ATOMS[key]._rf)
             outer = _outer_derivative(key) if inner else None
             vals = {d: _rmul(outer, r) for d, r in inner.items()}
         monos, others = [], []
@@ -972,7 +864,7 @@ def eval_expr(e, point) -> float:
     """Numeric value of ``e`` at ``point`` (variable name -> number): the
     atoms first, then numerator over denominator."""
     vals = {str(k): v for k, v in point.items()}
-    return _eval_rf(_rf_of(as_expr(e)), vals)
+    return _eval_rf(as_expr(e)._rf, vals)
 
 
 def _eval_atom(key, vals):
@@ -980,14 +872,13 @@ def _eval_atom(key, vals):
         if key[1] not in vals:
             raise UnboundVariableError(f"variable {key[1]!r} is not bound")
         return float(vals[key[1]])
-    node = _atom_node(key)
-    v = _eval_rf(_rf_of(node.arg), vals)
-    if node.name == "log":
+    v = _eval_rf(_ATOMS[key]._rf, vals)
+    if key[1] == "log":
         if v <= 0.0:
             raise DomainError(f"log of non-positive value {v}")
         return math.log(v)
     try:
-        return _MATH[node.name](v)
+        return _MATH[key[1]](v)
     except OverflowError:
         raise DomainError("overflow in kernel function") from None
 
@@ -1033,9 +924,9 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
     errors and overflow trigger resampling up to a cap.
     """
     nf = as_expr(e)
-    if nf.__class__ is Const:
-        return Verdict.TRUE if nf.value == 0 else Verdict.FALSE
-    num, den = _rf_of(nf)
+    num, den = nf._rf
+    if not num:
+        return Verdict.TRUE
     if not (_has_kernel_poly(num) or _has_kernel_poly(den)):
         return Verdict.FALSE
     atoms = {a for p in (num, den) for m in p for a, _k in m}
@@ -1096,8 +987,7 @@ class _Printer:
             if a[0] == 1:  # variable rank
                 s = a[1]
             else:
-                node = _atom_node(a)
-                s = f"{node.name}({self.pair(_rf_of(node.arg))})"
+                s = f"{a[1]}({self.pair(_ATOMS[a]._rf)})"
             self.atoms[a] = s
         return s
 
@@ -1153,4 +1043,4 @@ class _Printer:
 
 def to_string(e) -> str:
     """Canonical text; re-parsing reproduces the same canonical form."""
-    return _Printer().pair(_rf_of(e))
+    return _Printer().pair(e._rf)

@@ -32,7 +32,6 @@ from .errors import (
 from .expr import (
     ONE,
     Expr,
-    Var,
     Verdict,
     ZERO,
     as_expr,
@@ -42,6 +41,7 @@ from .expr import (
     free_variables,
     is_polynomial,
     polynomial_terms,
+    variable,
     zero_verdict,
 )
 from .jets import (
@@ -192,7 +192,7 @@ def scalar_potential(mu: MuForm) -> Expr:
     candidates = []
     for k in range(1, degree + 1):
         for combo in combinations_with_replacement(names, k):
-            candidates.append(expr_prod(Var(n) for n in combo))
+            candidates.append(expr_prod(variable(n) for n in combo))
 
     # rows: one linear equation per (direction, monomial of the expansion)
     columns = {}

@@ -29,14 +29,13 @@ from .errors import JetError
 from .expr import (
     ONE,
     Expr,
-    Var,
-    VarName,
     Verdict,
     ZERO,
     as_expr,
     derivatives,
     expr_sum,
     free_variables,
+    variable,
     zero_verdict,
 )
 
@@ -133,8 +132,8 @@ class JetSpec:
 
     # -- names ------------------------------------------------------------
 
-    def independent_var(self, i: int) -> Var:
-        return Var(VarName(self.independent[i], "independent"))
+    def independent_var(self, i: int) -> Expr:
+        return variable(self.independent[i])
 
     def jet_name(self, a: int, index: MultiIndex) -> str:
         if len(index.counts) != self.p:
@@ -146,8 +145,8 @@ class JetSpec:
         )
         return f"{self.dependent[a]}_{suffix}"
 
-    def jet_var(self, a: int, index: MultiIndex) -> Var:
-        return Var(VarName(self.jet_name(a, index), "dependent-jet"))
+    def jet_var(self, a: int, index: MultiIndex) -> Expr:
+        return variable(self.jet_name(a, index))
 
     def decode(self, name: str):
         """Classify a variable name.
@@ -233,8 +232,7 @@ class JetCoordinate:
 def _successor(spec: JetSpec, i: int, name: str):
     """The image of a variable under D_i: ``u^a_{J+i}`` for ``u^a_J``, 1
     for ``x^i``, None for any other name.  Resolved once per jet space,
-    direction and name, so every call hands out the same node and its
-    cached pair."""
+    direction and name, so every call hands out the same value."""
     kind = _decode(spec, name)
     if kind[0] == "jet":
         return spec.jet_var(kind[1], kind[2].inc(i))

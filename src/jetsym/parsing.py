@@ -27,7 +27,18 @@ in the parser or in the layers that recurse into kernel arguments.
 from fractions import Fraction
 
 from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
-from .expr import Const, Expr, Var, cos, exp, expr_prod, expr_sum, log, sin
+from .expr import (
+    Expr,
+    constant_value,
+    cos,
+    exp,
+    expr_prod,
+    expr_sum,
+    log,
+    rational,
+    sin,
+    variable,
+)
 
 _KERNELS = {f.__name__: f for f in (exp, log, sin, cos)}
 
@@ -168,10 +179,11 @@ class _Parser:
         self.enter(caret)
         k = self.unary()
         self.depth -= 1
-        if k.__class__ is not Const or k.value.denominator != 1:
+        k = constant_value(k)
+        if k is None or k.denominator != 1:
             _err(self.text, caret.pos, "exponent must be an integer constant",
                  cls=_NonIntExp)
-        return base ** int(k.value)
+        return base ** int(k)
 
     def group(self, opening):
         """The expression inside parentheses, ``opening`` already taken."""
@@ -184,7 +196,7 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t.kind == "number":
-            return Const(t.value)
+            return rational(t.value)
         if t.kind == "(":
             return self.group(t)
         if t.kind == "name":
@@ -193,7 +205,7 @@ class _Parser:
                     _err(self.text, t.pos, f"unknown function {t.value!r}",
                          cls=UnknownFunctionError)
                 return _KERNELS[t.value](self.group(self.take()))
-            return Var(t.value)
+            return variable(t.value)
         _err(self.text, t.pos, f"unexpected token {t.value!r}")
 
 

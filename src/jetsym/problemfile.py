@@ -18,8 +18,8 @@ bracketed header and hold ``key = expression`` lines:
   check-compat, potential, darboux, gauge-check, coincide) and its
   arguments.
 
-Comments run from ``#`` to the end of the line.  Missing mu/gauge
-entries are zero.
+Comments run from ``#`` to the end of the line.  A key may appear once
+per section.  Missing mu/gauge entries are zero.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ExprError, JetsymError, ProblemFileError
-from .expr import Const
+from .expr import ZERO
 from .gauge import GaugeFunction
 from .jets import JetSpec, MuForm, mat_identity
 from .parsing import parse
@@ -110,6 +110,7 @@ def _parse_expr(text, line_no):
 def _split_sections(text):
     sections = []
     current = None
+    keys = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -122,22 +123,23 @@ def _split_sections(text):
                 raise ProblemFileError("empty section header", line_no)
             current = (header, line_no, [])
             sections.append(current)
+            keys = set()
             continue
         if current is None:
             raise ProblemFileError("content before the first section header", line_no)
         if "=" not in line:
             raise ProblemFileError(f"expected 'key = value', got {line!r}", line_no)
         key, _eq, value = line.partition("=")
-        current[2].append((key.strip(), value.strip(), line_no))
+        key = " ".join(key.split())
+        if key in keys:
+            raise ProblemFileError(f"duplicate key {key!r}", line_no)
+        keys.add(key)
+        current[2].append((key, value.strip(), line_no))
     return sections
 
 
 def _build_jet(entries, line_no):
-    values = {}
-    for key, value, ln in entries:
-        if key in values:
-            raise ProblemFileError(f"duplicate key {key!r}", ln)
-        values[key] = (value, ln)
+    values = {key: (value, ln) for key, value, ln in entries}
     try:
         independent = tuple(
             n.strip() for n in values["independent"][0].replace(",", " ").split()
@@ -160,8 +162,8 @@ def _build_jet(entries, line_no):
 
 
 def _build_field(spec, entries, line_no):
-    xi = {n: Const(0) for n in spec.independent}
-    phi = {n: Const(0) for n in spec.dependent}
+    xi = dict.fromkeys(spec.independent, ZERO)
+    phi = dict.fromkeys(spec.dependent, ZERO)
     generalized = False
     for key, value, ln in entries:
         parts = key.split()
@@ -215,7 +217,7 @@ def _build_mu(spec, entries, line_no):
             )
         lambdas = []
         for n in spec.independent:
-            e, _ln = scalar_entries.pop(n, (Const(0), None))
+            e, _ln = scalar_entries.pop(n, (ZERO, None))
             lambdas.append(e)
         if scalar_entries:
             bad = next(iter(scalar_entries))
@@ -223,7 +225,7 @@ def _build_mu(spec, entries, line_no):
                                    scalar_entries[bad][1])
         return MuForm.scalar(spec, lambdas)
     mats = [
-        [[Const(0) for _ in range(spec.q)] for _ in range(spec.q)]
+        [[ZERO] * spec.q for _ in range(spec.q)]
         for _ in range(spec.p)
     ]
     for (ind, row, col), (e, ln) in matrix_entries.items():
@@ -269,11 +271,7 @@ def _build_gauge(spec, entries, line_no):
 
 
 def _build_equation(spec, entries, line_no):
-    mapping = {}
-    for key, value, ln in entries:
-        if key in mapping:
-            raise ProblemFileError(f"duplicate leading coordinate {key!r}", ln)
-        mapping[key] = _parse_expr(value, ln)
+    mapping = {key: _parse_expr(value, ln) for key, value, ln in entries}
     try:
         return DifferentialEquation.from_strings(spec, mapping)
     except JetsymError as err:
@@ -283,11 +281,12 @@ def _build_equation(spec, entries, line_no):
 def load_problem(text: str) -> ProblemFile:
     """Parse and resolve a problem file; all names are validated here."""
     sections = _split_sections(text)
-    spec = None
     jets = [s for s in sections if s[0][0] == "jet"]
     if len(jets) != 1:
         raise ProblemFileError("need exactly one [jet] section",
                                jets[1][1] if len(jets) > 1 else None)
+    if len(jets[0][0]) != 1:
+        raise ProblemFileError("[jet] takes no name", jets[0][1])
     spec = _build_jet(jets[0][2], jets[0][1])
 
     problem = ProblemFile(spec, {}, {}, {}, {})
@@ -323,6 +322,8 @@ def load_problem(text: str) -> ProblemFile:
                     f"expected one of {', '.join(TASK_KINDS)}",
                     line_no,
                 )
+            if len(header) > 3:
+                raise ProblemFileError("[task] takes a kind and at most one id", line_no)
             counter += 1
             task_id = header[2] if len(header) > 2 else f"task-{counter}"
             args = {}

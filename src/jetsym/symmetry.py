@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 from .errors import EquationError, ProlongationError, RestrictionError
 from .expr import (
-    Const,
     Expr,
-    Var,
     Verdict,
     ZERO,
     as_expr,
+    constant_value,
     expr_sum,
     free_variables,
     pdiff,
     substitute,
+    variable,
     zero_verdict,
 )
 from .jets import (
@@ -354,7 +354,7 @@ def _try_solve_linear(r, name, *, seed=None):
         return None
     if zero_verdict(A, seed=seed) is not Verdict.FALSE:
         return None  # coefficient not provably nonzero
-    B = r - A * Var(name)
+    B = r - A * variable(name)
     if name in free_variables(B):
         return None
     sol = -B / A
@@ -384,7 +384,7 @@ def coincide_on_invariant_set(
         r = apply_solutions(rel)
         if r == ZERO:
             continue
-        if r.__class__ is Const:
+        if constant_value(r) is not None:
             vacuous = True  # a nonzero constant relation: empty invariant set
             break
         jet_names = sorted(

@@ -1,8 +1,6 @@
 """Shared generators for seeded-random test instances."""
 
-import random
-
-from jetsym.expr import Const, Var, expr_prod, expr_sum
+from jetsym.expr import expr_prod, expr_sum, rational, variable
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.prolong import PointVectorField
 
@@ -14,9 +12,9 @@ def rand_poly(rng, names, max_degree=2, max_terms=3, allow_zero=True):
         c = rng.randint(-3, 3)
         if c == 0:
             c = 1
-        factors = [Const(c)]
+        factors = [rational(c)]
         for _ in range(rng.randint(0, max_degree)):
-            factors.append(Var(rng.choice(names)))
+            factors.append(variable(rng.choice(names)))
         parts.append(expr_prod(factors))
     return expr_sum(parts)
 
@@ -49,10 +47,10 @@ def rand_unipotent_gauge(rng, spec: JetSpec, max_degree=2):
         row = []
         for b in range(q):
             if a == b:
-                row.append(Const(1))
+                row.append(rational(1))
             elif a < b:
                 row.append(rand_poly(rng, names, max_degree, max_terms=2))
             else:
-                row.append(Const(0))
+                row.append(rational(0))
         rows.append(tuple(row))
     return tuple(rows)

@@ -8,8 +8,6 @@ criterion explicitly admits flagged probabilistic verdicts.
 
 import random
 
-import pytest
-
 from helpers import (
     rand_closed_scalar_mu,
     rand_point_field,
@@ -17,7 +15,7 @@ from helpers import (
     rand_unipotent_gauge,
 )
 from jetsym.cli import run
-from jetsym.expr import Const, Verdict, normalize
+from jetsym.expr import Verdict, normalize, rational
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -196,7 +194,7 @@ def test_criterion_5_darboux_flatness():
         for R in residuals.residuals.values():
             for row in R:
                 for e in row:
-                    assert e == Const(0)
+                    assert e == rational(0)
 
     sys2 = spec_for(2, 2, 1)
 
@@ -355,7 +353,7 @@ def test_criterion_9_characterizations_agree_with_membership():
                 PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
             )),
         ):
-            arg = Const(0) if kind == "standard" else lam
+            arg = rational(0) if kind == "standard" else lam
             char = characterization_check(Y, kind, lam=arg).verdict
             member = _membership_verdict(Y, kind, arg, spec)
             assert char == member == Verdict.TRUE
@@ -366,7 +364,7 @@ def test_criterion_9_characterizations_agree_with_membership():
         kind = "standard" if k % 2 == 0 else "lambda"
         if kind == "standard":
             Y = prolong_standard(X, n)
-            arg = Const(0)
+            arg = rational(0)
         else:
             Y = prolong_lambda(
                 PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
@@ -374,7 +372,7 @@ def test_criterion_9_characterizations_agree_with_membership():
             arg = lam
         J = rng.choice([Ji for Ji in spec.multi_indices(n) if Ji.order >= 1])
         psi = dict(Y.psi)
-        psi[(0, J)] = normalize(Y.psi_at(0, J) + Const(1))
+        psi[(0, J)] = normalize(Y.psi_at(0, J) + rational(1))
         bad = JetVectorField(spec, Y.xi, psi, order=n)
         char = characterization_check(bad, kind, lam=arg).verdict
         member = _membership_verdict(bad, kind, arg, spec)

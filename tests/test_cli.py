@@ -522,3 +522,52 @@ def test_zero_divisor_in_a_section_exits_two(tmp_path, capsys):
     assert main(["run-file", str(problem)]) == 2
     err = capsys.readouterr().err
     assert "line 6: bad expression" in err and "zero" in err
+
+
+REPEATS = """[jet]
+independent = x
+dependent = u
+order = 2
+[field S]
+xi x = 0
+phi u = 1
+[mu M]
+x = u
+[gauge G]
+u u = 1
+[task prolong p]
+field = S
+order = 1
+"""
+
+
+@pytest.mark.parametrize("after, repeat", [
+    ("xi x = 0", "xi  x = x"),
+    ("phi u = 1", "phi u = u"),
+    ("x = u", "x = 1"),
+    ("u u = 1", "u u = 2"),
+    ("order = 1", "order = 2"),
+    ("field = S", "field = S"),
+], ids=["field-xi", "field-phi", "mu", "gauge", "task-order", "task-field"])
+def test_repeated_key_exits_two(tmp_path, capsys, after, repeat):
+    text = REPEATS.replace(after + "\n", f"{after}\n{repeat}\n")
+    problem = tmp_path / "repeat.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(after) + 2
+    assert f"line {line}: duplicate key" in err
+
+
+@pytest.mark.parametrize("header, extended, message", [
+    ("[task prolong p]", "[task prolong p extra]", "at most one id"),
+    ("[jet]", "[jet extra]", "[jet] takes no name"),
+], ids=["task", "jet"])
+def test_extra_header_word_exits_two(tmp_path, capsys, header, extended, message):
+    text = REPEATS.replace(header, extended)
+    problem = tmp_path / "header.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(extended) + 1
+    assert f"line {line}: " in err and message in err

@@ -25,9 +25,8 @@ from jetsym.errors import (
     UnknownFunctionError,
 )
 from jetsym.expr import (
-    Const,
-    Var,
     Verdict,
+    constant_value,
     cos,
     eval_expr,
     exp,
@@ -37,9 +36,11 @@ from jetsym.expr import (
     log,
     normalize,
     pdiff,
+    rational,
     sin,
     substitute,
     to_string,
+    variable,
     zero_verdict,
 )
 from jetsym.parsing import MAX_NESTING, parse
@@ -54,9 +55,9 @@ def build(tree):
     """The canonical value of a test-side tree, built with operators."""
     op, *args = tree
     if op == "const":
-        return Const(args[0])
+        return rational(args[0])
     if op == "var":
-        return Var(args[0])
+        return variable(args[0])
     if op == "add":
         return reduce(operator.add, (build(a) for a in args))
     if op == "mul":
@@ -108,7 +109,7 @@ def test_parse_additive_identity():
 
 def test_parse_lowest_terms():
     e = parse("2/4 * u")
-    assert e == Const(Fraction(1, 2)) * Var("u")
+    assert e == rational(Fraction(1, 2)) * variable("u")
 
 
 def test_parse_square_cancels():
@@ -116,14 +117,14 @@ def test_parse_square_cancels():
     tree = ("add", ("pow", ux, 2), ("mul", ("const", -1), ux, ux))
     # the oracle comes first: the tree as written vanishes numerically
     assert numeric_zero_oracle(tree, ["u_x"])
-    assert parse("u_x^2 - (u_x)*(u_x)") == Const(0)
-    assert build(tree) == Const(0)
+    assert parse("u_x^2 - (u_x)*(u_x)") == rational(0)
+    assert build(tree) == rational(0)
 
 
 def test_parse_rational_literal_rule():
     # no spaces: one rational token; spaced: division (same value here)
-    assert parse("1/2") == Const(Fraction(1, 2))
-    assert parse("1 / 2") == Const(Fraction(1, 2))
+    assert parse("1/2") == rational(Fraction(1, 2))
+    assert parse("1 / 2") == rational(Fraction(1, 2))
     # the literal binds before '^' can see it
     with pytest.raises(NonIntegerExponentError):
         parse("x^2/3")
@@ -205,7 +206,7 @@ def test_denominator_is_monic_and_unique():
 
 
 def test_exp_products_merge():
-    assert parse("exp(u)*exp(-u)") == Const(1)
+    assert parse("exp(u)*exp(-u)") == rational(1)
     assert parse("exp(u)^2") == parse("exp(2*u)")
     assert parse("1/exp(u)") == parse("exp(-u)")
     assert parse("exp(x)*exp(x)*u") == parse("u*exp(2*x)")
@@ -214,14 +215,30 @@ def test_exp_products_merge():
 
 def test_no_trig_identities_applied():
     e = parse("sin(u)^2 + cos(u)^2")
-    assert e != Const(1)
+    assert e != rational(1)
 
 
 def test_constant_folds():
-    assert parse("exp(0)") == Const(1)
-    assert parse("log(1)") == Const(0)
-    assert parse("sin(0)") == Const(0)
-    assert parse("cos(0)") == Const(1)
+    assert parse("exp(0)") == rational(1)
+    assert parse("log(1)") == rational(0)
+    assert parse("sin(0)") == rational(0)
+    assert parse("cos(0)") == rational(1)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("3/2", Fraction(3, 2)),
+    ("x - x", 0),
+    ("exp(0)", 1),
+    ("exp(1)", None),
+    ("x", None),
+    ("1/(1+x)", None),
+])
+def test_constant_value(text, expected):
+    value = constant_value(parse(text))
+    if expected is None:
+        assert value is None
+    else:
+        assert isinstance(value, Fraction) and value == expected
 
 
 def test_division_by_zero_expression():
@@ -241,7 +258,7 @@ def test_pdiff_exp():
 
 def test_pdiff_jet_variables_are_independent_symbols():
     assert pdiff(parse("x*u_x"), "u_x") == parse("x")
-    assert pdiff(parse("x*u_x"), "u") == Const(0)
+    assert pdiff(parse("x*u_x"), "u") == rational(0)
 
 
 def test_pdiff_chain_and_quotient():
@@ -255,7 +272,7 @@ def test_pdiff_chain_and_quotient():
 
 def test_substitute_solves_equation_residual():
     f = parse("x*u + 1")
-    assert substitute(parse("u_xx") - f, {"u_xx": f}) == Const(0)
+    assert substitute(parse("u_xx") - f, {"u_xx": f}) == rational(0)
 
 
 def test_substitute_empty_map_is_identity():
@@ -321,7 +338,7 @@ def _int_polys(draw, max_degree=12):
                   st.integers(0, max_degree)),
         min_size=1, max_size=6,
     ))
-    return expr_sum(c * Var("x") ** a * Var("u") ** b for c, a, b in terms)
+    return expr_sum(c * variable("x") ** a * variable("u") ** b for c, a, b in terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,9 +363,9 @@ def _nonzero_kernel_exprs(draw):
     canonical form that is not syntactically zero is a nonzero function."""
     terms = []
     for _ in range(draw(st.integers(1, 5))):
-        factors = [Const(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))),
-                   Var("x") ** draw(st.integers(0, 6)),
-                   Var("u") ** draw(st.integers(0, 6))]
+        factors = [rational(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))),
+                   variable("x") ** draw(st.integers(0, 6)),
+                   variable("u") ** draw(st.integers(0, 6))]
         for k in _INDEPENDENT_KERNELS:
             factors.append(parse(k) ** draw(st.integers(0, 2)))
         terms.append(expr_prod(factors))

@@ -11,7 +11,7 @@ from jetsym.errors import (
     NoPotentialError,
     PotentialNotClosedError,
 )
-from jetsym.expr import Const, Verdict, exp, normalize
+from jetsym.expr import Verdict, exp, normalize, rational
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -23,9 +23,7 @@ from jetsym.gauge import (
 from jetsym.jets import (
     JetSpec,
     MuForm,
-    MultiIndex,
     basis_key_dx,
-    du,
     dx,
     exterior_derivative,
     total_derivative,
@@ -62,10 +60,10 @@ def test_constant_matrix_counterexample():
     res = maurer_cartan_check(mu)
     assert res.verdict is Verdict.FALSE
     R = res.residuals[(0, 1)]
-    assert R[0][0] == Const(1)
-    assert R[0][1] == Const(0)
-    assert R[1][0] == Const(0)
-    assert R[1][1] == Const(-1)
+    assert R[0][0] == rational(1)
+    assert R[0][1] == rational(0)
+    assert R[1][0] == rational(0)
+    assert R[1][1] == rational(-1)
 
 
 def test_equal_constant_matrices_pass():
@@ -108,13 +106,13 @@ def test_potential_of_du():
     phi = scalar_potential(mu)
     for i in range(2):
         assert total_derivative(phi, i, PDE1) == mu.lambdas[i]
-    assert normalize(phi - parse("u")) == Const(0)
+    assert normalize(phi - parse("u")) == rational(0)
 
 
 def test_potential_of_zero_and_dx():
-    assert scalar_potential(MuForm.zero(ODE1)) == Const(0)
-    phi = scalar_potential(MuForm.scalar(ODE1, [Const(1)]))
-    assert total_derivative(phi, 0, ODE1) == Const(1)
+    assert scalar_potential(MuForm.zero(ODE1)) == rational(0)
+    phi = scalar_potential(MuForm.scalar(ODE1, [rational(1)]))
+    assert total_derivative(phi, 0, ODE1) == rational(1)
 
 
 def test_potential_errors():
@@ -134,7 +132,7 @@ def test_potential_recovers_random_construction():
             mu, phi = rand_closed_scalar_mu(rng, spec)
             found = scalar_potential(mu)
             for i in range(spec.p):
-                assert total_derivative(normalize(found - phi), i, spec) == Const(0)
+                assert total_derivative(normalize(found - phi), i, spec) == rational(0)
 
 
 # --- gauge functions and Darboux derivatives -------------------------------------
@@ -161,9 +159,9 @@ def test_gauge_unipotent_example():
     gamma = GaugeFunction(JetSpec(("x",), ("u", "v"), 1), mat(SYS2, [["1", "u"], ["0", "1"]]))
     mu = darboux_derivative(gamma)
     assert mu.entry(0, 0, 1) == parse("u_x")
-    assert mu.entry(0, 0, 0) == Const(0)
-    assert mu.entry(0, 1, 0) == Const(0)
-    assert mu.entry(0, 1, 1) == Const(0)
+    assert mu.entry(0, 0, 0) == rational(0)
+    assert mu.entry(0, 1, 0) == rational(0)
+    assert mu.entry(0, 1, 1) == rational(0)
 
 
 def test_gauge_validation():
@@ -205,19 +203,19 @@ def test_darboux_then_potential_consistency():
         mu = darboux_derivative(gamma)
         recovered = scalar_potential(mu)
         for i in range(spec.p):
-            assert total_derivative(normalize(phi - recovered), i, spec) == Const(0)
+            assert total_derivative(normalize(phi - recovered), i, spec) == rational(0)
 
 
 # --- flatness as a two-form identity ----------------------------------------------
 
 def _horizontalize(tau, spec):
     """Project a two-form to its horizontal part by du^a_J -> u^a_{J,i} dx^i."""
-    from jetsym.jets import MultiIndex as MI, TwoForm, basis_key_du
+    from jetsym.jets import MultiIndex as MI, TwoForm
 
     def expand(key):
         # returns [(dx-key, coefficient-expr)]
         if key[0] == "x":
-            return [(key, Const(1))]
+            return [(key, rational(1))]
         a, counts = key[1], key[2]
         return [
             (basis_key_dx(i), spec.jet_var(a, MI(counts).inc(i)))
@@ -233,7 +231,7 @@ def _horizontalize(tau, spec):
                 if e1[1] < e2[1]:
                     acc.setdefault((e1, e2), []).append(normalize(c * f1 * f2))
                 else:
-                    acc.setdefault((e2, e1), []).append(normalize(Const(-1) * c * f1 * f2))
+                    acc.setdefault((e2, e1), []).append(normalize(rational(-1) * c * f1 * f2))
     from jetsym.expr import expr_sum
     return TwoForm(spec, {k: expr_sum(v) for k, v in acc.items()})
 
@@ -287,7 +285,7 @@ def pvf(spec, xi, phi, generalized=False):
 
 def test_gauge_equivalence_trivial_potential():
     X = pvf(ODE2, "x", "u")
-    res = verify_gauge_equivalence_scalar(X, Const(0), 2)
+    res = verify_gauge_equivalence_scalar(X, rational(0), 2)
     assert res.verdict is Verdict.TRUE
     assert not res.flagged_probable
 

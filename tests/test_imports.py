@@ -1,15 +1,17 @@
-"""Import and naming rules, checked on each module's syntax tree.
+"""Import and naming rules, checked on the syntax tree of each module of
+the package and each file of the tests.
 
-Every name a module of the package imports is used in that module.
-There is no linter in the toolchain, so this walk is what keeps dead
-imports out.  A name counts as used when it is read anywhere in the
-module, attribute bases included, or listed in ``__all__``.  ``__init__``
-and ``backend`` exist to re-export names and are exempt; ``from
-__future__`` imports are directives, not names.
+Every name a module imports is used in that module.  There is no linter
+in the toolchain, so this walk is what keeps dead imports out.  A name
+counts as used when it is read anywhere in the module, attribute bases
+included, or listed in ``__all__``.  ``__init__`` and ``backend`` exist
+to re-export names and are exempt; ``from __future__`` imports are
+directives, not names.
 
-No module but ``expr`` names the node classes ``Add``, ``Mul``, ``Pow``
-or ``Func``: every other module builds values with the operators and the
-kernel constructors, so only ``expr`` decides which node a value is.
+No module, ``expr`` included, and no test names ``Const``, ``Var``,
+``Pow``, ``Mul``, ``Add`` or ``Func``: ``Expr`` is the one value class,
+and values are built with ``rational``, ``variable``, the operators and
+the kernel constructors, so no class per shape of value comes back.
 """
 
 import ast
@@ -17,9 +19,18 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jetsym"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "jetsym"
 REEXPORTS = {"__init__.py", "backend.py"}
-NODE_CLASSES = {"Add", "Mul", "Pow", "Func"}
+NODE_CLASSES = {"Const", "Var", "Pow", "Mul", "Add", "Func"}
+
+
+def sources(exempt=()):
+    """Each package module, with its file name as id, and each test file,
+    with id ``tests/NAME``."""
+    return [pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name not in exempt] + [
+        pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))]
 
 
 def unused_imports(source):
@@ -47,22 +58,20 @@ def test_the_walk_sees_an_unused_import():
     assert unused_imports("from . import x\n__all__ = ['x']\n") == []
 
 
-@pytest.mark.parametrize(
-    "module",
-    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in REEXPORTS),
-)
+@pytest.mark.parametrize("module", sources(exempt=REEXPORTS))
 def test_module_uses_every_import(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    assert unused_imports(source) == []
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
 def node_class_mentions(source):
-    """``(line, name)`` of every import, name or attribute that names a
-    node class."""
+    """``(line, name)`` of every import, class, name or attribute that
+    names one of ``NODE_CLASSES``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.alias):
             name = node.name.split(".")[-1]
+        elif isinstance(node, ast.ClassDef):
+            name = node.name
         elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -78,12 +87,11 @@ def test_the_walk_sees_a_node_class():
     assert node_class_mentions("from .expr import Mul as M\nM(())\n") == [(1, "Mul")]
     assert node_class_mentions("from . import expr\nexpr.Add(())\n") == [(2, "Add")]
     assert node_class_mentions("Pow = 1\n") == [(1, "Pow")]
+    assert node_class_mentions("class Const(Expr):\n    pass\n") == [(1, "Const")]
+    assert node_class_mentions("from .expr import Var\n") == [(1, "Var")]
     assert node_class_mentions("x = a * b ** 2\nexp(x)\n") == []
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "expr.py")
-)
+@pytest.mark.parametrize("module", sources())
 def test_only_expr_names_node_classes(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    assert node_class_mentions(source) == []
+    assert node_class_mentions(module.read_text(encoding="utf-8")) == []

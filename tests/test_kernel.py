@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetsym import _kernel_py
-from jetsym.expr import Var
+from jetsym.expr import variable
 
-ATOMS = [Var(n).sort_key() for n in ("x", "t", "u", "u_x")]
+ATOMS = [variable(n).sort_key() for n in ("x", "t", "u", "u_x")]
 
 
 def rat(n, d):

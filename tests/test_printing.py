@@ -15,7 +15,7 @@ import random
 import re
 
 from jetsym.errors import SymbolicDivisionError
-from jetsym.expr import Var, free_variables, normalize, pdiff, substitute, to_string
+from jetsym.expr import free_variables, normalize, pdiff, substitute, to_string, variable
 from jetsym.parsing import parse
 
 SEED = 20261018
@@ -109,7 +109,7 @@ def test_free_variables_of_raw_trees_keep_tree_semantics():
     # no value keeps an unreduced tree any more: x - x built from nodes is
     # already the canonical zero, so it names nothing, before and after
     # normalize, while names inside kernels are still found
-    x = Var("x")
+    x = variable("x")
     assert free_variables(x - x) == set()
     assert free_variables(normalize(x - x)) == set()
     assert free_variables(parse("sin(u_x)*exp(x)/(1 + log(u))")) == {"u_x", "x", "u"}

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_unipotent_gauge
 from jetsym import prolong
-from jetsym.errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
-from jetsym.expr import Const, Verdict, ZERO, normalize
+from jetsym.errors import InconsistentMuError, MuNotClosedError, ProlongationError
+from jetsym.expr import Verdict, ZERO, normalize, rational
 from jetsym.gauge import GaugeFunction, darboux_derivative
 from jetsym.jets import (
     JetSpec,
@@ -58,14 +58,14 @@ def test_standard_scaling_field():
     X = pvf(ODE2, ["x"], ["u"])
     Y = prolong_standard(X, 2)
     assert Y.psi_at(0, J((0,))) == parse("u")
-    assert Y.psi_at(0, J((1,))) == Const(0)
+    assert Y.psi_at(0, J((1,))) == rational(0)
     assert Y.psi_at(0, J((2,))) == parse("-u_xx")
 
 
 def test_standard_translation_is_trivial():
     X = pvf(ODE2, ["1"], ["0"])
     Y = prolong_standard(X, 2)
-    assert all(Y.psi_at(0, Ji) == Const(0) for Ji in ODE2.multi_indices(2))
+    assert all(Y.psi_at(0, Ji) == rational(0) for Ji in ODE2.multi_indices(2))
 
 
 @pytest.mark.parametrize("phi_text", ["x^2*u + u^3", "x*u", "u^2 - x"])
@@ -115,13 +115,13 @@ def test_lambda_zero_degenerates_to_standard():
     rng = random.Random(3)
     for _ in range(5):
         X = rand_point_field(rng, ODE2)
-        assert prolong_lambda(X, Const(0), 2) == prolong_standard(X, 2)
+        assert prolong_lambda(X, rational(0), 2) == prolong_standard(X, 2)
 
 
 def test_lambda_vertical_example():
     X = pvf(ODE2, ["0"], ["1"])
     Y = prolong_lambda(X, parse("u"), 2)
-    assert Y.psi_at(0, J((0,))) == Const(1)
+    assert Y.psi_at(0, J((0,))) == rational(1)
     assert Y.psi_at(0, J((1,))) == parse("u")
     assert Y.psi_at(0, J((2,))) == parse("u_x + u^2")
 
@@ -169,10 +169,10 @@ def test_mu_constant_dx_example():
     mu = MuForm.scalar(PDE2, [parse("c"), parse("0")])
     Y = prolong_mu_vector(X, mu, 2, path_check=True)
     assert Y.psi_at(0, J((1, 0))) == parse("c")
-    assert Y.psi_at(0, J((0, 1))) == Const(0)
+    assert Y.psi_at(0, J((0, 1))) == rational(0)
     assert Y.psi_at(0, J((2, 0))) == parse("c^2")
-    assert Y.psi_at(0, J((1, 1))) == Const(0)
-    assert Y.psi_at(0, J((0, 2))) == Const(0)
+    assert Y.psi_at(0, J((1, 1))) == rational(0)
+    assert Y.psi_at(0, J((0, 2))) == rational(0)
 
 
 def test_mu_single_direction_equals_lambda():
@@ -256,8 +256,8 @@ def _random_flat_forms(rng):
         g = normalize(rand_poly(rng, names, 1, max_terms=2) + parse("x*v"))
         gamma = GaugeFunction(
             system,
-            ((Const(1), f), (g, normalize(1 + f * g))),
-            inverse=((normalize(1 + f * g), normalize(-f)), (normalize(-g), Const(1))),
+            ((rational(1), f), (g, normalize(1 + f * g))),
+            inverse=((normalize(1 + f * g), normalize(-f)), (normalize(-g), rational(1))),
         )
         mu = darboux_derivative(gamma)
         Lx, Lt = mu.matrices
@@ -324,7 +324,7 @@ def test_vector_constant_diagonal_example():
     X = pvf(SYS1, ["0"], ["1", "0"])
     Y = prolong_mu_vector(X, mu, 1)
     assert Y.psi_at(0, J((1,))) == parse("c")
-    assert Y.psi_at(1, J((1,))) == Const(0)
+    assert Y.psi_at(1, J((1,))) == rational(0)
 
 
 def test_vector_incompatible_matrices_raise():
@@ -337,9 +337,9 @@ def test_vector_incompatible_matrices_raise():
     with pytest.raises(MuNotClosedError):
         prolong_mu_vector(X, mu, 1)
     res = mu_compatibility_residuals(mu)[(0, 1)]
-    assert res[0][0] == Const(1)
-    assert res[1][1] == Const(-1)
-    assert res[0][1] == Const(0)
+    assert res[0][0] == rational(1)
+    assert res[1][1] == rational(-1)
+    assert res[0][1] == rational(0)
 
 
 def test_vector_path_check_reports_first_disagreement():
@@ -418,7 +418,7 @@ def test_vector_mu_prolongation_satisfies_matrix_contact_condition():
         (parse("0"), parse("0")),
     )])
     assert not any(
-        e != Const(0) for R in mu_compatibility_residuals(mu).values() for row in R for e in row
+        e != rational(0) for R in mu_compatibility_residuals(mu).values() for row in R for e in row
     )
     X = pvf(spec, ["0"], ["u", "v"])
     Y = prolong_mu_vector(X, mu, 2)
@@ -447,7 +447,7 @@ def test_difference_terms_vanish_for_zero_mu():
     rng = random.Random(11)
     X = rand_point_field(rng, PDE2)
     d = difference_terms(X, MuForm.zero(PDE2), 2)
-    assert all(v == Const(0) for v in d.terms.values())
+    assert all(v == rational(0) for v in d.terms.values())
     assert d.recursion_verdict is Verdict.TRUE
 
 

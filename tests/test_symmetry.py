@@ -6,7 +6,7 @@ import pytest
 
 from helpers import rand_point_field, rand_poly
 from jetsym.errors import EquationError, RestrictionError
-from jetsym.expr import Const, Verdict, normalize, pdiff
+from jetsym.expr import Verdict, normalize, rational
 from jetsym.jets import (
     JetSpec,
     MultiIndex,
@@ -48,7 +48,7 @@ def pvf(spec, xi, phi, generalized=False):
 # --- characteristic and invariant set ----------------------------------------
 
 def test_characteristic_examples():
-    assert characteristic(pvf(ODE1, ["0"], ["1"]))[0] == Const(1)
+    assert characteristic(pvf(ODE1, ["0"], ["1"]))[0] == rational(1)
     assert characteristic(pvf(ODE1, ["x"], ["u"]))[0] == parse("u - x*u_x")
     assert characteristic(pvf(ODE1, ["1"], ["0"]))[0] == parse("-u_x")
 
@@ -57,7 +57,7 @@ def test_invariant_set_relations_examples():
     rels = invariant_set_relations(pvf(ODE2, ["x"], ["u"]), 2)
     assert rels == [parse("u - x*u_x"), parse("-x*u_xx")]
     rels2 = invariant_set_relations(pvf(ODE2, ["0"], ["1"]), 2)
-    assert rels2 == [Const(1), Const(0)]
+    assert rels2 == [rational(1), rational(0)]
     rels3 = invariant_set_relations(pvf(ODE1, ["1"], ["0"]), 1)
     assert rels3 == [parse("-u_x")]
 
@@ -79,7 +79,7 @@ def test_equation_validation():
 def test_restrict_kills_the_equation():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "x*u + u_x"})
     e = parse("u_xx - (x*u + u_x)")
-    assert restrict_to_solution_manifold(e, eq) == Const(0)
+    assert restrict_to_solution_manifold(e, eq) == rational(0)
 
 
 def test_restrict_uses_derivative_consequences():
@@ -138,7 +138,7 @@ def test_lambda_zero_matches_standard_verdicts():
     for _ in range(5):
         X = rand_point_field(rng, ODE2)
         a = check_symmetry(X, eq, "standard").verdict
-        b = check_symmetry(X, eq, "lambda", lam=Const(0)).verdict
+        b = check_symmetry(X, eq, "lambda", lam=rational(0)).verdict
         assert a == b
 
 
@@ -184,11 +184,11 @@ def test_commutator_pairs_to_zero_for_standard_prolongations():
     Y = prolong_standard(pvf(ODE1, ["1"], ["0"]), 1)
     C = commutator_with_total_derivative(Y, 0)
     theta = contact_form(0, J((0,)), ODE1)
-    assert interior_product(C, theta) == Const(0)
+    assert interior_product(C, theta) == rational(0)
 
     Y2 = prolong_standard(pvf(ODE1, ["x"], ["u"]), 1)
     C2 = commutator_with_total_derivative(Y2, 0)
-    assert interior_product(C2, theta) == Const(0)
+    assert interior_product(C2, theta) == rational(0)
 
 
 def test_commutator_recovers_lambda():
@@ -210,7 +210,7 @@ def test_characterization_check_accepts_prolongations():
 
 def _perturb(Y, a, Ji):
     psi = dict(Y.psi)
-    psi[(a, Ji)] = normalize(Y.psi_at(a, Ji) + Const(1))
+    psi[(a, Ji)] = normalize(Y.psi_at(a, Ji) + rational(1))
     from jetsym.jets import JetVectorField
     return JetVectorField(Y.spec, Y.xi, psi, order=Y.order)
 
