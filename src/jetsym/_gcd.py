@@ -1,14 +1,38 @@
 """Multivariate polynomial gcd and exact division over the kernel's dicts.
 
 Polynomials are the kernel's dict-of-monomials with rational-pair coefficients
-and opaque, totally ordered atoms.  The gcd uses the classical recursion:
-view both polynomials as univariate in a chosen main atom with polynomial
-coefficients, split off contents, and run a primitive pseudo-remainder
-sequence.  Each remainder is divided by its content and scaled to
-leading numeric coefficient 1: a constant content is not split off, so
-without the scaling rational coefficients grow exponentially along the
-sequence.  Sizes in this package are desk scale, so the primitive PRS is
-plenty.
+and opaque, totally ordered atoms; canonical monomials carry positive
+exponents, so they live in the polynomial ring Q[atoms], a unique
+factorization domain whose units are the nonzero rationals.  ``poly_gcd``
+reduces the problem in four steps before any remainder sequence runs:
+
+1. One-term input.  A divisor of a monomial is a monomial (the atoms are
+   primes of the ring), so the gcd takes each atom of the one-term input
+   to its least exponent over both inputs.
+2. No shared atom.  A divisor of ``p`` has degree in an atom at most
+   ``p``'s, so the gcd involves only atoms that both inputs hold; with none
+   shared it is 1.
+3. Split on the shared atoms ``S``.  Q[all atoms] is a free Q[S]-module on
+   the monomials in the other atoms, and a divisor that involves only
+   atoms in ``S`` divides ``p`` exactly when it divides each coefficient of
+   ``p`` in that basis.  So the gcd is the gcd of all those coefficients of
+   both inputs, taken smallest first, and it is 1 as soon as a partial gcd
+   is a constant.
+4. The general case, both inputs over the same atoms: the classical
+   recursion views them as univariate in the largest atom with polynomial
+   coefficients, splits off contents (gcds one atom down, which take the
+   same steps), and runs a primitive pseudo-remainder sequence.  Each
+   remainder is divided by its content and then made primitive over Z:
+   divided by the gcd of its coefficients' numerators and multiplied by
+   the lcm of their denominators.  The remainders then stay integral
+   and primitive, so their arithmetic stays on the kernel's integer
+   path.
+
+The result is scaled to leading coefficient 1 (the coefficient of the
+largest monomial).  A gcd is unique up to a unit, so scaled that way it is
+unique; the steps above change how it is found, never what it is, and
+every reduced pair built from it, with every printed report, stays the
+same.
 
 Everything here works in the free commutative ring over the atoms; callers
 that maintain extra monomial invariants (for instance merged exponential
@@ -16,7 +40,10 @@ atoms) keep them because a divisor of a polynomial only ever uses atom
 exponents bounded by the dividend's.
 """
 
+from math import gcd
+
 from .backend import RAT_ONE, poly_mul, poly_scale, poly_sub, rat_inv
+
 
 def poly_one():
     return {(): RAT_ONE}
@@ -133,24 +160,95 @@ def _monic(p):
     return poly_scale(p, rat_inv(lc))
 
 
+def _primitive(u):
+    """Content and primitive part of a univariate view.  The part is the
+    view divided by its content, then scaled to integer coefficients
+    without a common factor: divided by the gcd of the numerators and
+    multiplied by the lcm of the denominators."""
+    cont = _content(u)
+    if not is_const(cont):
+        u = {k: poly_divexact(c, cont) for k, c in u.items()}
+    num = 0
+    den = 1
+    for coeff in u.values():
+        for n, d in coeff.values():
+            num = gcd(num, n)
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if num != 1 or den != 1:
+        # reduced: a prime of num divides every numerator, so no denominator
+        scale = (den, num)
+        u = {k: poly_scale(c, scale) for k, c in u.items()}
+    return cont, u
+
+
+def _monomial_gcd(p, q):
+    """Gcd when ``p`` has one term: each atom of its monomial at its least
+    exponent over both inputs."""
+    (m,) = p
+    least = dict(m)
+    for mq in q:
+        if not least:
+            break
+        exps = dict(mq)
+        for a, e in list(least.items()):
+            eq = exps.get(a)
+            if eq is None:
+                del least[a]
+            elif eq < e:
+                least[a] = eq
+    # the dict keeps the sorted order of ``m``
+    return {tuple(least.items()): RAT_ONE}
+
+
+def _coefficients(p, shared):
+    """The coefficients of ``p`` in Q[shared], one per monomial in the
+    other atoms."""
+    cells = {}
+    for m, c in p.items():
+        inner = []
+        outer = []
+        for a, e in m:
+            if a in shared:
+                inner.append((a, e))
+            else:
+                outer.append((a, e))
+        cells.setdefault(tuple(outer), {})[tuple(inner)] = c
+    return list(cells.values())
+
+
 def poly_gcd(p, q):
     """Gcd over the rationals, scaled so its leading coefficient is 1."""
     if not p:
         return _monic(dict(q))
     if not q:
         return _monic(dict(p))
-    if is_const(p) or is_const(q):
-        return poly_one()
+    if len(p) == 1:
+        return _monomial_gcd(p, q)
+    if len(q) == 1:
+        return _monomial_gcd(q, p)
     if p == q:
         return _monic(dict(p))
-    z = max(atoms_of(p) | atoms_of(q))
+    atoms_p = atoms_of(p)
+    atoms_q = atoms_of(q)
+    shared = atoms_p & atoms_q
+    if not shared:
+        return poly_one()
+    if len(shared) < len(atoms_p) or len(shared) < len(atoms_q):
+        parts = _coefficients(p, shared) + _coefficients(q, shared)
+        parts.sort(key=len)
+        g = parts[0]
+        for c in parts[1:]:
+            g = poly_gcd(g, c)
+            if is_const(g):
+                break
+        return g
+    z = max(shared)
     pu = _as_univariate(p, z)
     qu = _as_univariate(q, z)
-    cont_p = _content(pu)
-    cont_q = _content(qu)
+    cont_p, a = _primitive(pu)
+    cont_q, b = _primitive(qu)
     g_cont = poly_gcd(cont_p, cont_q)
-    a = {k: poly_divexact(c, cont_p) for k, c in pu.items()}
-    b = {k: poly_divexact(c, cont_q) for k, c in qu.items()}
     if max(a) < max(b):
         a, b = b, a
     while True:
@@ -158,12 +256,8 @@ def poly_gcd(p, q):
         if not r:
             break
         if max(r) == 0:
-            return _monic(g_cont)
-        cont_r = _content(r)
-        r = {k: poly_divexact(c, cont_r) for k, c in r.items()}
-        lead = r[max(r)]
-        inv = rat_inv(lead[max(lead)])
-        a, b = b, {k: poly_scale(c, inv) for k, c in r.items()}
+            return g_cont
+        a, b = b, _primitive(r)[1]
     prim = _from_univariate(b, z)
     return _monic(poly_mul(g_cont, prim))
 

@@ -16,7 +16,8 @@ bracketed header and hold ``key = expression`` lines:
   dependent variable;
 * ``[task KIND [ID]]`` naming one operation (check-symmetry, prolong,
   check-compat, potential, darboux, gauge-check, coincide) and its
-  arguments.
+  arguments; a task without an ID is ``task-N`` for the N-th task
+  section, and two tasks may not share an ID.
 
 Comments run from ``#`` to the end of the line.  A key may appear once
 per section.  Missing mu/gauge entries are zero.
@@ -291,6 +292,7 @@ def load_problem(text: str) -> ProblemFile:
 
     problem = ProblemFile(spec, {}, {}, {}, {})
     counter = 0
+    task_ids = set()
     for header, line_no, entries in sections:
         kind = header[0]
         if kind == "jet":
@@ -326,11 +328,16 @@ def load_problem(text: str) -> ProblemFile:
                 raise ProblemFileError("[task] takes a kind and at most one id", line_no)
             counter += 1
             task_id = header[2] if len(header) > 2 else f"task-{counter}"
+            if task_id in task_ids:
+                raise ProblemFileError(f"duplicate task id {task_id!r}", line_no)
+            task_ids.add(task_id)
             args = {}
             for key, value, ln in entries:
                 if key == "id":
-                    task_id = value
-                    continue
+                    raise ProblemFileError(
+                        "a task is named in its header, [task KIND ID], "
+                        "not by an 'id' line", ln
+                    )
                 args[key] = (value, ln)
             problem.tasks.append(TaskDecl(header[1], task_id, args, line_no))
             continue

@@ -571,3 +571,39 @@ def test_extra_header_word_exits_two(tmp_path, capsys, header, extended, message
     err = capsys.readouterr().err
     line = text.splitlines().index(extended) + 1
     assert f"line {line}: " in err and message in err
+
+
+def test_id_line_in_a_task_exits_two(tmp_path, capsys):
+    # the header names a task; an id line used to rename it silently
+    text = REPEATS.replace("order = 1", "order = 1\nid = q")
+    problem = tmp_path / "id.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index("id = q") + 1
+    assert f"line {line}: " in err and "named in its header" in err
+
+
+@pytest.mark.parametrize("first, second", [
+    ("[task prolong p]", "[task prolong p]"),
+    ("[task prolong]", "[task prolong task-1]"),
+    ("[task prolong task-2]", "[task prolong]"),
+], ids=["given", "given-after-generated", "generated-after-given"])
+def test_repeated_task_id_exits_two(tmp_path, capsys, first, second):
+    task = "\nfield = S\norder = 1\n"
+    text = REPEATS[:REPEATS.index("[task")] + first + task + second + task
+    problem = tmp_path / "ids.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(second, text.splitlines().index(first) + 1) + 1
+    assert f"line {line}: duplicate task id" in err
+
+
+def test_distinct_given_and_generated_ids_load():
+    task = "\nfield = S\norder = 1\n"
+    text = REPEATS[:REPEATS.index("[task")] + "".join(
+        header + task for header in ("[task prolong]", "[task prolong p]", "[task prolong]")
+    )
+    ids = [t.task_id for t in load_problem(text).tasks]
+    assert ids == ["task-1", "p", "task-3"]

@@ -6,8 +6,10 @@ against sympy on seeded random rational functions with negative powers,
 ``log`` and nested ``exp``/``sin``/``cos``.  sympy reads a result from
 its printed text (pinned by ``test_printing``), and the result agrees
 when sympy simplifies the difference to zero after rewriting every
-kernel through exponentials.  One standard prolongation with sum denominators is
-checked the same way, in a child process with a time limit.
+kernel through exponentials.  Standard prolongations whose gcds once ran
+for minutes (sum denominators, high negative powers, random rational
+fields) run in a child process with a time limit and are checked against
+sympy, symbolically or at exact random rational points.
 """
 
 import os
@@ -21,7 +23,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
-from jetsym.expr import pdiff, to_string  # noqa: E402
+from jetsym.expr import ZERO, pdiff, to_string  # noqa: E402
 from jetsym.jets import (  # noqa: E402
     JetSpec,
     JetVectorField,
@@ -32,6 +34,8 @@ from jetsym.jets import (  # noqa: E402
     total_derivative,
 )
 from jetsym.parsing import parse  # noqa: E402
+
+from helpers import rand_poly  # noqa: E402
 
 SEED = 20240611
 CASES = 20
@@ -148,6 +152,36 @@ def test_scalar_differential_matches_sympy():
             assert agrees(got, sp.diff(expr, SYMBOLS[name])), (str(e), name, str(got))
 
 
+def run_child(script, timeout, returncode=0):
+    """stdout lines of ``script`` run by a fresh interpreter on this
+    checkout's ``src``; fails when it runs past ``timeout`` seconds or
+    exits with another code than ``returncode``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def read_lines(lines):
+    return [sp.sympify(line.replace("^", "**"), locals=SYMBOLS) for line in lines]
+
+
+def standard_psi(xi, phi):
+    """Psi_x and Psi_xx of the standard lift of ``xi d/dx + phi d/du``."""
+    x, u, ux, uxx = (SYMBOLS[n] for n in ("x", "u", "u_x", "u_xx"))
+
+    def D(f):
+        return sp.diff(f, x) + ux * sp.diff(f, u) + uxx * sp.diff(f, ux)
+
+    psi_x = D(phi) - ux * D(xi)
+    return psi_x, D(psi_x) - uxx * D(xi)
+
+
 LIFT = """
 from jetsym.expr import to_string
 from jetsym.jets import JetSpec, MultiIndex
@@ -155,33 +189,100 @@ from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, prolong_standard
 
 spec = JetSpec(("x",), ("u",), 2)
-X = PointVectorField(spec, (parse("1/(1 + x)"),), (parse("u/x^2"),))
-Y = prolong_standard(X, 2)
-for k in (1, 2):
-    print(to_string(Y.psi_at(0, MultiIndex((k,)))))
+for xi, phi in FIELDS:
+    X = PointVectorField(spec, (parse(xi),), (parse(phi),))
+    Y = prolong_standard(X, 2)
+    for k in (1, 2):
+        print(to_string(Y.psi_at(0, MultiIndex((k,)))))
 """
+
+
+def lift_in_child(fields, timeout):
+    """Psi_x and Psi_xx lines of each order-2 lift of ``(xi, phi)`` texts
+    on (x; u), computed in a child process."""
+    lines = run_child(f"FIELDS = {list(fields)!r}\n" + LIFT, timeout)
+    assert len(lines) == 2 * len(fields)
+    got = read_lines(lines)
+    return [got[i:i + 2] for i in range(0, len(got), 2)]
 
 
 def test_rational_standard_lift_matches_sympy_in_time():
     # the gcd's remainder sequence once let rational coefficients grow
     # without bound here, and this lift did not finish in 30 s
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", LIFT], env=env, capture_output=True, text=True, timeout=20
-    )
-    assert proc.returncode == 0, proc.stderr
-    got = [sp.sympify(line.replace("^", "**"), locals=SYMBOLS)
-           for line in proc.stdout.splitlines()]
-    x, u, ux, uxx = (SYMBOLS[n] for n in ("x", "u", "u_x", "u_xx"))
+    ((got_x, got_xx),) = lift_in_child([("1/(1 + x)", "u/x^2")], timeout=20)
+    x, u = SYMBOLS["x"], SYMBOLS["u"]
+    psi_x, psi_xx = standard_psi(1 / (1 + x), u / x**2)
+    assert sp.simplify(got_x - psi_x) == 0
+    assert sp.simplify(got_xx - psi_xx) == 0
 
-    def D(f):
-        return sp.diff(f, x) + ux * sp.diff(f, u) + uxx * sp.diff(f, ux)
 
-    xi, phi = 1 / (1 + x), u / x**2
-    psi_x = D(phi) - ux * D(xi)
-    psi_xx = D(psi_x) - uxx * D(xi)
-    assert len(got) == 2
-    assert sp.simplify(got[0] - psi_x) == 0
-    assert sp.simplify(got[1] - psi_xx) == 0
+# Lifts whose gcds once ran for minutes: a gcd over every atom of its
+# inputs, where only the shared atoms can take part, went through deep
+# content recursions.  Each must now finish within 5 s.
+
+
+def test_sum_denominator_in_two_variables_lifts_in_time():
+    # over a minute before the gcd split off the atoms its inputs do not share
+    ((got_x, got_xx),) = lift_in_child([("(2 - 2*x)/(3*u - 4 - x^2)", "0")], timeout=5)
+    x, u = SYMBOLS["x"], SYMBOLS["u"]
+    psi_x, psi_xx = standard_psi((2 - 2 * x) / (3 * u - 4 - x**2), sp.Integer(0))
+    assert sp.cancel(got_x - psi_x) == 0
+    assert sp.cancel(got_xx - psi_xx) == 0
+
+
+def _rand_ratio_text(rng):
+    """The printed text of a random ratio of polynomials in x and u."""
+    while True:
+        den = rand_poly(rng, ("x", "u"), allow_zero=False)
+        if den != ZERO:
+            return to_string(rand_poly(rng, ("x", "u"), allow_zero=False) / den)
+
+
+def test_random_rational_lifts_finish_in_time():
+    # such lifts ran past 10 s each before the gcd split
+    rng = random.Random(f"{SEED}:lift-sweep")
+    fields = [(_rand_ratio_text(rng), _rand_ratio_text(rng)) for _ in range(10)]
+    results = lift_in_child(fields, timeout=5)
+    # sympy's cancel can take a minute on ten such lifts, so they are
+    # compared exactly at random rational points instead
+    points = [{s: sp.Rational(rng.randint(-50, 50), rng.randint(1, 50))
+               for s in SYMBOLS.values()} for _ in range(3)]
+    for (xi, phi), got in zip(fields, results):
+        xi_s, phi_s = (sp.sympify(t.replace("^", "**"), locals=SYMBOLS) for t in (xi, phi))
+        for g, want in zip(got, standard_psi(xi_s, phi_s)):
+            values = [(g.xreplace(pt), want.xreplace(pt)) for pt in points]
+            defined = [(a, b) for a, b in values if b.is_finite]
+            assert defined and all(a == b for a, b in defined), (xi, phi)
+
+
+def test_high_negative_power_field_lifts_in_time():
+    # 39 s for this field before the gcd split off the unshared atoms
+    script = """
+from jetsym.jets import JetSpec
+from jetsym.parsing import parse
+from jetsym.prolong import PointVectorField, prolong_standard
+
+spec = JetSpec(("x", "t"), ("u",), 2)
+X = PointVectorField(spec, (parse("1/(1 + t)"), parse("x^(-40)")),
+                     (parse("u/x^2 - 3/2*u"),))
+print(len(prolong_standard(X, 2).psi))
+"""
+    # phi, and Psi on u_x, u_t and the three second derivatives
+    assert run_child(script, timeout=5) == ["6"]
+
+
+def test_golden_rational_problem_with_a_high_power_runs_in_time(tmp_path):
+    # the rational golden problem with xi t = x/x^992 ran for over 120 s
+    golden = Path(__file__).resolve().parent / "golden" / "rational.jsf"
+    text = golden.read_text().replace("xi t = x/2", "xi t = x/x^992")
+    assert "x^992" in text
+    problem = tmp_path / "power.jsf"
+    problem.write_text(text)
+    script = f"""
+import sys
+from jetsym.cli import main
+sys.exit(main(["run-file", {str(problem)!r}]))
+"""
+    # the tasks that must fail still fail, as in the golden report
+    lines = run_child(script, timeout=5, returncode=1)
+    assert lines[-1] == "7 task(s), 1 failure(s)"
