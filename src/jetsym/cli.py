@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import JetsymError, ProblemFileError
 from .expr import DEFAULT_SEED, Verdict, to_string
@@ -41,21 +40,25 @@ VACUOUS = "vacuous-pass"
 UNVERIFIABLE = "unverifiable"
 
 
-@dataclass
 class TaskRecord:
-    task_id: str
-    operation: str
-    verdict: str
-    residuals: list
-    detail: list
-    duration: float = 0.0
+    __slots__ = ("task_id", "operation", "verdict", "residuals", "detail", "duration")
+
+    def __init__(self, task_id, operation, verdict, residuals, detail, duration=0.0):
+        self.task_id = task_id
+        self.operation = operation
+        self.verdict = verdict
+        self.residuals = residuals
+        self.detail = detail
+        self.duration = duration
 
 
-@dataclass
 class Report:
-    seed: int
-    strict: bool
-    records: list = field(default_factory=list)
+    __slots__ = ("seed", "strict", "records")
+
+    def __init__(self, seed, strict):
+        self.seed = seed
+        self.strict = strict
+        self.records = []
 
     def counts_as_failure(self, record: TaskRecord) -> bool:
         if record.verdict == FAIL:
@@ -334,7 +337,7 @@ def _load(path) -> ProblemFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return load_problem(handle.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ProblemFileError(f"cannot read {path}: {err}")
 
 
@@ -425,9 +428,13 @@ def main(argv=None) -> int:
         return 2
     print(report.render_text())
     if opts.json:
-        with open(opts.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        try:
+            with open(opts.json, "w", encoding="utf-8") as handle:
+                json.dump(report.to_json_dict(), handle, indent=2)
+                handle.write("\n")
+        except OSError as err:
+            print(f"input error: cannot write {opts.json}: {err}", file=sys.stderr)
+            return 2
     return report.exit_code
 
 

@@ -19,7 +19,6 @@ component by component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -269,14 +268,16 @@ def darboux_derivative(gamma: GaugeFunction) -> MuForm:
     return MuForm(spec, mats)
 
 
-@dataclass
 class GaugeEquivalenceResult:
     """Collinearity residuals e^phi psi_k(deformed) - psi_k(standard of
     the rescaled field), per multiindex."""
 
-    verdict: Verdict
-    residuals: dict
-    flagged_probable: tuple
+    __slots__ = ("verdict", "residuals", "flagged_probable")
+
+    def __init__(self, verdict, residuals, flagged_probable):
+        self.verdict = verdict
+        self.residuals = residuals
+        self.flagged_probable = flagged_probable
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE

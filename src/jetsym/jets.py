@@ -22,7 +22,6 @@ case; its one compatibility check, flatness, is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import JetError
@@ -40,17 +39,53 @@ from .expr import (
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class _Value:
+    """A frozen value whose fields are its ``__slots__``: equality, hash
+    and repr come from the tuple of fields, which ``__init__`` sets once
+    and keeps as ``_key`` (spec and multiindex hashes key the jet caches
+    and tables, so each costs one tuple hash)."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, *fields):
+        _set_field(self, "_key", fields)
+        for name, value in zip(self.__slots__, fields):
+            _set_field(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MultiIndex(_Value):
     """Unordered derivative counts, one slot per independent variable."""
 
-    counts: tuple
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise JetError(f"negative multiindex counts {self.counts}")
+    def __init__(self, counts):
+        if any(c < 0 for c in counts):
+            raise JetError(f"negative multiindex counts {counts}")
+        super().__init__(counts)
 
     @staticmethod
     def zero(p: int) -> "MultiIndex":
@@ -89,17 +124,13 @@ def _graded_key(counts):
     return (sum(counts), tuple(-c for c in counts))
 
 
-@dataclass(frozen=True)
-class JetSpec:
+class JetSpec(_Value):
     """The jet space over p independent and q dependent variables."""
 
-    independent: tuple
-    dependent: tuple
-    order: int
+    __slots__ = ("independent", "dependent", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "independent", tuple(self.independent))
-        object.__setattr__(self, "dependent", tuple(self.dependent))
+    def __init__(self, independent, dependent, order):
+        super().__init__(tuple(independent), tuple(dependent), order)
         if not self.independent or not self.dependent:
             raise JetError("need at least one independent and one dependent variable")
         if self.order < 1:
@@ -213,12 +244,13 @@ def jet_order(e, spec: JetSpec) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class JetCoordinate:
+class JetCoordinate(_Value):
     """A derivative coordinate: dependent index plus multiindex."""
 
-    a: int
-    index: MultiIndex
+    __slots__ = ("a", "index")
+
+    def __init__(self, a, index):
+        super().__init__(a, index)
 
     def name(self, spec: JetSpec) -> str:
         return spec.jet_name(self.a, self.index)
@@ -572,15 +604,17 @@ def lie_derivative(Y: JetVectorField, omega: OneForm, spec: JetSpec) -> OneForm:
 # contact-module membership
 
 
-@dataclass
 class ContactMembership:
     """Outcome of a contact-module membership test.  TRUE means the form
     lies in the span of the contact forms; residuals list whatever must
     vanish for membership (horizontal parts and top-order du parts)."""
 
-    verdict: Verdict
-    horizontal_residuals: dict
-    top_residuals: dict
+    __slots__ = ("verdict", "horizontal_residuals", "top_residuals")
+
+    def __init__(self, verdict, horizontal_residuals, top_residuals):
+        self.verdict = verdict
+        self.horizontal_residuals = horizontal_residuals
+        self.top_residuals = top_residuals
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE

@@ -25,8 +25,6 @@ per section.  Missing mu/gauge entries are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ExprError, JetsymError, ProblemFileError
 from .expr import ZERO
 from .gauge import GaugeFunction
@@ -46,22 +44,26 @@ TASK_KINDS = (
 )
 
 
-@dataclass
 class TaskDecl:
-    kind: str
-    task_id: str
-    args: dict
-    line: int
+    __slots__ = ("kind", "task_id", "args", "line")
+
+    def __init__(self, kind, task_id, args, line):
+        self.kind = kind
+        self.task_id = task_id
+        self.args = args
+        self.line = line
 
 
-@dataclass
 class ProblemFile:
-    spec: JetSpec
-    fields: dict
-    mus: dict
-    gauges: dict
-    equations: dict
-    tasks: list = field(default_factory=list)
+    __slots__ = ("spec", "fields", "mus", "gauges", "equations", "tasks")
+
+    def __init__(self, spec, fields, mus, gauges, equations):
+        self.spec = spec
+        self.fields = fields
+        self.mus = mus
+        self.gauges = gauges
+        self.equations = equations
+        self.tasks = []
 
     def field_named(self, name, line=None) -> PointVectorField:
         if name not in self.fields:

@@ -30,8 +30,6 @@ recursion and reports the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
 from .expr import (
     Verdict,
@@ -40,10 +38,10 @@ from .expr import (
     zero_verdict,
 )
 from .jets import (
-    JetSpec,
     JetVectorField,
     MultiIndex,
     MuForm,
+    _Value,
     jet_order,
     mat_mul,
     mat_sub,
@@ -53,24 +51,17 @@ from .jets import (
 )
 
 
-@dataclass(frozen=True)
-class PointVectorField:
+class PointVectorField(_Value):
     """A vector field on the base space: one coefficient per independent
     variable and one per dependent variable, functions of (x, u).  With
     ``generalized`` set, coefficients may also depend on derivative
     coordinates and the same recursions apply verbatim."""
 
-    spec: JetSpec
-    xi: tuple
-    phi: tuple
-    generalized: bool = False
+    __slots__ = ("spec", "xi", "phi", "generalized")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "xi", tuple(as_expr(x) for x in self.xi)
-        )
-        object.__setattr__(
-            self, "phi", tuple(as_expr(f) for f in self.phi)
+    def __init__(self, spec, xi, phi, generalized=False):
+        super().__init__(
+            spec, tuple(as_expr(x) for x in xi), tuple(as_expr(f) for f in phi), generalized
         )
         if len(self.xi) != self.spec.p or len(self.phi) != self.spec.q:
             raise JetError("component counts must match the jet space")
@@ -275,12 +266,14 @@ def mu_compatibility_residuals(mu: MuForm):
     return out
 
 
-@dataclass
 class MCResult:
     """Flatness residual matrices, one per direction pair i < k."""
 
-    verdict: Verdict
-    residuals: dict
+    __slots__ = ("verdict", "residuals")
+
+    def __init__(self, verdict, residuals):
+        self.verdict = verdict
+        self.residuals = residuals
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE
@@ -304,7 +297,6 @@ def maurer_cartan_check(mu: MuForm, *, seed=None) -> MCResult:
 # difference terms
 
 
-@dataclass
 class DifferenceTerms:
     """Difference between a deformed and the standard prolongation.
 
@@ -312,11 +304,15 @@ class DifferenceTerms:
     the zero-order rows are identically zero.  For scalar forms the same
     terms are re-derived through the one-step recursion driven by the
     characteristic, and ``recursion_residuals`` records the discrepancy
-    of the two routes per (multiindex, direction) edge."""
+    of the two routes per (multiindex, direction) edge.  For q > 1 both
+    recursion fields are None."""
 
-    terms: dict
-    recursion_residuals: dict | None
-    recursion_verdict: Verdict | None
+    __slots__ = ("terms", "recursion_residuals", "recursion_verdict")
+
+    def __init__(self, terms, recursion_residuals, recursion_verdict):
+        self.terms = terms
+        self.recursion_residuals = recursion_residuals
+        self.recursion_verdict = recursion_verdict
 
 
 def difference_terms(

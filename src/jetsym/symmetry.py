@@ -16,8 +16,6 @@ lambda-prolonged field pairs to ``+lambda (Y . theta)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EquationError, ProlongationError, RestrictionError
 from .expr import (
     Expr,
@@ -44,6 +42,7 @@ from .jets import (
     total_derivative,
     total_derivative_path,
     truncated_total_derivative,
+    _Value,
 )
 from .prolong import (
     PointVectorField,
@@ -54,39 +53,37 @@ from .prolong import (
 )
 
 
-@dataclass(frozen=True)
-class DifferentialEquation:
+class DifferentialEquation(_Value):
     """A determined system in solved form: one equation per dependent
     variable, each ``u^a_{J*} = f^a`` with ``|J*|`` equal to the jet
     order and ``f^a`` free of every leading coordinate and of all their
     derivatives."""
 
-    spec: JetSpec
-    equations: tuple
+    __slots__ = ("spec", "equations")
 
-    def __post_init__(self):
+    def __init__(self, spec, equations):
         eqs = []
         seen = set()
-        for coord, rhs in self.equations:
+        for coord, rhs in equations:
             if not isinstance(coord, JetCoordinate):
                 coord = JetCoordinate(coord[0], MultiIndex(tuple(coord[1])))
             rhs = as_expr(rhs)
-            if coord.index.order != self.spec.order:
+            if coord.index.order != spec.order:
                 raise EquationError(
-                    f"leading coordinate {coord.name(self.spec)} must have "
-                    f"order {self.spec.order}"
+                    f"leading coordinate {coord.name(spec)} must have "
+                    f"order {spec.order}"
                 )
             if coord.a in seen:
                 raise EquationError(
                     f"two equations for dependent variable "
-                    f"{self.spec.dependent[coord.a]}"
+                    f"{spec.dependent[coord.a]}"
                 )
             seen.add(coord.a)
             eqs.append((coord, rhs))
-        if len(eqs) != self.spec.q:
+        if len(eqs) != spec.q:
             raise EquationError("need exactly one equation per dependent variable")
         eqs.sort(key=lambda it: it[0].a)
-        object.__setattr__(self, "equations", tuple(eqs))
+        super().__init__(spec, tuple(eqs))
         for _coord, rhs in self.equations:
             for name in free_variables(rhs):
                 kind = self.spec.decode(name)
@@ -196,14 +193,16 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
 # symmetry verdicts
 
 
-@dataclass
 class SymmetryResult:
     """Per-equation residuals of the tangency test, after restriction."""
 
-    kind: str
-    verdict: Verdict
-    residuals: tuple
-    equation_verdicts: tuple
+    __slots__ = ("kind", "verdict", "residuals", "equation_verdicts")
+
+    def __init__(self, kind, verdict, residuals, equation_verdicts):
+        self.kind = kind
+        self.verdict = verdict
+        self.residuals = residuals
+        self.equation_verdicts = equation_verdicts
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE
@@ -282,10 +281,12 @@ def commutator_with_total_derivative(Y: JetVectorField, i: int) -> JetVectorFiel
     return JetVectorField(spec, xi, psi, order=n)
 
 
-@dataclass
 class CharacterizationResult:
-    verdict: Verdict
-    residuals: dict
+    __slots__ = ("verdict", "residuals")
+
+    def __init__(self, verdict, residuals):
+        self.verdict = verdict
+        self.residuals = residuals
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE
@@ -329,18 +330,20 @@ def characterization_check(
 # coincidence on the invariant set
 
 
-@dataclass
 class CoincidenceResult:
     """Whether the deformed prolongation agrees with the standard one on
     the field's invariant set.  ``vacuous`` marks an empty invariant set
     (reported as true but flagged); ``unverifiable`` marks relations that
     could not be solved for a jet coordinate."""
 
-    verdict: Verdict
-    vacuous: bool
-    unverifiable: bool
-    residuals: dict
-    solved: dict
+    __slots__ = ("verdict", "vacuous", "unverifiable", "residuals", "solved")
+
+    def __init__(self, verdict, vacuous, unverifiable, residuals, solved):
+        self.verdict = verdict
+        self.vacuous = vacuous
+        self.unverifiable = unverifiable
+        self.residuals = residuals
+        self.solved = solved
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE and not self.vacuous

@@ -1,4 +1,10 @@
-"""Shared generators for seeded-random test instances."""
+"""Shared generators for seeded-random test instances, and a child
+interpreter for checks that need a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from jetsym.expr import expr_prod, expr_sum, rational, variable
 from jetsym.jets import JetSpec, MuForm, total_derivative
@@ -17,6 +23,21 @@ def rand_poly(rng, names, max_degree=2, max_terms=3, allow_zero=True):
             factors.append(variable(rng.choice(names)))
         parts.append(expr_prod(factors))
     return expr_sum(parts)
+
+
+def run_child(script, timeout, returncode=0):
+    """stdout lines of ``script`` run by a fresh interpreter on this
+    checkout's ``src``; fails when it runs past ``timeout`` seconds or
+    exits with another code than ``returncode``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def base_names(spec: JetSpec):

@@ -242,6 +242,26 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert main(["run-file", str(tmp_path / "absent.jsf")]) == 2
 
 
+def test_undecodable_problem_file_exits_two(tmp_path, capsys):
+    # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+    problem = tmp_path / "latin.jsf"
+    problem.write_bytes(REGRESSION.encode() + b"# \xff\n")
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot read {problem}: " in err and "0xff" in err
+
+
+@pytest.mark.parametrize("target", ["absent/r.json", "."], ids=["no-directory", "a-directory"])
+def test_unwritable_json_path_exits_two(tmp_path, capsys, target):
+    # both used to end in a traceback once every task had run
+    problem = tmp_path / "problem.jsf"
+    problem.write_text(REGRESSION)
+    path = tmp_path / target
+    assert main(["--json", str(path), "run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {path}: ")
+
+
 @pytest.mark.parametrize("task", [
     "[task prolong p]\nfield = S\norder = abc\n",
     "[task gauge-check g]\nfield = S\nphi = x\norder = 2.5\n",

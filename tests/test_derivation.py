@@ -12,10 +12,7 @@ fields) run in a child process with a time limit and are checked against
 sympy, symbolically or at exact random rational points.
 """
 
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -35,7 +32,7 @@ from jetsym.jets import (  # noqa: E402
 )
 from jetsym.parsing import parse  # noqa: E402
 
-from helpers import rand_poly  # noqa: E402
+from helpers import rand_poly, run_child  # noqa: E402
 
 SEED = 20240611
 CASES = 20
@@ -150,21 +147,6 @@ def test_scalar_differential_matches_sympy():
         for name, key in keys.items():
             got = omega.coefficient(key)
             assert agrees(got, sp.diff(expr, SYMBOLS[name])), (str(e), name, str(got))
-
-
-def run_child(script, timeout, returncode=0):
-    """stdout lines of ``script`` run by a fresh interpreter on this
-    checkout's ``src``; fails when it runs past ``timeout`` seconds or
-    exits with another code than ``returncode``."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=timeout,
-    )
-    assert proc.returncode == returncode, proc.stderr
-    return proc.stdout.splitlines()
 
 
 def read_lines(lines):

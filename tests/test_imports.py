@@ -12,12 +12,18 @@ No module, ``expr`` included, and no test names ``Const``, ``Var``,
 ``Pow``, ``Mul``, ``Add`` or ``Func``: ``Expr`` is the one value class,
 and values are built with ``rational``, ``variable``, the operators and
 the kernel constructors, so no class per shape of value comes back.
+
+``import jetsym.cli`` loads neither ``dataclasses`` nor ``inspect``:
+every run of the command pays its start-up, and those two modules cost
+about 20 ms of it.  Value classes are ``__slots__`` classes instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from helpers import run_child
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "jetsym"
@@ -95,3 +101,8 @@ def test_the_walk_sees_a_node_class():
 @pytest.mark.parametrize("module", sources())
 def test_only_expr_names_node_classes(module):
     assert node_class_mentions(module.read_text(encoding="utf-8")) == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    script = "import sys, jetsym.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert run_child(script, timeout=60) == [""]

@@ -1,5 +1,8 @@
 """Jet geometry tests: coordinates, total derivatives, forms, contact module."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from jetsym.errors import JetError
 from jetsym.expr import Verdict, rational
 from jetsym.jets import (
+    JetCoordinate,
     JetSpec,
     JetVectorField,
     MultiIndex,
@@ -24,9 +28,12 @@ from jetsym.jets import (
     scalar_differential,
     total_derivative,
     truncated_total_derivative,
+    _decode,
+    _successor,
 )
 from jetsym.parsing import parse
-from jetsym.prolong import maurer_cartan_check
+from jetsym.prolong import PointVectorField, maurer_cartan_check
+from jetsym.symmetry import DifferentialEquation
 
 ODE1 = JetSpec(("x",), ("u",), 1)
 ODE2 = JetSpec(("x",), ("u",), 2)
@@ -72,6 +79,68 @@ def test_spec_validation():
         JetSpec(("x", "xx"), ("u",), 1)
     with pytest.raises(JetError):
         JetSpec(("x",), ("u_1",), 1)
+
+
+# --- value classes ----------------------------------------------------------
+
+def _field(phi):
+    return PointVectorField(ODE1, (parse("x"),), (parse(phi),))
+
+
+def _equation(rhs):
+    return DifferentialEquation.from_strings(ODE2, {"u_xx": rhs})
+
+
+# per value class: a field name, two equal values built apart, and a
+# value that differs from them
+VALUES = {
+    "MultiIndex": ("counts", MultiIndex((1, 2)), MultiIndex((1, 2)), MultiIndex((2, 1))),
+    "JetSpec": ("order", JetSpec(("x",), ("u",), 2), JetSpec(["x"], ["u"], 2), ODE1),
+    "JetCoordinate": ("a", JetCoordinate(0, J0_2), JetCoordinate(0, MultiIndex((0, 0))),
+                      JetCoordinate(1, J0_2)),
+    "PointVectorField": ("xi", _field("u"), _field("u"), _field("2*u")),
+    "DifferentialEquation": ("equations", _equation("u"), _equation("u"), _equation("-u")),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_values_compare_and_hash_by_their_fields(name):
+    _, a, same, other = VALUES[name]
+    assert a is not same and a == same and hash(a) == hash(same)
+    assert a != other and not a == other
+    assert {a: 1, other: 2}[same] == 1 and len({a, same, other}) == 2
+    assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_values_are_frozen(name):
+    field_name, a, same, other = VALUES[name]
+    with pytest.raises(AttributeError):
+        setattr(a, field_name, getattr(other, field_name))
+    with pytest.raises(AttributeError):
+        delattr(a, field_name)
+    assert a == same
+
+
+def test_equal_specs_share_the_jet_caches():
+    first, again = JetSpec(["x", "t"], ["u"], 2), JetSpec(("x", "t"), ("u",), 2)
+    _decode.cache_clear()
+    _successor.cache_clear()
+    assert _successor(first, 0, "u_t") is _successor(again, 0, "u_t")
+    assert _decode(first, "u_xt") == _decode(again, "u_xt") == ("jet", 0, MultiIndex((1, 1)))
+    assert _successor.cache_info().hits == 1 and _decode.cache_info().hits == 1
+
+
+def test_values_validate_and_coerce_their_fields():
+    with pytest.raises(JetError, match="negative multiindex counts"):
+        MultiIndex((-1,))
+    for independent, dependent in (((), ("u",)), (("x",), ())):
+        with pytest.raises(JetError, match="at least one independent"):
+            JetSpec(independent, dependent, 1)
+    spec = JetSpec(["x"], ["u", "v"], 1)
+    assert spec.independent == ("x",) and spec.dependent == ("u", "v")
+    assert repr(spec) == "JetSpec(independent=('x',), dependent=('u', 'v'), order=1)"
+    assert repr(MultiIndex((1, 2))) == "MultiIndex(1, 2)"
 
 
 def test_multi_index_enumeration_is_graded_first_slot_first():
