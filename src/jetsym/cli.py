@@ -135,6 +135,13 @@ class _Args:
             )
         return default
 
+    def named(self, name, find, required=True):
+        """The declaration that argument ``name`` names, looked up by one
+        of the problem's ``*_named`` methods: an undeclared name is an
+        error at the argument's own line."""
+        text = self.get(name, required=required)
+        return None if text is None else find(text, self.task.args[name][1])
+
     def get_int(self, name, default):
         text = self.get(name)
         if text is None:
@@ -178,12 +185,11 @@ class _Args:
                         self.task.args[name][1],
                     )
         lam = self.get_expr("lambda")
-        mu_name = self.get("mu")
-        if (kind == "lambda" and lam is None) or (kind == "mu" and mu_name is None):
+        mu = self.named("mu", problem.mu_named, required=False)
+        if (kind == "lambda" and lam is None) or (kind == "mu" and mu is None):
             raise ProblemFileError(
                 f"kind={kind} needs a '{kind} =' argument", self.task.line
             )
-        mu = None if mu_name is None else problem.mu_named(mu_name, self.task.line)
         return kind, lam, mu, self.get_flag("path-check")
 
     def finish(self):
@@ -232,8 +238,8 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
     detail: list = []
     try:
         if task.kind == "check-symmetry":
-            X = problem.field_named(args.get("field", required=True), task.line)
-            eq = problem.equation_named(args.get("equation", required=True), task.line)
+            X = args.named("field", problem.field_named)
+            eq = args.named("equation", problem.equation_named)
             kind, lam, mu, path_check = args.get_prolongation(problem)
             args.finish()
             res = check_symmetry(
@@ -243,7 +249,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             if res.verdict is not Verdict.TRUE:
                 residuals = [to_string(r) for r in res.residuals]
         elif task.kind == "prolong":
-            X = problem.field_named(args.get("field", required=True), task.line)
+            X = args.named("field", problem.field_named)
             kind, lam, mu, path_check = args.get_prolongation(problem)
             order = args.get_int("order", spec.order)
             args.finish()
@@ -253,13 +259,11 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             verdict = PASS
             detail = _field_detail(Y, spec)
         elif task.kind == "check-compat":
-            mu = problem.mu_named(args.get("mu", required=True), task.line)
-            eq_name = args.get("equation")
+            mu = args.named("mu", problem.mu_named)
+            eq = args.named("equation", problem.equation_named, required=False)
             args.finish()
-            if eq_name:
-                res = maurer_cartan_check_on_equation(
-                    mu, problem.equation_named(eq_name, task.line), seed=seed
-                )
+            if eq is not None:
+                res = maurer_cartan_check_on_equation(mu, eq, seed=seed)
             else:
                 res = maurer_cartan_check(mu, seed=seed)
             verdict = _word(res.verdict)
@@ -270,19 +274,19 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                             if to_string(e) != "0":
                                 residuals.append(to_string(e))
         elif task.kind == "potential":
-            mu = problem.mu_named(args.get("mu", required=True), task.line)
+            mu = args.named("mu", problem.mu_named)
             args.finish()
             phi = scalar_potential(mu)
             verdict = PASS
             detail = [f"potential = {to_string(phi)}"]
         elif task.kind == "darboux":
-            gamma = problem.gauge_named(args.get("gauge", required=True), task.line)
+            gamma = args.named("gauge", problem.gauge_named)
             args.finish()
             mu = darboux_derivative(gamma)
             verdict = PASS
             detail = _mu_detail(mu)
         elif task.kind == "gauge-check":
-            X = problem.field_named(args.get("field", required=True), task.line)
+            X = args.named("field", problem.field_named)
             phi = args.get_expr("phi", required=True)
             order = args.get_int("order", spec.order)
             args.finish()
@@ -294,8 +298,8 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                                                      key=lambda kv: kv[0].counts)
                 ]
         elif task.kind == "coincide":
-            X = problem.field_named(args.get("field", required=True), task.line)
-            mu = problem.mu_named(args.get("mu", required=True), task.line)
+            X = args.named("field", problem.field_named)
+            mu = args.named("mu", problem.mu_named)
             order = args.get_int("order", spec.order)
             path_check = args.get_flag("path-check")
             args.finish()
@@ -342,8 +346,11 @@ def _load(path) -> ProblemFile:
 
 
 def _single_task(kind, pairs) -> TaskDecl:
-    args = {k: (v, None) for k, v in pairs.items() if v is not None}
-    return TaskDecl(kind, kind, args, 0)
+    """The task of a single-operation subcommand: each argument is placed
+    at the flag that gave it, and the task at no line."""
+    args = {k: (v, "--lam" if k == "lambda" else f"--{k}")
+            for k, v in pairs.items() if v is not None}
+    return TaskDecl(kind, kind, args, None)
 
 
 def main(argv=None) -> int:

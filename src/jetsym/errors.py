@@ -89,10 +89,14 @@ class NoPotentialError(GaugeError):
 
 
 class ProblemFileError(JetsymError):
-    """Invalid problem file: syntax, undeclared names, or bad task arguments."""
+    """Invalid problem file: syntax, undeclared names, or bad task arguments.
+
+    ``line`` is the line number in the file, or the command-line flag
+    that gave the value."""
 
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
-            message = f"line {line}: {message}"
+            where = line if isinstance(line, str) else f"line {line}"
+            message = f"{where}: {message}"
         super().__init__(message)

@@ -9,16 +9,27 @@ variables with the arithmetic operators, ``expr_sum``/``expr_prod`` and
 the kernel constructors ``exp``, ``log``, ``sin``, ``cos``; each of them
 combines pairs and returns a canonical value, so no unreduced tree ever
 exists.  ``Expr`` is the one value class: it holds the pair, and works
-out its sort key and hash from the pair on first use.  Two values are
+out its frozen pair on first use: the numerator's and the denominator's
+``(monomial, coefficient)`` items as tuples sorted by monomial.  The
+frozen pair is the value's identity, hash and order.  Two values are
 equal exactly when their pairs are, that is when they are the same
 rational function of their variables and kernels.  ``to_string``,
 ``free_variables`` and ``eval_expr`` read the pair too.
 
-Sort keys rank values by the shape of their pairs: constants (by
-numerator, then denominator), then variables (lexicographic), then an
-atom to a power, then other products, then sums of two or more terms,
-then function applications (by name, then argument).  Summands and
-factors are printed in this order.
+A monomial is a tuple of ``(atom, exponent)`` pairs sorted by atom, with
+positive exponents.  A variable atom is ``(1, name)``; a function atom
+is ``(5, name, argument)``, so it describes itself and variables come
+before function atoms.  Atoms, monomials and frozen pairs compare as
+tuples, and two function atoms of one name by the frozen pairs of their
+arguments.
+
+A value prints as ``N`` when its denominator is 1 and as ``(N)/(D)``
+otherwise.  ``N`` and ``D`` list their terms in ascending order of their
+monomials: the constant first, then the monomials lexicographically by
+their ``(atom, exponent)`` pairs, so ``1 + u + u*x + u^2 + x``.  A term
+prints as its coefficient (left out when it is 1) followed by its
+factors in atom order, joined by ``*``, as ``atom`` or ``atom^k``; the
+sign of a term after the first is printed as `` + `` or `` - ``.
 
 Derivatives are computed on the pair: ``derivatives`` applies a
 derivation, fixed by its values on the variables, to the numerator and
@@ -80,6 +91,7 @@ _RAT_ONE = (1, 1)
 _ONE_POLY = {(): _RAT_ONE}
 _ZERO_POLY: dict = {}
 _RF_ONE = (_ONE_POLY, _ONE_POLY)
+_FROZEN_ONE = (((), _RAT_ONE),)
 
 
 class Verdict(enum.Enum):
@@ -108,28 +120,32 @@ class Verdict(enum.Enum):
 class Expr:
     """A canonical value, built from its reduced pair ``(num, den)``."""
 
-    __slots__ = ("_rf", "_skey", "_hash")
+    __slots__ = ("_rf", "_frozen", "_hash")
 
     def __init__(self, rf):
         self._rf = rf
-        self._skey = None
+        self._frozen = None
         self._hash = None
 
-    def sort_key(self):
-        k = self._skey
-        if k is None:
-            k = self._skey = _pair_key(self._rf)
-        return k
+    def frozen(self):
+        """The frozen pair: the numerator's and the denominator's
+        ``(monomial, coefficient)`` items, sorted by monomial."""
+        f = self._frozen
+        if f is None:
+            num, den = self._rf
+            f = self._frozen = (tuple([(m, num[m]) for m in sorted(num)]),
+                                tuple([(m, den[m]) for m in sorted(den)]))
+        return f
 
     def __lt__(self, other):
         if isinstance(other, Expr):
-            return self.sort_key() < other.sort_key()
+            return self.frozen() < other.frozen()
         return NotImplemented
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.sort_key())
+            h = self._hash = hash(self.frozen())
         return h
 
     def __eq__(self, other):
@@ -283,20 +299,14 @@ def expr_prod(factors) -> Expr:
 # ---------------------------------------------------------------------------
 # rational-function layer
 #
-# Monomials hold atom SORT KEYS (plain nested tuples): a variable is
-# ``(1, name)``, a function atom ``(5, name, argument key)``.  Dict hashing
-# and merge comparisons then run entirely in C.  The registry maps the key
-# of each function atom to its argument, for the layers that read it.
-
-_ATOMS: dict = {}
+# Monomials hold atoms as tuples: a variable is ``(1, name)``, a function
+# atom ``(5, name, argument)``.  An atom hashes and compares like a tuple;
+# two function atoms of one name compare their arguments, as values.
 
 
 def _function_key(name, arg) -> tuple:
-    """The key of the function atom ``name(arg)``, registered."""
-    key = (5, name, arg.sort_key())
-    if key not in _ATOMS:
-        _ATOMS[key] = arg
-    return key
+    """The atom of the function application ``name(arg)``."""
+    return (5, name, arg)
 
 
 def _is_exp_key(a) -> bool:
@@ -324,7 +334,7 @@ def _fix_exp(p):
         pieces = []
         for a, e in m:
             if _is_exp_key(a):
-                pieces.append((_ATOMS[a], e))
+                pieces.append((a[2], e))
             else:
                 rest.append((a, e))
         if len(pieces) == 1 and pieces[0][1] == 1:
@@ -379,7 +389,7 @@ def _uniform_exp_arg(p):
             arg_key = found
         elif arg_key != found:
             return None
-    return _ATOMS[arg_key] if arg_key is not None else None
+    return arg_key[2] if arg_key is not None else None
 
 
 def _finish(num, den):
@@ -478,85 +488,6 @@ def _apply(name, e) -> Expr:
     return Expr(({((_function_key(name, arg), 1),): _RAT_ONE}, _ONE_POLY))
 
 
-# ---------------------------------------------------------------------------
-# sort keys
-#
-# The key of a value follows from its pair, computed from monomials and
-# coefficients: the key of a sum is the tuple of its terms' keys, the key
-# of a product that of its factors'.
-
-
-def _first(item):
-    return item[0]
-
-
-def _factor_parts(m):
-    """``(sort key, atom, exponent)`` of each factor of the monomial ``m``,
-    in key order: an atom is its own key, a power ranks as a power."""
-    return sorted([(a if e == 1 else (2, a, e), a, e) for a, e in m])
-
-
-def _poly_terms(p):
-    """``(sort key, monomial, coefficient, factor parts)`` of each term of
-    the polynomial ``p``, in key order."""
-    items = []
-    for m, c in p.items():
-        parts = _factor_parts(m)
-        if not m:
-            key = (0,) + c
-        elif c == _RAT_ONE and len(m) == 1:
-            key = parts[0][0]
-        else:
-            keys = tuple(k for k, _a, _e in parts)
-            key = (3, keys if c == _RAT_ONE else ((0,) + c,) + keys)
-        items.append((key, m, c, parts))
-    items.sort(key=_first)
-    return items
-
-
-def _poly_key(items):
-    return (4, tuple(item[0] for item in items))
-
-
-_CONST, _POWER, _SUM, _INVERSE = range(4)
-
-
-def _mul_parts(rf):
-    """``(sort key, kind, data)`` of each factor of the canonical product
-    of the pair ``rf``, in key order: a constant, an atom to a power,
-    the numerator as a sum, or the inverse of the denominator sum."""
-    num, den = rf
-    parts = []
-    if len(num) == 1:
-        ((m, c),) = num.items()
-        if c != _RAT_ONE or not m:
-            parts.append(((0,) + c, _CONST, c))
-        parts.extend((k, _POWER, (a, e)) for k, a, e in _factor_parts(m))
-    else:
-        items = _poly_terms(num)
-        parts.append((_poly_key(items), _SUM, (num, items)))
-    if den != _ONE_POLY:
-        if len(den) == 1:
-            ((dm, _dc),) = den.items()
-            parts.extend(((2, a, -e), _POWER, (a, -e)) for a, e in dm)
-        else:
-            items = _poly_terms(den)
-            parts.append(((2, _poly_key(items), -1), _INVERSE, (den, items)))
-    parts.sort(key=_first)
-    return parts
-
-
-def _pair_key(rf):
-    """The sort key of the value of the reduced pair ``rf``."""
-    num, den = rf
-    if den != _ONE_POLY:
-        return (3, tuple(p[0] for p in _mul_parts(rf)))
-    if not num:
-        return (0, 0, 1)
-    items = _poly_terms(num)
-    return items[0][0] if len(items) == 1 else _poly_key(items)
-
-
 def normalize(e) -> Expr:
     """``e`` as a canonical value: an expression is returned as it is, an
     int or a Fraction becomes its constant; idempotent."""
@@ -616,7 +547,7 @@ def _collect_vars(e, out, seen):
                     if a[0] == 1:  # variable rank
                         out.add(a[1])
                     else:
-                        _collect_vars(_ATOMS[a], out, seen)
+                        _collect_vars(a[2], out, seen)
 
 
 def substitute(e, bindings) -> Expr:
@@ -666,7 +597,7 @@ class _Substitution:
             repl = self.named.get(key[1])
             img = None if repl is None else repl._rf
         else:
-            arg = self.rf(_ATOMS[key]._rf)
+            arg = self.rf(key[2]._rf)
             img = None if arg is None else _apply(key[1], Expr(arg))._rf
         self.memo[key] = img
         return img
@@ -738,7 +669,7 @@ def derivatives(e, of_var) -> dict:
 
 def _outer_derivative(key):
     """f'(g) of the function atom f(g), as a canonical pair."""
-    name, arg = key[1], _ATOMS[key]
+    name, arg = key[1], key[2]
     if name == "exp":
         return ({((key, 1),): _RAT_ONE}, _ONE_POLY)
     if name == "log":
@@ -786,7 +717,7 @@ class _Derivation:
         if key[0] == 1:  # variable rank
             vals = {d: v._rf for d, v in self.of_var(key[1]).items()}
         else:
-            inner = self.rf(_ATOMS[key]._rf)
+            inner = self.rf(key[2]._rf)
             outer = _outer_derivative(key) if inner else None
             vals = {d: _rmul(outer, r) for d, r in inner.items()}
         monos, others = [], []
@@ -872,7 +803,7 @@ def _eval_atom(key, vals):
         if key[1] not in vals:
             raise UnboundVariableError(f"variable {key[1]!r} is not bound")
         return float(vals[key[1]])
-    v = _eval_rf(_ATOMS[key]._rf, vals)
+    v = _eval_rf(key[2]._rf, vals)
     if key[1] == "log":
         if v <= 0.0:
             raise DomainError(f"log of non-positive value {v}")
@@ -964,83 +895,52 @@ def is_zero(e, *, seed=None, samples=DEFAULT_SAMPLES) -> bool:
 # printing
 
 
-def _rat_str(c):
-    n, d = c
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 class _Printer:
-    """Text of one canonical value, printed from its pair.
-
-    Terms and factors come in the order of their sort keys; a product
-    whose constant is -1 prints as a negation, and a sum pulls the minus
-    signs of its terms out.  Atom texts are remembered for the duration
-    of one call.
-    """
+    """Text of one canonical value, printed from its frozen pair in the
+    order of the module docstring.  The texts of atoms and of atom powers
+    are remembered for the duration of one call."""
 
     def __init__(self):
-        self.atoms = {}
+        self.texts = {}
 
-    def atom(self, a):
-        s = self.atoms.get(a)
+    def power(self, f):
+        """The text of the factor ``f = (atom, exponent)``, remembered."""
+        a, e = f
+        s = self.texts.get(a)
         if s is None:
-            if a[0] == 1:  # variable rank
-                s = a[1]
-            else:
-                s = f"{a[1]}({self.pair(_ATOMS[a]._rf)})"
-            self.atoms[a] = s
+            s = self.texts[a] = a[1] if a[0] == 1 else f"{a[1]}({self.pair(a[2].frozen())})"
+        if e != 1:
+            s = f"{s}^{e}"
+        self.texts[f] = s
         return s
 
-    def power(self, a, e):
-        s = self.atom(a)
-        if e == 1:
-            return s
-        return f"{s}^{e}" if e > 0 else f"{s}^({e})"
-
-    def sum(self, items):
-        """A sum of two or more terms, minus signs pulled out."""
-        out = []
-        for _key, _m, (n, d), parts in items:
-            body = "*".join([self.power(a, e) for _k, a, e in parts])
-            if abs(n) != 1 or d != 1:
-                c = _rat_str((abs(n), d))
-                body = f"{c}*{body}" if parts else c
-            elif not parts:
-                body = "1"
-            if out:
-                out.append((" - " if n < 0 else " + ") + body)
+    def poly(self, items):
+        get, power = self.texts.get, self.power
+        parts = []
+        for m, (n, d) in items:
+            if n < 0:
+                parts.append(" - ")
+                n = -n
             else:
-                out.append("-" + body if n < 0 else body)
-        return "".join(out)
-
-    def pair(self, rf):
-        num, den = rf
-        if den == _ONE_POLY:
-            if not num:
-                return "0"
-            if len(num) > 1:
-                return self.sum(_poly_terms(num))
-            ((m, c),) = num.items()
-            if not m:
-                return _rat_str(c)
-            if c == _RAT_ONE and len(m) == 1:
-                return self.power(*m[0])
-        texts = []
-        for _key, kind, data in _mul_parts(rf):
-            if kind == _CONST:
-                texts.append(_rat_str(data))
-            elif kind == _POWER:
-                texts.append(self.power(*data))
-            elif kind == _SUM:
-                texts.append(f"({self.sum(data[1])})")
+                parts.append(" + ")
+            c = str(n) if d == 1 else f"{n}/{d}"
+            if m:
+                body = "*".join([get(f) or power(f) for f in m])
+                parts.append(body if c == "1" else f"{c}*{body}")
             else:
-                texts.append(f"({self.sum(data[1])})^(-1)")
-        if texts[0] == "-1":
-            rest = texts[1:]
-            return "-" + rest[0] if len(rest) == 1 else "-(" + "*".join(rest) + ")"
-        return "*".join(texts)
+                parts.append(c)
+        if not parts:
+            return "0"
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
+
+    def pair(self, frozen):
+        num, den = frozen
+        if den == _FROZEN_ONE:
+            return self.poly(num)
+        return f"({self.poly(num)})/({self.poly(den)})"
 
 
 def to_string(e) -> str:
     """Canonical text; re-parsing reproduces the same canonical form."""
-    return _Printer().pair(e._rf)
+    return _Printer().pair(e.frozen())

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from jetsym.expr import expr_prod, expr_sum, rational, variable
+from jetsym.expr import _rf_of, expr_prod, expr_sum, rational, variable
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.prolong import PointVectorField
 
@@ -23,6 +23,14 @@ def rand_poly(rng, names, max_degree=2, max_terms=3, allow_zero=True):
             factors.append(variable(rng.choice(names)))
         parts.append(expr_prod(factors))
     return expr_sum(parts)
+
+
+def atom_key(e):
+    """The kernel atom of a value that is one variable or one function
+    atom: the only atom of its numerator's only monomial."""
+    ((m, _c),) = _rf_of(e)[0].items()
+    ((a, _e),) = m
+    return a
 
 
 def run_child(script, timeout, returncode=0):

@@ -146,7 +146,7 @@ def test_single_operation_subcommands(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Psi[u] = 1" in out
     assert "Psi[u_x] = u" in out
-    assert "Psi[u_xx] = u_x + u^2" in out
+    assert "Psi[u_xx] = u^2 + u_x" in out
 
 
 def test_gauge_and_potential_subcommands(tmp_path, capsys):
@@ -260,6 +260,33 @@ def test_unwritable_json_path_exits_two(tmp_path, capsys, target):
     assert main(["--json", str(path), "run-file", str(problem)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-compat", "--mu", "NOPE"], "--mu: undeclared mu form 'NOPE'"),
+    (["prolong", "--field", "NOPE"], "--field: undeclared field 'NOPE'"),
+    (["check-symmetry", "--field", "S", "--equation", "NOPE"],
+     "--equation: undeclared equation 'NOPE'"),
+    (["check-symmetry", "--field", "S", "--equation", "E", "--kind", "lambda",
+      "--lam", "x +* 2"], "--lam: bad expression 'x +* 2'"),
+], ids=["mu", "field", "equation", "lam"])
+def test_single_task_errors_name_the_flag(tmp_path, capsys, argv, message):
+    # a single-operation task used to cite "line 0" of the problem file
+    problem = tmp_path / "problem.jsf"
+    problem.write_text(REGRESSION)
+    assert main([argv[0], str(problem)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}") and "line 0" not in err
+
+
+def test_undeclared_name_in_a_task_cites_its_argument_line(tmp_path, capsys):
+    # the line of ``equation = NOPE``, not the task's header line
+    text = REGRESSION.replace("equation = E\nkind = standard", "equation = NOPE\nkind = standard")
+    problem = tmp_path / "problem.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    line = text.splitlines().index("equation = NOPE") + 1
+    assert f"input error: line {line}: undeclared equation 'NOPE'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task", [

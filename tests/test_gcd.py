@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 from jetsym import _gcd, _kernel_py
 from jetsym.expr import sin, variable
 
+from helpers import atom_key
+
 sp = pytest.importorskip("sympy")
 
 NAMES = ("x", "u", "u_x")
-X, U, UX = (variable(n).sort_key() for n in NAMES)
+X, U, UX = (atom_key(variable(n)) for n in NAMES)
 # sin(x + u): a function atom, ordered after every variable
-K = sin(variable("x") + variable("u")).sort_key()
+K = atom_key(sin(variable("x") + variable("u")))
 ATOMS = (X, U, UX, K)
 SYMBOLS = dict(zip(ATOMS, sp.symbols("x u u_x k")))
 

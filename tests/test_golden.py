@@ -8,20 +8,35 @@ rational and kernel symmetry checks, gauge-check, potential, check-compat,
 darboux and coincide tasks, and the printing of sum and monomial
 denominators, fraction coefficients, leading minus signs and kernels of
 rational arguments.  A change that
-alters any printed canonical form or verdict fails here; re-record a
-report only for a deliberate change of output.
+alters any printed canonical form or verdict fails here.  Re-record the
+reports with ``python tests/golden/record.py``, and only for a deliberate
+change of output.
+
+``golden/tree_order/*.json`` are the same reports in the printed form of
+the earlier tree printer (terms ordered by tree-shape sort keys,
+``(1 + x)^(-1)*(...)`` for denominators).  That text must still read
+right: task by task, the verdicts and exit codes are the current ones,
+and every detail and residual line parses to the value of the current
+line.
 """
 
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-from jetsym.cli import main
+from jetsym.cli import Report, TaskRecord, main
+from jetsym.parsing import parse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # exit code of each run: the ODE, non-flat and rational problems hold tasks
 # that must fail
 EXIT_CODES = {"nonflat": 1, "ode": 1, "pde": 0, "rational": 1}
+# a detail line that holds an expression is a name such as
+# ``Psi[u_x] = `` or an error message ending in ``difference ``, then the
+# expression; any other line is plain text
+EXPR_AT = re.compile(r"(\w+(?:\[[^\]]*\])* = |.*?difference )(.*)")
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
@@ -31,3 +46,29 @@ def test_json_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_CODES[name]
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _exit_code(report):
+    out = Report(report["seed"], report["strict"])
+    out.records = [TaskRecord(t["id"], t["operation"], t["verdict"], t["residuals"],
+                              t["detail"]) for t in report["tasks"]]
+    return out.exit_code
+
+
+def _read_detail(line):
+    m = EXPR_AT.fullmatch(line)
+    return (line, None) if m is None else (m.group(1), parse(m.group(2)))
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_tree_order_report_reads_as_golden(name):
+    old = json.loads((GOLDEN / "tree_order" / f"{name}.json").read_text())
+    new = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert _exit_code(old) == _exit_code(new) == EXIT_CODES[name]
+    assert (old["seed"], old["strict"]) == (new["seed"], new["strict"])
+    assert [t["id"] for t in old["tasks"]] == [t["id"] for t in new["tasks"]]
+    for was, now in zip(old["tasks"], new["tasks"]):
+        assert (was["operation"], was["verdict"]) == (now["operation"], now["verdict"])
+        assert [parse(r) for r in was["residuals"]] == [parse(r) for r in now["residuals"]]
+        assert ([_read_detail(d) for d in was["detail"]]
+                == [_read_detail(d) for d in now["detail"]])

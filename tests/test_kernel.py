@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from jetsym import _kernel_py
 from jetsym.expr import variable
 
-ATOMS = [variable(n).sort_key() for n in ("x", "t", "u", "u_x")]
+from helpers import atom_key
+
+ATOMS = [atom_key(variable(n)) for n in ("x", "t", "u", "u_x")]
 
 
 def rat(n, d):

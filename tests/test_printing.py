@@ -1,21 +1,42 @@
 """Printing, ordering and variable lookup of canonical values.
 
 A canonical value is printed, ordered and searched for variables from
-its (numerator, denominator) pair.  On seeded random rational functions
+its (numerator, denominator) pair.  It prints as ``N``, or as ``(N)/(D)``
+when its denominator is not 1, with the terms of ``N`` and ``D`` in
+ascending order of their monomials.  On seeded random rational functions
 (negative powers, fraction coefficients, nested exp/log/sin/cos,
-denominators that are sums), and on the results of derivatives and
-substitutions, the printed texts, the sort keys and the variables found
-must match digests recorded while the suite still checked them against
-the walk of each value's tree of nodes; every text must parse back to
-its value, and the variables found must be the names the text shows.
+denominators that are sums), on the results of derivatives and
+substitutions, and on Hypothesis-drawn quotients of kernel polynomials,
+the printed terms must come in that order, every text must parse back
+to an equal value with an equal hash, and the variables found must be
+the names the text shows and match a digest recorded while the suite
+still checked them against the walk of each value's tree of nodes.
 """
 
 import hashlib
 import random
 import re
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsym.errors import SymbolicDivisionError
-from jetsym.expr import free_variables, normalize, pdiff, substitute, to_string, variable
+from jetsym.expr import (
+    _rf_of,
+    cos,
+    exp,
+    expr_prod,
+    expr_sum,
+    free_variables,
+    normalize,
+    pdiff,
+    rational,
+    sin,
+    substitute,
+    to_string,
+    variable,
+)
 from jetsym.parsing import parse
 
 SEED = 20261018
@@ -60,11 +81,9 @@ def _values(salt, n=CASES):
     return out
 
 
-# sha256 of the texts, the key reprs and the variable lists, one per
-# line, recorded from the pair code while the suite still checked it
-# against the walk of each value's tree of nodes, which it matched
-PRINT_DIGEST = "53949bb7fdfcf3394e4add0684bb9e3ff519ae43e490072ae1e534199ab31e2b"
-KEY_DIGEST = "910ecc4a11736e7702897bcce425fc2647b97037f56dadb68b9e436ae945c2c1"
+# sha256 of the variable lists, one per line, recorded from the pair code
+# while the suite still checked it against the walk of each value's tree
+# of nodes, which it matched
 VARS_DIGEST = "3fda2729d624c5faa27f35ff0a36797a96618b822663602d7eb3a5d1ad210a04"
 
 
@@ -72,14 +91,56 @@ def digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_pair_printer_matches_tree_walk():
-    texts = [to_string(e) for e in _values("print")]
-    assert digest(texts) == PRINT_DIGEST
+def _split_top(text, seps):
+    """``text`` cut at each separator in ``seps`` that lies outside all
+    parentheses, the separators kept at the start of the following part."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        ch = text[i]
+        depth += (ch == "(") - (ch == ")")
+        sep = next((s for s in seps if text.startswith(s, i)), None) if depth == 0 else None
+        if sep is not None and i > start:
+            parts.append(text[start:i])
+            start = i
+            i += len(sep)
+        else:
+            i += 1
+    parts.append(text[start:])
+    return parts
 
 
-def test_pair_sort_key_matches_tree_walk():
-    keys = [repr(e.sort_key()) for e in _values("key")]
-    assert digest(keys) == KEY_DIGEST
+def _printed_terms(text):
+    """The terms of a printed polynomial, each as its one (monomial,
+    coefficient) item."""
+    items = []
+    for part in _split_top(text, (" + ", " - ")):
+        num, den = _rf_of(parse(part.replace(" ", "").removeprefix("+")))
+        assert den == {(): (1, 1)} and len(num) <= 1, part
+        items.extend(num.items() or [((), (0, 1))])
+    return items
+
+
+def _check_printed_form(e):
+    """``e`` prints as N or (N)/(D), terms in ascending monomial order,
+    and its text parses back to an equal value with an equal hash."""
+    text = to_string(e)
+    num, den = _rf_of(e)
+    if den == {(): (1, 1)}:
+        want = [(m, num[m]) for m in sorted(num)] or [((), (0, 1))]
+        assert _printed_terms(text) == want, text
+    else:
+        n_text, d_text = _split_top(text, (")/(",))
+        assert n_text.startswith("(") and d_text.startswith(")/(") and text.endswith(")")
+        assert _printed_terms(n_text[1:]) == [(m, num[m]) for m in sorted(num)], text
+        assert _printed_terms(d_text[3:-1]) == [(m, den[m]) for m in sorted(den)], text
+    assert not re.search(r"(?<![\d/])1\*", text) and "-(" not in text, text
+    again = parse(text)
+    assert again == e and hash(again) == hash(e), text
+
+
+def test_terms_print_in_monomial_order():
+    for e in _values("print"):
+        _check_printed_form(e)
 
 
 def test_free_variables_of_pair_match_tree_walk():
@@ -96,13 +157,61 @@ def test_printed_values_parse_back():
         assert again == e and hash(again) == hash(e)
 
 
-def test_printing_quirks_are_kept():
-    assert to_string(parse("1/(1 + x)")) == "1*(1 + x)^(-1)"
-    assert to_string(parse("-u/x^2")) == "-(u*x^(-2))"
-    assert to_string(parse("-u/x")) == "-(u*x^(-1))"
-    assert to_string(parse("-1/x")) == "-x^(-1)"
+KERNELS = (exp, sin, cos)
+VARIABLES = [variable(n) for n in NAMES]
+COEFFICIENTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def kernel_polys(draw, depth=1):
+    """A sum of a few terms: a fraction coefficient times variables and
+    kernels of smaller such sums, or of such a sum over a sum."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [rational(draw(COEFFICIENTS))]
+        factors += draw(st.lists(st.sampled_from(VARIABLES), max_size=2))
+        if depth and draw(st.booleans()):
+            arg = draw(kernel_polys(depth - 1))
+            v = draw(st.sampled_from(VARIABLES))
+            arg = arg / (v + 1) if draw(st.booleans()) else arg + v
+            factors.append(draw(st.sampled_from(KERNELS))(arg))
+        terms.append(expr_prod(factors))
+    return expr_sum(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys(), kernel_polys(), st.sampled_from(VARIABLES))
+def test_printed_quotients_keep_order_and_parse_back(n, d, v):
+    # d + v is a sum denominator unless it cancels to a constant
+    if d + v != rational(0):
+        _check_printed_form(n / (d + v))
+    _check_printed_form(n)
+
+
+def test_printed_forms():
+    assert to_string(parse("1/(1 + x)")) == "(1)/(1 + x)"
+    assert to_string(parse("x^-2")) == "(1)/(x^2)"
+    assert to_string(parse("-u/x^2")) == "(-u)/(x^2)"
+    assert to_string(parse("-x/(1 + x)")) == "(-x)/(1 + x)"
     assert to_string(parse("-3/2*u + 1/2")) == "1/2 - 3/2*u"
-    assert to_string(parse("exp(x/(1 + u))")) == "exp(x*(1 + u)^(-1))"
+    assert to_string(parse("exp(x/(1 + u))")) == "exp((x)/(1 + u))"
+    assert to_string(parse("x*u + u^2 + x + 1 + u")) == "1 + u + u*x + u^2 + x"
+
+
+def test_value_built_in_two_orders_prints_and_hashes_alike():
+    x, u = variable("x"), variable("u")
+    a = (exp(x) * sin(u) + u / (1 + x)) * (cos(x * u) - x)
+    b = cos(u * x) * u / (x + 1) - x * u / (x + 1) + (cos(x * u) - x) * sin(u) * exp(x)
+    assert a == b and hash(a) == hash(b)
+    assert to_string(a) == to_string(b)
+    assert free_variables(a) == {"x", "u"}
+
+
+def test_same_name_kernels_keep_a_fixed_order():
+    x = variable("x")
+    assert to_string(exp(2 * x) + exp(x)) == to_string(exp(x) + exp(2 * x)) == "exp(x) + exp(2*x)"
+    assert to_string(sin(2 * x) * sin(x)) == to_string(sin(x) * sin(2 * x)) == "sin(x)*sin(2*x)"
+    assert to_string(exp(x) * sin(2 * x) + exp(2 * x) * sin(x)) == "exp(x)*sin(2*x) + exp(2*x)*sin(x)"
 
 
 def test_free_variables_of_raw_trees_keep_tree_semantics():

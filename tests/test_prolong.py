@@ -354,12 +354,12 @@ def test_vector_path_check_reports_first_disagreement():
     with pytest.raises(InconsistentMuError) as err:
         prolong_mu_vector(X, mu, 2, path_check=True)
     assert str(err.value) == (
-        "recursion paths disagree at u_xt: difference (1 + x)^(-1)*("
-        "v + v_x - u*x*v^2 - u*v^2 - u_t*v_t*x - u_t*v_t*x^2 - u_t*v_x"
-        " - u_t*v_x*x - u_t*x - u_t*x^2 - u_x - u_x*x - 1/2*u*u_t"
-        " - 1/2*u*u_t*x + 1/2*t*u*x + 1/2*t*u*x^2 + 1/2*u + t*v_t*x^2"
-        " + t*v_t*x^3 + t*v_x*x + t*v_x*x^2 + u*u_t*v*x + u*u_t*v*x^2"
-        " + u*u_x*v + u*u_x*v*x + v*x + v_t*x)"
+        "recursion paths disagree at u_xt: difference (1/2*t*u*x"
+        " + 1/2*t*u*x^2 + t*v_t*x^2 + t*v_t*x^3 + t*v_x*x + t*v_x*x^2"
+        " + 1/2*u - 1/2*u*u_t + u*u_t*v*x + u*u_t*v*x^2 - 1/2*u*u_t*x"
+        " + u*u_x*v + u*u_x*v*x - u*v^2 - u*v^2*x - u_t*v_t*x - u_t*v_t*x^2"
+        " - u_t*v_x - u_t*v_x*x - u_t*x - u_t*x^2 - u_x - u_x*x + v + v*x"
+        " + v_t*x + v_x)/(1 + x)"
     )
 
 
