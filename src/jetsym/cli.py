@@ -22,7 +22,7 @@ import sys
 import time
 
 from .errors import JetsymError, ProblemFileError
-from .expr import DEFAULT_SEED, Verdict, to_string
+from .expr import DEFAULT_SEED, ZERO, Verdict, to_string
 from .gauge import (
     darboux_derivative,
     maurer_cartan_check_on_equation,
@@ -268,11 +268,9 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                 res = maurer_cartan_check(mu, seed=seed)
             verdict = _word(res.verdict)
             if res.verdict is not Verdict.TRUE:
-                for (i, k), R in sorted(res.residuals.items()):
-                    for a, row in enumerate(R):
-                        for b, e in enumerate(row):
-                            if to_string(e) != "0":
-                                residuals.append(to_string(e))
+                for pair in sorted(res.residuals):
+                    residuals += [to_string(e) for row in res.residuals[pair]
+                                  for e in row if e != ZERO]
         elif task.kind == "potential":
             mu = args.named("mu", problem.mu_named)
             args.finish()

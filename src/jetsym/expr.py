@@ -31,13 +31,13 @@ prints as its coefficient (left out when it is 1) followed by its
 factors in atom order, joined by ``*``, as ``atom`` or ``atom^k``; the
 sign of a term after the first is printed as `` + `` or `` - ``.
 
-Derivatives are computed on the pair: ``derivatives`` applies a
-derivation, fixed by its values on the variables, to the numerator and
-denominator monomial dicts in one pass (product rule over each
-monomial's atoms, chain rule for kernels, quotient rule for
-denominators), then reduces the result once.
-``pdiff`` and the total derivatives and vector fields of ``jets`` are
-such derivations.
+Derivatives are computed on the pair: ``derivative`` applies a
+derivation along one direction, fixed by its image of each variable, to
+the numerator and denominator monomial dicts in one pass (product rule
+over each monomial's atoms, chain rule for kernels), builds one
+numerator for each of them, and takes the quotient rule and one
+reduction only when the denominator is not 1.  ``pdiff`` and the total
+derivatives and vector fields of ``jets`` are such derivations.
 
 Substitution works on the canonical form too.  ``substitute`` maps each
 atom once (a bound variable to its replacement, a function atom to the
@@ -74,6 +74,7 @@ from . import backend as _k
 from ._gcd import poly_divexact, poly_gcd
 from .errors import (
     DomainError,
+    ExprError,
     SubstitutionError,
     SymbolicDivisionError,
     UnboundVariableError,
@@ -514,8 +515,6 @@ def polynomial_terms(e) -> dict:
     """Coefficients of a polynomial expression, keyed by monomials given
     as sorted tuples of (variable name, exponent); raises on non-polynomial
     input (denominators or kernels)."""
-    from .errors import ExprError
-
     e = as_expr(e)
     num, den = e._rf
     if den != _ONE_POLY or _has_kernel_poly(num):
@@ -650,21 +649,19 @@ def pdiff(e, v) -> Expr:
     """Partial derivative with respect to the variable ``v``; every other
     variable (jet coordinates included) is an independent symbol."""
     name = str(v)
-    return derivatives(e, lambda n: {0: ONE} if n == name else {}).get(0, ZERO)
+    return derivative(e, lambda n: ONE if n == name else None)
 
 
-def derivatives(e, of_var) -> dict:
-    """Derivatives of ``e`` along one or more directions, in one pass over
-    its canonical form.
+def derivative(e, of_var) -> Expr:
+    """The derivative of ``e`` along one direction, in one pass over its
+    canonical form.
 
     A derivation is fixed by its values on the variables: ``of_var(name)``
-    maps each variable name of ``e`` (inside kernels too) to a dict
-    ``{direction: value}``, empty when every direction treats the variable
-    as a constant.  Function kernels follow the chain rule.  Returns
-    ``{direction: canonical derivative}`` for the nonzero results.
+    returns the image of each variable name of ``e`` (inside kernels too),
+    or None when the derivation treats the variable as a constant.
+    Function kernels follow the chain rule.
     """
-    rf = _Derivation(of_var).rf(as_expr(e)._rf)
-    return {d: Expr(r) for d, r in rf.items()}
+    return Expr(_Derivation(of_var).rf(as_expr(e)._rf))
 
 
 def _outer_derivative(key):
@@ -692,17 +689,18 @@ def _add_term(p, m, c):
         del p[m]
 
 
-_CONSTANT = ((), ())  # an atom every direction treats as a constant
+_CONSTANT = (None, None)  # the memo entry of an atom the derivation fixes
 
 
 class _Derivation:
-    """Derivatives of canonical pairs along several directions at once.
+    """Derivatives of canonical pairs along one direction.
 
-    Each atom's derivatives are worked out once per instance: from
+    Each atom's derivative is worked out once per instance: from
     ``of_var`` for a variable, by the chain rule for a function atom.  A
     polynomial is walked once, monomial by monomial, with the product
-    rule over its atoms; a quotient takes the quotient rule and one
-    ``_reduce``, so results are canonical like every other pair.
+    rule over its atoms, into one numerator; a quotient takes the
+    quotient rule and one ``_reduce``, so results are canonical like
+    every other pair.
     """
 
     def __init__(self, of_var):
@@ -710,33 +708,31 @@ class _Derivation:
         self.memo = {}
 
     def atom(self, key):
-        """The atom's nonzero derivatives as ``(monos, others)``: single
-        exp-free monomials ``(direction, monomial, coefficient)``, which
-        the polynomial walk multiplies in place, and any other pairs
-        ``(direction, (num, den))``."""
+        """The atom's memo entry: ``(monomial, coefficient)`` for a single
+        exp-free monomial, which the polynomial walk multiplies in place,
+        ``(None, (num, den))`` for any other nonzero pair, ``_CONSTANT``
+        for zero."""
         if key[0] == 1:  # variable rank
-            vals = {d: v._rf for d, v in self.of_var(key[1]).items()}
+            image = self.of_var(key[1])
+            r = None if image is None else image._rf
         else:
             inner = self.rf(key[2]._rf)
-            outer = _outer_derivative(key) if inner else None
-            vals = {d: _rmul(outer, r) for d, r in inner.items()}
-        monos, others = [], []
-        for d, (num, den) in vals.items():
-            if not num:
-                continue
+            r = _rmul(_outer_derivative(key), inner) if inner[0] else None
+        if r is None or not r[0]:
+            hit = _CONSTANT
+        else:
+            num, den = r
+            hit = (None, r)
             if len(num) == 1 and den == _ONE_POLY:
                 ((m, c),) = num.items()
                 if not any(_is_exp_key(a) for a, _e in m):
-                    monos.append((d, m, c))
-                    continue
-            others.append((d, (num, den)))
-        hit = (monos, others) if monos or others else _CONSTANT
+                    hit = (m, c)
         self.memo[key] = hit
         return hit
 
-    def poly(self, p) -> dict:
+    def poly(self, p):
         memo = self.memo
-        direct = {}  # direction -> numerator built monomial by monomial
+        direct = {}  # the numerator built monomial by monomial
         partial = {}  # atom key -> partial derivative of p in that atom
         for m, c in p.items():
             for idx, (a, e) in enumerate(m):
@@ -751,41 +747,28 @@ class _Derivation:
                 else:
                     rest = m[:idx] + ((a, e - 1),) + m[idx + 1:]
                     ce = _k.rat_mul(c, (e, 1))
-                monos, others = hit
-                for d, gm, gc in monos:
-                    acc = direct.get(d)
-                    if acc is None:
-                        acc = direct[d] = {}
-                    _add_term(acc, _k.monomial_mul(rest, gm), _k.rat_mul(ce, gc))
-                if others:
+                gm, gc = hit
+                if gm is None:
                     _add_term(partial.setdefault(a, {}), rest, ce)
-        out = {d: (num, _ONE_POLY) for d, num in direct.items() if num}
+                else:
+                    _add_term(direct, _k.monomial_mul(rest, gm), _k.rat_mul(ce, gc))
+        out = (direct, _ONE_POLY)
         for a, pa in partial.items():
-            if not pa:
-                continue
-            for d, r in memo[a][1]:
-                term = _rmul((pa, _ONE_POLY), r)
-                out[d] = _radd(out[d], term) if d in out else term
-        return {d: r for d, r in out.items() if r[0]}
-
-    def rf(self, r) -> dict:
-        num, den = r
-        dnum = self.poly(num)
-        if den == _ONE_POLY:
-            return dnum
-        dden = self.poly(den)
-        den_sq = _pmul(den, den)
-        zero = (_ZERO_POLY, _ONE_POLY)
-        out = {}
-        for d in list(dnum) + [d for d in dden if d not in dnum]:
-            a, b = dnum.get(d, zero)
-            c, e = dden.get(d, zero)
-            # (a/b)/den - num*(c/e)/den^2 = (a*e*den - num*c*b) / (b*e*den^2)
-            top = _k.poly_sub(_pmul(_pmul(a, e), den), _pmul(_pmul(num, c), b))
-            res = _reduce(top, _pmul(_pmul(b, e), den_sq))
-            if res[0]:
-                out[d] = res
+            if pa:
+                out = _radd(out, _rmul((pa, _ONE_POLY), memo[a][1]))
         return out
+
+    def rf(self, r):
+        num, den = r
+        a, b = self.poly(num)
+        if den == _ONE_POLY:
+            return (a, b)
+        c, e = self.poly(den)
+        if not (a or c):
+            return (_ZERO_POLY, _ONE_POLY)
+        # (a/b)/den - num*(c/e)/den^2 = (a*e*den - num*c*b) / (b*e*den^2)
+        top = _k.poly_sub(_pmul(_pmul(a, e), den), _pmul(_pmul(num, c), b))
+        return _reduce(top, _pmul(_pmul(b, e), _pmul(den, den)))
 
 
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}

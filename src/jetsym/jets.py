@@ -31,9 +31,10 @@ from .expr import (
     Verdict,
     ZERO,
     as_expr,
-    derivatives,
+    derivative,
     expr_sum,
     free_variables,
+    pdiff,
     variable,
     zero_verdict,
 )
@@ -278,12 +279,7 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     the partial in x^i plus, for every jet variable present, the next
     derivative coordinate times the partial in that variable.  The result
     lives one jet order higher than its input."""
-
-    def of_var(name):
-        image = _successor(spec, i, name)
-        return {} if image is None else {0: image}
-
-    return derivatives(e, of_var).get(0, ZERO)
+    return derivative(e, lambda name: _successor(spec, i, name))
 
 
 def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
@@ -336,14 +332,12 @@ class JetVectorField:
         def of_var(name):
             kind = self.spec.decode(name)
             if kind[0] == "independent":
-                comp = self.xi[kind[1]]
-            elif kind[0] == "jet":
-                comp = self.psi_at(kind[1], kind[2])
-            else:
-                return {}
-            return {} if comp == ZERO else {0: comp}
+                return self.xi[kind[1]]
+            if kind[0] == "jet":
+                return self.psi_at(kind[1], kind[2])
+            return None
 
-        return derivatives(e, of_var).get(0, ZERO)
+        return derivative(e, of_var)
 
     def scale(self, f) -> "JetVectorField":
         f = as_expr(f)
@@ -565,13 +559,13 @@ def _coordinate_key(spec, name):
 
 
 def scalar_differential(f, spec: JetSpec) -> OneForm:
-    """The full coordinate differential of a function on jet space."""
-
-    def of_var(name):
+    """The full coordinate differential of a function on jet space: one
+    partial derivative per coordinate that ``f`` holds."""
+    grads = {}
+    for name in free_variables(f):
         key = _coordinate_key(spec, name)
-        return {} if key is None else {key: ONE}
-
-    grads = derivatives(f, of_var)
+        if key is not None:
+            grads[key] = pdiff(f, name)
     # independent directions first, then jet coordinates by name
     order = [basis_key_dx(i) for i in range(spec.p)]
     order += sorted((k for k in grads if k[0] == "u"), key=lambda k: _basis_name(k, spec))

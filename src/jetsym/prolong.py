@@ -35,6 +35,7 @@ from .expr import (
     Verdict,
     ZERO,
     as_expr,
+    expr_sum,
     zero_verdict,
 )
 from .jets import (
@@ -74,6 +75,18 @@ class PointVectorField(_Value):
                     )
 
 
+def characteristic(X: PointVectorField):
+    """The q-vector ``phi^a - u^a_i xi^i`` measuring the vertical action."""
+    spec = X.spec
+    out = []
+    for a in range(spec.q):
+        parts = [X.phi[a]]
+        for i in range(spec.p):
+            parts.append(-spec.jet_var(a, MultiIndex.zero(spec.p).inc(i)) * X.xi[i])
+        out.append(expr_sum(parts))
+    return tuple(out)
+
+
 class NablaOperator:
     """The matrix-deformed total derivative along one direction: the
     identity times the total derivative plus the form's matrix there."""
@@ -95,16 +108,17 @@ class NablaOperator:
         return tuple(out)
 
 
-def _make_step(X: PointVectorField, matrices=None):
+def _make_step(X: PointVectorField, mu=None):
     """The one-step recursion of a lift along direction i,
 
-        Psi^a_{J+i} = D_i Psi^a_J + L_i[a][b] Psi^b_J - W_i[a][b][m] u^b_{J+m},
+        Psi^a_{J+i} = nabla_i Psi^a_J - W_i[a][b][m] u^b_{J+m},
         W_i[a][b][m] = delta_ab D_i xi^m + L_i[a][b] xi^m,
 
     summed over b and m, where L_i is the deforming form's matrix along i
-    (no L for the standard lift, the 1x1 matrix lambda_i for a scalar
-    form).  The coefficients W, and with them every D_i xi^m, are worked
-    out once per lift instead of once per step."""
+    and ``nabla_i = D_i + L_i`` its :class:`NablaOperator` (no form for
+    the standard lift, whose step takes D_i alone, and the 1x1 matrix
+    lambda_i for a scalar form).  The coefficients W, and with them every
+    D_i xi^m, are worked out once per lift instead of once per step."""
     spec = X.spec
     p, q = spec.p, spec.q
     W = {}
@@ -114,19 +128,21 @@ def _make_step(X: PointVectorField, matrices=None):
             for a in range(q):
                 for b in range(q):
                     w = dxi if a == b else ZERO
-                    if matrices is not None:
-                        w = w + matrices[i][a][b] * x
+                    if mu is not None:
+                        w = w + mu.matrices[i][a][b] * x
                     if w != ZERO:
                         W[i, a, b, m] = w
+    nablas = None if mu is None else [NablaOperator(mu, i) for i in range(p)]
 
     def step(i, J, row):
         jets = [[spec.jet_var(b, J.inc(m)) for b in range(q)] for m in range(p)]
+        if nablas is None:
+            rows = [total_derivative(r, i, spec) for r in row]
+        else:
+            rows = nablas[i].apply(row)
         out = []
         for a in range(q):
-            r = total_derivative(row[a], i, spec)
-            if matrices is not None:
-                for b in range(q):
-                    r = r + matrices[i][a][b] * row[b]
+            r = rows[a]
             for m in range(p):
                 for b in range(q):
                     w = W.get((i, a, b, m))
@@ -205,7 +221,7 @@ def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
             "lambda depends on jet order > 1; set generalized=True on the field"
         )
     n = spec.order if n is None else n
-    table = _build_table(X, _make_step(X, [((lam,),)]), n)
+    table = _build_table(X, _make_step(X, MuForm.scalar(spec, [lam])), n)
     return _as_field(X, table, n)
 
 
@@ -237,7 +253,7 @@ def prolong_mu_vector(
             "the form is not flat (not closed when q = 1); "
             "pass path_check=True to verify path independence instead"
         )
-    step = _make_step(X, mu.matrices)
+    step = _make_step(X, mu)
     table = _build_table(X, step, n)
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
@@ -332,8 +348,6 @@ def difference_terms(
     if spec.q == 1:
         # the scalar difference terms satisfy their own recursion:
         # F_{J,i} = (D_i + lambda_i) F_J + lambda_i D_J Q,  F_0 = 0
-        from .symmetry import characteristic
-
         Q = characteristic(X)[0]
         lambdas = mu.lambdas
         residuals = {}

@@ -23,7 +23,6 @@ from .expr import (
     ZERO,
     as_expr,
     constant_value,
-    expr_sum,
     free_variables,
     pdiff,
     substitute,
@@ -44,8 +43,10 @@ from .jets import (
     truncated_total_derivative,
     _Value,
 )
+from .parsing import parse
 from .prolong import (
     PointVectorField,
+    characteristic,
     difference_terms,
     prolong_lambda,
     prolong_mu_vector,
@@ -96,8 +97,6 @@ class DifferentialEquation(_Value):
     @classmethod
     def from_strings(cls, spec: JetSpec, mapping) -> "DifferentialEquation":
         """Build from ``{leading-coordinate-name: rhs-expression}``."""
-        from .parsing import parse
-
         eqs = []
         for lead, rhs in mapping.items():
             kind = spec.decode(lead)
@@ -115,18 +114,6 @@ class DifferentialEquation(_Value):
 
     def _is_leading_derived(self, a: int, J: MultiIndex) -> bool:
         return J.dominates(self.equations[a][0].index)
-
-
-def characteristic(X: PointVectorField):
-    """The q-vector ``phi^a - u^a_i xi^i`` measuring the vertical action."""
-    spec = X.spec
-    out = []
-    for a in range(spec.q):
-        parts = [X.phi[a]]
-        for i in range(spec.p):
-            parts.append(-spec.jet_var(a, MultiIndex.zero(spec.p).inc(i)) * X.xi[i])
-        out.append(expr_sum(parts))
-    return tuple(out)
 
 
 def invariant_set_relations(X: PointVectorField, n=None):

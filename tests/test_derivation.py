@@ -3,7 +3,8 @@
 ``pdiff``, ``total_derivative``, ``JetVectorField.apply`` and
 ``scalar_differential`` are checked
 against sympy on seeded random rational functions with negative powers,
-``log`` and nested ``exp``/``sin``/``cos``.  sympy reads a result from
+``log`` and nested ``exp``/``sin``/``cos``, and on fixed quotients whose
+numerator alone or denominator alone moves along a direction.  sympy reads a result from
 its printed text (pinned by ``test_printing``), and the result agrees
 when sympy simplifies the difference to zero after rewriting every
 kernel through exponentials.  Standard prolongations whose gcds once ran
@@ -41,6 +42,18 @@ ODE = JetSpec(("x",), ("u",), 2)
 NAMES = ("x", "u", "u_x")
 SYMBOLS = {n: sp.Symbol(n) for n in NAMES + ("u_xx",)}
 FUNCS = {"exp": sp.exp, "log": sp.log, "sin": sp.sin, "cos": sp.cos}
+# Quotients whose numerator alone or denominator alone moves along some
+# direction, each with the component of the field of
+# ``test_vector_field_apply_matches_sympy`` that is zero for it (0: xi,
+# 1: psi on u, 2: psi on u_x).  Those fields move the denominator alone,
+# the numerator alone twice, and neither: the last field has no psi on
+# u_x, so its derivative of the last quotient is zero.
+QUOTIENTS = (
+    ("u_x/(1 + x^2)", 2),
+    ("x/(1 + u)", 1),
+    ("exp(u)/(1 + x)", 0),
+    ("2/(1 + u_x^2)", 2),
+)
 
 
 def _rand_tree(rng, depth):
@@ -99,8 +112,11 @@ def agrees(got, want):
 
 
 def cases(salt, n=CASES):
+    """``n`` random functions, then the ``QUOTIENTS``."""
     rng = random.Random(f"{SEED}:{salt}")
-    return [rand_function(rng) for _ in range(n)]
+    return [rand_function(rng) for _ in range(n)] + [
+        (parse(text), sp.sympify(text.replace("^", "**"), locals={**SYMBOLS, **FUNCS}))
+        for text, _ in QUOTIENTS]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -121,8 +137,10 @@ def test_total_derivative_matches_sympy():
 def test_vector_field_apply_matches_sympy():
     rng = random.Random(f"{SEED}:apply")
     # sympy needs longest to simplify these, so fewer cases
-    for e, expr in cases("apply", CASES // 2):
+    for k, (e, expr) in enumerate(cases("apply", CASES // 2)):
         comps = [rand_function(rng, depth=2, min_ops=1) for _ in NAMES]
+        if k >= CASES // 2:
+            comps[QUOTIENTS[k - CASES // 2][1]] = (ZERO, sp.Integer(0))
         (xi, xi_s), (psi0, psi0_s), (psi1, psi1_s) = comps
         Y = JetVectorField(
             ODE, (xi,), {(0, MultiIndex((0,))): psi0, (0, MultiIndex((1,))): psi1}

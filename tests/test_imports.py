@@ -13,6 +13,10 @@ No module, ``expr`` included, and no test names ``Const``, ``Var``,
 and values are built with ``rational``, ``variable``, the operators and
 the kernel constructors, so no class per shape of value comes back.
 
+Every import of the package sits at module level, none in a function or
+class body: the imports of a module state what it depends on, and a
+dependency cycle shows at import time instead of being worked around.
+
 ``import jetsym.cli`` loads neither ``dataclasses`` nor ``inspect``:
 every run of the command pays its start-up, and those two modules cost
 about 20 ms of it.  Value classes are ``__slots__`` classes instead.
@@ -31,12 +35,13 @@ REEXPORTS = {"__init__.py", "backend.py"}
 NODE_CLASSES = {"Const", "Var", "Pow", "Mul", "Add", "Func"}
 
 
-def sources(exempt=()):
-    """Each package module, with its file name as id, and each test file,
-    with id ``tests/NAME``."""
+def sources(exempt=(), tests=True):
+    """Each package module, with its file name as id, and unless ``tests``
+    is false each test file, with id ``tests/NAME``."""
     return [pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))
             if p.name not in exempt] + [
-        pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))]
+        pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))
+        if tests]
 
 
 def unused_imports(source):
@@ -101,6 +106,27 @@ def test_the_walk_sees_a_node_class():
 @pytest.mark.parametrize("module", sources())
 def test_only_expr_names_node_classes(module):
     assert node_class_mentions(module.read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source):
+    """Lines of the imports inside a function or class body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= {sub.lineno for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
+def test_the_walk_sees_a_nested_import():
+    assert nested_imports("import os\ndef f():\n    import sys\n") == [3]
+    assert nested_imports("class C:\n    def m(self):\n        from . import x\n") == [3]
+    assert nested_imports("try:\n    import os\nexcept ImportError:\n    os = None\n") == []
+
+
+@pytest.mark.parametrize("module", sources(tests=False))
+def test_package_imports_at_module_level(module):
+    assert nested_imports(module.read_text(encoding="utf-8")) == []
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
