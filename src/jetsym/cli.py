@@ -1,10 +1,14 @@
 """Batch frontend.
 
-One subcommand per library verb (prolong, check-symmetry, check-compat,
-potential, darboux, gauge-check, run-file); every subcommand reads the
-declarations of a problem file, run-file also executes its [task]
-sections.  Exit codes: 0 all tasks passed, 1 at least one task failed,
-2 invalid input.
+Subcommands: run-file, which executes the [task] sections of a problem
+file, and one per task kind (check-symmetry, prolong, check-compat,
+potential, darboux, gauge-check, coincide), which runs one task of that
+kind on the declarations of a problem file.  A subcommand's flags are
+its task's arguments, as listed in ``problemfile.TASK_ARGS`` (``--lam``
+gives ``lambda``, a bare ``--path-check`` gives ``path-check = true``),
+and are checked by the same rules, with the flag cited in place of a
+line.  Exit codes: 0 all tasks passed, 1 at least one task failed, 2
+invalid input.
 
 Verdict vocabulary of task records (closed): pass, fail, probably-pass,
 vacuous-pass, unverifiable.  With --strict everything except a plain
@@ -29,7 +33,14 @@ from .gauge import (
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
-from .problemfile import ProblemFile, TaskDecl, _parse_expr, load_problem, parse_flag
+from .problemfile import (
+    TASK_ARGS,
+    ProblemFile,
+    TaskDecl,
+    _parse_expr,
+    load_problem,
+    parse_flag,
+)
 from .prolong import maurer_cartan_check
 from .symmetry import _prolong_by_kind, check_symmetry, coincide_on_invariant_set
 
@@ -118,20 +129,29 @@ def _word(verdict: Verdict, *, vacuous=False, unverifiable=False) -> str:
 _KIND_ARGS = {"standard": (), "lambda": ("lambda",), "mu": ("mu", "path-check")}
 
 
+def _flag(name):
+    """The subcommand flag of task argument ``name``."""
+    return "--lam" if name == "lambda" else f"--{name}"
+
+
 class _Args:
     """Task argument accessor with typo detection."""
 
     def __init__(self, task: TaskDecl):
         self.task = task
-        self.seen = set()
+
+    def missing_at(self, name):
+        """Where a missing argument ``name`` is cited: at its task's line,
+        or at its flag for a subcommand, whose task stands at no line."""
+        return _flag(name) if self.task.line is None else self.task.line
 
     def get(self, name, default=None, required=False):
         if name in self.task.args:
-            self.seen.add(name)
             return self.task.args[name][0]
         if required:
             raise ProblemFileError(
-                f"task {self.task.task_id!r} needs argument {name!r}", self.task.line
+                f"task {self.task.task_id!r} needs argument {name!r}",
+                self.missing_at(name),
             )
         return default
 
@@ -168,7 +188,8 @@ class _Args:
         """Kind, lambda, mu form and path-check flag of a prolong or
         check-symmetry task.  An argument that only other kinds read is
         an error at its own line, not silently dropped; one that the kind
-        needs and that is missing is an error at the task."""
+        needs and that is missing is an error at the task (at its flag,
+        for a subcommand)."""
         kind = self.get("kind", default="standard")
         if kind not in _KIND_ARGS:
             raise ProblemFileError(
@@ -188,12 +209,12 @@ class _Args:
         mu = self.named("mu", problem.mu_named, required=False)
         if (kind == "lambda" and lam is None) or (kind == "mu" and mu is None):
             raise ProblemFileError(
-                f"kind={kind} needs a '{kind} =' argument", self.task.line
+                f"kind={kind} needs a '{kind} =' argument", self.missing_at(kind)
             )
         return kind, lam, mu, self.get_flag("path-check")
 
     def finish(self):
-        extra = set(self.task.args) - self.seen
+        extra = set(self.task.args).difference(TASK_ARGS[self.task.kind])
         if extra:
             raise ProblemFileError(
                 f"task {self.task.task_id!r} has unknown argument(s) "
@@ -343,14 +364,6 @@ def _load(path) -> ProblemFile:
         raise ProblemFileError(f"cannot read {path}: {err}")
 
 
-def _single_task(kind, pairs) -> TaskDecl:
-    """The task of a single-operation subcommand: each argument is placed
-    at the flag that gave it, and the task at no line."""
-    args = {k: (v, "--lam" if k == "lambda" else f"--{k}")
-            for k, v in pairs.items() if v is not None}
-    return TaskDecl(kind, kind, args, None)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jetsym",
@@ -363,71 +376,27 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable report here")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
-        p = sub.add_parser(name)
+    # one subcommand per task kind, one flag per argument of the kind; the
+    # values are checked where a [task] section's are, by run_task
+    for kind in (*TASK_ARGS, "run-file"):
+        p = sub.add_parser(kind)
         p.add_argument("file", help="problem file with the declarations")
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add(
-        "prolong",
-        **{
-            "--field": {"required": True},
-            "--kind": {"default": "standard", "choices": ["standard", "lambda", "mu"]},
-            "--lam": {"dest": "lam", "default": None,
-                      "help": "deforming function for kind=lambda"},
-            "--mu": {"default": None},
-            "--order": {"type": int, "default": None},
-            "--path-check": {"action": "store_true"},
-        },
-    )
-    add(
-        "check-symmetry",
-        **{
-            "--field": {"required": True},
-            "--equation": {"required": True},
-            "--kind": {"default": "standard", "choices": ["standard", "lambda", "mu"]},
-            "--lam": {"dest": "lam", "default": None},
-            "--mu": {"default": None},
-            "--path-check": {"action": "store_true"},
-        },
-    )
-    add("check-compat", **{"--mu": {"required": True}, "--equation": {"default": None}})
-    add("potential", **{"--mu": {"required": True}})
-    add("darboux", **{"--gauge": {"required": True}})
-    add(
-        "gauge-check",
-        **{
-            "--field": {"required": True},
-            "--phi": {"required": True},
-            "--order": {"type": int, "default": None},
-        },
-    )
-    add("run-file")
+        for name in TASK_ARGS.get(kind, ()):
+            if name == "path-check":
+                p.add_argument(_flag(name), dest=name, action="store_const",
+                               const="true")
+            else:
+                p.add_argument(_flag(name), dest=name)
 
     opts = parser.parse_args(argv)
     try:
         problem = _load(opts.file)
-        if opts.command == "run-file":
-            report = run(problem, seed=opts.seed, strict=opts.strict)
-        else:
-            pairs = {}
-            for key in ("field", "equation", "kind", "mu", "gauge", "phi"):
-                if hasattr(opts, key) and getattr(opts, key) is not None:
-                    pairs[key] = getattr(opts, key)
-            if getattr(opts, "lam", None) is not None:
-                pairs["lambda"] = opts.lam
-            if getattr(opts, "order", None) is not None:
-                pairs["order"] = str(opts.order)
-            if getattr(opts, "path_check", False):
-                pairs["path-check"] = "true"
-            seed = DEFAULT_SEED if opts.seed is None else opts.seed
-            report = Report(seed=seed, strict=opts.strict)
-            report.records.append(
-                run_task(problem, _single_task(opts.command, pairs), seed=seed)
-            )
+        kind = opts.command
+        if kind != "run-file":
+            args = {name: (getattr(opts, name), _flag(name))
+                    for name in TASK_ARGS[kind] if getattr(opts, name) is not None}
+            problem.tasks = [TaskDecl(kind, kind, args, None)]
+        report = run(problem, seed=opts.seed, strict=opts.strict)
     except ProblemFileError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2

@@ -16,8 +16,9 @@ bracketed header and hold ``key = expression`` lines:
   dependent variable;
 * ``[task KIND [ID]]`` naming one operation (check-symmetry, prolong,
   check-compat, potential, darboux, gauge-check, coincide) and its
-  arguments; a task without an ID is ``task-N`` for the N-th task
-  section, and two tasks may not share an ID.
+  arguments, as listed in ``TASK_ARGS``; a task without an ID is
+  ``task-N`` for the N-th task section, and two tasks may not share an
+  ID.
 
 Comments run from ``#`` to the end of the line.  A key may appear once
 per section.  Missing mu/gauge entries are zero.
@@ -33,15 +34,16 @@ from .parsing import parse
 from .prolong import PointVectorField
 from .symmetry import DifferentialEquation
 
-TASK_KINDS = (
-    "check-symmetry",
-    "prolong",
-    "check-compat",
-    "potential",
-    "darboux",
-    "gauge-check",
-    "coincide",
-)
+# each task kind, with the arguments that it reads
+TASK_ARGS = {
+    "check-symmetry": ("field", "equation", "kind", "lambda", "mu", "path-check"),
+    "prolong": ("field", "kind", "lambda", "mu", "order", "path-check"),
+    "check-compat": ("mu", "equation"),
+    "potential": ("mu",),
+    "darboux": ("gauge",),
+    "gauge-check": ("field", "phi", "order"),
+    "coincide": ("field", "mu", "order", "path-check"),
+}
 
 
 class TaskDecl:
@@ -320,10 +322,10 @@ def load_problem(text: str) -> ProblemFile:
             table[name] = builder(spec, entries, line_no)
             continue
         if kind == "task":
-            if len(header) < 2 or header[1] not in TASK_KINDS:
+            if len(header) < 2 or header[1] not in TASK_ARGS:
                 raise ProblemFileError(
                     f"unknown task kind {' '.join(header[1:2]) or '?'!r}; "
-                    f"expected one of {', '.join(TASK_KINDS)}",
+                    f"expected one of {', '.join(TASK_ARGS)}",
                     line_no,
                 )
             if len(header) > 3:

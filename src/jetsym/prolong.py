@@ -331,18 +331,20 @@ class DifferenceTerms:
         self.recursion_verdict = recursion_verdict
 
 
+def _difference_terms(X, mu, n, path_check, seed):
+    """The ``terms`` of :func:`difference_terms`, without the recursion."""
+    deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
+    standard = prolong_standard(X, n)
+    return {(a, J): deformed.psi_at(a, J) - standard.psi_at(a, J)
+            for J in X.spec.multi_indices(n) for a in range(X.spec.q)}
+
+
 def difference_terms(
     X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
 ) -> DifferenceTerms:
     spec = X.spec
     n = spec.order if n is None else n
-    deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
-    standard = prolong_standard(X, n)
-    terms = {}
-    for J in spec.multi_indices(n):
-        for a in range(spec.q):
-            terms[(a, J)] = deformed.psi_at(a, J) - standard.psi_at(a, J)
-
+    terms = _difference_terms(X, mu, n, path_check, seed)
     residuals = None
     verdict = None
     if spec.q == 1:

@@ -46,8 +46,8 @@ from .jets import (
 from .parsing import parse
 from .prolong import (
     PointVectorField,
+    _difference_terms,
     characteristic,
-    difference_terms,
     prolong_lambda,
     prolong_mu_vector,
     prolong_standard,
@@ -360,7 +360,7 @@ def coincide_on_invariant_set(
     term and verify that all of them vanish."""
     spec = X.spec
     n = spec.order if n is None else n
-    diff = difference_terms(X, mu, n, path_check=path_check, seed=seed)
+    diff = _difference_terms(X, mu, n, path_check, seed)
     relations = invariant_set_relations(X, n)
 
     solved = {}
@@ -405,7 +405,7 @@ def coincide_on_invariant_set(
 
     residuals = {}
     verdicts = []
-    for key, term in diff.terms.items():
+    for key, term in diff.items():
         rest = apply_solutions(term)
         v = zero_verdict(rest, seed=seed)
         verdicts.append(v)

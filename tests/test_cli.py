@@ -496,6 +496,28 @@ def test_flag_of_another_kind_exits_two(tmp_path, capsys, argv):
     assert "belongs to kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prolong", "--order", "1"], "--field: task 'prolong' needs argument 'field'"),
+    (["check-symmetry", "--field", "S"],
+     "--equation: task 'check-symmetry' needs argument 'equation'"),
+    (["prolong", "--field", "S", "--kind", "bogus"],
+     "--kind: task 'prolong': unknown prolongation kind 'bogus'"),
+    (["prolong", "--field", "S", "--order", "x"],
+     "--order: task 'prolong': order must be an integer, got 'x'"),
+    (["prolong", "--field", "S", "--kind", "lambda"],
+     "--lam: kind=lambda needs a 'lambda =' argument"),
+    (["check-symmetry", "--field", "S", "--equation", "E", "--kind", "mu"],
+     "--mu: kind=mu needs a 'mu =' argument"),
+], ids=["missing-field", "missing-equation", "kind", "order", "missing-lam", "missing-mu"])
+def test_subcommand_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    # a subcommand's task stands at no line, so even a missing argument is
+    # cited at its flag
+    problem = tmp_path / "kinds.jsf"
+    problem.write_text(KINDS.format(task="prolong", kind="standard", needed="", stray=""))
+    assert main([argv[0], str(problem)] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
 @pytest.mark.parametrize("task", ["prolong", "check-symmetry"])
 @pytest.mark.parametrize("kind", ["lambda", "mu"])
 def test_missing_argument_of_the_kind_exits_two(tmp_path, capsys, task, kind):

@@ -8,7 +8,10 @@ rational and kernel symmetry checks, gauge-check, potential, check-compat,
 darboux and coincide tasks, and the printing of sum and monomial
 denominators, fraction coefficients, leading minus signs and kernels of
 rational arguments.  A change that
-alters any printed canonical form or verdict fails here.  Re-record the
+alters any printed canonical form or verdict fails here.
+
+Each golden task, run alone as the subcommand of its kind with its
+arguments as flags, must give the record that ``run-file`` gives it.  Re-record the
 reports with ``python tests/golden/record.py``, and only for a deliberate
 change of output.
 
@@ -28,6 +31,7 @@ import pytest
 
 from jetsym.cli import Report, TaskRecord, main
 from jetsym.parsing import parse
+from jetsym.problemfile import TASK_ARGS, load_problem, parse_flag
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # exit code of each run: the ODE, non-flat and rational problems hold tasks
@@ -72,3 +76,36 @@ def test_tree_order_report_reads_as_golden(name):
         assert [parse(r) for r in was["residuals"]] == [parse(r) for r in now["residuals"]]
         assert ([_read_detail(d) for d in was["detail"]]
                 == [_read_detail(d) for d in now["detail"]])
+
+
+# each golden task, with the name of its problem
+TASKS = [(name, task) for name in sorted(EXIT_CODES)
+         for task in load_problem((GOLDEN / f"{name}.jsf").read_text()).tasks]
+
+
+def _flags(task):
+    """The subcommand flags that give the task's arguments."""
+    flags = []
+    for name, (value, line) in task.args.items():
+        if name == "path-check":
+            flags += ["--path-check"] if parse_flag(value, line) else []
+        else:
+            flags.append(("--lam" if name == "lambda" else f"--{name}") + f"={value}")
+    return flags
+
+
+def test_golden_tasks_cover_every_kind():
+    assert {task.kind for _name, task in TASKS} == set(TASK_ARGS)
+
+
+@pytest.mark.parametrize("name, task", TASKS, ids=[f"{n}-{t.task_id}" for n, t in TASKS])
+def test_subcommand_gives_the_run_file_record(name, task, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["--json", str(out), task.kind, str(GOLDEN / f"{name}.jsf")] + _flags(task))
+    capsys.readouterr()
+    (record,) = json.loads(out.read_text())["tasks"]
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())["tasks"]
+    (expected,) = [t for t in golden if t["id"] == task.task_id]
+    # a subcommand's task is named after its kind
+    assert record == dict(expected, id=task.kind)
+    assert code == (1 if record["verdict"] == "fail" else 0)
