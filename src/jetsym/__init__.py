@@ -2,7 +2,7 @@
 
 The library implements expressions with exact rational arithmetic and a
 canonical form (``expr``, ``parsing``), jet-space geometry with total
-derivatives and contact forms (``jets``), the standard and deformed
+derivatives and vector fields (``jets``), the standard and deformed
 prolongations of point vector fields (``prolong``), symmetry verdicts
 for differential equations in solved form (``symmetry``), the structure
 theory of the deforming form (``gauge``), and a batch CLI (``cli``).
@@ -22,7 +22,6 @@ from .expr import (
     expr_sum,
     free_variables,
     is_polynomial,
-    is_zero,
     normalize,
     pdiff,
     rational,
@@ -44,20 +43,8 @@ from .jets import (
     JetVectorField,
     MultiIndex,
     MuForm,
-    OneForm,
-    TwoForm,
-    contact_form,
-    du,
-    dx,
-    exterior_derivative,
-    in_contact_module,
-    in_vector_contact_module,
-    interior_product,
-    lie_derivative,
-    scalar_differential,
     total_derivative,
     total_derivative_path,
-    truncated_total_derivative,
 )
 from .parsing import parse
 from .problemfile import ProblemFile, load_problem
@@ -73,10 +60,8 @@ from .prolong import (
 )
 from .symmetry import (
     DifferentialEquation,
-    characterization_check,
     check_symmetry,
     coincide_on_invariant_set,
-    commutator_with_total_derivative,
     invariant_set_relations,
     restrict_to_solution_manifold,
 )
@@ -94,36 +79,23 @@ __all__ = [
     "MuForm",
     "MultiIndex",
     "NablaOperator",
-    "OneForm",
     "PointVectorField",
     "ProblemFile",
-    "TwoForm",
     "Verdict",
     "as_expr",
     "characteristic",
-    "characterization_check",
     "check_symmetry",
     "coincide_on_invariant_set",
-    "commutator_with_total_derivative",
     "constant_value",
-    "contact_form",
     "darboux_derivative",
     "difference_terms",
-    "du",
-    "dx",
     "eval_expr",
     "exp",
     "expr_prod",
     "expr_sum",
-    "exterior_derivative",
     "free_variables",
-    "in_contact_module",
-    "in_vector_contact_module",
-    "interior_product",
     "invariant_set_relations",
     "is_polynomial",
-    "is_zero",
-    "lie_derivative",
     "load_problem",
     "maurer_cartan_check",
     "maurer_cartan_check_on_equation",
@@ -135,13 +107,11 @@ __all__ = [
     "prolong_standard",
     "rational",
     "restrict_to_solution_manifold",
-    "scalar_differential",
     "scalar_potential",
     "substitute",
     "to_string",
     "total_derivative",
     "total_derivative_path",
-    "truncated_total_derivative",
     "variable",
     "verify_gauge_equivalence_scalar",
     "zero_verdict",

@@ -868,12 +868,6 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
     return Verdict.PROBABLY
 
 
-def is_zero(e, *, seed=None, samples=DEFAULT_SAMPLES) -> bool:
-    """True only when ``e`` is exactly zero; a probably-zero outcome is
-    reported as False here, use ``zero_verdict`` for the full verdict."""
-    return zero_verdict(e, seed=seed, samples=samples) is Verdict.TRUE
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -1,4 +1,4 @@
-"""Jet-space geometry: coordinates, total derivatives, and differential forms.
+"""Jet-space geometry: coordinates, total derivatives and vector fields.
 
 A jet space is described by a :class:`JetSpec` (independent names,
 dependent names, order).  Derivative coordinates are addressed by
@@ -8,10 +8,11 @@ dependent name, underscore, then the independent names repeated per
 count in declaration order (``u``, ``u_x``, ``u_xx``, ``u_xt`` when x is
 declared before t).
 
-One- and two-forms are coefficient maps over the basis ``dx^i``,
-``du^a_J``; contact forms, exterior derivatives, interior products and
-Lie derivatives are provided, together with membership tests in the
-contact module (the span of the contact forms over smooth functions).
+A :class:`JetVectorField` acts as a derivation on functions of the jet
+coordinates; prolonged fields are built by ``prolong``.  Contact forms,
+Lie derivatives and the contact module are not part of the package: the
+lifts are computed by their one-step recursion, and the tests check it
+against those geometric definitions (``tests/forms.py``).
 
 The deforming horizontal form :class:`MuForm` holds one q-by-q matrix of
 coefficients per independent direction, a scalar form being the q = 1
@@ -28,15 +29,12 @@ from .errors import JetError
 from .expr import (
     ONE,
     Expr,
-    Verdict,
     ZERO,
     as_expr,
     derivative,
     expr_sum,
     free_variables,
-    pdiff,
     variable,
-    zero_verdict,
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
@@ -159,13 +157,7 @@ class JetSpec(_Value):
     def q(self) -> int:
         return len(self.dependent)
 
-    def with_order(self, n: int) -> "JetSpec":
-        return self if n == self.order else JetSpec(self.independent, self.dependent, n)
-
     # -- names ------------------------------------------------------------
-
-    def independent_var(self, i: int) -> Expr:
-        return variable(self.independent[i])
 
     def jet_name(self, a: int, index: MultiIndex) -> str:
         if len(index.counts) != self.p:
@@ -321,11 +313,6 @@ class JetVectorField:
     def psi_at(self, a: int, J: MultiIndex) -> Expr:
         return self.psi.get((a, J), ZERO)
 
-    def component(self, key) -> Expr:
-        if key[0] == "x":
-            return self.xi[key[1]]
-        return self.psi.get((key[1], MultiIndex(key[2])), ZERO)
-
     def apply(self, e) -> Expr:
         """Act as a derivation on a function of the jet coordinates."""
 
@@ -339,15 +326,6 @@ class JetVectorField:
 
         return derivative(e, of_var)
 
-    def scale(self, f) -> "JetVectorField":
-        f = as_expr(f)
-        return JetVectorField(
-            self.spec,
-            tuple(f * x for x in self.xi),
-            {k: f * v for k, v in self.psi.items()},
-            order=self.order,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, JetVectorField):
             return NotImplemented
@@ -359,307 +337,6 @@ class JetVectorField:
 
     def __repr__(self):
         return f"<JetVectorField order={self.order} xi={self.xi} psi={self.psi}>"
-
-
-def truncated_total_derivative(spec: JetSpec, i: int, order=None) -> JetVectorField:
-    """The total-derivative direction as a vector field, truncated so its
-    components stop at ``order`` (default: the spec's order)."""
-    order = spec.order if order is None else order
-    xi = tuple(ONE if m == i else ZERO for m in range(spec.p))
-    psi = {}
-    for J in spec.multi_indices(order):
-        for a in range(spec.q):
-            psi[(a, J)] = spec.jet_var(a, J.inc(i))
-    return JetVectorField(spec, xi, psi, order=order)
-
-
-# ---------------------------------------------------------------------------
-# differential forms
-
-
-def _key_order(key):
-    if key[0] == "x":
-        return (0, key[1], ())
-    return (1, _graded_key(key[2]), key[1])
-
-
-def basis_key_dx(i: int):
-    return ("x", i)
-
-
-def basis_key_du(a: int, index: MultiIndex):
-    return ("u", a, index.counts)
-
-
-def _basis_name(key, spec):
-    if key[0] == "x":
-        return "d" + spec.independent[key[1]]
-    return "d" + spec.jet_name(key[1], MultiIndex(key[2]))
-
-
-class OneForm:
-    """A differential one-form, stored as normalized coefficients on the
-    coordinate basis; absent entries are zero."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: JetSpec, coeffs):
-        self.spec = spec
-        store = {}
-        for k, e in coeffs.items():
-            e = as_expr(e)
-            if e != ZERO:
-                store[k] = e
-        self.coeffs = store
-
-    def coefficient(self, key) -> Expr:
-        return self.coeffs.get(key, ZERO)
-
-    @property
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        acc = {k: [v] for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            acc.setdefault(k, []).append(v)
-        return OneForm(self.spec, {k: expr_sum(v) for k, v in acc.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self + OneForm(self.spec, {k: -v for k, v in other.coeffs.items()})
-
-    def scale(self, f) -> "OneForm":
-        f = as_expr(f)
-        return OneForm(self.spec, {k: f * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<OneForm 0>"
-        bits = ", ".join(
-            f"{_basis_name(k, self.spec)}: {v}"
-            for k, v in sorted(self.coeffs.items(), key=lambda kv: _key_order(kv[0]))
-        )
-        return f"<OneForm {bits}>"
-
-
-class TwoForm:
-    """A differential two-form; only ordered basis pairs are stored, the
-    antisymmetric completion is implicit."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: JetSpec, coeffs):
-        self.spec = spec
-        store = {}
-        for (k1, k2), e in coeffs.items():
-            e = as_expr(e)
-            if e != ZERO:
-                store[(k1, k2)] = e
-        self.coeffs = store
-
-    def coefficient(self, k1, k2) -> Expr:
-        if k1 == k2:
-            return ZERO
-        if _key_order(k1) < _key_order(k2):
-            return self.coeffs.get((k1, k2), ZERO)
-        return -self.coeffs.get((k2, k1), ZERO)
-
-    @property
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        acc = {k: [v] for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            acc.setdefault(k, []).append(v)
-        return TwoForm(self.spec, {k: expr_sum(v) for k, v in acc.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self + TwoForm(self.spec, {k: -v for k, v in other.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<TwoForm 0>"
-        bits = ", ".join(
-            f"{_basis_name(k1, self.spec)}^{_basis_name(k2, self.spec)}: {v}"
-            for (k1, k2), v in self.coeffs.items()
-        )
-        return f"<TwoForm {bits}>"
-
-
-def dx(spec: JetSpec, i: int) -> OneForm:
-    return OneForm(spec, {basis_key_dx(i): ONE})
-
-
-def du(spec: JetSpec, a: int, index: MultiIndex) -> OneForm:
-    return OneForm(spec, {basis_key_du(a, index): ONE})
-
-
-def contact_form(a: int, index: MultiIndex, spec: JetSpec) -> OneForm:
-    """The basic contact form on ``u^a_J``: du^a_J minus u^a_{J,i} dx^i,
-    defined for |J| at most order-1."""
-    if index.order > spec.order - 1:
-        raise JetError(
-            f"no contact form at order {index.order} on a jet space of order {spec.order}"
-        )
-    coeffs = {basis_key_du(a, index): ONE}
-    for i in range(spec.p):
-        coeffs[basis_key_dx(i)] = -spec.jet_var(a, index.inc(i))
-    return OneForm(spec, coeffs)
-
-
-def interior_product(Y: JetVectorField, omega: OneForm) -> Expr:
-    """Pairing of a vector field with a one-form; components of the field
-    missing at higher orders count as zero."""
-    parts = []
-    for key, c in omega.coeffs.items():
-        comp = Y.component(key)
-        if comp is not ZERO and comp != ZERO:
-            parts.append(comp * c)
-    return expr_sum(parts)
-
-
-def contract_two_form(Y: JetVectorField, tau: TwoForm) -> OneForm:
-    acc = {}
-    for (k1, k2), c in tau.coeffs.items():
-        c1 = Y.component(k1)
-        if c1 != ZERO:
-            acc.setdefault(k2, []).append(c1 * c)
-        c2 = Y.component(k2)
-        if c2 != ZERO:
-            acc.setdefault(k1, []).append(-c2 * c)
-    return OneForm(tau.spec, {k: expr_sum(v) for k, v in acc.items()})
-
-
-def _coordinate_key(spec, name):
-    kind = spec.decode(name)
-    if kind[0] == "independent":
-        return basis_key_dx(kind[1])
-    if kind[0] == "jet":
-        return basis_key_du(kind[1], kind[2])
-    return None  # auxiliary names are parameters, no differential
-
-
-def scalar_differential(f, spec: JetSpec) -> OneForm:
-    """The full coordinate differential of a function on jet space: one
-    partial derivative per coordinate that ``f`` holds."""
-    grads = {}
-    for name in free_variables(f):
-        key = _coordinate_key(spec, name)
-        if key is not None:
-            grads[key] = pdiff(f, name)
-    # independent directions first, then jet coordinates by name
-    order = [basis_key_dx(i) for i in range(spec.p)]
-    order += sorted((k for k in grads if k[0] == "u"), key=lambda k: _basis_name(k, spec))
-    return OneForm(spec, {k: grads[k] for k in order if k in grads})
-
-
-def exterior_derivative(omega: OneForm, spec: JetSpec) -> TwoForm:
-    """d(sum c_b db) = sum dc_b wedge db, over all coordinate differentials."""
-    acc = {}
-    for key, c in omega.coeffs.items():
-        dc = scalar_differential(c, spec)
-        for vkey, d in dc.coeffs.items():
-            if vkey == key:
-                continue
-            if _key_order(vkey) < _key_order(key):
-                acc.setdefault((vkey, key), []).append(d)
-            else:
-                acc.setdefault((key, vkey), []).append(-d)
-    return TwoForm(spec, {k: expr_sum(v) for k, v in acc.items()})
-
-
-def lie_derivative(Y: JetVectorField, omega: OneForm, spec: JetSpec) -> OneForm:
-    """Cartan's formula: contract with d(omega), plus d of the pairing."""
-    part1 = contract_two_form(Y, exterior_derivative(omega, spec))
-    part2 = scalar_differential(interior_product(Y, omega), spec)
-    return part1 + part2
-
-
-# ---------------------------------------------------------------------------
-# contact-module membership
-
-
-class ContactMembership:
-    """Outcome of a contact-module membership test.  TRUE means the form
-    lies in the span of the contact forms; residuals list whatever must
-    vanish for membership (horizontal parts and top-order du parts)."""
-
-    __slots__ = ("verdict", "horizontal_residuals", "top_residuals")
-
-    def __init__(self, verdict, horizontal_residuals, top_residuals):
-        self.verdict = verdict
-        self.horizontal_residuals = horizontal_residuals
-        self.top_residuals = top_residuals
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
-def in_contact_module(omega: OneForm, spec: JetSpec, *, seed=None) -> ContactMembership:
-    """Rewrite du^a_J (|J| < n) through the contact forms and test whether
-    the leftover horizontal and top-order coefficients vanish."""
-    n = spec.order
-    horizontal = {i: [] for i in range(spec.p)}
-    tops = {}
-    for key, c in omega.coeffs.items():
-        if key[0] == "x":
-            horizontal[key[1]].append(c)
-            continue
-        a, counts = key[1], key[2]
-        J = MultiIndex(counts)
-        if J.order <= n - 1:
-            for i in range(spec.p):
-                horizontal[i].append(c * spec.jet_var(a, J.inc(i)))
-        else:
-            tops[(a, J)] = c
-    h_res = {}
-    verdicts = []
-    for i in range(spec.p):
-        r = expr_sum(horizontal[i])
-        if r != ZERO:
-            h_res[i] = r
-        verdicts.append(zero_verdict(r, seed=seed))
-    for (a, J), c in tops.items():
-        verdicts.append(zero_verdict(c, seed=seed))
-    return ContactMembership(Verdict.combine(verdicts), h_res, tops)
-
-
-def in_vector_contact_module(forms, spec: JetSpec, *, seed=None) -> ContactMembership:
-    """Membership of a q-tuple of one-forms in the vector contact module;
-    matrix coefficients are unconstrained, so the test is componentwise."""
-    forms = list(forms)
-    if len(forms) != spec.q:
-        raise JetError("need one component form per dependent variable")
-    verdicts = []
-    h_res = {}
-    tops = {}
-    for a, omega in enumerate(forms):
-        m = in_contact_module(omega, spec, seed=seed)
-        verdicts.append(m.verdict)
-        for i, r in m.horizontal_residuals.items():
-            h_res[(a, i)] = r
-        for k, r in m.top_residuals.items():
-            tops[(a,) + tuple(k)] = r
-    return ContactMembership(Verdict.combine(verdicts), h_res, tops)
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +367,6 @@ class MuForm:
             raise JetError("scalar form requires exactly one dependent variable")
         return cls(spec, [((as_expr(l),),) for l in lambdas])
 
-    @classmethod
-    def zero(cls, spec: JetSpec) -> "MuForm":
-        z = ((ZERO,) * spec.q,) * spec.q
-        return cls(spec, [z] * spec.p)
-
     @property
     def lambdas(self):
         if self.spec.q != 1:
@@ -703,12 +375,6 @@ class MuForm:
 
     def entry(self, i: int, a: int, b: int) -> Expr:
         return self.matrices[i][a][b]
-
-    @property
-    def is_structurally_zero(self) -> bool:
-        return all(
-            e == ZERO for M in self.matrices for row in M for e in row
-        )
 
     def __eq__(self, other):
         if not isinstance(other, MuForm):

@@ -145,6 +145,12 @@ def _split_sections(text):
 
 def _build_jet(entries, line_no):
     values = {key: (value, ln) for key, value, ln in entries}
+    for key, _value, ln in entries:
+        if key not in ("independent", "dependent", "order"):
+            raise ProblemFileError(
+                f"unknown [jet] key {key!r}; expected independent, dependent and order",
+                ln,
+            )
     try:
         independent = tuple(
             n.strip() for n in values["independent"][0].replace(",", " ").split()

@@ -24,8 +24,7 @@ derivatives commute up to the curvature.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
-subtraction and, in the scalar case, re-derives them through their own
-recursion and reports the residuals.
+subtraction.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .jets import (
     mat_sub,
     mat_total_derivative,
     total_derivative,
-    total_derivative_path,
 )
 
 
@@ -313,59 +311,15 @@ def maurer_cartan_check(mu: MuForm, *, seed=None) -> MCResult:
 # difference terms
 
 
-class DifferenceTerms:
-    """Difference between a deformed and the standard prolongation.
-
-    ``terms`` maps (component, multiindex) to the difference expression;
-    the zero-order rows are identically zero.  For scalar forms the same
-    terms are re-derived through the one-step recursion driven by the
-    characteristic, and ``recursion_residuals`` records the discrepancy
-    of the two routes per (multiindex, direction) edge.  For q > 1 both
-    recursion fields are None."""
-
-    __slots__ = ("terms", "recursion_residuals", "recursion_verdict")
-
-    def __init__(self, terms, recursion_residuals, recursion_verdict):
-        self.terms = terms
-        self.recursion_residuals = recursion_residuals
-        self.recursion_verdict = recursion_verdict
-
-
-def _difference_terms(X, mu, n, path_check, seed):
-    """The ``terms`` of :func:`difference_terms`, without the recursion."""
+def difference_terms(
+    X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
+) -> dict:
+    """The difference ``Psi^mu_J - Psi_J`` between the mu lift and the
+    standard lift, keyed by ``(a, J)`` for every ``|J| <= n``; the
+    zero-order rows are identically zero."""
+    spec = X.spec
+    n = spec.order if n is None else n
     deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
     standard = prolong_standard(X, n)
     return {(a, J): deformed.psi_at(a, J) - standard.psi_at(a, J)
-            for J in X.spec.multi_indices(n) for a in range(X.spec.q)}
-
-
-def difference_terms(
-    X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
-) -> DifferenceTerms:
-    spec = X.spec
-    n = spec.order if n is None else n
-    terms = _difference_terms(X, mu, n, path_check, seed)
-    residuals = None
-    verdict = None
-    if spec.q == 1:
-        # the scalar difference terms satisfy their own recursion:
-        # F_{J,i} = (D_i + lambda_i) F_J + lambda_i D_J Q,  F_0 = 0
-        Q = characteristic(X)[0]
-        lambdas = mu.lambdas
-        residuals = {}
-        verdicts = []
-        for J in spec.multi_indices(n - 1):
-            dq = total_derivative_path(Q, J, spec)
-            for i in range(spec.p):
-                lhs = terms[(0, J.inc(i))]
-                rhs = (
-                    total_derivative(terms[(0, J)], i, spec)
-                    + lambdas[i] * terms[(0, J)]
-                    + lambdas[i] * dq
-                )
-                r = lhs - rhs
-                if r != ZERO:
-                    residuals[(J, i)] = r
-                verdicts.append(zero_verdict(r, seed=seed))
-        verdict = Verdict.combine(verdicts)
-    return DifferenceTerms(terms, residuals, verdict)
+            for J in spec.multi_indices(n) for a in range(spec.q)}

@@ -8,10 +8,10 @@ innermost first, so it terminates by construction.
 
 A field is a symmetry (standard, lambda, or mu kind) when the chosen
 prolongation, applied as a derivation to each residual
-``u^a_{J*} - f^a``, vanishes after restriction.  The commutator
-characterizations pair the bracket of the prolonged field and a total
-derivative against the contact forms; the bracket is oriented so that a
-lambda-prolonged field pairs to ``+lambda (Y . theta)``.
+``u^a_{J*} - f^a``, vanishes after restriction.
+:func:`coincide_on_invariant_set` checks that a deformed lift agrees with
+the standard one on the invariant set of the field, where every total
+derivative of its characteristic vanishes.
 """
 
 from __future__ import annotations
@@ -32,22 +32,18 @@ from .expr import (
 from .jets import (
     JetCoordinate,
     JetSpec,
-    JetVectorField,
     MultiIndex,
     MuForm,
-    contact_form,
-    interior_product,
     jet_order,
     total_derivative,
     total_derivative_path,
-    truncated_total_derivative,
     _Value,
 )
 from .parsing import parse
 from .prolong import (
     PointVectorField,
-    _difference_terms,
     characteristic,
+    difference_terms,
     prolong_lambda,
     prolong_mu_vector,
     prolong_standard,
@@ -245,75 +241,6 @@ def check_symmetry(
 
 
 # ---------------------------------------------------------------------------
-# commutator characterizations
-
-
-def commutator_with_total_derivative(Y: JetVectorField, i: int) -> JetVectorField:
-    """Components of the bracket of the truncated total derivative in
-    direction i with Y, by action on the coordinate functions; oriented
-    so that lambda-prolonged fields pair with contact forms to
-    ``+lambda`` times the pairing of Y itself."""
-    spec = Y.spec
-    n = Y.order
-    dhat = truncated_total_derivative(spec, i, order=n)
-
-    def bracket(v):
-        return Y.apply(dhat.apply(v)) - dhat.apply(Y.apply(v))
-
-    xi = tuple(bracket(spec.independent_var(j)) for j in range(spec.p))
-    psi = {}
-    for J in spec.multi_indices(n):
-        for a in range(spec.q):
-            psi[(a, J)] = bracket(spec.jet_var(a, J))
-    return JetVectorField(spec, xi, psi, order=n)
-
-
-class CharacterizationResult:
-    __slots__ = ("verdict", "residuals")
-
-    def __init__(self, verdict, residuals):
-        self.verdict = verdict
-        self.residuals = residuals
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
-def characterization_check(
-    Y: JetVectorField, kind: str, *, lam=None, seed=None
-) -> CharacterizationResult:
-    """Pairing test for prolonged fields: for every contact generator,
-    the bracket with each total derivative pairs to ``lambda`` times the
-    field's own pairing (``lambda = 0`` for the standard kind)."""
-    spec = Y.spec.with_order(Y.order)
-    if kind == "standard":
-        lam = ZERO
-        directions = range(spec.p)
-    elif kind == "lambda":
-        if spec.p != 1:
-            raise ProlongationError("the lambda characterization needs p = 1")
-        if lam is None:
-            raise ProlongationError("kind 'lambda' needs the deforming function")
-        lam = as_expr(lam)
-        directions = (0,)
-    else:
-        raise ProlongationError(f"unknown characterization kind {kind!r}")
-    residuals = {}
-    verdicts = []
-    for i in directions:
-        C = commutator_with_total_derivative(Y, i)
-        for J in spec.multi_indices(spec.order - 1):
-            for a in range(spec.q):
-                theta = contact_form(a, J, spec)
-                lhs = interior_product(C, theta)
-                r = lhs - lam * interior_product(Y, theta)
-                if r != ZERO:
-                    residuals[(i, a, J)] = r
-                verdicts.append(zero_verdict(r, seed=seed))
-    return CharacterizationResult(Verdict.combine(verdicts), residuals)
-
-
-# ---------------------------------------------------------------------------
 # coincidence on the invariant set
 
 
@@ -360,7 +287,7 @@ def coincide_on_invariant_set(
     term and verify that all of them vanish."""
     spec = X.spec
     n = spec.order if n is None else n
-    diff = _difference_terms(X, mu, n, path_check, seed)
+    diff = difference_terms(X, mu, n, path_check=path_check, seed=seed)
     relations = invariant_set_relations(X, n)
 
     solved = {}

@@ -653,6 +653,18 @@ def test_id_line_in_a_task_exits_two(tmp_path, capsys):
     assert f"line {line}: " in err and "named in its header" in err
 
 
+def test_unknown_jet_key_exits_two(tmp_path, capsys):
+    # a misspelt key next to the real one used to be ignored
+    text = REPEATS.replace("order = 2", "ordr = 3\norder = 2")
+    problem = tmp_path / "jet.jsf"
+    problem.write_text(text)
+    assert main(["run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index("ordr = 3") + 1
+    assert f"line {line}: unknown [jet] key 'ordr'" in err
+    assert "independent, dependent and order" in err
+
+
 @pytest.mark.parametrize("first, second", [
     ("[task prolong p]", "[task prolong p]"),
     ("[task prolong]", "[task prolong task-1]"),

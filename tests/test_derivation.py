@@ -1,7 +1,7 @@
 """Derivations against an independent oracle.
 
-``pdiff``, ``total_derivative``, ``JetVectorField.apply`` and
-``scalar_differential`` are checked
+``pdiff``, ``total_derivative``, ``JetVectorField.apply`` and the
+``scalar_differential`` of the forms oracle are checked
 against sympy on seeded random rational functions with negative powers,
 ``log`` and nested ``exp``/``sin``/``cos``, and on fixed quotients whose
 numerator alone or denominator alone moves along a direction.  sympy reads a result from
@@ -22,17 +22,10 @@ sp = pytest.importorskip("sympy")
 
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
 from jetsym.expr import ZERO, pdiff, to_string  # noqa: E402
-from jetsym.jets import (  # noqa: E402
-    JetSpec,
-    JetVectorField,
-    MultiIndex,
-    basis_key_du,
-    basis_key_dx,
-    scalar_differential,
-    total_derivative,
-)
+from jetsym.jets import JetSpec, JetVectorField, MultiIndex, total_derivative  # noqa: E402
 from jetsym.parsing import parse  # noqa: E402
 
+from forms import basis_key_du, basis_key_dx, scalar_differential  # noqa: E402
 from helpers import rand_poly, run_child  # noqa: E402
 
 SEED = 20240611

@@ -32,7 +32,6 @@ from jetsym.expr import (
     exp,
     expr_prod,
     expr_sum,
-    is_zero,
     log,
     normalize,
     pdiff,
@@ -309,13 +308,11 @@ def test_zero_verdict_pythagorean_is_probably():
     assert build(tree) == e
     assert numeric_zero_oracle(tree, ["u"])
     assert zero_verdict(e) is Verdict.PROBABLY
-    assert is_zero(e) is False  # probably-zero is never reported as true
 
 
 def test_zero_verdict_exact_cases():
     assert zero_verdict(parse("x - x")) is Verdict.TRUE
     assert zero_verdict(parse("x + 1")) is Verdict.FALSE
-    assert is_zero(parse("x - x")) is True
 
 
 def test_zero_verdict_nonzero_transcendental():

@@ -17,6 +17,13 @@ Every import of the package sits at module level, none in a function or
 class body: the imports of a module state what it depends on, and a
 dependency cycle shows at import time instead of being worked around.
 
+Every top-level function or class of a package module is in
+``jetsym.__all__`` or named somewhere else in the package: a helper that
+nothing reaches is dead code.  ``expr._rf_of`` is the one exception; no
+module calls it, but ``perfbench/tracer.py`` and ``tests/helpers.py`` read
+a value's canonical pair through it.  Every entry of ``jetsym.__all__``
+resolves.
+
 ``import jetsym.cli`` loads neither ``dataclasses`` nor ``inspect``:
 every run of the command pays its start-up, and those two modules cost
 about 20 ms of it.  Value classes are ``__slots__`` classes instead.
@@ -27,12 +34,14 @@ from pathlib import Path
 
 import pytest
 
+import jetsym
 from helpers import run_child
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "jetsym"
 REEXPORTS = {"__init__.py", "backend.py"}
 NODE_CLASSES = {"Const", "Var", "Pow", "Mul", "Add", "Func"}
+UNNAMED_HELPERS = {("expr.py", "_rf_of")}
 
 
 def sources(exempt=(), tests=True):
@@ -127,6 +136,56 @@ def test_the_walk_sees_a_nested_import():
 @pytest.mark.parametrize("module", sources(tests=False))
 def test_package_imports_at_module_level(module):
     assert nested_imports(module.read_text(encoding="utf-8")) == []
+
+
+def names_read(node):
+    """Every name, attribute and imported name in ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.split(".")[-1])
+    return found
+
+
+def dead_helpers(modules, public):
+    """``(file name, name)`` of each top-level function or class of
+    ``modules`` (file name -> source) that is not in ``public`` and that
+    no other top-level statement of any module names."""
+    statements = [(name, stmt) for name, source in sorted(modules.items())
+                  for stmt in ast.parse(source).body]
+    reads = [names_read(stmt) for _name, stmt in statements]
+    dead = []
+    for k, (name, stmt) in enumerate(statements):
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name not in public
+                and not any(stmt.name in r for j, r in enumerate(reads) if j != k)):
+            dead.append((name, stmt.name))
+    return dead
+
+
+def test_the_walk_sees_a_dead_helper():
+    modules = {
+        "a.py": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\n"
+                "class Public:\n    pass\n\n\ndef method_named():\n    pass\n",
+        "b.py": "from .a import used\n\n\nclass C:\n    def m(self, o):\n"
+                "        return o.method_named\n",
+    }
+    assert dead_helpers(modules, {"Public"}) == [("a.py", "dead"), ("b.py", "C")]
+    assert dead_helpers(modules, {"Public", "C"}) == [("a.py", "dead")]
+
+
+def test_every_package_helper_is_named():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert set(dead_helpers(modules, set(jetsym.__all__))) == UNNAMED_HELPERS
+
+
+def test_every_public_name_resolves():
+    assert len(set(jetsym.__all__)) == len(jetsym.__all__)
+    assert [name for name in jetsym.__all__ if not hasattr(jetsym, name)] == []
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():

@@ -1,4 +1,5 @@
-"""Jet geometry tests: coordinates, total derivatives, forms, contact module."""
+"""Jet geometry tests: coordinates, total derivatives, and the contact-form
+oracle of ``forms``: forms, Lie derivatives, the contact module."""
 
 import copy
 import pickle
@@ -7,14 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetsym.errors import JetError
-from jetsym.expr import Verdict, rational
-from jetsym.jets import (
-    JetCoordinate,
-    JetSpec,
-    JetVectorField,
-    MultiIndex,
-    MuForm,
+from forms import (
     basis_key_du,
     basis_key_dx,
     contact_form,
@@ -26,8 +20,18 @@ from jetsym.jets import (
     interior_product,
     lie_derivative,
     scalar_differential,
-    total_derivative,
+    scale_field,
     truncated_total_derivative,
+)
+from jetsym.errors import JetError
+from jetsym.expr import Verdict, rational
+from jetsym.jets import (
+    JetCoordinate,
+    JetSpec,
+    JetVectorField,
+    MultiIndex,
+    MuForm,
+    total_derivative,
     _decode,
     _successor,
 )
@@ -243,14 +247,14 @@ def test_interior_product_prolonged_field():
 # --- exterior derivative ----------------------------------------------------
 
 def test_exterior_derivative_of_u_dx():
-    omega = dx(ODE1, 0).scale(parse("u"))
+    omega = dx(0).scale(parse("u"))
     tau = exterior_derivative(omega, ODE1)
     assert tau.coefficient(basis_key_du(0, J0_1), basis_key_dx(0)) == rational(1)
     assert tau.coefficient(basis_key_dx(0), basis_key_du(0, J0_1)) == rational(-1)
 
 
 def test_exterior_derivative_of_constant_coefficient():
-    omega = dx(ODE1, 0).scale(rational(3))
+    omega = dx(0).scale(rational(3))
     assert exterior_derivative(omega, ODE1).is_structurally_zero
 
 
@@ -262,7 +266,7 @@ def test_exterior_derivative_of_contact_form():
 
 
 def test_form_subtraction_adds_the_negated_coefficients():
-    a = dx(ODE2, 0).scale(parse("u")) + du(ODE2, 0, J0_1).scale(parse("x"))
+    a = dx(0).scale(parse("u")) + du(0, J0_1).scale(parse("x"))
     b = contact_form(0, J0_1, ODE2)
     diff = a - b
     assert diff.coefficient(basis_key_dx(0)) == parse("u + u_x")
@@ -280,7 +284,7 @@ def test_form_subtraction_adds_the_negated_coefficients():
 
 def test_lie_derivative_translation_kills_dx():
     d_x = field(ODE1, ["1"], {})
-    assert lie_derivative(d_x, dx(ODE1, 0), ODE1).is_structurally_zero
+    assert lie_derivative(d_x, dx(0), ODE1).is_structurally_zero
 
 
 def test_lie_derivative_vertical_shift_kills_contact_form():
@@ -293,11 +297,10 @@ def test_scaling_identity_for_lie_derivatives():
     # L_{fY}(w) = f L_Y(w) + (Y . w) df, checked on concrete data
     spec = ODE2
     Y = field(spec, ["u"], {(0, J0_1): "x*u", (0, MultiIndex((1,))): "u_x^2"})
-    omega = du(spec, 0, J0_1).scale(parse("x")) + dx(spec, 0).scale(parse("u_x"))
+    omega = du(0, J0_1).scale(parse("x")) + dx(0).scale(parse("u_x"))
     for f_text in ("x", "u", "x*u_x + 1"):
         f = parse(f_text)
-        lhs = lie_derivative(Y.scale(f), omega, spec)
-        from jetsym.jets import scalar_differential
+        lhs = lie_derivative(scale_field(Y, f), omega, spec)
         rhs = lie_derivative(Y, omega, spec).scale(f) + scalar_differential(f, spec).scale(
             interior_product(Y, omega)
         )
@@ -312,13 +315,13 @@ def test_scalar_multiple_of_contact_form_is_in_module():
 
 
 def test_horizontal_form_is_not_in_module():
-    m = in_contact_module(dx(ODE1, 0), ODE1)
+    m = in_contact_module(dx(0), ODE1)
     assert m.verdict is Verdict.FALSE
     assert m.horizontal_residuals[0] == rational(1)
 
 
 def test_top_order_differential_is_not_in_module():
-    m = in_contact_module(du(ODE1, 0, MultiIndex((1,))), ODE1)
+    m = in_contact_module(du(0, MultiIndex((1,))), ODE1)
     assert m.verdict is Verdict.FALSE
     assert m.top_residuals[(0, MultiIndex((1,)))] == rational(1)
 
@@ -326,31 +329,31 @@ def test_top_order_differential_is_not_in_module():
 def test_decomposition_reconstructs_the_form():
     spec = PDE2
     omega = (
-        du(spec, 0, J0_2).scale(parse("x*t"))
-        + du(spec, 0, MultiIndex((1, 0))).scale(parse("u_t"))
-        + dx(spec, 0).scale(parse("u + t"))
-        + du(spec, 0, MultiIndex((2, 0))).scale(parse("3"))
+        du(0, J0_2).scale(parse("x*t"))
+        + du(0, MultiIndex((1, 0))).scale(parse("u_t"))
+        + dx(0).scale(parse("u + t"))
+        + du(0, MultiIndex((2, 0))).scale(parse("3"))
     )
     m = in_contact_module(omega, spec)
-    rebuilt = du(spec, 0, MultiIndex((2, 0))).scale(rational(0))
+    rebuilt = du(0, MultiIndex((2, 0))).scale(rational(0))
     for key, c in omega.coeffs.items():
         if key[0] == "u" and MultiIndex(key[2]).order <= spec.order - 1:
             rebuilt = rebuilt + contact_form(key[1], MultiIndex(key[2]), spec).scale(c)
     for i, r in m.horizontal_residuals.items():
-        rebuilt = rebuilt + dx(spec, i).scale(r)
+        rebuilt = rebuilt + dx(i).scale(r)
     for (a, J), c in m.top_residuals.items():
-        rebuilt = rebuilt + du(spec, a, J).scale(c)
+        rebuilt = rebuilt + du(a, J).scale(c)
     assert rebuilt == omega
 
 
 def test_vector_module_membership():
     theta_v = contact_form(1, J0_1, SYS1)
-    zero_form = dx(SYS1, 0).scale(rational(0))
-    assert in_vector_contact_module([theta_v, zero_form], SYS1).verdict is Verdict.TRUE
-    assert in_vector_contact_module([dx(SYS1, 0), zero_form], SYS1).verdict is Verdict.FALSE
+    zero_form = dx(0).scale(rational(0))
+    assert in_vector_contact_module([theta_v, zero_form], SYS1) is Verdict.TRUE
+    assert in_vector_contact_module([dx(0), zero_form], SYS1) is Verdict.FALSE
     theta_1 = contact_form(0, J0_1, SYS1)
     comp = [theta_1.scale(parse("u")), theta_1.scale(parse("v"))]
-    assert in_vector_contact_module(comp, SYS1).verdict is Verdict.TRUE
+    assert in_vector_contact_module(comp, SYS1) is Verdict.TRUE
 
 
 # --- closedness -------------------------------------------------------------

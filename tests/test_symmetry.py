@@ -4,27 +4,26 @@ import random
 
 import pytest
 
-from helpers import rand_point_field, rand_poly
-from jetsym.errors import EquationError, RestrictionError
-from jetsym.expr import Verdict, normalize, rational
-from jetsym.jets import (
-    JetSpec,
-    MultiIndex,
-    MuForm,
+from forms import (
+    characterization_check,
+    commutator_with_total_derivative,
     contact_form,
     in_contact_module,
     interior_product,
     lie_derivative,
+    zero_mu,
 )
+from helpers import rand_point_field, rand_poly
+from jetsym.errors import EquationError, RestrictionError
+from jetsym.expr import Verdict, normalize, rational
+from jetsym.jets import JetSpec, MultiIndex, MuForm
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, prolong_lambda, prolong_standard
 from jetsym.symmetry import (
     DifferentialEquation,
     characteristic,
-    characterization_check,
     check_symmetry,
     coincide_on_invariant_set,
-    commutator_with_total_derivative,
     invariant_set_relations,
     restrict_to_solution_manifold,
 )
@@ -202,10 +201,10 @@ def test_characterization_check_accepts_prolongations():
     rng = random.Random(23)
     for _ in range(4):
         X = rand_point_field(rng, ODE2)
-        assert characterization_check(prolong_standard(X, 2), "standard").verdict is Verdict.TRUE
+        assert characterization_check(prolong_standard(X, 2)) is Verdict.TRUE
         lam = rand_poly(rng, ["x", "u"], max_degree=2)
         Yl = prolong_lambda(X, lam, 2)
-        assert characterization_check(Yl, "lambda", lam=lam).verdict is Verdict.TRUE
+        assert characterization_check(Yl, lam) is Verdict.TRUE
 
 
 def _perturb(Y, a, Ji):
@@ -218,10 +217,10 @@ def _perturb(Y, a, Ji):
 def test_characterization_check_rejects_perturbed_fields():
     X = pvf(ODE2, ["x"], ["u"])
     Y = _perturb(prolong_standard(X, 2), 0, J((1,)))
-    assert characterization_check(Y, "standard").verdict is Verdict.FALSE
+    assert characterization_check(Y) is Verdict.FALSE
     lam = parse("x*u")
     Yl = _perturb(prolong_lambda(X, lam, 2), 0, J((2,)))
-    assert characterization_check(Yl, "lambda", lam=lam).verdict is Verdict.FALSE
+    assert characterization_check(Yl, lam) is Verdict.FALSE
 
 
 def test_characterization_agrees_with_contact_membership():
@@ -230,7 +229,7 @@ def test_characterization_agrees_with_contact_membership():
         X = rand_point_field(rng, ODE2)
         Y = prolong_standard(X, 2)
         for cand in (Y, _perturb(Y, 0, J((2,)))):
-            char = characterization_check(cand, "standard").verdict
+            char = characterization_check(cand)
             member = Verdict.combine(
                 in_contact_module(
                     lie_derivative(cand, contact_form(0, Ji, ODE2), ODE2), ODE2
@@ -244,7 +243,7 @@ def test_characterization_agrees_with_contact_membership():
 
 def test_coincidence_trivial_for_zero_mu():
     X = pvf(ODE2, ["x"], ["u"])
-    res = coincide_on_invariant_set(X, MuForm.zero(ODE2), 2)
+    res = coincide_on_invariant_set(X, zero_mu(ODE2), 2)
     assert res.verdict is Verdict.TRUE
     assert not res.vacuous
 
