@@ -22,7 +22,6 @@ from .expr import (
     expr_sum,
     free_variables,
     is_polynomial,
-    normalize,
     pdiff,
     rational,
     substitute,
@@ -53,10 +52,9 @@ from .prolong import (
     PointVectorField,
     characteristic,
     difference_terms,
+    lambda_form,
+    lift,
     maurer_cartan_check,
-    prolong_lambda,
-    prolong_mu_vector,
-    prolong_standard,
 )
 from .symmetry import (
     DifferentialEquation,
@@ -96,15 +94,13 @@ __all__ = [
     "free_variables",
     "invariant_set_relations",
     "is_polynomial",
+    "lambda_form",
+    "lift",
     "load_problem",
     "maurer_cartan_check",
     "maurer_cartan_check_on_equation",
-    "normalize",
     "parse",
     "pdiff",
-    "prolong_lambda",
-    "prolong_mu_vector",
-    "prolong_standard",
     "rational",
     "restrict_to_solution_manifold",
     "scalar_potential",

@@ -41,8 +41,8 @@ from .problemfile import (
     load_problem,
     parse_flag,
 )
-from .prolong import maurer_cartan_check
-from .symmetry import _prolong_by_kind, check_symmetry, coincide_on_invariant_set
+from .prolong import lambda_form, lift, maurer_cartan_check
+from .symmetry import check_symmetry, coincide_on_invariant_set
 
 PASS = "pass"
 FAIL = "fail"
@@ -185,9 +185,10 @@ class _Args:
         return None if text is None else _parse_expr(text, self.task.args[name][1])
 
     def get_prolongation(self, problem):
-        """Kind, lambda, mu form and path-check flag of a prolong or
-        check-symmetry task.  An argument that only other kinds read is
-        an error at its own line, not silently dropped; one that the kind
+        """Lambda, mu form and path-check flag of a prolong or
+        check-symmetry task; lambda is None unless kind = lambda, and mu
+        unless kind = mu.  An argument that only other kinds read is an
+        error at its own line, not silently dropped; one that the kind
         needs and that is missing is an error at the task (at its flag,
         for a subcommand)."""
         kind = self.get("kind", default="standard")
@@ -211,7 +212,7 @@ class _Args:
             raise ProblemFileError(
                 f"kind={kind} needs a '{kind} =' argument", self.missing_at(kind)
             )
-        return kind, lam, mu, self.get_flag("path-check")
+        return lam, mu, self.get_flag("path-check")
 
     def finish(self):
         extra = set(self.task.args).difference(TASK_ARGS[self.task.kind])
@@ -261,22 +262,22 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
         if task.kind == "check-symmetry":
             X = args.named("field", problem.field_named)
             eq = args.named("equation", problem.equation_named)
-            kind, lam, mu, path_check = args.get_prolongation(problem)
+            lam, mu, path_check = args.get_prolongation(problem)
             args.finish()
-            res = check_symmetry(
-                X, eq, kind, lam=lam, mu=mu, path_check=path_check, seed=seed
-            )
+            if lam is not None:
+                mu = lambda_form(X, lam)
+            res = check_symmetry(X, eq, mu, path_check=path_check, seed=seed)
             verdict = _word(res.verdict)
             if res.verdict is not Verdict.TRUE:
                 residuals = [to_string(r) for r in res.residuals]
         elif task.kind == "prolong":
             X = args.named("field", problem.field_named)
-            kind, lam, mu, path_check = args.get_prolongation(problem)
+            lam, mu, path_check = args.get_prolongation(problem)
             order = args.get_int("order", spec.order)
             args.finish()
-            Y = _prolong_by_kind(
-                X, kind, order, lam=lam, mu=mu, path_check=path_check, seed=seed
-            )
+            if lam is not None:
+                mu = lambda_form(X, lam)
+            Y = lift(X, mu, order, path_check=path_check, seed=seed)
             verdict = PASS
             detail = _field_detail(Y, spec)
         elif task.kind == "check-compat":

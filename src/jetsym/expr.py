@@ -237,6 +237,8 @@ def _coerce(x):
 
 
 def as_expr(x) -> Expr:
+    """``x`` as a canonical value: an expression is returned as it is, an
+    int or a Fraction becomes its constant; idempotent."""
     e = _coerce(x)
     if e is None:
         raise TypeError(f"cannot interpret {x!r} as an expression")
@@ -487,12 +489,6 @@ def _apply(name, e) -> Expr:
     if folded is not None:
         return folded
     return Expr(({((_function_key(name, arg), 1),): _RAT_ONE}, _ONE_POLY))
-
-
-def normalize(e) -> Expr:
-    """``e`` as a canonical value: an expression is returned as it is, an
-    int or a Fraction becomes its constant; idempotent."""
-    return as_expr(e)
 
 
 def is_polynomial(e) -> bool:

@@ -13,8 +13,8 @@ result is always flat.  In the scalar case a closed polynomial form has
 a polynomial potential whenever one exists within the derived degree and
 order bounds (:func:`scalar_potential`, sound by post-verification), and
 :func:`verify_gauge_equivalence_scalar` checks constructively that the
-lambda-deformed lift is the standard lift of the exp-rescaled field,
-component by component.
+lift by the form ``lambda dx``, with ``lambda = D_x phi``, is the standard
+lift of the exp-rescaled field, component by component.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ from .jets import (
 from .prolong import (
     MCResult,
     PointVectorField,
+    lift,
     maurer_cartan_check,
     mu_compatibility_residuals,
-    prolong_lambda,
-    prolong_standard,
 )
 from .symmetry import DifferentialEquation, restrict_to_solution_manifold
 
@@ -287,9 +286,9 @@ def verify_gauge_equivalence_scalar(
     X: PointVectorField, phi, n=None, *, seed=None
 ) -> GaugeEquivalenceResult:
     """Constructive gauge equivalence for scalar ODE fields: with
-    ``lambda = D_x phi``, the lambda-deformed lift of X agrees, after
-    multiplication by e^phi, with the standard lift of the field with
-    coefficients scaled by e^phi."""
+    ``lambda = D_x phi``, the lift of X by the form ``lambda dx`` agrees,
+    after multiplication by e^phi, with the standard lift of the field
+    with coefficients scaled by e^phi."""
     spec = X.spec
     if spec.p != 1 or spec.q != 1:
         raise GaugeError("scalar gauge equivalence needs p = q = 1")
@@ -303,14 +302,12 @@ def verify_gauge_equivalence_scalar(
             "jet-dependent potential needs a field with generalized=True"
         )
     lam = total_derivative(phi, 0, spec)
-    A = prolong_lambda(
-        PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
-    )
+    A = lift(X, MuForm.scalar(spec, [lam]), n, seed=seed)
     scale = exp(phi)
     rescaled = PointVectorField(
         spec, (scale * X.xi[0],), (scale * X.phi[0],), generalized=True
     )
-    B = prolong_standard(rescaled, n)
+    B = lift(rescaled, n=n)
     residuals = {}
     verdicts = []
     flagged = []

@@ -1,15 +1,15 @@
 """Prolongations of point vector fields to jet space.
 
-Three lifts are provided: the standard contact-preserving prolongation,
-the lambda-deformed lift for scalar ODEs, and the lift deformed by a
-horizontal form ``mu`` with q-by-q matrix coefficients, the scalar form
-being its q = 1 case.  All of them run the same one-step recursion along
-the canonical multiindex path (all slot-0 steps, then slot 1, ...), the
-standard lift being the one without a form and the lambda lift the
-scalar form in one direction.  Each step combines canonical values
-directly; the derivatives ``D_i xi^m`` of the field's base components,
-and the coefficients built from them, are computed once per lift and
-shared by every step.
+One function, :func:`lift`, computes every lift: without a form the
+standard contact-preserving prolongation, with a horizontal form ``mu``
+of q-by-q matrix coefficients the mu-deformed one, the scalar form
+being its q = 1 case.  The lambda lift of a scalar ODE is the mu lift by
+the form ``lambda dx`` (:func:`lambda_form`), and the standard lift the
+mu lift by the zero form.  Every lift runs the same one-step recursion
+along the canonical multiindex path (all slot-0 steps, then slot 1, ...).
+Each step combines canonical values directly; the derivatives
+``D_i xi^m`` of the field's base components, and the coefficients built
+from them, are computed once per lift and shared by every step.
 
 The mu lift is path-independent exactly when the form is flat,
 ``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
@@ -152,28 +152,6 @@ def _make_step(X: PointVectorField, mu=None):
     return step
 
 
-def _build_table(X: PointVectorField, step, n: int):
-    """Component table of the prolongation, filled along the canonical path."""
-    if n < 1:
-        raise ProlongationError("prolongation order must be at least 1")
-    spec = X.spec
-    table = {MultiIndex.zero(spec.p): tuple(X.phi)}
-    for J in spec.multi_indices(n, min_order=1):
-        i = J.last_slot()
-        base = J.dec(i)
-        table[J] = step(i, base, table[base])
-    return table
-
-
-def _as_field(X, table, n):
-    spec = X.spec
-    psi = {}
-    for J, row in table.items():
-        for a in range(spec.q):
-            psi[(a, J)] = row[a]
-    return JetVectorField(spec, X.xi, psi, order=n)
-
-
 def _verify_path_independence(step, table, spec, n, *, seed=None):
     """Every single-step edge of the table must be consistent; together
     the edges cover all increasing multiindex paths."""
@@ -195,17 +173,10 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
                     )
 
 
-def prolong_standard(X: PointVectorField, n=None) -> JetVectorField:
-    """The unique contact-preserving lift of ``X`` to order ``n``."""
-    n = X.spec.order if n is None else n
-    table = _build_table(X, _make_step(X), n)
-    return _as_field(X, table, n)
-
-
-def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
-    """The lambda-deformed lift for scalar ODEs (one independent and one
-    dependent variable), by the linear chain recursion
-    ``psi_{k+1} = (D + lambda) psi_k - u_{k+1} (D + lambda) xi``.  The
+def lambda_form(X: PointVectorField, lam) -> MuForm:
+    """The form ``lambda dx`` of the lambda lift of a scalar ODE field
+    (one independent and one dependent variable), whose chain recursion
+    is ``psi_{k+1} = (D + lambda) psi_k - u_{k+1} (D + lambda) xi``.  The
     deforming function may live on the first jet space, or higher when
     the field is generalized."""
     spec = X.spec
@@ -218,19 +189,18 @@ def prolong_lambda(X: PointVectorField, lam, n=None) -> JetVectorField:
         raise ProlongationError(
             "lambda depends on jet order > 1; set generalized=True on the field"
         )
-    n = spec.order if n is None else n
-    table = _build_table(X, _make_step(X, MuForm.scalar(spec, [lam])), n)
-    return _as_field(X, table, n)
+    return MuForm.scalar(spec, [lam])
 
 
-def prolong_mu_vector(
-    X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
+def lift(
+    X: PointVectorField, mu: MuForm = None, n=None, *, path_check=False, seed=None
 ) -> JetVectorField:
-    """The mu-deformed lift, for every number q of dependent variables.
-    Requires a flat form (:func:`maurer_cartan_check`; closed when
-    q = 1), or an explicit ``path_check`` waiver under which path
-    independence of the recursion is verified and any disagreement
-    raises.
+    """The lift of ``X`` to order ``n``: without a form the standard,
+    contact-preserving one; with a form ``mu`` the mu-deformed one, for
+    every number q of dependent variables.  A form must be flat
+    (:func:`maurer_cartan_check`; closed when q = 1), or carry an
+    explicit ``path_check`` waiver under which path independence of the
+    recursion is verified and any disagreement raises.
 
     Exact flatness already proves path independence, so ``path_check``
     re-derives the edges of the table only when the flatness verdict is
@@ -242,20 +212,30 @@ def prolong_mu_vector(
     to ``J`` gives the same ``Q_J`` (Gaeta & Morando 2004, J. Phys. A
     37:6955; Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467)."""
     spec = X.spec
-    if mu.spec != spec:
-        raise ProlongationError("mu must live on the field's jet space")
     n = spec.order if n is None else n
-    flat = maurer_cartan_check(mu, seed=seed).verdict
-    if flat is Verdict.FALSE and not path_check:
-        raise MuNotClosedError(
-            "the form is not flat (not closed when q = 1); "
-            "pass path_check=True to verify path independence instead"
-        )
+    flat = Verdict.TRUE
+    if mu is not None:
+        if mu.spec != spec:
+            raise ProlongationError("mu must live on the field's jet space")
+        flat = maurer_cartan_check(mu, seed=seed).verdict
+        if flat is Verdict.FALSE and not path_check:
+            raise MuNotClosedError(
+                "the form is not flat (not closed when q = 1); "
+                "pass path_check=True to verify path independence instead"
+            )
+    if n < 1:
+        raise ProlongationError("prolongation order must be at least 1")
+    # the component table, filled along the canonical path
     step = _make_step(X, mu)
-    table = _build_table(X, step, n)
+    table = {MultiIndex.zero(spec.p): tuple(X.phi)}
+    for J in spec.multi_indices(n, min_order=1):
+        i = J.last_slot()
+        base = J.dec(i)
+        table[J] = step(i, base, table[base])
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
-    return _as_field(X, table, n)
+    psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}
+    return JetVectorField(spec, X.xi, psi, order=n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +299,7 @@ def difference_terms(
     zero-order rows are identically zero."""
     spec = X.spec
     n = spec.order if n is None else n
-    deformed = prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
-    standard = prolong_standard(X, n)
+    deformed = lift(X, mu, n, path_check=path_check, seed=seed)
+    standard = lift(X, n=n)
     return {(a, J): deformed.psi_at(a, J) - standard.psi_at(a, J)
             for J in spec.multi_indices(n) for a in range(spec.q)}

@@ -6,9 +6,10 @@ derivative or derivative thereof.  Restriction to the solution manifold
 substitutes the leading coordinates and their derivative consequences,
 innermost first, so it terminates by construction.
 
-A field is a symmetry (standard, lambda, or mu kind) when the chosen
-prolongation, applied as a derivation to each residual
-``u^a_{J*} - f^a``, vanishes after restriction.
+A field is a symmetry, for a form ``mu`` a mu-symmetry (a lambda-symmetry
+when ``mu = lambda dx``), when its lift by that form, applied as a
+derivation to each residual ``u^a_{J*} - f^a``, vanishes after
+restriction.
 :func:`coincide_on_invariant_set` checks that a deformed lift agrees with
 the standard one on the invariant set of the field, where every total
 derivative of its characteristic vanishes.
@@ -16,7 +17,7 @@ derivative of its characteristic vanishes.
 
 from __future__ import annotations
 
-from .errors import EquationError, ProlongationError, RestrictionError
+from .errors import EquationError, RestrictionError
 from .expr import (
     Expr,
     Verdict,
@@ -44,9 +45,7 @@ from .prolong import (
     PointVectorField,
     characteristic,
     difference_terms,
-    prolong_lambda,
-    prolong_mu_vector,
-    prolong_standard,
+    lift,
 )
 
 
@@ -179,43 +178,26 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
 class SymmetryResult:
     """Per-equation residuals of the tangency test, after restriction."""
 
-    __slots__ = ("kind", "verdict", "residuals", "equation_verdicts")
+    __slots__ = ("verdict", "residuals")
 
-    def __init__(self, kind, verdict, residuals, equation_verdicts):
-        self.kind = kind
+    def __init__(self, verdict, residuals):
         self.verdict = verdict
         self.residuals = residuals
-        self.equation_verdicts = equation_verdicts
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE
 
 
-def _prolong_by_kind(X, kind, n, lam=None, mu=None, path_check=False, seed=None):
-    if kind == "standard":
-        return prolong_standard(X, n)
-    if kind == "lambda":
-        if lam is None:
-            raise ProlongationError("kind 'lambda' needs the deforming function")
-        return prolong_lambda(X, lam, n)
-    if kind == "mu":
-        if mu is None:
-            raise ProlongationError("kind 'mu' needs the deforming form")
-        return prolong_mu_vector(X, mu, n, path_check=path_check, seed=seed)
-    raise ProlongationError(f"unknown symmetry kind {kind!r}")
-
-
 def check_symmetry(
     X: PointVectorField,
     eq: DifferentialEquation,
-    kind: str = "standard",
+    mu: MuForm = None,
     *,
-    lam=None,
-    mu=None,
     path_check=False,
     seed=None,
 ) -> SymmetryResult:
-    """Tangency of the chosen prolongation to the solution manifold.
+    """Tangency of the lift of ``X`` by ``mu`` (standard without a form,
+    see :func:`prolong.lift`) to the solution manifold.
 
     The prolonged field is applied as a derivation to each residual
     ``u^a_{J*} - f^a``; the result is restricted to the solution manifold
@@ -225,9 +207,7 @@ def check_symmetry(
     spec = eq.spec
     if X.spec != spec:
         raise EquationError("field and equation live on different jet spaces")
-    Y = _prolong_by_kind(
-        X, kind, spec.order, lam=lam, mu=mu, path_check=path_check, seed=seed
-    )
+    Y = lift(X, mu, spec.order, path_check=path_check, seed=seed)
     residuals = []
     verdicts = []
     for coord, rhs in eq.equations:
@@ -235,9 +215,7 @@ def check_symmetry(
         restricted = restrict_to_solution_manifold(raw, eq)
         residuals.append(restricted)
         verdicts.append(zero_verdict(restricted, seed=seed))
-    return SymmetryResult(
-        kind, Verdict.combine(verdicts), tuple(residuals), tuple(verdicts)
-    )
+    return SymmetryResult(Verdict.combine(verdicts), tuple(residuals))
 
 
 # ---------------------------------------------------------------------------

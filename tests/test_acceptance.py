@@ -30,7 +30,7 @@ from helpers import (
     rand_unipotent_gauge,
 )
 from jetsym.cli import run
-from jetsym.expr import Verdict, normalize, rational
+from jetsym.expr import Verdict, rational
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -49,15 +49,15 @@ from jetsym.problemfile import load_problem
 from jetsym.prolong import (
     PointVectorField,
     difference_terms,
-    prolong_lambda,
-    prolong_mu_vector,
-    prolong_standard,
+    lambda_form,
+    lift,
 )
 from jetsym.symmetry import (
     DifferentialEquation,
     check_symmetry,
     coincide_on_invariant_set,
 )
+from test_prolong import assert_matches_chain
 
 SEED = 20140915
 
@@ -108,15 +108,14 @@ def test_criterion_1_degeneration_chain():
     compared = 0
     for _idx, spec, X, lam in chain_instances():
         n = spec.order
-        standard = prolong_standard(X, n)
+        standard = lift(X, n=n)
         zero = zero_mu(spec)
-        deformed = prolong_mu_vector(X, zero, n)
+        deformed = lift(X, zero, n)
         assert deformed == standard
         compared += 1
         if spec.p == 1 and spec.q == 1:
-            Xg = PointVectorField(spec, X.xi, X.phi, generalized=True)
-            mu_l = MuForm.scalar(spec, [lam])
-            assert prolong_mu_vector(Xg, mu_l, n) == prolong_lambda(Xg, lam, n)
+            # the lambda lift against an independent sympy chain
+            assert_matches_chain(lift(X, lambda_form(X, lam), n), X, lam, n)
             compared += 1
     report(1, True, f"50 fields, {compared} exact prolongation comparisons")
 
@@ -130,16 +129,14 @@ def test_criterion_2_deformed_contact_characterization():
         spec = spec_for(p, 1, n)
         X = rand_point_field(rng, spec)
         mu, _phi = rand_closed_scalar_mu(rng, spec)
-        Y = prolong_mu_vector(X, mu, n)
+        Y = lift(X, mu, n)
         lambdas = mu.lambdas
         for J in spec.multi_indices(n - 1):
             theta = contact_form(0, J, spec)
             deformed = lie_derivative(Y, theta, spec)
             pairing = interior_product(Y, theta)
             for i in range(spec.p):
-                deformed = deformed + dx(i).scale(
-                    normalize(pairing * lambdas[i])
-                )
+                deformed = deformed + dx(i).scale(pairing * lambdas[i])
             membership = in_contact_module(deformed, spec)
             assert membership.verdict is Verdict.TRUE, (
                 f"residuals {membership.horizontal_residuals} "
@@ -273,15 +270,15 @@ kind = standard
     by_id = {r.task_id: r for r in rep.records}
     assert by_id["lam"].verdict == "pass"
     assert by_id["std"].verdict == "fail"
-    want = normalize(parse("-(1+x^2)"))
+    want = parse("-(1+x^2)")
     assert by_id["std"].residuals == [str(want)]
 
     spec = problem.spec
     X = problem.fields["S"]
     eq = problem.equations["E"]
-    direct = check_symmetry(X, eq, "lambda", lam=parse("x"))
+    direct = check_symmetry(X, eq, lambda_form(X, parse("x")))
     assert direct.verdict is Verdict.TRUE
-    direct_std = check_symmetry(X, eq, "standard")
+    direct_std = check_symmetry(X, eq)
     assert direct_std.verdict is Verdict.FALSE
     assert direct_std.residuals[0] == want
     report(7, True, "accepted with lambda = x, rejected as standard, "
@@ -353,10 +350,8 @@ def test_criterion_9_characterizations_agree_with_membership():
     for _idx, spec, X, lam in scalars:
         n = spec.order
         for kind, Y in (
-            ("standard", prolong_standard(X, n)),
-            ("lambda", prolong_lambda(
-                PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
-            )),
+            ("standard", lift(X, n=n)),
+            ("lambda", lift(X, lambda_form(X, lam), n)),
         ):
             arg = rational(0) if kind == "standard" else lam
             char = characterization_check(Y, arg)
@@ -368,16 +363,14 @@ def test_criterion_9_characterizations_agree_with_membership():
         n = spec.order
         kind = "standard" if k % 2 == 0 else "lambda"
         if kind == "standard":
-            Y = prolong_standard(X, n)
+            Y = lift(X, n=n)
             arg = rational(0)
         else:
-            Y = prolong_lambda(
-                PointVectorField(spec, X.xi, X.phi, generalized=True), lam, n
-            )
+            Y = lift(X, lambda_form(X, lam), n)
             arg = lam
         J = rng.choice([Ji for Ji in spec.multi_indices(n) if Ji.order >= 1])
         psi = dict(Y.psi)
-        psi[(0, J)] = normalize(Y.psi_at(0, J) + rational(1))
+        psi[(0, J)] = Y.psi_at(0, J) + rational(1)
         bad = JetVectorField(spec, Y.xi, psi, order=n)
         char = characterization_check(bad, arg)
         member = _membership_verdict(bad, kind, arg, spec)

@@ -179,12 +179,12 @@ LIFT = """
 from jetsym.expr import to_string
 from jetsym.jets import JetSpec, MultiIndex
 from jetsym.parsing import parse
-from jetsym.prolong import PointVectorField, prolong_standard
+from jetsym.prolong import PointVectorField, lift
 
 spec = JetSpec(("x",), ("u",), 2)
 for xi, phi in FIELDS:
     X = PointVectorField(spec, (parse(xi),), (parse(phi),))
-    Y = prolong_standard(X, 2)
+    Y = lift(X, n=2)
     for k in (1, 2):
         print(to_string(Y.psi_at(0, MultiIndex((k,)))))
 """
@@ -253,12 +253,12 @@ def test_high_negative_power_field_lifts_in_time():
     script = """
 from jetsym.jets import JetSpec
 from jetsym.parsing import parse
-from jetsym.prolong import PointVectorField, prolong_standard
+from jetsym.prolong import PointVectorField, lift
 
 spec = JetSpec(("x", "t"), ("u",), 2)
 X = PointVectorField(spec, (parse("1/(1 + t)"), parse("x^(-40)")),
                      (parse("u/x^2 - 3/2*u"),))
-print(len(prolong_standard(X, 2).psi))
+print(len(lift(X, n=2).psi))
 """
     # phi, and Psi on u_x, u_t and the three second derivatives
     assert run_child(script, timeout=5) == ["6"]

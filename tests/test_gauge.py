@@ -12,7 +12,7 @@ from jetsym.errors import (
     NoPotentialError,
     PotentialNotClosedError,
 )
-from jetsym.expr import Verdict, exp, normalize, rational
+from jetsym.expr import Verdict, exp, rational
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -100,7 +100,7 @@ def test_potential_of_du():
     phi = scalar_potential(mu)
     for i in range(2):
         assert total_derivative(phi, i, PDE1) == mu.lambdas[i]
-    assert normalize(phi - parse("u")) == rational(0)
+    assert phi - parse("u") == rational(0)
 
 
 def test_potential_of_zero_and_dx():
@@ -126,7 +126,7 @@ def test_potential_recovers_random_construction():
             mu, phi = rand_closed_scalar_mu(rng, spec)
             found = scalar_potential(mu)
             for i in range(spec.p):
-                assert total_derivative(normalize(found - phi), i, spec) == rational(0)
+                assert total_derivative(found - phi, i, spec) == rational(0)
 
 
 # --- gauge functions and Darboux derivatives -------------------------------------
@@ -197,7 +197,7 @@ def test_darboux_then_potential_consistency():
         mu = darboux_derivative(gamma)
         recovered = scalar_potential(mu)
         for i in range(spec.p):
-            assert total_derivative(normalize(phi - recovered), i, spec) == rational(0)
+            assert total_derivative(phi - recovered, i, spec) == rational(0)
 
 
 # --- flatness as a two-form identity ----------------------------------------------
@@ -223,9 +223,9 @@ def _horizontalize(tau, spec):
                 if e1 == e2:
                     continue
                 if e1[1] < e2[1]:
-                    acc.setdefault((e1, e2), []).append(normalize(c * f1 * f2))
+                    acc.setdefault((e1, e2), []).append(c * f1 * f2)
                 else:
-                    acc.setdefault((e2, e1), []).append(normalize(rational(-1) * c * f1 * f2))
+                    acc.setdefault((e2, e1), []).append(rational(-1) * c * f1 * f2)
     from jetsym.expr import expr_sum
     return Form({k: expr_sum(v) for k, v in acc.items()})
 
@@ -256,13 +256,11 @@ def test_flatness_residual_equals_two_form_expansion():
                 for c in range(2):
                     # (mu ^ mu)_{ab} over dx0 ^ dx1
                     wedge_cross.append(
-                        normalize(
-                            mu.entry(0, a, c) * mu.entry(1, c, b)
-                            - mu.entry(1, a, c) * mu.entry(0, c, b)
-                        )
+                        mu.entry(0, a, c) * mu.entry(1, c, b)
+                        - mu.entry(1, a, c) * mu.entry(0, c, b)
                     )
                 from jetsym.expr import expr_sum
-                total = normalize(
+                total = (
                     d_part.coefficient(basis_key_dx(0), basis_key_dx(1))
                     + expr_sum(wedge_cross)
                 )

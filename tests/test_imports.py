@@ -24,6 +24,10 @@ module calls it, but ``perfbench/tracer.py`` and ``tests/helpers.py`` read
 a value's canonical pair through it.  Every entry of ``jetsym.__all__``
 resolves.
 
+Every ``__slots__`` field of a package class is read, as an attribute
+of that name, somewhere in the package or the tests: a field that is
+set and never read is dead state.
+
 ``import jetsym.cli`` loads neither ``dataclasses`` nor ``inspect``:
 every run of the command pays its start-up, and those two modules cost
 about 20 ms of it.  Value classes are ``__slots__`` classes instead.
@@ -186,6 +190,41 @@ def test_every_package_helper_is_named():
 def test_every_public_name_resolves():
     assert len(set(jetsym.__all__)) == len(jetsym.__all__)
     assert [name for name in jetsym.__all__ if not hasattr(jetsym, name)] == []
+
+
+def dead_fields(modules, readers):
+    """``(file name, class, field)`` of each ``__slots__`` field of a
+    class in ``modules`` (file name -> source) that no source in
+    ``readers`` loads as an attribute of that name."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for name, source in sorted(modules.items()):
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    dead += [(name, cls.name, e.value) for e in stmt.value.elts
+                             if e.value not in read]
+    return dead
+
+
+def test_the_walk_sees_a_dead_field():
+    source = ("class C:\n    __slots__ = ('kept', 'dead')\n\n"
+              "    def __init__(self, kept, dead):\n"
+              "        self.kept = kept\n        self.dead = dead\n")
+    assert dead_fields({"a.py": source}, [source]) == [("a.py", "C", "kept"), ("a.py", "C", "dead")]
+    assert dead_fields({"a.py": source}, [source, "print(c.kept)\n"]) == [("a.py", "C", "dead")]
+    assert dead_fields({"a.py": source}, [source, "c.kept, c.dead\n"]) == []
+
+
+def test_every_slot_field_is_read():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    assert dead_fields(modules, list(modules.values()) + tests) == []
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():

@@ -2,13 +2,16 @@
 oracle of ``forms``: forms, Lie derivatives, the contact module."""
 
 import copy
+import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forms import (
+    Form,
     basis_key_du,
     basis_key_dx,
     contact_form,
@@ -23,6 +26,7 @@ from forms import (
     scale_field,
     truncated_total_derivative,
 )
+from helpers import rand_poly
 from jetsym.errors import JetError
 from jetsym.expr import Verdict, rational
 from jetsym.jets import (
@@ -278,6 +282,36 @@ def test_form_subtraction_adds_the_negated_coefficients():
     low = tau - sigma
     assert low.coefficient(basis_key_du(0, MultiIndex((1,))), basis_key_dx(0)) == rational(1)
     assert low + sigma == tau and (sigma - sigma).is_structurally_zero
+
+
+def test_exterior_derivative_against_sympy():
+    # d(sum f dg) = sum df ^ dg, coefficient by coefficient; f and g hold
+    # every coordinate, so the du coefficients vary and both orders of a
+    # stored pair, (dk, du) and (du, dk), are exercised
+    sympy = pytest.importorskip("sympy")
+    spec = JetSpec(("x", "t"), ("u",), 1)
+    keys = [basis_key_dx(i) for i in range(spec.p)]
+    keys += [basis_key_du(0, K) for K in spec.multi_indices(1)]
+    names = [spec.independent[k[1]] if k[0] == "x" else spec.jet_name(0, MultiIndex(k[2]))
+             for k in keys]
+    symbol = {n: sympy.Symbol(n) for n in names}
+
+    def read(e):
+        return sympy.sympify(str(e).replace("^", "**"), locals=symbol)
+
+    rng = random.Random(17)
+    for _ in range(10):
+        omega, pairs = Form({}), []
+        for _ in range(2):
+            f, g = (rand_poly(rng, names, 2, 3) for _ in range(2))
+            omega = omega + scalar_differential(g, spec).scale(f)
+            pairs.append((read(f), read(g)))
+        tau = exterior_derivative(omega, spec)
+        for (k1, n1), (k2, n2) in itertools.combinations(zip(keys, names), 2):
+            s1, s2 = symbol[n1], symbol[n2]
+            want = sum(sympy.diff(f, s1) * sympy.diff(g, s2) - sympy.diff(f, s2) * sympy.diff(g, s1)
+                       for f, g in pairs)
+            assert sympy.expand(read(tau.coefficient(k1, k2)) - want) == 0, (k1, k2)
 
 
 # --- Lie derivative ---------------------------------------------------------

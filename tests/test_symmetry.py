@@ -15,10 +15,10 @@ from forms import (
 )
 from helpers import rand_point_field, rand_poly
 from jetsym.errors import EquationError, RestrictionError
-from jetsym.expr import Verdict, normalize, rational
+from jetsym.expr import Verdict, rational
 from jetsym.jets import JetSpec, MultiIndex, MuForm
 from jetsym.parsing import parse
-from jetsym.prolong import PointVectorField, prolong_lambda, prolong_standard
+from jetsym.prolong import PointVectorField, lambda_form, lift
 from jetsym.symmetry import (
     DifferentialEquation,
     characteristic,
@@ -104,10 +104,10 @@ def test_restrict_depth_failure_is_reported():
 def test_lambda_symmetry_regression():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "(1+x^2)*u"})
     X = pvf(ODE2, ["0"], ["1"])
-    res = check_symmetry(X, eq, "lambda", lam=parse("x"))
+    res = check_symmetry(X, eq, lambda_form(X, parse("x")))
     assert res.verdict is Verdict.TRUE
 
-    res_std = check_symmetry(X, eq, "standard")
+    res_std = check_symmetry(X, eq)
     assert res_std.verdict is Verdict.FALSE
     assert res_std.residuals[0] == parse("-(1+x^2)")
 
@@ -115,20 +115,20 @@ def test_lambda_symmetry_regression():
 def test_translation_symmetry_of_autonomous_equation():
     eq = DifferentialEquation.from_strings(ODE1, {"u_x": "0"})
     X = pvf(ODE1, ["1"], ["0"])
-    assert check_symmetry(X, eq, "standard").verdict is Verdict.TRUE
+    assert check_symmetry(X, eq).verdict is Verdict.TRUE
 
 
 def test_scaling_symmetry_of_scale_invariant_equation():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "u_x^2/u"})
     X = pvf(ODE2, ["0"], ["u"])
-    assert check_symmetry(X, eq, "standard").verdict is Verdict.TRUE
+    assert check_symmetry(X, eq).verdict is Verdict.TRUE
 
 
 def test_mu_kind_reduces_to_lambda_kind():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "(1+x^2)*u"})
     X = pvf(ODE2, ["0"], ["1"])
     mu = MuForm.scalar(ODE2, [parse("x")])
-    assert check_symmetry(X, eq, "mu", mu=mu).verdict is Verdict.TRUE
+    assert check_symmetry(X, eq, mu).verdict is Verdict.TRUE
 
 
 def test_lambda_zero_matches_standard_verdicts():
@@ -136,8 +136,8 @@ def test_lambda_zero_matches_standard_verdicts():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "u*u_x"})
     for _ in range(5):
         X = rand_point_field(rng, ODE2)
-        a = check_symmetry(X, eq, "standard").verdict
-        b = check_symmetry(X, eq, "lambda", lam=rational(0)).verdict
+        a = check_symmetry(X, eq).verdict
+        b = check_symmetry(X, eq, lambda_form(X, rational(0))).verdict
         assert a == b
 
 
@@ -150,10 +150,10 @@ def test_verdict_invariant_under_nonvanishing_rescaling():
         (pvf(ODE2, ["0"], ["u"]), parse("x")),
         (pvf(ODE2, ["x"], ["u"]), parse("0")),
     ]:
-        Y = prolong_lambda(X, lam, 2)
+        Y = lift(X, lambda_form(X, lam), 2)
         r = parse("u_xx - (1+x^2)*u")
         plain = restrict_to_solution_manifold(Y.apply(r), eq)
-        scaled = restrict_to_solution_manifold(Y.apply(normalize(g * r)), eq)
+        scaled = restrict_to_solution_manifold(Y.apply(g * r), eq)
         from jetsym.expr import zero_verdict
         assert zero_verdict(plain) == zero_verdict(scaled)
 
@@ -164,34 +164,35 @@ def test_constructed_symmetric_equations_pass():
     for _ in range(4):
         f = rand_poly(rng, ["u", "u_x"], max_degree=2, allow_zero=False)
         eq = DifferentialEquation.from_strings(ODE2, {"u_xx": str(f)})
-        assert check_symmetry(pvf(ODE2, ["1"], ["0"]), eq, "standard").verdict is Verdict.TRUE
+        assert check_symmetry(pvf(ODE2, ["1"], ["0"]), eq).verdict is Verdict.TRUE
     for _ in range(4):
         f = rand_poly(rng, ["x", "u_x"], max_degree=2, allow_zero=False)
         eq = DifferentialEquation.from_strings(ODE2, {"u_xx": str(f)})
-        assert check_symmetry(pvf(ODE2, ["0"], ["1"]), eq, "standard").verdict is Verdict.TRUE
+        assert check_symmetry(pvf(ODE2, ["0"], ["1"]), eq).verdict is Verdict.TRUE
     for _ in range(4):
         # scaling field x d_x: u, x*u_x and x^2*u_xx are invariant
         f = rand_poly(rng, ["u", "w"], max_degree=2, allow_zero=False)
-        f = normalize(parse(str(f).replace("w", "(x*u_x)")) / parse("x^2"))
+        f = parse(str(f).replace("w", "(x*u_x)")) / parse("x^2")
         eq = DifferentialEquation.from_strings(ODE2, {"u_xx": str(f)})
-        assert check_symmetry(pvf(ODE2, ["x"], ["0"]), eq, "standard").verdict is Verdict.TRUE
+        assert check_symmetry(pvf(ODE2, ["x"], ["0"]), eq).verdict is Verdict.TRUE
 
 
 # --- commutator characterizations ---------------------------------------------
 
 def test_commutator_pairs_to_zero_for_standard_prolongations():
-    Y = prolong_standard(pvf(ODE1, ["1"], ["0"]), 1)
+    Y = lift(pvf(ODE1, ["1"], ["0"]), n=1)
     C = commutator_with_total_derivative(Y, 0)
     theta = contact_form(0, J((0,)), ODE1)
     assert interior_product(C, theta) == rational(0)
 
-    Y2 = prolong_standard(pvf(ODE1, ["x"], ["u"]), 1)
+    Y2 = lift(pvf(ODE1, ["x"], ["u"]), n=1)
     C2 = commutator_with_total_derivative(Y2, 0)
     assert interior_product(C2, theta) == rational(0)
 
 
 def test_commutator_recovers_lambda():
-    Y = prolong_lambda(pvf(ODE1, ["0"], ["1"]), parse("u"), 1)
+    X = pvf(ODE1, ["0"], ["1"])
+    Y = lift(X, lambda_form(X, parse("u")), 1)
     C = commutator_with_total_derivative(Y, 0)
     theta = contact_form(0, J((0,)), ODE1)
     assert interior_product(C, theta) == parse("u")
@@ -201,25 +202,25 @@ def test_characterization_check_accepts_prolongations():
     rng = random.Random(23)
     for _ in range(4):
         X = rand_point_field(rng, ODE2)
-        assert characterization_check(prolong_standard(X, 2)) is Verdict.TRUE
+        assert characterization_check(lift(X, n=2)) is Verdict.TRUE
         lam = rand_poly(rng, ["x", "u"], max_degree=2)
-        Yl = prolong_lambda(X, lam, 2)
+        Yl = lift(X, lambda_form(X, lam), 2)
         assert characterization_check(Yl, lam) is Verdict.TRUE
 
 
 def _perturb(Y, a, Ji):
     psi = dict(Y.psi)
-    psi[(a, Ji)] = normalize(Y.psi_at(a, Ji) + rational(1))
+    psi[(a, Ji)] = Y.psi_at(a, Ji) + rational(1)
     from jetsym.jets import JetVectorField
     return JetVectorField(Y.spec, Y.xi, psi, order=Y.order)
 
 
 def test_characterization_check_rejects_perturbed_fields():
     X = pvf(ODE2, ["x"], ["u"])
-    Y = _perturb(prolong_standard(X, 2), 0, J((1,)))
+    Y = _perturb(lift(X, n=2), 0, J((1,)))
     assert characterization_check(Y) is Verdict.FALSE
     lam = parse("x*u")
-    Yl = _perturb(prolong_lambda(X, lam, 2), 0, J((2,)))
+    Yl = _perturb(lift(X, lambda_form(X, lam), 2), 0, J((2,)))
     assert characterization_check(Yl, lam) is Verdict.FALSE
 
 
@@ -227,7 +228,7 @@ def test_characterization_agrees_with_contact_membership():
     rng = random.Random(24)
     for _ in range(4):
         X = rand_point_field(rng, ODE2)
-        Y = prolong_standard(X, 2)
+        Y = lift(X, n=2)
         for cand in (Y, _perturb(Y, 0, J((2,)))):
             char = characterization_check(cand)
             member = Verdict.combine(
