@@ -12,6 +12,7 @@ from .backend import BACKEND
 from .errors import JetsymError
 from .expr import (
     DEFAULT_SEED,
+    Check,
     Expr,
     Verdict,
     as_expr,
@@ -48,7 +49,6 @@ from .jets import (
 from .parsing import parse
 from .problemfile import ProblemFile, load_problem
 from .prolong import (
-    NablaOperator,
     PointVectorField,
     characteristic,
     difference_terms,
@@ -66,6 +66,7 @@ from .symmetry import (
 
 __all__ = [
     "BACKEND",
+    "Check",
     "DEFAULT_SEED",
     "DifferentialEquation",
     "Expr",
@@ -76,7 +77,6 @@ __all__ = [
     "JetsymError",
     "MuForm",
     "MultiIndex",
-    "NablaOperator",
     "PointVectorField",
     "ProblemFile",
     "Verdict",

@@ -113,16 +113,8 @@ class Report:
         return "\n".join(lines)
 
 
-def _word(verdict: Verdict, *, vacuous=False, unverifiable=False) -> str:
-    if vacuous:
-        return VACUOUS
-    if unverifiable:
-        return UNVERIFIABLE
-    if verdict is Verdict.TRUE:
-        return PASS
-    if verdict is Verdict.FALSE:
-        return FAIL
-    return PROBABLY
+# the word of a check's verdict
+_WORDS = {Verdict.TRUE: PASS, Verdict.FALSE: FAIL, Verdict.PROBABLY: PROBABLY}
 
 
 # the arguments that only some kinds of prolongation read, per kind
@@ -137,7 +129,8 @@ def _flag(name):
 class _Args:
     """Task argument accessor with typo detection."""
 
-    def __init__(self, task: TaskDecl):
+    def __init__(self, problem: ProblemFile, task: TaskDecl):
+        self.problem = problem
         self.task = task
 
     def missing_at(self, name):
@@ -155,12 +148,14 @@ class _Args:
             )
         return default
 
-    def named(self, name, find, required=True):
-        """The declaration that argument ``name`` names, looked up by one
-        of the problem's ``*_named`` methods: an undeclared name is an
-        error at the argument's own line."""
+    def named(self, name, required=True):
+        """The declaration that argument ``name`` names, in the section
+        kind of the same name: an undeclared name is an error at the
+        argument's own line."""
         text = self.get(name, required=required)
-        return None if text is None else find(text, self.task.args[name][1])
+        if text is None:
+            return None
+        return self.problem.named(name, text, self.task.args[name][1])
 
     def get_int(self, name, default):
         text = self.get(name)
@@ -184,7 +179,7 @@ class _Args:
         text = self.get(name, required=required)
         return None if text is None else _parse_expr(text, self.task.args[name][1])
 
-    def get_prolongation(self, problem):
+    def get_prolongation(self):
         """Lambda, mu form and path-check flag of a prolong or
         check-symmetry task; lambda is None unless kind = lambda, and mu
         unless kind = mu.  An argument that only other kinds read is an
@@ -207,7 +202,7 @@ class _Args:
                         self.task.args[name][1],
                     )
         lam = self.get_expr("lambda")
-        mu = self.named("mu", problem.mu_named, required=False)
+        mu = self.named("mu", required=False)
         if (kind == "lambda" and lam is None) or (kind == "mu" and mu is None):
             raise ProblemFileError(
                 f"kind={kind} needs a '{kind} =' argument", self.missing_at(kind)
@@ -254,25 +249,24 @@ def _mu_detail(mu):
 
 def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
     spec = problem.spec
-    args = _Args(task)
+    args = _Args(problem, task)
     start = time.perf_counter()
+    res = None  # the Check of a checking task
+    verdict = None  # the record's word, unless the Check's verdict gives it
     residuals: list = []
     detail: list = []
     try:
         if task.kind == "check-symmetry":
-            X = args.named("field", problem.field_named)
-            eq = args.named("equation", problem.equation_named)
-            lam, mu, path_check = args.get_prolongation(problem)
+            X = args.named("field")
+            eq = args.named("equation")
+            lam, mu, path_check = args.get_prolongation()
             args.finish()
             if lam is not None:
                 mu = lambda_form(X, lam)
             res = check_symmetry(X, eq, mu, path_check=path_check, seed=seed)
-            verdict = _word(res.verdict)
-            if res.verdict is not Verdict.TRUE:
-                residuals = [to_string(r) for r in res.residuals]
         elif task.kind == "prolong":
-            X = args.named("field", problem.field_named)
-            lam, mu, path_check = args.get_prolongation(problem)
+            X = args.named("field")
+            lam, mu, path_check = args.get_prolongation()
             order = args.get_int("order", spec.order)
             args.finish()
             if lam is not None:
@@ -281,60 +275,55 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             verdict = PASS
             detail = _field_detail(Y, spec)
         elif task.kind == "check-compat":
-            mu = args.named("mu", problem.mu_named)
-            eq = args.named("equation", problem.equation_named, required=False)
+            mu = args.named("mu")
+            eq = args.named("equation", required=False)
             args.finish()
             if eq is not None:
                 res = maurer_cartan_check_on_equation(mu, eq, seed=seed)
             else:
                 res = maurer_cartan_check(mu, seed=seed)
-            verdict = _word(res.verdict)
-            if res.verdict is not Verdict.TRUE:
-                for pair in sorted(res.residuals):
-                    residuals += [to_string(e) for row in res.residuals[pair]
-                                  for e in row if e != ZERO]
         elif task.kind == "potential":
-            mu = args.named("mu", problem.mu_named)
+            mu = args.named("mu")
             args.finish()
             phi = scalar_potential(mu)
             verdict = PASS
             detail = [f"potential = {to_string(phi)}"]
         elif task.kind == "darboux":
-            gamma = args.named("gauge", problem.gauge_named)
+            gamma = args.named("gauge")
             args.finish()
             mu = darboux_derivative(gamma)
             verdict = PASS
             detail = _mu_detail(mu)
         elif task.kind == "gauge-check":
-            X = args.named("field", problem.field_named)
+            X = args.named("field")
             phi = args.get_expr("phi", required=True)
             order = args.get_int("order", spec.order)
             args.finish()
             res = verify_gauge_equivalence_scalar(X, phi, order, seed=seed)
-            verdict = _word(res.verdict)
-            if res.verdict is not Verdict.TRUE:
-                residuals = [
-                    to_string(r) for _J, r in sorted(res.residuals.items(),
-                                                     key=lambda kv: kv[0].counts)
-                ]
         elif task.kind == "coincide":
-            X = args.named("field", problem.field_named)
-            mu = args.named("mu", problem.mu_named)
+            X = args.named("field")
+            mu = args.named("mu")
             order = args.get_int("order", spec.order)
             path_check = args.get_flag("path-check")
             args.finish()
             res = coincide_on_invariant_set(
                 X, mu, order, path_check=path_check, seed=seed
             )
-            verdict = _word(
-                res.verdict, vacuous=res.vacuous, unverifiable=res.unverifiable
-            )
-            if res.verdict is not Verdict.TRUE:
-                residuals = [to_string(r) for r in res.residuals.values()]
             if res.vacuous:
+                verdict = VACUOUS
                 detail = ["invariant set is empty; nothing to check"]
+            elif res.unverifiable:
+                verdict = UNVERIFIABLE
         else:  # pragma: no cover - load_problem validates kinds
             raise ProblemFileError(f"unknown task kind {task.kind!r}", task.line)
+        if res is not None:
+            verdict = verdict or _WORDS[res.verdict]
+            if res.verdict is not Verdict.TRUE:
+                # the nonzero residuals in key order; check-symmetry keeps
+                # one line per equation, zeros included
+                every = task.kind == "check-symmetry"
+                residuals = [to_string(e) for e in res.residuals.values()
+                             if every or e != ZERO]
     except ProblemFileError:
         raise
     except JetsymError as err:

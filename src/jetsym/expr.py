@@ -50,7 +50,9 @@ Zero testing is exact on the rational fragment.  When kernels are
 present and the canonical form is not syntactically zero, the verdict
 is decided numerically at seeded random rational points: FALSE when a
 sampled numerator is far above the rounding error of its terms, else
-``Verdict.PROBABLY`` rather than a proof.
+``Verdict.PROBABLY`` rather than a proof.  ``Check`` is the one verdict
+on a set of residuals: it zero-tests each of them and is TRUE only when
+every one is proven zero.
 
 Products of exponentials are merged (``exp(a)*exp(b) -> exp(a+b)``,
 ``exp(a)**k -> exp(k*a)``, ``1/exp(a) -> exp(-a)``); this is the one
@@ -862,6 +864,24 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
             return Verdict.FALSE
         good += 1
     return Verdict.PROBABLY
+
+
+class Check:
+    """The verdict on a dict of residuals, each zero-tested in key order
+    and combined by :meth:`Verdict.combine`: TRUE only when every residual
+    is proven zero.  ``residuals`` keeps them all, zeros included, and
+    ``probable`` lists the keys whose test gave PROBABLY."""
+
+    __slots__ = ("verdict", "residuals", "probable")
+
+    def __init__(self, residuals, *, seed=None):
+        verdicts = [(key, zero_verdict(e, seed=seed)) for key, e in residuals.items()]
+        self.verdict = Verdict.combine(v for _key, v in verdicts)
+        self.residuals = residuals
+        self.probable = tuple(key for key, v in verdicts if v is Verdict.PROBABLY)
+
+    def __bool__(self):
+        return self.verdict is Verdict.TRUE
 
 
 # ---------------------------------------------------------------------------

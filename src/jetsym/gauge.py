@@ -5,7 +5,8 @@ horizontal flatness condition ``D_i L_k - D_k L_i + [L_i, L_k] = 0``,
 closedness when q = 1; the one check of it is
 ``prolong.maurer_cartan_check``.  For symmetries of a fixed equation the
 condition only needs to hold on the solution manifold
-(:func:`maurer_cartan_check_on_equation`).
+(:func:`maurer_cartan_check_on_equation`).  Both return an
+``expr.Check`` of the curvature entries keyed by ``(i, k, a, b)``.
 
 Flat forms are differential-logarithmic derivatives of gauge functions:
 :func:`darboux_derivative` computes ``gamma^-1 (D_i gamma)`` and the
@@ -14,7 +15,8 @@ a polynomial potential whenever one exists within the derived degree and
 order bounds (:func:`scalar_potential`, sound by post-verification), and
 :func:`verify_gauge_equivalence_scalar` checks constructively that the
 lift by the form ``lambda dx``, with ``lambda = D_x phi``, is the standard
-lift of the exp-rescaled field, component by component.
+lift of the exp-rescaled field, component by component; its
+``expr.Check`` is keyed by the multiindex of each component.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .expr import (
     ONE,
+    Check,
     Expr,
     Verdict,
     ZERO,
@@ -54,7 +57,6 @@ from .jets import (
     total_derivative,
 )
 from .prolong import (
-    MCResult,
     PointVectorField,
     lift,
     maurer_cartan_check,
@@ -128,22 +130,12 @@ class GaugeFunction:
 
 def maurer_cartan_check_on_equation(
     mu: MuForm, eq: DifferentialEquation, *, seed=None
-) -> MCResult:
+) -> Check:
     """The same residuals, but restricted to the solution manifold before
     zero testing: compatibility is only required there when the form is
     used for symmetries of a fixed equation."""
-    raw = mu_compatibility_residuals(mu)
-    residuals = {}
-    verdicts = []
-    for key, R in raw.items():
-        restricted = tuple(
-            tuple(restrict_to_solution_manifold(e, eq) for e in row) for row in R
-        )
-        residuals[key] = restricted
-        for row in restricted:
-            for e in row:
-                verdicts.append(zero_verdict(e, seed=seed))
-    return MCResult(Verdict.combine(verdicts), residuals)
+    return Check({key: restrict_to_solution_manifold(e, eq)
+                  for key, e in mu_compatibility_residuals(mu).items()}, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,8 @@ def scalar_potential(mu: MuForm) -> Expr:
             raise NonPolynomialError(f"coefficient {l} is not polynomial")
     closed = maurer_cartan_check(mu)
     if closed.verdict is not Verdict.TRUE:
-        nonzero = {k: R[0][0] for k, R in closed.residuals.items() if R[0][0] != ZERO}
+        nonzero = {(i, k): e for (i, k, _a, _b), e in closed.residuals.items()
+                   if e != ZERO}
         raise PotentialNotClosedError(f"form is not closed: residuals {nonzero}")
 
     max_order = max((jet_order(l, spec) for l in lambdas), default=-1)
@@ -267,28 +260,14 @@ def darboux_derivative(gamma: GaugeFunction) -> MuForm:
     return MuForm(spec, mats)
 
 
-class GaugeEquivalenceResult:
-    """Collinearity residuals e^phi psi_k(deformed) - psi_k(standard of
-    the rescaled field), per multiindex."""
-
-    __slots__ = ("verdict", "residuals", "flagged_probable")
-
-    def __init__(self, verdict, residuals, flagged_probable):
-        self.verdict = verdict
-        self.residuals = residuals
-        self.flagged_probable = flagged_probable
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
 def verify_gauge_equivalence_scalar(
     X: PointVectorField, phi, n=None, *, seed=None
-) -> GaugeEquivalenceResult:
+) -> Check:
     """Constructive gauge equivalence for scalar ODE fields: with
     ``lambda = D_x phi``, the lift of X by the form ``lambda dx`` agrees,
     after multiplication by e^phi, with the standard lift of the field
-    with coefficients scaled by e^phi."""
+    with coefficients scaled by e^phi.  The residuals
+    ``e^phi Psi^lambda_J - Psi^std_J`` are keyed by the multiindex J."""
     spec = X.spec
     if spec.p != 1 or spec.q != 1:
         raise GaugeError("scalar gauge equivalence needs p = q = 1")
@@ -308,17 +287,5 @@ def verify_gauge_equivalence_scalar(
         spec, (scale * X.xi[0],), (scale * X.phi[0],), generalized=True
     )
     B = lift(rescaled, n=n)
-    residuals = {}
-    verdicts = []
-    flagged = []
-    for J in spec.multi_indices(n):
-        r = scale * A.psi_at(0, J) - B.psi_at(0, J)
-        v = zero_verdict(r, seed=seed)
-        verdicts.append(v)
-        if r != ZERO:
-            residuals[J] = r
-        if v is Verdict.PROBABLY:
-            flagged.append(J)
-    return GaugeEquivalenceResult(
-        Verdict.combine(verdicts), residuals, tuple(flagged)
-    )
+    return Check({J: scale * A.psi_at(0, J) - B.psi_at(0, J)
+                  for J in spec.multi_indices(n)}, seed=seed)

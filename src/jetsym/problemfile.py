@@ -57,35 +57,23 @@ class TaskDecl:
 
 
 class ProblemFile:
-    __slots__ = ("spec", "fields", "mus", "gauges", "equations", "tasks")
+    """The jet space, the declarations keyed by ``(kind, name)``, and the
+    tasks of a problem file."""
 
-    def __init__(self, spec, fields, mus, gauges, equations):
+    __slots__ = ("spec", "declared", "tasks")
+
+    def __init__(self, spec):
         self.spec = spec
-        self.fields = fields
-        self.mus = mus
-        self.gauges = gauges
-        self.equations = equations
+        self.declared = {}
         self.tasks = []
 
-    def field_named(self, name, line=None) -> PointVectorField:
-        if name not in self.fields:
-            raise ProblemFileError(f"undeclared field {name!r}", line)
-        return self.fields[name]
-
-    def mu_named(self, name, line=None) -> MuForm:
-        if name not in self.mus:
-            raise ProblemFileError(f"undeclared mu form {name!r}", line)
-        return self.mus[name]
-
-    def gauge_named(self, name, line=None) -> GaugeFunction:
-        if name not in self.gauges:
-            raise ProblemFileError(f"undeclared gauge function {name!r}", line)
-        return self.gauges[name]
-
-    def equation_named(self, name, line=None) -> DifferentialEquation:
-        if name not in self.equations:
-            raise ProblemFileError(f"undeclared equation {name!r}", line)
-        return self.equations[name]
+    def named(self, kind, name, line=None):
+        """The ``[kind name]`` declaration; an undeclared name is an error
+        at ``line``."""
+        if (kind, name) not in self.declared:
+            noun = _DECLARATIONS[kind][0]
+            raise ProblemFileError(f"undeclared {noun} {name!r}", line)
+        return self.declared[kind, name]
 
 
 def _strip_comment(line):
@@ -289,6 +277,15 @@ def _build_equation(spec, entries, line_no):
         raise ProblemFileError(str(err), line_no)
 
 
+# each declaration kind, with its noun in messages and its builder
+_DECLARATIONS = {
+    "field": ("field", _build_field),
+    "mu": ("mu form", _build_mu),
+    "gauge": ("gauge function", _build_gauge),
+    "equation": ("equation", _build_equation),
+}
+
+
 def load_problem(text: str) -> ProblemFile:
     """Parse and resolve a problem file; all names are validated here."""
     sections = _split_sections(text)
@@ -300,32 +297,20 @@ def load_problem(text: str) -> ProblemFile:
         raise ProblemFileError("[jet] takes no name", jets[0][1])
     spec = _build_jet(jets[0][2], jets[0][1])
 
-    problem = ProblemFile(spec, {}, {}, {}, {})
+    problem = ProblemFile(spec)
     counter = 0
     task_ids = set()
     for header, line_no, entries in sections:
         kind = header[0]
         if kind == "jet":
             continue
-        if kind in ("field", "mu", "gauge", "equation"):
+        if kind in _DECLARATIONS:
             if len(header) != 2:
                 raise ProblemFileError(f"[{kind}] needs exactly one name", line_no)
-            name = header[1]
-            table = {
-                "field": problem.fields,
-                "mu": problem.mus,
-                "gauge": problem.gauges,
-                "equation": problem.equations,
-            }[kind]
-            if name in table:
-                raise ProblemFileError(f"duplicate {kind} name {name!r}", line_no)
-            builder = {
-                "field": _build_field,
-                "mu": _build_mu,
-                "gauge": _build_gauge,
-                "equation": _build_equation,
-            }[kind]
-            table[name] = builder(spec, entries, line_no)
+            key = (kind, header[1])
+            if key in problem.declared:
+                raise ProblemFileError(f"duplicate {kind} name {header[1]!r}", line_no)
+            problem.declared[key] = _DECLARATIONS[kind][1](spec, entries, line_no)
             continue
         if kind == "task":
             if len(header) < 2 or header[1] not in TASK_ARGS:

@@ -15,12 +15,15 @@ The mu lift is path-independent exactly when the form is flat,
 ``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
 and flatness is closedness (Gaeta & Morando 2004, J. Phys. A 37:6955;
 Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467).
-:func:`maurer_cartan_check` is the one check of that condition.  A
-``path_check`` option accepts a form that is not proven flat and then
-verifies path independence edge by edge; an exactly flat form needs no
-edge check, because each step is ``Q_{J+i} = (D_i + L_i) Q_J`` on the
-characteristic ``Q_J = Psi_J - xi^m u_{J+m}`` and these deformed
-derivatives commute up to the curvature.
+:func:`maurer_cartan_check` is the one check of that condition: an
+``expr.Check`` of the curvature entries keyed by ``(i, k, a, b)``.  The
+form of a point field must live on the first jet space; a field with
+``generalized`` set takes a form of any jet order.  A ``path_check``
+option accepts a form that is not proven flat and then verifies path
+independence edge by edge; an exactly flat form needs no edge check,
+because each step is ``Q_{J+i} = (D_i + L_i) Q_J`` on the characteristic
+``Q_J = Psi_J - xi^m u_{J+m}`` and these deformed derivatives commute up
+to the curvature.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from .errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
 from .expr import (
+    Check,
     Verdict,
     ZERO,
     as_expr,
@@ -85,27 +89,6 @@ def characteristic(X: PointVectorField):
     return tuple(out)
 
 
-class NablaOperator:
-    """The matrix-deformed total derivative along one direction: the
-    identity times the total derivative plus the form's matrix there."""
-
-    def __init__(self, mu: MuForm, i: int):
-        self.mu = mu
-        self.i = i
-
-    def apply(self, vec):
-        """Apply to a q-vector of expressions."""
-        spec = self.mu.spec
-        M = self.mu.matrices[self.i]
-        out = []
-        for a in range(spec.q):
-            r = total_derivative(vec[a], self.i, spec)
-            for b in range(spec.q):
-                r = r + M[a][b] * vec[b]
-            out.append(r)
-        return tuple(out)
-
-
 def _make_step(X: PointVectorField, mu=None):
     """The one-step recursion of a lift along direction i,
 
@@ -113,7 +96,7 @@ def _make_step(X: PointVectorField, mu=None):
         W_i[a][b][m] = delta_ab D_i xi^m + L_i[a][b] xi^m,
 
     summed over b and m, where L_i is the deforming form's matrix along i
-    and ``nabla_i = D_i + L_i`` its :class:`NablaOperator` (no form for
+    and ``nabla_i = D_i + L_i`` the deformed total derivative (no form for
     the standard lift, whose step takes D_i alone, and the 1x1 matrix
     lambda_i for a scalar form).  The coefficients W, and with them every
     D_i xi^m, are worked out once per lift instead of once per step."""
@@ -130,14 +113,19 @@ def _make_step(X: PointVectorField, mu=None):
                         w = w + mu.matrices[i][a][b] * x
                     if w != ZERO:
                         W[i, a, b, m] = w
-    nablas = None if mu is None else [NablaOperator(mu, i) for i in range(p)]
 
     def step(i, J, row):
         jets = [[spec.jet_var(b, J.inc(m)) for b in range(q)] for m in range(p)]
-        if nablas is None:
+        if mu is None:
             rows = [total_derivative(r, i, spec) for r in row]
         else:
-            rows = nablas[i].apply(row)
+            M = mu.matrices[i]
+            rows = []
+            for a in range(q):
+                r = total_derivative(row[a], i, spec)
+                for b in range(q):
+                    r = r + M[a][b] * row[b]
+                rows.append(r)
         out = []
         for a in range(q):
             r = rows[a]
@@ -176,18 +164,11 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
 def lambda_form(X: PointVectorField, lam) -> MuForm:
     """The form ``lambda dx`` of the lambda lift of a scalar ODE field
     (one independent and one dependent variable), whose chain recursion
-    is ``psi_{k+1} = (D + lambda) psi_k - u_{k+1} (D + lambda) xi``.  The
-    deforming function may live on the first jet space, or higher when
-    the field is generalized."""
+    is ``psi_{k+1} = (D + lambda) psi_k - u_{k+1} (D + lambda) xi``."""
     spec = X.spec
     if spec.p != 1 or spec.q != 1:
         raise ProlongationError(
             "lambda prolongation needs p = q = 1; use the mu lift otherwise"
-        )
-    lam = as_expr(lam)
-    if jet_order(lam, spec) > 1 and not X.generalized:
-        raise ProlongationError(
-            "lambda depends on jet order > 1; set generalized=True on the field"
         )
     return MuForm.scalar(spec, [lam])
 
@@ -197,10 +178,12 @@ def lift(
 ) -> JetVectorField:
     """The lift of ``X`` to order ``n``: without a form the standard,
     contact-preserving one; with a form ``mu`` the mu-deformed one, for
-    every number q of dependent variables.  A form must be flat
-    (:func:`maurer_cartan_check`; closed when q = 1), or carry an
-    explicit ``path_check`` waiver under which path independence of the
-    recursion is verified and any disagreement raises.
+    every number q of dependent variables.  The form of a point field
+    lives on the first jet space; a generalized field takes any form.  A
+    form must be flat (:func:`maurer_cartan_check`; closed when q = 1),
+    or carry an explicit ``path_check`` waiver under which path
+    independence of the recursion is verified and any disagreement
+    raises.
 
     Exact flatness already proves path independence, so ``path_check``
     re-derives the edges of the table only when the flatness verdict is
@@ -217,6 +200,11 @@ def lift(
     if mu is not None:
         if mu.spec != spec:
             raise ProlongationError("mu must live on the field's jet space")
+        if not X.generalized and any(jet_order(e, spec) > 1 for M in mu.matrices
+                                     for row in M for e in row):
+            raise ProlongationError(
+                "the form depends on jet order > 1; set generalized=True on the field"
+            )
         flat = maurer_cartan_check(mu, seed=seed).verdict
         if flat is Verdict.FALSE and not path_check:
             raise MuNotClosedError(
@@ -243,9 +231,9 @@ def lift(
 
 
 def mu_compatibility_residuals(mu: MuForm):
-    """For every direction pair i < k, the matrix
-    D_i L_k - D_k L_i + [L_i, L_k]; all zero exactly when the deformed
-    derivatives along different directions commute."""
+    """For every direction pair i < k, the entries ``(i, k, a, b)`` of the
+    matrix D_i L_k - D_k L_i + [L_i, L_k]; all zero exactly when the
+    deformed derivatives along different directions commute."""
     spec = mu.spec
     out = {}
     for i in range(spec.p):
@@ -256,35 +244,17 @@ def mu_compatibility_residuals(mu: MuForm):
                 mat_total_derivative(Li, k, spec),
             )
             R = mat_sub(R, mat_sub(mat_mul(Lk, Li), mat_mul(Li, Lk)))
-            out[(i, k)] = R
+            for a, row in enumerate(R):
+                for b, e in enumerate(row):
+                    out[i, k, a, b] = e
     return out
 
 
-class MCResult:
-    """Flatness residual matrices, one per direction pair i < k."""
-
-    __slots__ = ("verdict", "residuals")
-
-    def __init__(self, verdict, residuals):
-        self.verdict = verdict
-        self.residuals = residuals
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
-def maurer_cartan_check(mu: MuForm, *, seed=None) -> MCResult:
+def maurer_cartan_check(mu: MuForm, *, seed=None) -> Check:
     """Flatness of the form: for every pair of directions the residual
     D_i L_k - D_k L_i + [L_i, L_k] must vanish entrywise.  For a scalar
     form the commutator drops and this is plain closedness."""
-    residuals = mu_compatibility_residuals(mu)
-    verdicts = [
-        zero_verdict(e, seed=seed)
-        for R in residuals.values()
-        for row in R
-        for e in row
-    ]
-    return MCResult(Verdict.combine(verdicts), residuals)
+    return Check(mu_compatibility_residuals(mu), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,20 @@ innermost first, so it terminates by construction.
 A field is a symmetry, for a form ``mu`` a mu-symmetry (a lambda-symmetry
 when ``mu = lambda dx``), when its lift by that form, applied as a
 derivation to each residual ``u^a_{J*} - f^a``, vanishes after
-restriction.
-:func:`coincide_on_invariant_set` checks that a deformed lift agrees with
-the standard one on the invariant set of the field, where every total
-derivative of its characteristic vanishes.
+restriction; :func:`check_symmetry` returns the ``expr.Check`` of these
+residuals, keyed by ``a``.  :func:`coincide_on_invariant_set` checks
+that a deformed lift agrees with the standard one on the invariant set
+of the field, where every total derivative of its characteristic
+vanishes; its :class:`CoincidenceResult` is a ``Check`` of the
+difference terms that also records the solved relations and whether
+the set was empty or could not be solved.
 """
 
 from __future__ import annotations
 
 from .errors import EquationError, RestrictionError
 from .expr import (
+    Check,
     Expr,
     Verdict,
     ZERO,
@@ -175,19 +179,6 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
 # symmetry verdicts
 
 
-class SymmetryResult:
-    """Per-equation residuals of the tangency test, after restriction."""
-
-    __slots__ = ("verdict", "residuals")
-
-    def __init__(self, verdict, residuals):
-        self.verdict = verdict
-        self.residuals = residuals
-
-    def __bool__(self):
-        return self.verdict is Verdict.TRUE
-
-
 def check_symmetry(
     X: PointVectorField,
     eq: DifferentialEquation,
@@ -195,46 +186,46 @@ def check_symmetry(
     *,
     path_check=False,
     seed=None,
-) -> SymmetryResult:
+) -> Check:
     """Tangency of the lift of ``X`` by ``mu`` (standard without a form,
     see :func:`prolong.lift`) to the solution manifold.
 
     The prolonged field is applied as a derivation to each residual
     ``u^a_{J*} - f^a``; the result is restricted to the solution manifold
-    and classified.  TRUE on every equation means symmetry; a PROBABLY
-    verdict survives into the aggregate rather than upgrading to TRUE.
+    and keyed by the dependent index ``a``.  TRUE on every equation means
+    symmetry; a PROBABLY verdict survives into the aggregate rather than
+    upgrading to TRUE.
     """
     spec = eq.spec
     if X.spec != spec:
         raise EquationError("field and equation live on different jet spaces")
     Y = lift(X, mu, spec.order, path_check=path_check, seed=seed)
-    residuals = []
-    verdicts = []
+    residuals = {}
     for coord, rhs in eq.equations:
         raw = Y.psi_at(coord.a, coord.index) - Y.apply(rhs)
-        restricted = restrict_to_solution_manifold(raw, eq)
-        residuals.append(restricted)
-        verdicts.append(zero_verdict(restricted, seed=seed))
-    return SymmetryResult(Verdict.combine(verdicts), tuple(residuals))
+        residuals[coord.a] = restrict_to_solution_manifold(raw, eq)
+    return Check(residuals, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # coincidence on the invariant set
 
 
-class CoincidenceResult:
+class CoincidenceResult(Check):
     """Whether the deformed prolongation agrees with the standard one on
-    the field's invariant set.  ``vacuous`` marks an empty invariant set
-    (reported as true but flagged); ``unverifiable`` marks relations that
-    could not be solved for a jet coordinate."""
+    the field's invariant set: the difference terms, keyed by ``(a, J)``,
+    after the ``solved`` relations are substituted.  ``vacuous`` marks an
+    empty invariant set (reported as true but flagged); ``unverifiable``
+    marks relations that could not be solved for a jet coordinate, and
+    is dropped when the solved ones were enough for TRUE."""
 
-    __slots__ = ("verdict", "vacuous", "unverifiable", "residuals", "solved")
+    __slots__ = ("vacuous", "unverifiable", "solved")
 
-    def __init__(self, verdict, vacuous, unverifiable, residuals, solved):
-        self.verdict = verdict
+    def __init__(self, residuals, solved, *, vacuous=False, unverifiable=False,
+                 seed=None):
+        super().__init__(residuals, seed=seed)
         self.vacuous = vacuous
-        self.unverifiable = unverifiable
-        self.residuals = residuals
+        self.unverifiable = unverifiable and self.verdict is not Verdict.TRUE
         self.solved = solved
 
     def __bool__(self):
@@ -306,17 +297,6 @@ def coincide_on_invariant_set(
         solved[name] = sol
 
     if vacuous:
-        return CoincidenceResult(Verdict.TRUE, True, False, {}, dict(solved))
-
-    residuals = {}
-    verdicts = []
-    for key, term in diff.items():
-        rest = apply_solutions(term)
-        v = zero_verdict(rest, seed=seed)
-        verdicts.append(v)
-        if rest != ZERO:
-            residuals[key] = rest
-    verdict = Verdict.combine(verdicts)
-    if verdict is Verdict.TRUE:
-        unverifiable = False  # the solved subset was enough
-    return CoincidenceResult(verdict, False, unverifiable, residuals, dict(solved))
+        return CoincidenceResult({}, dict(solved), vacuous=True)
+    return CoincidenceResult({key: apply_solutions(term) for key, term in diff.items()},
+                             dict(solved), unverifiable=unverifiable, seed=seed)

@@ -193,15 +193,17 @@ def test_criterion_5_darboux_flatness():
         mu = darboux_derivative(gamma)
         residuals = maurer_cartan_check(mu)
         assert residuals.verdict is Verdict.TRUE
-        for R in residuals.residuals.values():
-            for row in R:
-                for e in row:
-                    assert e == rational(0)
+        for e in residuals.residuals.values():
+            assert e == rational(0)
 
     sys2 = spec_for(2, 2, 1)
 
     def mat(rows):
         return tuple(tuple(parse(e) for e in row) for row in rows)
+
+    def entries(R):
+        # the flat residual entries (i, k, a, b) of the one direction pair
+        return {(0, 1, a, b): e for a, row in enumerate(R) for b, e in enumerate(row)}
 
     first = MuForm(sys2, [
         mat([["0", "1"], ["0", "0"]]),
@@ -209,7 +211,7 @@ def test_criterion_5_darboux_flatness():
     ])
     res1 = maurer_cartan_check(first)
     assert res1.verdict is Verdict.FALSE
-    assert res1.residuals[(0, 1)] == mat([["1", "0"], ["0", "-1"]])
+    assert res1.residuals == entries(mat([["1", "0"], ["0", "-1"]]))
 
     second = MuForm(sys2, [
         mat([["0", "0"], ["1", "0"]]),
@@ -217,7 +219,7 @@ def test_criterion_5_darboux_flatness():
     ])
     res2 = maurer_cartan_check(second)
     assert res2.verdict is Verdict.FALSE
-    assert res2.residuals[(0, 1)] == mat([["-1", "0"], ["0", "1"]])
+    assert res2.residuals == entries(mat([["-1", "0"], ["0", "1"]]))
     report(5, True, "25 Darboux derivatives exactly flat; "
                     "both constant counterexamples fail with the stated residuals")
 
@@ -233,7 +235,7 @@ def test_criterion_6_scalar_gauge_equivalence():
         res = verify_gauge_equivalence_scalar(X, phi, n)
         if res.verdict is Verdict.PROBABLY:
             # admissible only where kernels block the exact test, and flagged
-            assert res.flagged_probable
+            assert res.probable
             flagged += 1
         else:
             assert res.verdict is Verdict.TRUE, res.residuals
@@ -274,8 +276,8 @@ kind = standard
     assert by_id["std"].residuals == [str(want)]
 
     spec = problem.spec
-    X = problem.fields["S"]
-    eq = problem.equations["E"]
+    X = problem.named("field", "S")
+    eq = problem.named("equation", "E")
     direct = check_symmetry(X, eq, lambda_form(X, parse("x")))
     assert direct.verdict is Verdict.TRUE
     direct_std = check_symmetry(X, eq)

@@ -82,8 +82,8 @@ path-check = true
 def test_load_problem_declarations():
     problem = load_problem(REGRESSION)
     assert problem.spec.p == 1 and problem.spec.q == 1 and problem.spec.order == 2
-    assert "S" in problem.fields
-    assert "E" in problem.equations
+    assert ("field", "S") in problem.declared
+    assert ("equation", "E") in problem.declared
     assert [t.task_id for t in problem.tasks] == ["lam", "std"]
 
 
@@ -94,6 +94,76 @@ def test_run_regression_tasks():
     assert by_id["std"].verdict == "fail"
     assert by_id["std"].residuals == ["-1 - x^2"]
     assert report.exit_code == 1  # the standard check is supposed to fail
+
+
+def test_failing_symmetry_record_lists_every_equation():
+    # the shift d/du holds for u_x = 0 and fails for v_x = u: the record
+    # keeps one residual line per equation, "0" for the one that holds
+    text = """
+[jet]
+independent = x
+dependent = u, v
+order = 1
+
+[field S]
+phi u = 1
+
+[equation E]
+u_x = 0
+v_x = u
+
+[task check-symmetry sym]
+field = S
+equation = E
+"""
+    record = run(load_problem(text)).records[0]
+    assert record.verdict == "fail"
+    assert record.residuals == ["0", "-1"]
+
+
+JET_ORDER_TWO_FORM = """
+[jet]
+independent = x
+dependent = u
+order = 2
+
+[field P]
+xi x = x
+phi u = 1
+
+[field G]
+xi x = x
+phi u = 1
+generalized = true
+
+[mu M]
+x = u_xx
+
+[task prolong mu]
+field = P
+kind = mu
+mu = M
+
+[task prolong lambda]
+field = P
+kind = lambda
+lambda = u_xx
+
+[task prolong generalized]
+field = G
+kind = mu
+mu = M
+"""
+
+
+def test_a_point_field_takes_no_form_above_the_first_jet():
+    # one rule for every form: a lambda and a mu form of jet order 2 both
+    # need a generalized field
+    by_id = {r.task_id: r for r in run(load_problem(JET_ORDER_TWO_FORM)).records}
+    message = "error: the form depends on jet order > 1; set generalized=True on the field"
+    assert by_id["mu"].verdict == "fail" and by_id["mu"].detail == [message]
+    assert by_id["lambda"].verdict == "fail" and by_id["lambda"].detail == [message]
+    assert by_id["generalized"].verdict == "pass"
 
 
 def test_residual_strings_reparse_to_the_same_form():
@@ -416,7 +486,7 @@ path-check = {path_check}
 ])
 def test_problem_file_flags_share_one_vocabulary(text, value):
     problem = load_problem(FLAGS.format(generalized=text, path_check=text))
-    assert problem.fields["V"].generalized is value
+    assert problem.named("field", "V").generalized is value
     # the form is not closed: with the path check the recursion edges
     # disagree, without it the flatness check refuses the form
     record = run(problem).records[0]

@@ -25,6 +25,7 @@ from jetsym.errors import (
     UnknownFunctionError,
 )
 from jetsym.expr import (
+    Check,
     Verdict,
     as_expr,
     constant_value,
@@ -389,6 +390,27 @@ def test_small_value_over_large_terms_is_false():
     # margin near 2^24 eps of the terms; at 2^40 every seed reads PROBABLY
     e = parse("(x^2+u^2+100)^2*(sin(x)^2+cos(x)^2-1) + 1")
     assert [zero_verdict(e, seed=s) for s in range(40)] == [Verdict.FALSE] * 40
+
+
+def test_check_keeps_every_residual_and_lists_the_probable_keys():
+    # a Pythagorean residual reads PROBABLY; once zero testing proves that
+    # identity, use another PROBABLY residual
+    residuals = {"a": rational(0), "b": PYTHAGORAS, "c": parse("x - x")}
+    probable = Check(residuals)
+    assert probable.verdict is Verdict.PROBABLY and not probable
+    assert probable.residuals == residuals
+    assert list(probable.residuals) == ["a", "b", "c"]
+    assert probable.probable == ("b",)
+    failing = Check({"b": PYTHAGORAS, "d": parse("x + 1")})
+    assert failing.verdict is Verdict.FALSE
+    assert failing.probable == ("b",)
+
+
+def test_a_true_check_has_no_probable_key():
+    for residuals in ({}, {"a": rational(0), "b": parse("exp(2*x) - exp(x)^2")}):
+        res = Check(residuals)
+        assert res.verdict is Verdict.TRUE and res
+        assert res.probable == ()
 
 
 def test_log_domain_triggers_resampling():

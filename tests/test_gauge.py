@@ -12,7 +12,8 @@ from jetsym.errors import (
     NoPotentialError,
     PotentialNotClosedError,
 )
-from jetsym.expr import Verdict, exp, rational
+from jetsym import expr
+from jetsym.expr import Verdict, exp, rational, zero_verdict
 from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
@@ -21,7 +22,7 @@ from jetsym.gauge import (
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
-from jetsym.jets import JetSpec, MuForm, total_derivative
+from jetsym.jets import JetSpec, MultiIndex, MuForm, total_derivative
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField
 from jetsym.symmetry import DifferentialEquation
@@ -53,11 +54,24 @@ def test_constant_matrix_counterexample():
     ])
     res = maurer_cartan_check(mu)
     assert res.verdict is Verdict.FALSE
-    R = res.residuals[(0, 1)]
-    assert R[0][0] == rational(1)
-    assert R[0][1] == rational(0)
-    assert R[1][0] == rational(0)
-    assert R[1][1] == rational(-1)
+    R = res.residuals
+    assert R[0, 1, 0, 0] == rational(1)
+    assert R[0, 1, 0, 1] == rational(0)
+    assert R[0, 1, 1, 0] == rational(0)
+    assert R[0, 1, 1, 1] == rational(-1)
+
+
+def test_flatness_lists_its_probable_entries():
+    # closed only up to sin^2 + cos^2 = 1, which zero testing does not
+    # prove; the curvature entry (i, k, a, b) = (0, 1, 0, 0) reads PROBABLY
+    mu = MuForm.scalar(PDE1, [parse("t*(sin(x)^2 + cos(x)^2)"), parse("x")])
+    res = maurer_cartan_check(mu)
+    assert res.verdict is Verdict.PROBABLY
+    assert res.probable == ((0, 1, 0, 0),)
+    eq = DifferentialEquation.from_strings(PDE1, {"u_t": "0"})
+    on_eq = maurer_cartan_check_on_equation(mu, eq)
+    assert on_eq.verdict is Verdict.PROBABLY
+    assert on_eq.probable == ((0, 1, 0, 0),)
 
 
 def test_equal_constant_matrices_pass():
@@ -264,7 +278,7 @@ def test_flatness_residual_equals_two_form_expansion():
                     d_part.coefficient(basis_key_dx(0), basis_key_dx(1))
                     + expr_sum(wedge_cross)
                 )
-                assert total == residuals[(0, 1)][a][b]
+                assert total == residuals[0, 1, a, b]
 
 
 # --- scalar gauge equivalence ------------------------------------------------------
@@ -279,7 +293,25 @@ def test_gauge_equivalence_trivial_potential():
     X = pvf(ODE2, "x", "u")
     res = verify_gauge_equivalence_scalar(X, rational(0), 2)
     assert res.verdict is Verdict.TRUE
-    assert not res.flagged_probable
+    assert res.probable == ()
+
+
+def test_gauge_equivalence_lists_its_probable_multiindex(monkeypatch):
+    # the residuals are exactly zero whenever the arithmetic is exact, so
+    # the zero test of the second one, at J = (1,), is made to read PROBABLY
+    calls = []
+
+    def second_probable(e, *, seed=None):
+        calls.append(e)
+        return Verdict.PROBABLY if len(calls) == 2 else zero_verdict(e, seed=seed)
+
+    monkeypatch.setattr(expr, "zero_verdict", second_probable)
+    X = pvf(ODE2, "x", "u")
+    res = verify_gauge_equivalence_scalar(X, parse("x*u"), 2)
+    assert len(calls) == 3
+    assert res.verdict is Verdict.PROBABLY
+    assert res.probable == (MultiIndex((1,)),)
+    assert list(res.residuals) == [MultiIndex((0,)), MultiIndex((1,)), MultiIndex((2,))]
 
 
 def test_gauge_equivalence_linear_potential():

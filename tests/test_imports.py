@@ -28,6 +28,11 @@ Every ``__slots__`` field of a package class is read, as an attribute
 of that name, somewhere in the package or the tests: a field that is
 set and never read is dead state.
 
+No package class but ``expr.Check`` and its subclasses has a
+``verdict`` slot: every check returns a ``Check``, so no result class
+per check comes back.  ``cli.TaskRecord`` is the one exception; its
+``verdict`` is the word of a report record, not a ``Verdict``.
+
 ``import jetsym.cli`` loads neither ``dataclasses`` nor ``inspect``:
 every run of the command pays its start-up, and those two modules cost
 about 20 ms of it.  Value classes are ``__slots__`` classes instead.
@@ -46,6 +51,7 @@ PACKAGE = TESTS.parent / "src" / "jetsym"
 REEXPORTS = {"__init__.py", "backend.py"}
 NODE_CLASSES = {"Const", "Var", "Pow", "Mul", "Add", "Func"}
 UNNAMED_HELPERS = {("expr.py", "_rf_of")}
+VERDICT_WORDS = {("cli.py", "TaskRecord")}
 
 
 def sources(exempt=(), tests=True):
@@ -192,24 +198,29 @@ def test_every_public_name_resolves():
     assert [name for name in jetsym.__all__ if not hasattr(jetsym, name)] == []
 
 
+def classes(modules):
+    """``(file name, class node)`` of each class in ``modules`` (file name
+    -> source)."""
+    return [(name, cls) for name, source in sorted(modules.items())
+            for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)]
+
+
+def slots(cls):
+    """The ``__slots__`` names of class node ``cls``."""
+    return [e.value for stmt in cls.body
+            if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for e in stmt.value.elts]
+
+
 def dead_fields(modules, readers):
     """``(file name, class, field)`` of each ``__slots__`` field of a
     class in ``modules`` (file name -> source) that no source in
     ``readers`` loads as an attribute of that name."""
     read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    dead = []
-    for name, source in sorted(modules.items()):
-        for cls in ast.walk(ast.parse(source)):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for stmt in cls.body:
-                if (isinstance(stmt, ast.Assign)
-                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                                for t in stmt.targets)):
-                    dead += [(name, cls.name, e.value) for e in stmt.value.elts
-                             if e.value not in read]
-    return dead
+    return [(name, cls.name, field) for name, cls in classes(modules)
+            for field in slots(cls) if field not in read]
 
 
 def test_the_walk_sees_a_dead_field():
@@ -225,6 +236,38 @@ def test_every_slot_field_is_read():
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     assert dead_fields(modules, list(modules.values()) + tests) == []
+
+
+def verdict_holders(modules):
+    """``(file name, class)`` of each class in ``modules`` (file name ->
+    source) with a ``verdict`` slot that is neither ``Check`` nor, by the
+    names of its bases, a subclass of it."""
+    found = classes(modules)
+    bases = {cls.name: [b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases
+                        if isinstance(b, (ast.Name, ast.Attribute))]
+             for _name, cls in found}
+
+    def is_check(name):
+        return name == "Check" or any(is_check(b) for b in bases.get(name, ()))
+
+    return [(name, cls.name) for name, cls in found
+            if "verdict" in slots(cls) and not is_check(cls.name)]
+
+
+def test_the_walk_sees_a_verdict_slot_outside_check():
+    source = ("class Check:\n    __slots__ = ('verdict', 'residuals')\n\n\n"
+              "class Sub(Check):\n    __slots__ = ('vacuous',)\n\n\n"
+              "class SubSub(Sub):\n    __slots__ = ('verdict',)\n\n\n"
+              "class Result:\n    __slots__ = ('verdict', 'residuals')\n")
+    assert verdict_holders({"a.py": source}) == [("a.py", "Result")]
+    other = "class Coincidence(expr.Check):\n    __slots__ = ('verdict',)\n"
+    assert verdict_holders({"a.py": source, "b.py": other}) == [("a.py", "Result")]
+    assert verdict_holders({"b.py": "class C:\n    __slots__ = ('verdicts',)\n"}) == []
+
+
+def test_only_checks_hold_a_verdict():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert set(verdict_holders(modules)) == VERDICT_WORDS
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():

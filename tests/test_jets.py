@@ -399,6 +399,6 @@ def test_d_closed_examples():
     mu2 = MuForm.scalar(PDE2, [parse("u"), parse("0")])
     res = maurer_cartan_check(mu2)
     assert res.verdict is Verdict.FALSE
-    assert res.residuals[(0, 1)] == ((parse("-u_t"),),)
+    assert res.residuals == {(0, 1, 0, 0): parse("-u_t")}
     mu3 = MuForm.scalar(ODE1, [parse("u*u_x")])
     assert maurer_cartan_check(mu3).verdict is Verdict.TRUE  # single direction, no pairs

@@ -106,10 +106,23 @@ def test_lambda_symmetry_regression():
     X = pvf(ODE2, ["0"], ["1"])
     res = check_symmetry(X, eq, lambda_form(X, parse("x")))
     assert res.verdict is Verdict.TRUE
+    assert res.probable == ()
 
     res_std = check_symmetry(X, eq)
     assert res_std.verdict is Verdict.FALSE
     assert res_std.residuals[0] == parse("-(1+x^2)")
+
+
+def test_symmetry_lists_its_probable_equation():
+    # the scaling x d/dx + u d/du of u_x = 1 with xi scaled by
+    # sin^2 + cos^2: the residual 1 - sin^2 - cos^2 of equation 0 reads
+    # PROBABLY until zero testing proves that identity
+    eq = DifferentialEquation.from_strings(ODE1, {"u_x": "1"})
+    X = pvf(ODE1, ["x*(sin(x)^2 + cos(x)^2)"], ["u"])
+    res = check_symmetry(X, eq)
+    assert res.verdict is Verdict.PROBABLY
+    assert res.probable == (0,)
+    assert res.residuals == {0: parse("1 - sin(x)^2 - cos(x)^2")}
 
 
 def test_translation_symmetry_of_autonomous_equation():
@@ -256,6 +269,18 @@ def test_coincidence_scaling_field_first_order():
     assert res.verdict is Verdict.TRUE
     assert not res.vacuous
     assert res.solved  # u_x was solved from the characteristic
+
+
+def test_coincidence_lists_its_probable_difference_terms():
+    # the characteristic sin^2 + cos^2 - 1 holds no jet coordinate, so the
+    # invariant set is unverifiable and the difference term lambda*Q at
+    # (a, J) = (0, (1,)) reads PROBABLY; the zero-order term is exactly zero
+    X = pvf(ODE1, ["0"], ["sin(x)^2 + cos(x)^2 - 1"])
+    res = coincide_on_invariant_set(X, MuForm.scalar(ODE1, [parse("x")]), 1)
+    assert res.verdict is Verdict.PROBABLY
+    assert res.unverifiable and not res.vacuous
+    assert res.probable == ((0, J((1,))),)
+    assert res.residuals[0, J((0,))] == rational(0)
 
 
 def test_coincidence_vacuous_for_vertical_shift():
