@@ -31,6 +31,7 @@ from .expr import (
     Expr,
     ZERO,
     as_expr,
+    derivation,
     derivative,
     expr_sum,
     free_variables,
@@ -253,25 +254,32 @@ class JetCoordinate(_Value):
 # total derivative
 
 
-@lru_cache(maxsize=4096)
-def _successor(spec: JetSpec, i: int, name: str):
-    """The image of a variable under D_i: ``u^a_{J+i}`` for ``u^a_J``, 1
-    for ``x^i``, None for any other name.  Resolved once per jet space,
-    direction and name, so every call hands out the same value."""
-    kind = _decode(spec, name)
-    if kind[0] == "jet":
-        return spec.jet_var(kind[1], kind[2].inc(i))
-    if kind[0] == "independent" and kind[1] == i:
-        return ONE
-    return None
+@lru_cache(maxsize=256)
+def _total_derivation(spec: JetSpec, i: int):
+    """D_i on ``spec`` as one lasting derivation, shared by equal specs:
+    the image of ``u^a_J`` is ``u^a_{J+i}``, of ``x^i`` 1, of any other
+    name None."""
+
+    def successor(name):
+        kind = _decode(spec, name)
+        if kind[0] == "jet":
+            return spec.jet_var(kind[1], kind[2].inc(i))
+        if kind[0] == "independent" and kind[1] == i:
+            return ONE
+        return None
+
+    return derivation(successor)
 
 
 def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     """The formal derivative along the i-th independent variable:
     the partial in x^i plus, for every jet variable present, the next
     derivative coordinate times the partial in that variable.  The result
-    lives one jet order higher than its input."""
-    return derivative(e, lambda name: _successor(spec, i, name))
+    lives one jet order higher than its input.  Calls along one
+    direction of one jet space share one cached derivation, so each
+    atom's image is worked out once; a jet coordinate's image is one
+    atom, placed into each monomial by bisection."""
+    return _total_derivation(spec, i)(e)
 
 
 def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:

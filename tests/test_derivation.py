@@ -4,10 +4,13 @@
 ``scalar_differential`` of the forms oracle are checked
 against sympy on seeded random rational functions with negative powers,
 ``log`` and nested ``exp``/``sin``/``cos``, and on fixed quotients whose
-numerator alone or denominator alone moves along a direction.  sympy reads a result from
-its printed text (pinned by ``test_printing``), and the result agrees
-when sympy simplifies the difference to zero after rewriting every
-kernel through exponentials.  Standard prolongations whose gcds once ran
+numerator alone or denominator alone moves along a direction.  Total
+derivatives on a space of two independent and two dependent variables
+are also checked to keep every monomial sorted, since a jet
+coordinate's image is placed into its monomial by bisection.  sympy
+reads a result from its printed text (pinned by ``test_printing``), and
+the result agrees when sympy simplifies the difference to zero after
+rewriting every kernel through exponentials.  Standard prolongations whose gcds once ran
 for minutes (sum denominators, high negative powers, random rational
 fields) run in a child process with a time limit and are checked against
 sympy, symbolically or at exact random rational points.
@@ -21,7 +24,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
-from jetsym.expr import ZERO, pdiff, to_string  # noqa: E402
+from jetsym.expr import ZERO, _rf_of, pdiff, to_string  # noqa: E402
 from jetsym.jets import JetSpec, JetVectorField, MultiIndex, total_derivative  # noqa: E402
 from jetsym.parsing import parse  # noqa: E402
 
@@ -125,6 +128,79 @@ def test_total_derivative_matches_sympy():
         got = total_derivative(e, 0, ODE)
         want = sp.diff(expr, x) + ux * sp.diff(expr, u) + uxx * sp.diff(expr, ux)
         assert agrees(got, want), (str(e), str(got))
+
+
+PDE = JetSpec(("x", "t"), ("u", "v"), 3)
+PDE_NAMES = ("x", "t", "u", "v", "u_x", "v_t", "u_xt")
+# every coordinate up to order 4, the order of the images of order 3
+PDE_SYMBOLS = {n: sp.Symbol(n) for n in PDE.independent + tuple(
+    PDE.jet_name(a, J) for a in range(PDE.q)
+    for J in PDE.multi_indices(PDE.order + 1))}
+# Monomials whose image atom under D_x or D_t lands before, between and
+# after the other atoms, merges with an atom already present, or sorts
+# before a function atom.  Atoms sort by name: t < u < u_t < u_x < u_xt <
+# u_xx < v < v_t < x, then exp(...) and sin(...).
+PLACEMENTS = (
+    "t*u_x",  # D_x: u_xx after t
+    "u_x*x",  # D_x: u_xx before x
+    "t*u_x*x",  # D_x: u_xx between t and x
+    "u_x*u_xx",  # D_x: u_xx merges with u_xx, u_xxx after u_x
+    "u_x^2*u_xx*v",  # D_x: merges into u_xx^2, u_xxx between u_x^2 and v
+    "u*exp(v)",  # u_x or u_t before exp(v)
+    "t*u_t*sin(v_t)",  # D_t: u_tt between t and sin(v_t)
+    "u_x*v_t",  # D_t: u_xt before v_t, v_tt after u_x
+    "(u_x*x + t)/(v*u_xt + 1)",  # both parts move
+    "x*t/(u_t^2 + v)",  # the denominator alone moves along t
+)
+
+
+def _rand_poly_text(rng, degree=3, terms=4):
+    """A random polynomial text in ``PDE_NAMES``."""
+    parts = []
+    for _ in range(rng.randint(1, terms)):
+        factors = [rng.choice(PDE_NAMES) for _ in range(rng.randint(0, degree))]
+        parts.append("*".join([str(rng.choice((-3, -2, -1, 1, 2, 3)))] + factors))
+    return " + ".join(f"({part})" for part in parts)
+
+
+def rand_jet_text(rng):
+    """A random polynomial or quotient in ``PDE_NAMES``, at times times
+    ``exp`` or ``sin`` of a jet variable."""
+    while True:
+        text = _rand_poly_text(rng)
+        if rng.random() < 0.5:
+            text = f"({text})/({_rand_poly_text(rng, degree=2, terms=3)})"
+        if rng.random() < 0.5:
+            kernel = rng.choice(("exp", "sin"))
+            text = f"({text})*{kernel}({rng.choice(PDE_NAMES[2:])})"
+        try:
+            if parse(text) != ZERO:
+                return text
+        except SymbolicDivisionError:
+            pass
+
+
+def sorted_monomials(e):
+    """True when each monomial of ``e``'s numerator and denominator holds
+    its atoms in strictly ascending order, as the canonical form does."""
+    return all(a < b for part in _rf_of(e) for m in part for (a, _), (b, _) in zip(m, m[1:]))
+
+
+@pytest.mark.parametrize("i", (0, 1))
+def test_total_derivative_on_a_pde_space_matches_sympy(i):
+    rng = random.Random(f"{SEED}:pde-total-{i}")
+    locals_ = {**PDE_SYMBOLS, **FUNCS}
+    coordinate = PDE_SYMBOLS[PDE.independent[i]]
+    for text in [rand_jet_text(rng) for _ in range(CASES)] + list(PLACEMENTS):
+        expr = sp.sympify(text.replace("^", "**"), locals=locals_)
+        want = sp.diff(expr, coordinate)
+        for symbol in expr.free_symbols - set(map(PDE_SYMBOLS.get, PDE.independent)):
+            a, J = PDE.decode(symbol.name)[1:]
+            want += PDE_SYMBOLS[PDE.jet_name(a, J.inc(i))] * sp.diff(expr, symbol)
+        got = total_derivative(parse(text), i, PDE)
+        assert sorted_monomials(got), (text, str(got))
+        printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
+        assert sp.simplify((printed - want).rewrite(sp.exp)) == 0, (text, str(got))
 
 
 def test_vector_field_apply_matches_sympy():

@@ -26,9 +26,9 @@ from forms import (
     scale_field,
     truncated_total_derivative,
 )
-from helpers import rand_poly
+from helpers import rand_poly, run_child
 from jetsym.errors import JetError
-from jetsym.expr import Verdict, rational
+from jetsym.expr import Verdict, rational, to_string
 from jetsym.jets import (
     JetCoordinate,
     JetSpec,
@@ -37,7 +37,7 @@ from jetsym.jets import (
     MuForm,
     total_derivative,
     _decode,
-    _successor,
+    _total_derivation,
 )
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, maurer_cartan_check
@@ -133,10 +133,43 @@ def test_values_are_frozen(name):
 def test_equal_specs_share_the_jet_caches():
     first, again = JetSpec(["x", "t"], ["u"], 2), JetSpec(("x", "t"), ("u",), 2)
     _decode.cache_clear()
-    _successor.cache_clear()
-    assert _successor(first, 0, "u_t") is _successor(again, 0, "u_t")
+    _total_derivation.cache_clear()
+    assert _total_derivation(first, 0) is _total_derivation(again, 0)
     assert _decode(first, "u_xt") == _decode(again, "u_xt") == ("jet", 0, MultiIndex((1, 1)))
-    assert _successor.cache_info().hits == 1 and _decode.cache_info().hits == 1
+    assert _total_derivation.cache_info().hits == 1 and _decode.cache_info().hits == 1
+
+
+def test_specs_that_differ_keep_their_own_derivations():
+    D = _total_derivation(PDE2, 0)
+    assert _total_derivation(PDE2, 1) is not D
+    for other in (JetSpec(("x", "t"), ("u",), 3), JetSpec(("x", "s"), ("u",), 2),
+                  JetSpec(("x", "t"), ("w",), 2)):
+        assert other != PDE2 and _total_derivation(other, 0) is not D
+
+
+# Total derivatives whose atoms other derivations resolve differently: on
+# (x; v), u_x is an auxiliary constant; along t, u_x goes to u_xt.
+HISTORY_TEXTS = ("u*u_x + x*t", "exp(u_x)*sin(t*u)", "u_xt/(1 + u_x^2)", "log(x + u_t)*u_x")
+HISTORY_SCRIPT = f"""
+from jetsym.expr import to_string
+from jetsym.jets import JetSpec, total_derivative
+from jetsym.parsing import parse
+
+for text in {HISTORY_TEXTS!r}:
+    print(to_string(total_derivative(parse(text), 0, JetSpec(("x", "t"), ("u",), 2))))
+"""
+
+
+def test_total_derivatives_do_not_depend_on_earlier_derivations():
+    fresh = run_child(HISTORY_SCRIPT, timeout=60)
+    others = (JetSpec(("x",), ("v",), 2), JetSpec(("x", "t"), ("u",), 3))
+    for text in reversed(HISTORY_TEXTS):
+        e = parse(text)
+        total_derivative(e, 1, PDE2)
+        total_derivative(total_derivative(e, 0, PDE2), 1, PDE2)
+        for spec in others:
+            total_derivative(e, 0, spec)
+    assert [to_string(total_derivative(parse(t), 0, PDE2)) for t in HISTORY_TEXTS] == fresh
 
 
 def test_values_validate_and_coerce_their_fields():
