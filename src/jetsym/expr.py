@@ -31,14 +31,15 @@ prints as its coefficient (left out when it is 1) followed by its
 factors in atom order, joined by ``*``, as ``atom`` or ``atom^k``; the
 sign of a term after the first is printed as `` + `` or `` - ``.
 
-Derivatives are computed on the pair: ``derivation(of_var)`` is the
+Derivatives are computed on the pair: a ``Derivation`` is the
 derivation along one direction, fixed by its image of each variable, as
-a callable that keeps each atom's derivative for as long as it lives.
-It walks the numerator and denominator monomial dicts in one pass
-(product rule over each monomial's atoms, chain rule for kernels), and
-takes the quotient rule and one reduction only when the denominator is
-not 1.  ``derivative(e, of_var)`` is ``derivation(of_var)(e)``, as used
-by ``pdiff`` and the vector fields of ``jets``; the total derivatives of
+a callable on values.  It walks the numerator and denominator monomial
+dicts in one pass (product rule over each monomial's atoms, chain rule
+for kernels), builds one numerator for each of them, and takes the
+quotient rule and one reduction only when the denominator is not 1.  It
+keeps each variable's image for as long as it lives, and each function
+atom's derivative for one call.  ``pdiff`` and the vector fields of
+``jets`` use a new derivation per call; the total derivatives of
 ``jets`` keep one derivation per jet space and direction.
 
 Substitution works on the canonical form too.  ``substitute`` maps each
@@ -72,7 +73,6 @@ import enum
 import math
 import random
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import backend as _k
@@ -650,25 +650,7 @@ def pdiff(e, v) -> Expr:
     """Partial derivative with respect to the variable ``v``; every other
     variable (jet coordinates included) is an independent symbol."""
     name = str(v)
-    return derivative(e, lambda n: ONE if n == name else None)
-
-
-def derivation(of_var):
-    """The derivation along one direction, as a callable on values.
-
-    A derivation is fixed by its values on the variables: ``of_var(name)``
-    returns the image of each variable name (inside kernels too), or None
-    when the derivation treats the variable as a constant.  Function
-    kernels follow the chain rule.  The callable keeps each atom's
-    derivative, so ``of_var`` must give a name the same image every time.
-    """
-    return _Derivation(of_var)
-
-
-def derivative(e, of_var) -> Expr:
-    """The derivative of ``e`` along one direction, by a derivation used
-    for this call only."""
-    return derivation(of_var)(e)
+    return Derivation(lambda n: ONE if n == name else None)(e)
 
 
 def _outer_derivative(key):
@@ -699,34 +681,40 @@ def _add_term(p, m, c):
 _CONSTANT = (None, None)  # the memo entry of an atom the derivation fixes
 
 
-class _Derivation:
-    """Derivatives of canonical pairs along one direction.
+class Derivation:
+    """The derivation along one direction, as a callable on values.
 
-    Each atom's derivative is worked out once per instance, from
-    ``of_var`` for a variable, by the chain rule for a function atom, and
-    kept in the memo while the instance lives; an entry depends on its
+    A derivation is fixed by its values on the variables: ``of_var(name)``
+    returns the image of each variable name (inside kernels too), or None
+    when the derivation treats the variable as a constant, and must give
+    a name the same image every time.  Function kernels follow the chain
+    rule.
+
+    Each atom's derivative is worked out once and kept in a memo: a
+    variable's for as long as the instance lives, a function atom's,
+    whose key holds its whole argument, for one call, so the lasting
+    memo grows only with the variables met.  An entry depends on its
     atom alone, so results do not depend on what was derived before.  A
     polynomial is walked once, monomial by monomial, with the product
-    rule over its atoms, into one numerator; an image that is one atom to
-    the first power (every jet coordinate's under a total derivative) is
-    placed into the rest of the monomial by bisection.  A quotient takes
-    the quotient rule and one ``_reduce``, so results are canonical like
+    rule over its atoms, into one numerator; a quotient takes the
+    quotient rule and one ``_reduce``, so results are canonical like
     every other pair.
     """
 
     def __init__(self, of_var):
         self.of_var = of_var
+        self.images = {}  # variable key -> memo entry, kept across calls
         self.memo = {}
 
     def __call__(self, e) -> Expr:
+        self.memo = dict(self.images)
         return Expr(self.rf(as_expr(e)._rf))
 
     def atom(self, key):
-        """The atom's memo entry: ``(atom, None)`` for one exp-free atom
-        to the first power, which the polynomial walk places by
-        bisection, ``(monomial, coefficient)`` for any other single
-        exp-free monomial, which it multiplies in place, ``(None, (num,
-        den))`` for any other nonzero pair, ``_CONSTANT`` for zero."""
+        """The atom's memo entry: ``(monomial, coefficient)`` for a single
+        exp-free monomial, which the polynomial walk multiplies in place,
+        ``(None, (num, den))`` for any other nonzero pair, ``_CONSTANT``
+        for zero."""
         if key[0] == 1:  # variable rank
             image = self.of_var(key[1])
             r = None if image is None else image._rf
@@ -741,9 +729,10 @@ class _Derivation:
             if len(num) == 1 and den == _ONE_POLY:
                 ((m, c),) = num.items()
                 if not any(_is_exp_key(a) for a, _e in m):
-                    one_atom = len(m) == 1 and m[0][1] == 1 and c == _RAT_ONE
-                    hit = (m[0][0], None) if one_atom else (m, c)
+                    hit = (m, c)
         self.memo[key] = hit
+        if key[0] == 1:
+            self.images[key] = hit
         return hit
 
     def poly(self, p):
@@ -764,20 +753,10 @@ class _Derivation:
                     rest = m[:idx] + ((a, e - 1),) + m[idx + 1:]
                     ce = _k.rat_mul(c, (e, 1))
                 gm, gc = hit
-                if gc is None:  # the image is the one atom gm
-                    k = bisect_left(rest, (gm,))
-                    if k < len(rest) and rest[k][0] == gm:
-                        rest = rest[:k] + ((gm, rest[k][1] + 1),) + rest[k + 1:]
-                    else:
-                        rest = rest[:k] + ((gm, 1),) + rest[k:]
-                elif gm is None:
+                if gm is None:
                     _add_term(partial.setdefault(a, {}), rest, ce)
-                    continue
                 else:
-                    rest = _k.monomial_mul(rest, gm)
-                    if gc != _RAT_ONE:
-                        ce = _k.rat_mul(ce, gc)
-                _add_term(direct, rest, ce)
+                    _add_term(direct, _k.monomial_mul(rest, gm), _k.rat_mul(ce, gc))
         out = (direct, _ONE_POLY)
         for a, pa in partial.items():
             if pa:

@@ -30,9 +30,8 @@ from .expr import (
     ONE,
     Expr,
     ZERO,
+    Derivation,
     as_expr,
-    derivation,
-    derivative,
     expr_sum,
     free_variables,
     variable,
@@ -268,7 +267,7 @@ def _total_derivation(spec: JetSpec, i: int):
             return ONE
         return None
 
-    return derivation(successor)
+    return Derivation(successor)
 
 
 def total_derivative(e, i: int, spec: JetSpec) -> Expr:
@@ -277,8 +276,7 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     derivative coordinate times the partial in that variable.  The result
     lives one jet order higher than its input.  Calls along one
     direction of one jet space share one cached derivation, so each
-    atom's image is worked out once; a jet coordinate's image is one
-    atom, placed into each monomial by bisection."""
+    variable's image is worked out once per process."""
     return _total_derivation(spec, i)(e)
 
 
@@ -332,7 +330,7 @@ class JetVectorField:
                 return self.psi_at(kind[1], kind[2])
             return None
 
-        return derivative(e, of_var)
+        return Derivation(of_var)(e)
 
     def __eq__(self, other):
         if not isinstance(other, JetVectorField):

@@ -172,6 +172,15 @@ def test_total_derivatives_do_not_depend_on_earlier_derivations():
     assert [to_string(total_derivative(parse(t), 0, PDE2)) for t in HISTORY_TEXTS] == fresh
 
 
+def test_a_total_derivation_keeps_only_variable_images_across_calls():
+    D = _total_derivation(PDE2, 0)
+    for k in range(1, 41):
+        total_derivative(parse(f"sin(u + {k}*x)*exp(u_x/{k})*u_t"), 0, PDE2)
+    assert all(key[0] == 1 for key in D.images)  # variables only
+    # the function atoms in the memo are the last call's two kernels
+    assert len(set(D.memo) - set(D.images)) == 2
+
+
 def test_values_validate_and_coerce_their_fields():
     with pytest.raises(JetError, match="negative multiindex counts"):
         MultiIndex((-1,))
