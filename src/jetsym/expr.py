@@ -9,12 +9,13 @@ variables with the arithmetic operators, ``expr_sum``/``expr_prod`` and
 the kernel constructors ``exp``, ``log``, ``sin``, ``cos``; each of them
 combines pairs and returns a canonical value, so no unreduced tree ever
 exists.  ``Expr`` is the one value class: it holds the pair, and works
-out its frozen pair on first use: the numerator's and the denominator's
-``(monomial, coefficient)`` items as tuples sorted by monomial.  The
-frozen pair is the value's identity, hash and order.  Two values are
-equal exactly when their pairs are, that is when they are the same
-rational function of their variables and kernels.  ``to_string``,
-``free_variables`` and ``eval_expr`` read the pair too.
+out its frozen pair when it is first hashed or ordered: the numerator's
+and the denominator's ``(monomial, coefficient)`` items as tuples sorted
+by monomial.  The frozen pair is the value's identity, hash and order.
+Two values are equal exactly when their pairs are, that is when they are
+the same rational function of their variables and kernels.
+``to_string``, ``free_variables`` and ``eval_expr`` read the pair
+itself: printing sorts each polynomial's monomials as it writes them.
 
 A monomial is a tuple of ``(atom, exponent)`` pairs sorted by atom, with
 positive exponents.  A variable atom is ``(1, name)``; a function atom
@@ -97,7 +98,6 @@ _RAT_ONE = (1, 1)
 _ONE_POLY = {(): _RAT_ONE}
 _ZERO_POLY: dict = {}
 _RF_ONE = (_ONE_POLY, _ONE_POLY)
-_FROZEN_ONE = (((), _RAT_ONE),)
 
 
 class Verdict(enum.Enum):
@@ -756,7 +756,8 @@ class Derivation:
                 if gm is None:
                     _add_term(partial.setdefault(a, {}), rest, ce)
                 else:
-                    _add_term(direct, _k.monomial_mul(rest, gm), _k.rat_mul(ce, gc))
+                    _add_term(direct, _k.monomial_mul(rest, gm),
+                              ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
         out = (direct, _ONE_POLY)
         for a, pa in partial.items():
             if pa:
@@ -896,51 +897,43 @@ class Check:
 
 
 class _Printer:
-    """Text of one canonical value, printed from its frozen pair in the
-    order of the module docstring.  The texts of atoms and of atom powers
-    are remembered for the duration of one call."""
+    """Text of one canonical value, printed straight from its pair in the
+    order of the module docstring: each polynomial's monomials are sorted
+    and written term by term.  The texts of function atoms, whose
+    arguments print from their own pairs, are remembered for one call."""
 
     def __init__(self):
         self.texts = {}
 
-    def power(self, f):
-        """The text of the factor ``f = (atom, exponent)``, remembered."""
-        a, e = f
-        s = self.texts.get(a)
-        if s is None:
-            s = self.texts[a] = a[1] if a[0] == 1 else f"{a[1]}({self.pair(a[2].frozen())})"
-        if e != 1:
-            s = f"{s}^{e}"
-        self.texts[f] = s
-        return s
+    def function(self, a):
+        """The text of the function atom ``a``, remembered."""
+        t = self.texts[a] = f"{a[1]}({self.pair(a[2]._rf)})"
+        return t
 
-    def poly(self, items):
-        get, power = self.texts.get, self.power
+    def poly(self, p):
+        get = self.texts.get
         parts = []
-        for m, (n, d) in items:
-            if n < 0:
-                parts.append(" - ")
-                n = -n
-            else:
-                parts.append(" + ")
-            c = str(n) if d == 1 else f"{n}/{d}"
-            if m:
-                body = "*".join([get(f) or power(f) for f in m])
-                parts.append(body if c == "1" else f"{c}*{body}")
-            else:
-                parts.append(c)
+        for m in sorted(p):
+            n, d = p[m]
+            parts.append(" - " if n < 0 else " + ")
+            c = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            fs = [] if c == "1" and m else [c]
+            for a, e in m:
+                t = a[1] if a[0] == 1 else get(a) or self.function(a)
+                fs.append(t if e == 1 else f"{t}^{e}")
+            parts.append("*".join(fs))
         if not parts:
             return "0"
         parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
-    def pair(self, frozen):
-        num, den = frozen
-        if den == _FROZEN_ONE:
+    def pair(self, rf):
+        num, den = rf
+        if den == _ONE_POLY:
             return self.poly(num)
         return f"({self.poly(num)})/({self.poly(den)})"
 
 
 def to_string(e) -> str:
     """Canonical text; re-parsing reproduces the same canonical form."""
-    return _Printer().pair(e.frozen())
+    return _Printer().pair(e._rf)

@@ -114,8 +114,16 @@ def _make_step(X: PointVectorField, mu=None):
                     if w != ZERO:
                         W[i, a, b, m] = w
 
+    jets = {}  # (b, counts) -> the jet variable u^b_counts, made once per lift
+
+    def jet(b, K):
+        u = jets.get((b, K.counts))
+        if u is None:
+            u = jets[b, K.counts] = spec.jet_var(b, K)
+        return u
+
     def step(i, J, row):
-        jets = [[spec.jet_var(b, J.inc(m)) for b in range(q)] for m in range(p)]
+        jets_J = [[jet(b, J.inc(m)) for b in range(q)] for m in range(p)]
         if mu is None:
             rows = [total_derivative(r, i, spec) for r in row]
         else:
@@ -133,7 +141,7 @@ def _make_step(X: PointVectorField, mu=None):
                 for b in range(q):
                     w = W.get((i, a, b, m))
                     if w is not None:
-                        r = r - jets[m][b] * w
+                        r = r - jets_J[m][b] * w
             out.append(r)
         return tuple(out)
 

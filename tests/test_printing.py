@@ -10,7 +10,10 @@ substitutions, and on Hypothesis-drawn quotients of kernel polynomials,
 the printed terms must come in that order, every text must parse back
 to an equal value with an equal hash, and the variables found must be
 the names the text shows and match a digest recorded while the suite
-still checked them against the walk of each value's tree of nodes.
+still checked them against the walk of each value's tree of nodes.  The
+printed bytes of those values, and of the components of seeded standard,
+mu and lambda lifts, must match digests recorded while the printer still
+read each value's frozen pair.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import random
 import re
 from fractions import Fraction
 
+from helpers import rand_point_field, rand_unipotent_gauge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +40,10 @@ from jetsym.expr import (
     to_string,
     variable,
 )
+from jetsym.gauge import GaugeFunction, darboux_derivative
+from jetsym.jets import JetSpec
 from jetsym.parsing import parse
+from jetsym.prolong import PointVectorField, lambda_form, lift
 
 SEED = 20261018
 CASES = 300
@@ -80,10 +87,36 @@ def _values(salt, n=CASES):
     return out
 
 
+def _lifted():
+    """The components Psi of seeded lifts, multiindex by multiindex:
+    standard and mu lifts of random point fields on (x, t; u, v),
+    each form the Darboux derivative of a random unipotent gauge, and
+    lambda lifts of scalar ODE fields with kernels and a denominator."""
+    rng = random.Random(f"{SEED}:lift")
+    out = []
+    system = JetSpec(("x", "t"), ("u", "v"), 3)
+    for _ in range(3):
+        X = rand_point_field(rng, system)
+        mu = darboux_derivative(GaugeFunction(system, rand_unipotent_gauge(rng, system)))
+        for Y in (lift(X), lift(X, mu)):
+            out += [Y.psi_at(a, J) for J in system.multi_indices() for a in range(2)]
+    ode = JetSpec(("x",), ("u",), 3)
+    texts = ("exp(u)", "x*sin(u)", "u^2/(1 + x)", "-exp(x + u)/2", "cos(x)*u", "u - 1/3")
+    for _ in range(3):
+        X = PointVectorField(ode, [parse(rng.choice(texts))], [parse(rng.choice(texts))])
+        Y = lift(X, lambda_form(X, parse(rng.choice(("u", "x", "sin(u)", "1/(1 + u)")))))
+        out += [Y.psi_at(0, J) for J in ode.multi_indices()]
+    return out
+
+
 # sha256 of the variable lists, one per line, recorded from the pair code
 # while the suite still checked it against the walk of each value's tree
 # of nodes, which it matched
 VARS_DIGEST = "3fda2729d624c5faa27f35ff0a36797a96618b822663602d7eb3a5d1ad210a04"
+# sha256 of the printed texts, one per line, of ``_values("print")`` and
+# of ``_lifted()``, recorded while the printer still read the frozen pair
+PRINT_DIGEST = "bf279fac2923ac4d97dc827159ed51c5c84043af938c26d1f1db388829200c54"
+LIFT_DIGEST = "a48d32e13493978a1b78ab782aa839551b1767bcebb1654fc7fee4329276a60a"
 
 
 def digest(lines):
@@ -150,6 +183,11 @@ def test_free_variables_of_pair_match_tree_walk():
         assert free_variables(e) == shown
 
 
+def test_printed_bytes_match_the_recorded_digests():
+    assert digest(to_string(e) for e in _values("print")) == PRINT_DIGEST
+    assert digest(to_string(e) for e in _lifted()) == LIFT_DIGEST
+
+
 def test_printed_values_parse_back():
     for e in _values("equal", 60):
         again = parse(to_string(e))
@@ -195,6 +233,14 @@ def test_printed_forms():
     assert to_string(parse("-3/2*u + 1/2")) == "1/2 - 3/2*u"
     assert to_string(parse("exp(x/(1 + u))")) == "exp((x)/(1 + u))"
     assert to_string(parse("x*u + u^2 + x + 1 + u")) == "1 + u + u*x + u^2 + x"
+    # exponents order as numbers, not as text
+    assert to_string(parse("u^10 + u^2*x")) == "u^2*x + u^10"
+    assert to_string(parse("u^10*x + u^9*x^12 - u^10")) == "u^9*x^12 - u^10 + u^10*x"
+    # a coefficient of -1 prints as a sign, others in front of the factors
+    assert to_string(parse("-u")) == "-u"
+    assert to_string(parse("-x/2")) == "-1/2*x"
+    assert to_string(parse("x - 3/4")) == "-3/4 + x"
+    assert to_string(parse("(2/3 - u)/(x - 1/5)")) == "(2/3 - u)/(-1/5 + x)"
 
 
 def test_value_built_in_two_orders_prints_and_hashes_alike():

@@ -2,6 +2,7 @@
 difference terms."""
 
 import random
+import sys
 
 import pytest
 
@@ -336,6 +337,30 @@ def test_path_check_skips_edges_only_on_exact_flatness(monkeypatch):
     assert maurer_cartan_check(exact).verdict is Verdict.TRUE
     lift(X, exact, 2, path_check=True)
     assert len(calls) == 1
+
+
+def test_a_lift_makes_each_jet_variable_once(monkeypatch):
+    made = []
+    real = JetSpec.jet_var
+
+    def spy(spec, a, index):
+        # total derivatives make their images of jet variables themselves
+        if sys._getframe(1).f_globals["__name__"] == "jetsym.prolong":
+            made.append((a, index.counts))
+        return real(spec, a, index)
+
+    monkeypatch.setattr(JetSpec, "jet_var", spy)
+    system = JetSpec(("x", "t"), ("u", "v"), 3)
+    lift(rand_point_field(random.Random(11), system))
+    assert sorted(made) == sorted((a, K.counts) for K in system.multi_indices(3, min_order=1)
+                                  for a in range(2))
+    # the edge checks of a form that is not proven flat take no new ones
+    made.clear()
+    X = pvf(PDE2, ["t", "x*u"], ["u^2 + x"])
+    probable = MuForm.scalar(PDE2, [parse("(u + x*u_x)*(sin(t)^2 + cos(t)^2)"),
+                                    parse("x*u_t")])
+    lift(X, probable, 2, path_check=True)
+    assert sorted(made) == sorted((0, K.counts) for K in PDE2.multi_indices(2, min_order=1))
 
 
 # --- vector mu prolongation ---------------------------------------------------
