@@ -146,10 +146,19 @@ def poly_scale(p, c):
 
 
 def poly_mul(p, q):
+    """The product of two polynomials.  When the shorter operand is one
+    term ``c1*m1``, each term of the other is scaled and shifted by it:
+    multiplying by a fixed monomial is one-to-one, so no two products
+    collide and none cancels."""
     if not p or not q:
         return {}
     if len(p) > len(q):
         p, q = q, p
+    if len(p) == 1:
+        ((m1, c1),) = p.items()
+        if not m1:
+            return poly_scale(q, c1)
+        return {monomial_mul(m1, m2): rat_mul(c1, c2) for m2, c2 in q.items()}
     r = {}
     qitems = list(q.items())
     for m1, c1 in p.items():

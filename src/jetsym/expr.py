@@ -365,8 +365,17 @@ def _fix_exp(p):
     return r
 
 
+def _has_exp(p) -> bool:
+    return any(_is_exp_key(a) for m in p for a, _e in m)
+
+
 def _pmul(p, q):
-    return _fix_exp(_k.poly_mul(p, q))
+    """The product of two exp-normal polynomials (at most one ``exp``
+    atom per monomial, to the first power), exp-normal itself.  A product
+    with an exp-free operand is exp-normal as it stands, so exponentials
+    are merged only when both operands carry one."""
+    r = _k.poly_mul(p, q)
+    return _fix_exp(r) if _has_exp(p) and _has_exp(q) else r
 
 
 def _ppow(p, k):

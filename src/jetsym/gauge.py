@@ -185,24 +185,18 @@ def scalar_potential(mu: MuForm) -> Expr:
         for combo in combinations_with_replacement(names, k):
             candidates.append(expr_prod(variable(n) for n in combo))
 
-    # rows: one linear equation per (direction, monomial of the expansion)
-    columns = {}
-    rhs = {}
+    # one linear equation per (direction, monomial of the expansion),
+    # held as its nonzero coefficients, the right-hand side under ncols
+    ncols = len(candidates)
+    rows = {}
     for i in range(spec.p):
         for mono, c in polynomial_terms(lambdas[i]).items():
-            rhs[(i, mono)] = c
+            rows.setdefault((i, mono), {})[ncols] = c
         for col, cand in enumerate(candidates):
             d = total_derivative(cand, i, spec)
             for mono, c in polynomial_terms(d).items():
-                columns.setdefault(col, {})[(i, mono)] = c
-
-    row_keys = sorted(set(rhs) | {k for col in columns.values() for k in col})
-    matrix = [
-        [columns.get(col, {}).get(rk, Fraction(0)) for col in range(len(candidates))]
-        + [rhs.get(rk, Fraction(0))]
-        for rk in row_keys
-    ]
-    solution = _solve_exact(matrix, len(candidates))
+                rows.setdefault((i, mono), {})[col] = c
+    solution = _solve_exact([rows[k] for k in sorted(rows)], ncols)
     if solution is None:
         raise NoPotentialError("no polynomial potential within the derived bounds")
     phi = expr_sum(c * cand for c, cand in zip(solution, candidates) if c)
@@ -214,34 +208,42 @@ def scalar_potential(mu: MuForm) -> Expr:
     return phi
 
 
-def _solve_exact(aug, ncols):
-    """Gaussian elimination over the rationals on an augmented matrix;
-    returns one solution (free unknowns at zero) or None."""
-    rows = [r[:] for r in aug]
+def _solve_exact(rows, ncols):
+    """Gauss-Jordan elimination over the rationals on sparse rows, each a
+    dict from column to nonzero Fraction with the right-hand side under
+    ``ncols``.  Column by column, the first remaining row that holds the
+    column is the pivot.  Returns one solution (free unknowns at zero)
+    or None."""
+    rows = [dict(row) for row in rows]
     nrows = len(rows)
     pivot_of = {}
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = {k: v / pv for k, v in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
         pivot_of[c] = r
         r += 1
         if r == nrows:
             break
-    for i in range(nrows):
-        if not any(rows[i][:ncols]) and rows[i][ncols]:
-            return None
+    if any(row.keys() == {ncols} for row in rows):
+        return None
     out = [Fraction(0)] * ncols
     for c, ri in pivot_of.items():
-        out[c] = rows[ri][ncols]
+        out[c] = rows[ri].get(ncols, Fraction(0))
     return out
 
 

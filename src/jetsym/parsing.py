@@ -2,7 +2,8 @@
 
 Grammar (fixed, text-level contract of the package):
 
-* identifiers ``[A-Za-z][A-Za-z0-9_]*``;
+* identifiers ``[A-Za-z][A-Za-z0-9_]*`` and integer literals ``[0-9]+``,
+  ASCII only;
 * binary ``+ - * / ^`` with the usual precedence, ``^`` right
   associative and requiring an exponent whose value is an integer
   constant;
@@ -12,11 +13,14 @@ Grammar (fixed, text-level contract of the package):
   division;
 * unary minus.
 
-The parser builds no tree: each rule folds the canonical values of its
-operands with the arithmetic of ``expr`` (``expr_sum``, ``expr_prod``,
-negation, ``**`` and the kernel constructors), so a sub-expression is
-reduced as soon as it is read, and a division by zero raises
-``SymbolicDivisionError`` there, before any later syntax error.
+An ASCII scanner makes the tokens, plain ``(kind, value, start, stop)``
+tuples; a number's value is its reduced ``(n, d)`` pair.  The parser
+builds no tree: each rule folds the canonical pairs of its operands
+left to right with the pair arithmetic of ``expr`` (``_radd``,
+``_rmul``, ``_rneg``, ``_rpow``) and the kernel constructors, so a
+sub-expression is reduced as soon as it is read, and a division by zero
+raises ``SymbolicDivisionError`` there, before any later syntax error.
+Only the result is wrapped in an ``Expr``.
 
 Parentheses, function calls, unary minus and exponents may nest at most
 ``MAX_NESTING`` levels deep; deeper input is a ``ParseError``, so that
@@ -24,18 +28,19 @@ hostile text fails cleanly instead of exhausting the interpreter stack
 in the parser or in the layers that recurse into kernel arguments.
 """
 
-from fractions import Fraction
-
+from .backend import rat_make
 from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
 from .expr import (
+    _ONE_POLY,
+    _ZERO_POLY,
     Expr,
-    constant_value,
+    _radd,
+    _rmul,
+    _rneg,
+    _rpow,
     cos,
     exp,
-    expr_prod,
-    expr_sum,
     log,
-    rational,
     sin,
     variable,
 )
@@ -48,25 +53,22 @@ _KERNELS = {f.__name__: f for f in (exp, log, sin, cos)}
 # inside Python's default recursion limit of 1000 frames.
 MAX_NESTING = 100
 
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _line_col(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+_SPACES = frozenset(" \t\r\n")
+_OPERATORS = frozenset("+-*/^(),")
 
 
 def _err(text, pos, message, cls=ParseError):
-    line, col = _line_col(text, pos)
-    raise cls(message, line, col)
+    line = text.count("\n", 0, pos) + 1
+    raise cls(message, line, pos - text.rfind("\n", 0, pos))
+
+
+def _digits_end(text, i, n):
+    while i < n and text[i] in _DIGITS:
+        i += 1
+    return i
 
 
 def _tokenize(text):
@@ -75,39 +77,32 @@ def _tokenize(text):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch in " \t\r\n":
+        if ch in _SPACES:
             i += 1
-            continue
-        if ch.isdigit():
+        elif ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            num = int(text[start:i])
+            i = _digits_end(text, i, n)
+            num, den = int(text[start:i]), 1
             # "a/b" with no interior spaces is a rational literal
-            if i + 1 < n and text[i] == "/" and text[i + 1].isdigit():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
+            if i + 1 < n and text[i] == "/" and text[i + 1] in _DIGITS:
+                dstart = i + 1
+                i = _digits_end(text, dstart, n)
                 den = int(text[dstart:i])
                 if den == 0:
                     _err(text, dstart, "rational literal with zero denominator")
-                tokens.append(_Token("number", Fraction(num, den), start))
-            else:
-                tokens.append(_Token("number", Fraction(num), start))
-            continue
-        if ch.isalpha():
+            tokens.append(("number", rat_make(num, den), start, i))
+        elif ch in _LETTERS:
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
             i += 1
-            continue
-        _err(text, i, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", None, n))
+            while i < n and text[i] in _NAME_CHARS:
+                i += 1
+            tokens.append(("name", text[start:i], start, i))
+        elif ch in _OPERATORS:
+            tokens.append((ch, ch, i, i + 1))
+            i += 1
+        else:
+            _err(text, i, f"unexpected character {ch!r}")
+    tokens.append(("end", None, n, n))
     return tokens
 
 
@@ -118,95 +113,95 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        t = self.take()
-        if t.kind != kind:
-            _err(self.text, t.pos, f"expected {kind!r}, found {t.value!r}")
-        return t
+    def fail(self, token, message, cls=ParseError):
+        """Raise at ``token``; ``{}`` in ``message`` quotes it as written."""
+        shown = ("end of input" if token[0] == "end"
+                 else repr(self.text[token[2]:token[3]]))
+        _err(self.text, token[2], message.format(shown), cls)
 
     def enter(self, token):
         """Open one nesting level at ``token``; the caller closes it by
         decrementing ``depth`` once the nested part is parsed."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            _err(self.text, token.pos,
-                 f"expression nested more than {MAX_NESTING} levels deep")
+            self.fail(token, f"expression nested more than {MAX_NESTING} levels deep")
 
     def parse(self):
-        e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            _err(self.text, t.pos, f"unexpected trailing input {t.value!r}")
-        return e
+        r = self.expr()
+        t = self.tokens[self.i]
+        if t[0] != "end":
+            self.fail(t, "unexpected trailing input {}")
+        return r
 
     def expr(self):
-        terms = [self.term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
+        r = self.term()
+        tokens = self.tokens
+        while (op := tokens[self.i][0]) == "+" or op == "-":
+            self.i += 1
             t = self.term()
-            terms.append(t if op.kind == "+" else -t)
-        return terms[0] if len(terms) == 1 else expr_sum(terms)
+            r = _radd(r, t if op == "+" else _rneg(t))
+        return r
 
     def term(self):
-        factors = [self.unary()]
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            f = self.unary()
-            factors.append(f if op.kind == "*" else f ** -1)
-        return factors[0] if len(factors) == 1 else expr_prod(factors)
+        r = self.signed()
+        tokens = self.tokens
+        while (op := tokens[self.i][0]) == "*" or op == "/":
+            self.i += 1
+            f = self.signed()
+            r = _rmul(r, f if op == "*" else _rpow(f, -1))
+        return r
 
-    def unary(self):
-        if self.peek().kind == "-":
-            self.enter(self.take())
-            e = self.unary()
+    def signed(self):
+        """Unary minuses, an atom and its exponent: ``-a^k`` is ``-(a^k)``."""
+        tokens = self.tokens
+        minus = 0
+        while tokens[self.i][0] == "-":
+            self.enter(tokens[self.i])
+            self.i += 1
+            minus += 1
+        r = self.atom()
+        caret = tokens[self.i]
+        if caret[0] == "^":
+            self.i += 1
+            self.enter(caret)
+            num, den = self.signed()
             self.depth -= 1
-            return -e
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek().kind != "^":
-            return base
-        caret = self.take()
-        self.enter(caret)
-        k = self.unary()
-        self.depth -= 1
-        k = constant_value(k)
-        if k is None or k.denominator != 1:
-            _err(self.text, caret.pos, "exponent must be an integer constant",
-                 cls=_NonIntExp)
-        return base ** int(k)
+            k = num.get(()) if num else (0, 1)
+            if k is None or k[1] != 1 or len(num) > 1 or den != _ONE_POLY:
+                self.fail(caret, "exponent must be an integer constant", _NonIntExp)
+            r = _rpow(r, k[0])
+        self.depth -= minus
+        return _rneg(r) if minus & 1 else r
 
     def group(self, opening):
         """The expression inside parentheses, ``opening`` already taken."""
         self.enter(opening)
-        e = self.expr()
-        self.expect(")")
+        r = self.expr()
+        t = self.tokens[self.i]
+        self.i += 1
+        if t[0] != ")":
+            self.fail(t, "expected ')', found {}")
         self.depth -= 1
-        return e
+        return r
 
     def atom(self):
-        t = self.take()
-        if t.kind == "number":
-            return rational(t.value)
-        if t.kind == "(":
+        t = self.tokens[self.i]
+        self.i += 1
+        kind = t[0]
+        if kind == "number":
+            c = t[1]
+            return ({(): c}, _ONE_POLY) if c[0] else (_ZERO_POLY, _ONE_POLY)
+        if kind == "(":
             return self.group(t)
-        if t.kind == "name":
-            if self.peek().kind == "(":
-                if t.value not in _KERNELS:
-                    _err(self.text, t.pos, f"unknown function {t.value!r}",
-                         cls=UnknownFunctionError)
-                return _KERNELS[t.value](self.group(self.take()))
-            return variable(t.value)
-        _err(self.text, t.pos, f"unexpected token {t.value!r}")
+        if kind == "name":
+            opening = self.tokens[self.i]
+            if opening[0] != "(":
+                return variable(t[1])._rf
+            if t[1] not in _KERNELS:
+                self.fail(t, "unknown function {}", UnknownFunctionError)
+            self.i += 1
+            return _KERNELS[t[1]](Expr(self.group(opening)))._rf
+        self.fail(t, "expected an operand, found {}")
 
 
 class _NonIntExp(ParseError, NonIntegerExponentError):
@@ -215,4 +210,4 @@ class _NonIntExp(ParseError, NonIntegerExponentError):
 
 def parse(text: str) -> Expr:
     """Parse ``text`` and return its canonical value."""
-    return _Parser(text).parse()
+    return Expr(_Parser(text).parse())

@@ -33,17 +33,23 @@ def atom_key(e):
     return a
 
 
+def run_python(args, timeout):
+    """A fresh interpreter run with ``args`` on this checkout's ``src``;
+    fails when it runs past ``timeout`` seconds."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
 def run_child(script, timeout, returncode=0):
     """stdout lines of ``script`` run by a fresh interpreter on this
     checkout's ``src``; fails when it runs past ``timeout`` seconds or
     exits with another code than ``returncode``."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=timeout,
-    )
+    proc = run_python(["-c", script], timeout)
     assert proc.returncode == returncode, proc.stderr
     return proc.stdout.splitlines()
 

@@ -9,6 +9,8 @@ from jetsym.errors import ProblemFileError
 from jetsym.parsing import MAX_NESTING, parse
 from jetsym.problemfile import load_problem
 
+from helpers import run_python
+
 REGRESSION = """
 # second-order linear equation with a deformed shift symmetry
 [jet]
@@ -403,6 +405,17 @@ def test_nested_exp_field_at_the_limit_prolongs(tmp_path, capsys):
     record = json.loads(out.read_text())["tasks"][0]
     assert record["verdict"] == "pass"
     assert record["detail"][-1].startswith("Psi[u_x] = ")
+
+
+@pytest.mark.parametrize("phi", ["x^\u00b2", "x\u00b2", "x\u00e9", "\u0663*x"])
+def test_non_ascii_literal_exits_two_without_a_traceback(tmp_path, phi):
+    problem = tmp_path / "unicode.jsf"
+    problem.write_text(_nested_field(phi), encoding="utf-8")
+    proc = run_python(["-m", "jetsym.cli", "run-file", str(problem)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 7: bad expression" in proc.stderr
+    assert "unexpected character" in proc.stderr
 
 
 def test_problem_file_errors_carry_lines():

@@ -24,7 +24,9 @@ from jetsym.errors import (
     UnboundVariableError,
     UnknownFunctionError,
 )
+from jetsym import backend
 from jetsym.expr import (
+    ONE,
     Check,
     Derivation,
     Verdict,
@@ -44,7 +46,10 @@ from jetsym.expr import (
     variable,
     zero_verdict,
 )
+from jetsym.expr import _fix_exp, _pmul
 from jetsym.parsing import MAX_NESTING, parse
+
+from helpers import atom_key
 
 # test-side trees: ("const", c), ("var", name), ("add", a, b, ...),
 # ("mul", a, b, ...), ("pow", a, k), ("func", name, a)
@@ -212,6 +217,17 @@ def test_exp_products_merge():
     assert parse("1/exp(u)") == parse("exp(-u)")
     assert parse("exp(x)*exp(x)*u") == parse("u*exp(2*x)")
     assert parse("exp(u+x)/exp(x)") == parse("exp(u)")
+
+
+def test_sum_over_an_exp_denominator_reduces_to_one():
+    # exp merging is no ring map, so n1/d1 + n2 still needs its gcd: the
+    # sum's numerator becomes 1 + exp(x), a multiple of the denominator,
+    # only once exp(x)*exp(x) has merged into exp(2*x)
+    a = parse("(1 - exp(2*x))/(1 + exp(x))")
+    b = exp(variable("x"))
+    for total in (a + b, b + a):
+        assert total == ONE
+        assert to_string(total) == "1"
 
 
 def test_no_trig_identities_applied():
@@ -539,3 +555,27 @@ def test_rational_zero_test_is_exact():
     assert zero_verdict(e) is Verdict.TRUE
     e2 = parse("1/(x+1) + 1/(x-1) - 2*x/(x^2-1)")
     assert zero_verdict(e2) is Verdict.TRUE
+
+
+# exp-normal polynomials: each monomial holds variables and at most one
+# exp atom, to the first power; their products may need merging
+_VAR_ATOMS = [atom_key(variable(n)) for n in ("x", "u")]
+_EXP_ATOMS = [atom_key(parse(t)) for t in
+              ("exp(x)", "exp(-x)", "exp(2*x)", "exp(u)", "exp(x + u)", "exp(x - u)")]
+
+
+@st.composite
+def _exp_normal_polys(draw):
+    p = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [(a, draw(st.integers(1, 2))) for a in _VAR_ATOMS if draw(st.booleans())]
+        if draw(st.booleans()):
+            mono.append((draw(st.sampled_from(_EXP_ATOMS)), 1))
+        p[tuple(sorted(mono))] = (draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])), 1)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exp_normal_polys(), _exp_normal_polys())
+def test_pmul_equals_the_merged_product(p, q):
+    assert _pmul(p, q) == _fix_exp(backend.poly_mul(p, q))

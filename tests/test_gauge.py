@@ -1,6 +1,7 @@
 """Compatibility-structure tests: flatness, potentials, Darboux, gauge moves."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from jetsym import expr
 from jetsym.expr import Verdict, exp, rational, zero_verdict
 from jetsym.gauge import (
     GaugeFunction,
+    _solve_exact,
     darboux_derivative,
     maurer_cartan_check,
     maurer_cartan_check_on_equation,
@@ -141,6 +143,51 @@ def test_potential_recovers_random_construction():
             found = scalar_potential(mu)
             for i in range(spec.p):
                 assert total_derivative(found - phi, i, spec) == rational(0)
+
+
+def dense_solve(aug, ncols):
+    """Reference: Gauss-Jordan elimination over full rows of an augmented
+    matrix, pivoting column by column on the first remaining nonzero
+    entry; one solution with free unknowns at zero, or None."""
+    rows = [r[:] for r in aug]
+    pivot_of = {}
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_of[c] = r
+        r += 1
+        if r == len(rows):
+            break
+    if any(not any(row[:ncols]) and row[ncols] for row in rows):
+        return None
+    out = [Fraction(0)] * ncols
+    for c, ri in pivot_of.items():
+        out[c] = rows[ri][ncols]
+    return out
+
+
+def test_sparse_solve_agrees_with_dense_elimination():
+    rng = random.Random(4051)
+    inconsistent = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        aug = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2, 3]), rng.choice([1, 2]))
+                for _ in range(ncols + 1)] for _ in range(nrows)]
+        if rng.random() < 0.3:  # a row repeated with a shifted right-hand side
+            aug.append(aug[0][:ncols] + [aug[0][ncols] + 1])
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in aug]
+        expected = dense_solve(aug, ncols)
+        assert _solve_exact(sparse, ncols) == expected
+        inconsistent += expected is None
+    assert 30 < inconsistent < 200
 
 
 # --- gauge functions and Darboux derivatives -------------------------------------

@@ -59,3 +59,36 @@ def test_ring_axioms_python_kernel(p, q, r):
     assert k.poly_mul(p, q) == k.poly_mul(q, p)
     assert k.poly_mul(p, k.poly_add(q, r)) == k.poly_add(k.poly_mul(p, q), k.poly_mul(p, r))
     assert k.poly_sub(p, p) == {}
+
+
+@st.composite
+def laurent_polys(draw, max_terms=5):
+    """Polynomials whose monomials carry exponents of both signs."""
+    p = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        chosen = draw(st.permutations(ATOMS))[:draw(st.integers(0, 3))]
+        exps = [draw(st.integers(-3, 3).filter(bool)) for _ in chosen]
+        p[tuple(sorted(zip(chosen, exps)))] = draw(rationals().filter(lambda c: c[0]))
+    return p
+
+
+def reference_product(p, q):
+    """``p*q`` term by term, exponents added per atom, coefficients as
+    Fractions."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for a, e in m2:
+                exps[a] = exps.get(a, 0) + e
+            m = tuple(sorted((a, e) for a, e in exps.items() if e))
+            out[m] = out.get(m, 0) + Fraction(*c1) * Fraction(*c2)
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just({(): (1, 1)}), laurent_polys(max_terms=1)), laurent_polys())
+def test_one_term_products_match_fractions(p, q):
+    for r in (_kernel_py.poly_mul(p, q), _kernel_py.poly_mul(q, p)):
+        assert {m: Fraction(*c) for m, c in r.items()} == reference_product(p, q)
+        assert all(c[1] > 0 and c[0] for c in r.values())
