@@ -26,7 +26,8 @@ reduces the problem in four steps before any remainder sequence runs:
    divided by the gcd of its coefficients' numerators and multiplied by
    the lcm of their denominators.  The remainders then stay integral
    and primitive, so their arithmetic stays on the kernel's integer
-   path.
+   path.  With one shared atom the inputs are univariate, and the
+   sequence runs on lists of integer coefficients instead of dicts.
 
 The result is scaled to leading coefficient 1 (the coefficient of the
 largest monomial).  A gcd is unique up to a unit, so scaled that way it is
@@ -40,9 +41,9 @@ atoms) keep them because a divisor of a polynomial only ever uses atom
 exponents bounded by the dividend's.
 """
 
-from math import gcd
+from math import gcd, lcm
 
-from .backend import RAT_ONE, poly_mul, poly_scale, poly_sub, rat_inv
+from .backend import RAT_ONE, poly_mul, poly_scale, poly_sub, rat_inv, rat_make
 
 
 def poly_one():
@@ -168,13 +169,8 @@ def _primitive(u):
     cont = _content(u)
     if not is_const(cont):
         u = {k: poly_divexact(c, cont) for k, c in u.items()}
-    num = 0
-    den = 1
-    for coeff in u.values():
-        for n, d in coeff.values():
-            num = gcd(num, n)
-            if d != 1:
-                den = den * d // gcd(den, d)
+    coeffs = [c for coeff in u.values() for c in coeff.values()]
+    num, den = gcd(*(n for n, _d in coeffs)), lcm(*(d for _n, d in coeffs))
     if num != 1 or den != 1:
         # reduced: a prime of num divides every numerator, so no denominator
         scale = (den, num)
@@ -217,6 +213,39 @@ def _coefficients(p, shared):
     return list(cells.values())
 
 
+def _dense(p):
+    """Univariate ``p`` as integer coefficients, lowest degree first."""
+    den = lcm(*(d for _n, d in p.values()))
+    out = [0] * (max(p)[0][1] + 1)
+    for m, (n, d) in p.items():
+        out[m[0][1] if m else 0] = n * den // d
+    return _primitive_list(out)
+
+
+def _primitive_list(a):
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)  # leading entry positive
+    return [c // g for c in a]
+
+
+def _dense_gcd(p, q, z):
+    """Step 4 when ``z`` is the one atom of both inputs: a primitive
+    remainder sequence on integer coefficient lists."""
+    a, b = sorted((_dense(p), _dense(q)), key=len, reverse=True)
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            # r := lb*r - lr * z^shift * b, with lb and lr divided by their gcd
+            g = gcd(b[-1], r[-1])
+            lb, lr, shift = b[-1] // g, r[-1] // g, len(r) - len(b)
+            r = [c * lb for c in r[:shift]] + [c * lb - lr * d for c, d in zip(r[shift:-1], b)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return {((z, k),) if k else (): rat_make(c, b[-1]) for k, c in enumerate(b) if c}
+        a, b = b, _primitive_list(r)
+    return poly_one()
+
+
 def poly_gcd(p, q):
     """Gcd over the rationals, scaled so its leading coefficient is 1."""
     if not p:
@@ -244,6 +273,8 @@ def poly_gcd(p, q):
                 break
         return g
     z = max(shared)
+    if len(shared) == 1:
+        return _dense_gcd(p, q, z)
     pu = _as_univariate(p, z)
     qu = _as_univariate(q, z)
     cont_p, a = _primitive(pu)

@@ -37,9 +37,10 @@ derivation along one direction, fixed by its image of each variable, as
 a callable on values.  It walks the numerator and denominator monomial
 dicts in one pass (product rule over each monomial's atoms, chain rule
 for kernels), builds one numerator for each of them, and takes the
-quotient rule and one reduction only when the denominator is not 1.  It
-keeps each variable's image for as long as it lives, and each function
-atom's derivative for one call.  ``pdiff`` and the vector fields of
+quotient rule only when the denominator D is not 1: it cancels
+gcd(D, D') first, so one reduction finishes the result.  It keeps each
+variable's image for as long as it lives, and each function atom's
+derivative for one call.  ``pdiff`` and the vector fields of
 ``jets`` use a new derivation per call; the total derivatives of
 ``jets`` keep one derivation per jet space and direction.
 
@@ -65,7 +66,8 @@ inverse-pair cancellations exact.  No other function identities are
 applied.  The gcd works over the atoms, where ``exp(2*x)`` and
 ``exp(x)**2`` are unrelated, so a denominator holding a sum with
 exponentials can keep a common factor, and its form then depends on the
-order of the arithmetic.
+order of the arithmetic.  So the quotient rule skips gcd(D, D') when D
+holds an exp atom, until exp forms are canonical.
 """
 
 from __future__ import annotations
@@ -705,9 +707,12 @@ class Derivation:
     memo grows only with the variables met.  An entry depends on its
     atom alone, so results do not depend on what was derived before.  A
     polynomial is walked once, monomial by monomial, with the product
-    rule over its atoms, into one numerator; a quotient takes the
-    quotient rule and one ``_reduce``, so results are canonical like
-    every other pair.
+    rule over its atoms, into one numerator.  A quotient ``num/den``
+    takes the quotient rule over ``den*den/g``, ``g = gcd(den, D den)``,
+    and one ``_reduce``, so results are canonical like every other pair.
+    A ``den`` with an ``exp`` atom takes ``g = 1``, the rule over den^2,
+    as its reduced form depends on the order of the arithmetic until
+    exp forms are canonical.
     """
 
     def __init__(self, of_var):
@@ -781,9 +786,12 @@ class Derivation:
         c, e = self.poly(den)
         if not (a or c):
             return (_ZERO_POLY, _ONE_POLY)
-        # (a/b)/den - num*(c/e)/den^2 = (a*e*den - num*c*b) / (b*e*den^2)
-        top = _k.poly_sub(_pmul(_pmul(a, e), den), _pmul(_pmul(num, c), b))
-        return _reduce(top, _pmul(_pmul(b, e), _pmul(den, den)))
+        # (a/b)/den - num*(c/e)/den^2 = (a*e*h - num*k*b) / (b*e*den*h)
+        # with h = den/g, k = c/g; g = 1 keeps exp forms as they were
+        g = _ONE_POLY if _has_exp(den) else poly_gcd(den, c)
+        h = poly_divexact(den, g)
+        top = _k.poly_sub(_pmul(_pmul(a, e), h), _pmul(_pmul(num, poly_divexact(c, g)), b))
+        return _reduce(top, _pmul(_pmul(b, e), _pmul(den, h)))
 
 
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}

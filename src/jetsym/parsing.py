@@ -3,7 +3,7 @@
 Grammar (fixed, text-level contract of the package):
 
 * identifiers ``[A-Za-z][A-Za-z0-9_]*`` and integer literals ``[0-9]+``,
-  ASCII only;
+  ASCII only, literals within Python's digit limit (4300 by default);
 * binary ``+ - * / ^`` with the usual precedence, ``^`` right
   associative and requiring an exponent whose value is an integer
   constant;
@@ -27,6 +27,8 @@ Parentheses, function calls, unary minus and exponents may nest at most
 hostile text fails cleanly instead of exhausting the interpreter stack
 in the parser or in the layers that recurse into kernel arguments.
 """
+
+import sys
 
 from .backend import rat_make
 from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
@@ -71,6 +73,13 @@ def _digits_end(text, i, n):
     return i
 
 
+def _int(text, start, stop):
+    try:
+        return int(text[start:stop])
+    except ValueError:  # past Python's limit on int() of a digit string
+        _err(text, start, f"integer literal over the {sys.get_int_max_str_digits()}-digit limit")
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -82,12 +91,12 @@ def _tokenize(text):
         elif ch in _DIGITS:
             start = i
             i = _digits_end(text, i, n)
-            num, den = int(text[start:i]), 1
+            num, den = _int(text, start, i), 1
             # "a/b" with no interior spaces is a rational literal
             if i + 1 < n and text[i] == "/" and text[i + 1] in _DIGITS:
                 dstart = i + 1
                 i = _digits_end(text, dstart, n)
-                den = int(text[dstart:i])
+                den = _int(text, dstart, i)
                 if den == 0:
                     _err(text, dstart, "rational literal with zero denominator")
             tokens.append(("number", rat_make(num, den), start, i))

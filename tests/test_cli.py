@@ -418,6 +418,17 @@ def test_non_ascii_literal_exits_two_without_a_traceback(tmp_path, phi):
     assert "unexpected character" in proc.stderr
 
 
+def test_overlong_integer_literal_exits_two_without_a_traceback(tmp_path):
+    # int() of more than 4300 digits raises ValueError, which is no input error
+    problem = tmp_path / "long.jsf"
+    problem.write_text(_nested_field("x + " + "1" * 5000))
+    proc = run_python(["-m", "jetsym.cli", "run-file", str(problem)], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 7: bad expression" in proc.stderr
+    assert "4300-digit limit" in proc.stderr
+
+
 def test_problem_file_errors_carry_lines():
     with pytest.raises(ProblemFileError) as err:
         load_problem("[jet]\nindependent = x\ndependent = u\norder = 1\nboom\n")

@@ -9,12 +9,18 @@ derivatives also on a space of two independent and two dependent
 variables.  sympy reads a result from its printed text (pinned by
 ``test_printing``), and the result agrees when sympy simplifies the
 difference to zero after rewriting every kernel through exponentials.
+Exp-free quotients whose denominators are free of a direction, squared,
+or hold u and u_x must match sympy's ``cancel`` with a fully reduced
+denominator; the printed derivatives of seeded quotients of exp, sin
+and cos sums must match a digest recorded while every quotient took
+the quotient rule over the squared denominator.
 Standard prolongations whose gcds once ran
 for minutes (sum denominators, high negative powers, random rational
 fields) run in a child process with a time limit and are checked against
 sympy, symbolically or at exact random rational points.
 """
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -153,11 +159,11 @@ PLACEMENTS = (
 )
 
 
-def _rand_poly_text(rng, degree=3, terms=4):
-    """A random polynomial text in ``PDE_NAMES``."""
+def _rand_poly_text(rng, degree=3, terms=4, names=PDE_NAMES):
+    """A random polynomial text in ``names``."""
     parts = []
     for _ in range(rng.randint(1, terms)):
-        factors = [rng.choice(PDE_NAMES) for _ in range(rng.randint(0, degree))]
+        factors = [rng.choice(names) for _ in range(rng.randint(0, degree))]
         parts.append("*".join([str(rng.choice((-3, -2, -1, 1, 2, 3)))] + factors))
     return " + ".join(f"({part})" for part in parts)
 
@@ -193,6 +199,88 @@ def test_total_derivative_on_a_pde_space_matches_sympy(i):
         got = total_derivative(parse(text), i, PDE)
         printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
         assert sp.simplify((printed - want).rewrite(sp.exp)) == 0, (text, str(got))
+
+
+# Denominators of the quotient rule: free of x or of u and u_x (so D den
+# is 0 along those), squared, and holding u and u_x.
+DENOMINATORS = (
+    lambda rng: f"({_rand_poly_text(rng, 2, 3, ('u', 'u_x'))})^{rng.randint(1, 2)}",
+    lambda rng: f"({_rand_poly_text(rng, 2, 3, ('x',))})^{rng.randint(1, 2)}",
+    lambda rng: "(x^2 + 2)^2",
+    lambda rng: f"({_rand_poly_text(rng, 2, 3, NAMES)})^{rng.randint(1, 2)}",
+)
+
+
+def rand_quotient(rng):
+    """A random exp-free rational function of x, u, u_x, as (jetsym value,
+    sympy expression)."""
+    while True:
+        text = (f"({_rand_poly_text(rng, 2, 3, NAMES)})"
+                f"/({rng.choice(DENOMINATORS)(rng)})")
+        try:
+            e = parse(text)
+        except SymbolicDivisionError:
+            continue
+        return e, sp.sympify(text.replace("^", "**"), locals=SYMBOLS)
+
+
+def reduced_and_equal(got, want):
+    """``got`` equals ``want``, and its denominator is sympy's reduced one
+    up to a constant factor."""
+    num, den = sp.fraction(to_sympy(got))
+    want_num, want_den = sp.fraction(sp.cancel(want))
+    ratio = sp.cancel(den / want_den)
+    return ratio.is_number and sp.expand(num * want_den - want_num * den) == 0
+
+
+def test_quotient_rule_matches_sympy_cancel():
+    rng = random.Random(f"{SEED}:quotients")
+    x, u, ux, uxx = (SYMBOLS[n] for n in ("x", "u", "u_x", "u_xx"))
+    for _ in range(CASES):
+        e, expr = rand_quotient(rng)
+        for name in NAMES:
+            got = pdiff(e, name)
+            assert reduced_and_equal(got, sp.diff(expr, SYMBOLS[name])), (str(e), name)
+        got = total_derivative(e, 0, ODE)
+        want = sp.diff(expr, x) + ux * sp.diff(expr, u) + uxx * sp.diff(expr, ux)
+        assert reduced_and_equal(got, want), (str(e), str(got))
+
+
+def _kernel_text(rng):
+    return f"{rng.choice(('exp', 'exp', 'sin', 'cos'))}({rng.randint(1, 2)}*{rng.choice(NAMES)})"
+
+
+def _kernel_poly_text(rng):
+    """A sum of two or three terms, each a coefficient times up to two of
+    x, u, u_x, exp, sin and cos of a multiple of one of them."""
+    terms = []
+    for _ in range(rng.randint(2, 3)):
+        factors = [str(rng.choice((-2, -1, 1, 2, 3)))]
+        factors += [rng.choice(NAMES + (_kernel_text(rng),)) for _ in range(rng.randint(0, 2))]
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+# sha256 of the printed derivatives along x, u and u_x and the total
+# derivative of 100 seeded quotients of kernel sums, recorded while every
+# quotient still took (a*e*den - num*c*b) / (b*e*den^2): where a
+# denominator sums exponentials, the reduced form depends on that order
+KERNEL_QUOTIENT_DIGEST = "1ff66a5dd52ac72f3ac35461b66843150030ae118539215de46068ce29b0127e"
+
+
+def test_kernel_quotient_derivatives_match_the_recorded_digest():
+    rng = random.Random(f"{SEED}:kernel-quotients")
+    lines = []
+    while len(lines) < 400:
+        text = f"({_kernel_poly_text(rng)})/({_kernel_poly_text(rng)})^{rng.randint(1, 2)}"
+        try:
+            e = parse(text)
+        except SymbolicDivisionError:
+            continue
+        lines += [to_string(pdiff(e, name)) for name in NAMES]
+        lines.append(to_string(total_derivative(e, 0, ODE)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == KERNEL_QUOTIENT_DIGEST
 
 
 def test_vector_field_apply_matches_sympy():

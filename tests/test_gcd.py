@@ -6,7 +6,8 @@ to the kernel's leading coefficient 1 (the coefficient of the largest
 monomial), and ``poly_divexact`` must divide both products by it exactly.
 Each input shape is drawn so that it reaches one branch of ``poly_gcd``:
 a one-term input, inputs without a shared atom, a gcd that lives in the
-shared atoms only, and the general remainder sequence.
+shared atoms only, the general remainder sequence, and the remainder
+sequence on integer lists when both inputs hold the one atom ``x``.
 """
 
 from fractions import Fraction
@@ -56,6 +57,13 @@ def monomials(atoms):
     return polys(atoms, max_terms=1)
 
 
+# one atom, degree up to 4 per factor and so up to 8 per input; a
+# constant factor makes a coprime pair (g) or a gcd that is the whole
+# smaller input (a)
+UNIVARIATE = st.one_of(polys((X,), min_terms=2, max_terms=5, max_degree=4),
+                       polys((), max_terms=1))
+
+
 # shape -> strategies for (a, b, g)
 SHAPES = {
     "one-term": (monomials(ATOMS), polys(ATOMS), monomials(ATOMS)),
@@ -65,6 +73,8 @@ SHAPES = {
                     polys((X,), min_terms=2)),
     "general": (polys(ATOMS, min_terms=2), polys(ATOMS, min_terms=2),
                 polys(ATOMS, min_terms=2)),
+    "univariate": (UNIVARIATE, polys((X,), min_terms=2, max_terms=5, max_degree=4),
+                   UNIVARIATE),
 }
 
 # helpers each shape must reach (at least once over its examples), and
@@ -74,6 +84,7 @@ BRANCHES = {
     "disjoint": ((), ("_monomial_gcd", "_coefficients", "_pseudo_rem")),
     "shared-only": (("_coefficients",), ()),
     "general": (("_pseudo_rem",), ()),
+    "univariate": (("_dense_gcd",), ("_pseudo_rem",)),
 }
 
 

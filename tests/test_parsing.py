@@ -45,6 +45,21 @@ def test_errors_quote_tokens_as_written(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, column", [
+    ("x + " + "1" * 5000, 5),
+    ("x*2/" + "1" * 5000, 5),  # the denominator of a rational literal
+], ids=["integer", "denominator"])
+def test_overlong_integer_literal_is_a_parse_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith("integer literal over the 4300-digit limit")
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_integer_literal_at_the_digit_limit_parses():
+    assert to_string(parse("1" * 4300 + "*x")) == "1" * 4300 + "*x"
+
+
 def _tree(rng, depth):
     """``(text, value)`` of a random expression; the value is None when
     building it divides by zero."""
