@@ -48,6 +48,11 @@ class DomainError(EvalError):
     """Evaluation left the domain of a kernel function (or overflowed)."""
 
 
+class BudgetError(JetsymError):
+    """A value too large to handle, such as an integer past Python's
+    digit limit on string conversion when it is printed."""
+
+
 class JetError(JetsymError):
     """Invalid jet-space structure: bad names, orders, or multiindices."""
 

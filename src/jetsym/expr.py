@@ -81,6 +81,7 @@ from fractions import Fraction
 from . import backend as _k
 from ._gcd import poly_divexact, poly_gcd
 from .errors import (
+    BudgetError,
     DomainError,
     ExprError,
     SubstitutionError,
@@ -952,5 +953,12 @@ class _Printer:
 
 
 def to_string(e) -> str:
-    """Canonical text; re-parsing reproduces the same canonical form."""
-    return _Printer().pair(e._rf)
+    """Canonical text; re-parsing reproduces the same canonical form.  An
+    integer past Python's digit limit on string conversion raises
+    ``BudgetError``."""
+    try:
+        return _Printer().pair(e._rf)
+    except ValueError:  # str() of an integer past the limit
+        raise BudgetError(
+            f"an integer to print is over the {sys.get_int_max_str_digits()}-digit limit"
+        ) from None

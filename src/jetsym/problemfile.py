@@ -4,7 +4,8 @@ Plain-text, line oriented, diff friendly.  Sections open with a
 bracketed header and hold ``key = expression`` lines:
 
 * ``[jet]`` with ``independent``, ``dependent`` (comma separated) and
-  ``order``;
+  ``order``, an integer in ASCII digits ``0-9`` with an optional sign
+  (``٣`` or ``1_0`` is invalid input, though ``int()`` reads both);
 * ``[field NAME]`` with ``xi <independent> = expr``,
   ``phi <dependent> = expr`` and optional ``generalized = true``
   (flags read true/yes/1/on or false/no/0/off);
@@ -14,14 +15,43 @@ bracketed header and hold ``key = expression`` lines:
   optional ``inverse <dep-row> <dep-col> = expr`` lines;
 * ``[equation NAME]`` with one ``leading-coordinate = expr`` line per
   dependent variable;
-* ``[task KIND [ID]]`` naming one operation (check-symmetry, prolong,
-  check-compat, potential, darboux, gauge-check, coincide) and its
-  arguments, as listed in ``TASK_ARGS``; a task without an ID is
-  ``task-N`` for the N-th task section, and two tasks may not share an
-  ID.
+* ``[task KIND [ID]]`` naming one operation and its arguments; a task
+  without an ID is ``task-N`` for the N-th task section, and two tasks
+  may not share an ID.
 
 Comments run from ``#`` to the end of the line.  A key may appear once
 per section.  Missing mu/gauge entries are zero.
+
+``TASK_ARGS`` is the one table of task kinds.  It gives each kind's
+arguments in reading order, each mapped to whether it is required
+(marked ``*``)::
+
+    check-symmetry  field*, equation*, kind, lambda, mu, path-check
+    prolong         field*, kind, lambda, mu, path-check, order
+    check-compat    mu*, equation
+    potential       mu*
+    darboux         gauge*
+    gauge-check     field*, phi*, order
+    coincide        field*, mu*, order, path-check
+
+``read_args`` reads a task's arguments at task time, one after another
+in that order, each by the rule for its name:
+
+* ``field``, ``equation``, ``mu``, ``gauge``: the declaration of that
+  section kind; an undeclared name is an error at the argument's line;
+* ``order``: an integer by the ASCII rule of ``[jet]``, default the jet
+  order;
+* ``path-check``: a flag, default false;
+* ``lambda``, ``phi``: expressions, parsed like those of a section;
+* ``kind``: ``standard`` (the default), ``lambda`` or ``mu``.  An
+  argument that only another kind reads (``lambda``; ``mu`` and
+  ``path-check``) is an error at its line, and so is a missing
+  ``lambda =`` or ``mu =`` argument that the kind needs, at the task.
+
+A missing required argument is an error at the task's line.  Then an
+argument that the task's kind does not read is an error at the task.
+The subcommands of ``cli`` give a task's arguments as flags
+(``flag(name)``); there the flag stands in for every line.
 """
 
 from __future__ import annotations
@@ -34,16 +64,22 @@ from .parsing import parse
 from .prolong import PointVectorField
 from .symmetry import DifferentialEquation
 
-# each task kind, with the arguments that it reads
+# each task kind, with the arguments that it reads in reading order, each
+# mapped to whether the task requires it; read_args reads them
 TASK_ARGS = {
-    "check-symmetry": ("field", "equation", "kind", "lambda", "mu", "path-check"),
-    "prolong": ("field", "kind", "lambda", "mu", "order", "path-check"),
-    "check-compat": ("mu", "equation"),
-    "potential": ("mu",),
-    "darboux": ("gauge",),
-    "gauge-check": ("field", "phi", "order"),
-    "coincide": ("field", "mu", "order", "path-check"),
+    "check-symmetry": {"field": True, "equation": True, "kind": False,
+                       "lambda": False, "mu": False, "path-check": False},
+    "prolong": {"field": True, "kind": False, "lambda": False, "mu": False,
+                "path-check": False, "order": False},
+    "check-compat": {"mu": True, "equation": False},
+    "potential": {"mu": True},
+    "darboux": {"gauge": True},
+    "gauge-check": {"field": True, "phi": True, "order": False},
+    "coincide": {"field": True, "mu": True, "order": False, "path-check": False},
 }
+
+# the arguments that only some kinds of prolongation read, per kind
+_KIND_ARGS = {"standard": (), "lambda": ("lambda",), "mu": ("mu", "path-check")}
 
 
 class TaskDecl:
@@ -100,6 +136,78 @@ def _parse_expr(text, line_no):
         raise ProblemFileError(f"bad expression {text.strip()!r}: {err}", line_no)
 
 
+def _parse_order(text, line_no, message):
+    """An order: ASCII digits with an optional sign, like a literal of the
+    expression grammar; ``int()`` alone also reads other scripts' digits
+    and underscores.  Anything else is ``message`` at ``line_no``."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:  # not digits, or past the digit limit
+            pass
+    raise ProblemFileError(message, line_no)
+
+
+def flag(name):
+    """The subcommand flag that gives task argument ``name``."""
+    return "--lam" if name == "lambda" else f"--{name}"
+
+
+def read_args(problem: ProblemFile, task: TaskDecl) -> dict:
+    """The value of each argument of ``task``, read in ``TASK_ARGS`` order
+    by the rule of the module docstring for its name; an absent optional
+    argument without a default reads None.  A missing argument is cited
+    at the task's line, or at its flag for a subcommand, whose task stands
+    at no line."""
+    args = task.args
+    values = {}
+    for name, required in TASK_ARGS[task.kind].items():
+        text, line = args.get(name, (None, None))
+        if text is None and required:
+            raise ProblemFileError(
+                f"task {task.task_id!r} needs argument {name!r}",
+                flag(name) if task.line is None else task.line,
+            )
+        if name == "kind":
+            text = "standard" if text is None else text
+            if text not in _KIND_ARGS:
+                raise ProblemFileError(
+                    f"task {task.task_id!r}: unknown prolongation kind {text!r}; "
+                    f"expected one of {', '.join(_KIND_ARGS)}", line
+                )
+            for other, names in _KIND_ARGS.items():
+                for stray in names:
+                    if stray in args and stray not in _KIND_ARGS[text]:
+                        raise ProblemFileError(
+                            f"task {task.task_id!r}: argument {stray!r} belongs "
+                            f"to kind = {other}, not kind = {text}", args[stray][1]
+                        )
+            if text != "standard" and text not in args:  # lambda needs lambda, mu mu
+                raise ProblemFileError(
+                    f"kind={text} needs a '{text} =' argument",
+                    flag(text) if task.line is None else task.line,
+                )
+            values[name] = text
+        elif text is None:
+            values[name] = {"order": problem.spec.order, "path-check": False}.get(name)
+        elif name in _DECLARATIONS:
+            values[name] = problem.named(name, text, line)
+        elif name == "order":
+            values[name] = _parse_order(
+                text, line, f"task {task.task_id!r}: order must be an integer, got {text!r}"
+            )
+        elif name == "path-check":
+            values[name] = parse_flag(text, line)
+        else:
+            values[name] = _parse_expr(text, line)
+    extra = set(args).difference(TASK_ARGS[task.kind])
+    if extra:
+        raise ProblemFileError(
+            f"task {task.task_id!r} has unknown argument(s) {sorted(extra)}", task.line
+        )
+    return values
+
+
 def _split_sections(text):
     sections = []
     current = None
@@ -146,14 +254,13 @@ def _build_jet(entries, line_no):
         dependent = tuple(
             n.strip() for n in values["dependent"][0].replace(",", " ").split()
         )
-        order = int(values["order"][0])
+        order_text, order_line = values["order"]
     except KeyError as missing:
         raise ProblemFileError(
             f"[jet] needs independent, dependent and order ({missing} missing)",
             line_no,
         )
-    except ValueError:
-        raise ProblemFileError("order must be an integer", values["order"][1])
+    order = _parse_order(order_text, order_line, "order must be an integer")
     try:
         return JetSpec(independent, dependent, order)
     except JetsymError as err:

@@ -7,7 +7,7 @@ import pytest
 from jetsym.cli import main, run
 from jetsym.errors import ProblemFileError
 from jetsym.parsing import MAX_NESTING, parse
-from jetsym.problemfile import load_problem
+from jetsym.problemfile import TASK_ARGS, load_problem
 
 from helpers import run_python
 
@@ -429,6 +429,44 @@ def test_overlong_integer_literal_exits_two_without_a_traceback(tmp_path):
     assert "4300-digit limit" in proc.stderr
 
 
+# literals within the digit limit whose lift prints past it: 10^8000 is a
+# coefficient of Psi[u_x] in the lambda lift, not in the standard one
+OVERSIZED = """[jet]
+independent = x
+dependent = u
+order = 1
+[field F]
+xi x = 10^4000*u
+phi u = u
+[task prolong big]
+field = F
+kind = lambda
+lambda = 10^4000
+[task prolong plain]
+field = F
+"""
+
+
+def test_oversized_coefficient_is_unverifiable_without_a_traceback(tmp_path):
+    # str() of the coefficient raised ValueError, and the run ended in a
+    # traceback with no report for any task
+    problem = tmp_path / "big.jsf"
+    problem.write_text(OVERSIZED)
+    out = tmp_path / "report.json"
+    proc = run_python(["-m", "jetsym.cli", "--json", str(out), "run-file", str(problem)],
+                      timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    big, plain = json.loads(out.read_text())["tasks"]
+    assert big["verdict"] == "unverifiable" and big["residuals"] == []
+    assert big["detail"] == ["budget: an integer to print is over the 4300-digit limit"]
+    assert plain["verdict"] == "pass"
+    assert "[unverifiable] big (prolong, " in proc.stdout
+    strict = run_python(["-m", "jetsym.cli", "--strict", "run-file", str(problem)], timeout=60)
+    assert strict.returncode == 1
+    assert "Traceback" not in strict.stderr
+
+
 def test_problem_file_errors_carry_lines():
     with pytest.raises(ProblemFileError) as err:
         load_problem("[jet]\nindependent = x\ndependent = u\norder = 1\nboom\n")
@@ -609,6 +647,94 @@ def test_subcommand_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     problem.write_text(KINDS.format(task="prolong", kind="standard", needed="", stray=""))
     assert main([argv[0], str(problem)] + argv[1:]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+DECLARED = """[jet]
+independent = x
+dependent = u
+order = 1
+[field S]
+xi x = 0
+phi u = 1
+[equation E]
+u_x = u
+[mu M]
+x = u
+[gauge G]
+u u = 1
+"""
+# a good value of each argument that some task kind requires
+GIVEN = {"field": "S", "equation": "E", "mu": "M", "gauge": "G", "phi": "x*u"}
+REQUIRED = [(kind, name) for kind, names in TASK_ARGS.items()
+            for name, required in names.items() if required]
+
+
+@pytest.mark.parametrize("kind, missing", REQUIRED, ids=[f"{k}-{n}" for k, n in REQUIRED])
+def test_missing_required_argument_exits_two(tmp_path, capsys, kind, missing):
+    # every other required argument is given; the task stands at line 14
+    given = [n for n, required in TASK_ARGS[kind].items() if required and n != missing]
+    problem = tmp_path / "required.jsf"
+    problem.write_text(DECLARED + f"[task {kind} t]\n"
+                       + "".join(f"{n} = {GIVEN[n]}\n" for n in given))
+    assert main(["run-file", str(problem)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: line 14: task 't' needs argument {missing!r}\n")
+    assert main([kind, str(problem)] + [f"--{n}={GIVEN[n]}" for n in given]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: --{missing}: task {kind!r} needs argument {missing!r}\n")
+
+
+@pytest.mark.parametrize("task, message", [
+    # a missing argument before an unknown one
+    ("prolong t]\nfeild = S", "line 14: task 't' needs argument 'field'"),
+    # arguments in reading order: field before equation
+    ("check-symmetry t]\nfield = NOPE", "line 15: undeclared field 'NOPE'"),
+    ("check-symmetry t]\nequation = NOPE", "line 14: task 't' needs argument 'field'"),
+    # prolong reads path-check before order, coincide order before path-check
+    ("prolong t]\nfield = S\norder = x\nkind = mu\nmu = M\npath-check = maybe",
+     "line 19: expected true/yes/1/on or false/no/0/off, got 'maybe'"),
+    ("coincide t]\nfield = S\nmu = M\npath-check = maybe\norder = x",
+     "line 18: task 't': order must be an integer, got 'x'"),
+    # the argument a kind needs before a malformed flag
+    ("prolong t]\nfield = S\nkind = mu\npath-check = maybe",
+     "line 14: kind=mu needs a 'mu =' argument"),
+    # a stray argument of another kind before a malformed expression
+    ("check-symmetry t]\nfield = S\nequation = E\nkind = lambda\nlambda = (x\nmu = M",
+     "line 19: task 't': argument 'mu' belongs to kind = mu, not kind = lambda"),
+], ids=["missing-then-unknown", "undeclared-then-missing", "missing-then-undeclared",
+        "prolong-flag-then-order", "coincide-order-then-flag", "needed-then-flag",
+        "stray-then-expression"])
+def test_first_of_two_faults_is_reported(tmp_path, capsys, task, message):
+    problem = tmp_path / "faults.jsf"
+    problem.write_text(DECLARED + f"[task {task}\n")
+    assert main(["run-file", str(problem)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("digits", ["\u0663", "1_0", "\uff13", "2\u00b2"],
+                         ids=["arabic-indic", "underscore", "fullwidth", "superscript"])
+def test_order_is_ascii_digits(tmp_path, capsys, digits):
+    # int() reads the first three (the jet order 3, a task order 10)
+    problem = tmp_path / "order.jsf"
+    problem.write_text(DECLARED.replace("order = 1", f"order = {digits}"), encoding="utf-8")
+    assert main(["run-file", str(problem)]) == 2
+    assert capsys.readouterr().err == "input error: line 4: order must be an integer\n"
+    problem.write_text(DECLARED + f"[task prolong p]\nfield = S\norder = {digits}\n",
+                       encoding="utf-8")
+    assert main(["run-file", str(problem)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: line 16: task 'p': order must be an integer, got {digits!r}\n")
+    assert main(["prolong", str(problem), "--field", "S", "--order", digits]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: --order: task 'prolong': order must be an integer, got {digits!r}\n")
+
+
+def test_signed_ascii_order_reads():
+    problem = load_problem("[jet]\nindependent = x\ndependent = u\norder = +3\n"
+                           "[field S]\nxi x = 0\nphi u = 1\n"
+                           "[task prolong p]\nfield = S\norder = +2\n")
+    assert problem.spec.order == 3
+    assert run(problem).records[0].detail[-1] == "Psi[u_xx] = 0"
 
 
 @pytest.mark.parametrize("task", ["prolong", "check-symmetry"])
