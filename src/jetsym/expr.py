@@ -369,7 +369,14 @@ def _fix_exp(p):
 
 
 def _has_exp(p) -> bool:
-    return any(_is_exp_key(a) for m in p for a, _e in m)
+    # variables (1, name) sort before function atoms (5, name, arg), so
+    # only a monomial whose last atom is a function atom can hold an exp
+    for m in p:
+        if m and m[-1][0][0] == 5:
+            for a, _e in m:
+                if _is_exp_key(a):
+                    return True
+    return False
 
 
 def _pmul(p, q):
@@ -517,10 +524,10 @@ def is_polynomial(e) -> bool:
 
 
 def _has_kernel_poly(p):
+    # a monomial holds a function atom exactly when its last atom is one
     for m in p:
-        for a, _e in m:
-            if a[0] == 5:  # function-application rank
-                return True
+        if m and m[-1][0][0] == 5:  # function-application rank
+            return True
     return False
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import JetError
 from .expr import (
@@ -42,10 +43,12 @@ _set_field = object.__setattr__
 
 
 class _Value:
-    """A frozen value whose fields are its ``__slots__``: equality, hash
-    and repr come from the tuple of fields, which ``__init__`` sets once
-    and keeps as ``_key`` (spec and multiindex hashes key the jet caches
-    and tables, so each costs one tuple hash)."""
+    """A frozen value whose fields are its leading ``__slots__``, one per
+    argument of ``__init__``: equality, hash and repr come from the tuple
+    of fields, which ``__init__`` sets once and keeps as ``_key`` (spec
+    and multiindex hashes key the jet caches and tables, so each costs
+    one tuple hash).  A slot after the fields is private state of the
+    object, outside equality, hash, repr, copy and pickle."""
 
     __slots__ = ("_key",)
 
@@ -72,7 +75,7 @@ class _Value:
         return type(self), self._key
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
         return f"{type(self).__name__}({fields})"
 
 
@@ -296,17 +299,17 @@ def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
 class JetVectorField:
     """A vector field on the jet space with components ``xi`` along the
     independent directions and ``psi`` on the derivative coordinates up
-    to ``order`` (missing entries are zero)."""
+    to ``order`` (missing entries are zero).  Lifts are shared between
+    their callers, so the field is read-only: its attributes cannot be
+    assigned and ``psi`` is a read-only mapping; ``dict(Y.psi)`` is a
+    copy to build another field from."""
 
     __slots__ = ("spec", "order", "xi", "psi")
 
     def __init__(self, spec: JetSpec, xi, psi, order=None):
-        self.spec = spec
-        self.order = spec.order if order is None else order
         xi = tuple(as_expr(x) for x in xi)
         if len(xi) != spec.p:
             raise JetError("xi must have one component per independent variable")
-        self.xi = xi
         store = {}
         for (a, J), e in psi.items():
             if not isinstance(J, MultiIndex):
@@ -314,9 +317,22 @@ class JetVectorField:
             e = as_expr(e)
             if e != ZERO:
                 store[(a, J)] = e
-        self.psi = store
+        _set_field(self, "spec", spec)
+        _set_field(self, "order", spec.order if order is None else order)
+        _set_field(self, "xi", xi)
+        _set_field(self, "psi", MappingProxyType(store))
 
-    def psi_at(self, a: int, J: MultiIndex) -> Expr:
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.spec, self.xi, dict(self.psi), self.order)
+
+    def psi_at(self, a: int, J) -> Expr:
+        """The component on ``u^a_J``; ``J`` a multiindex or a tuple of
+        counts."""
+        if not isinstance(J, MultiIndex):
+            J = MultiIndex(tuple(J))
         return self.psi.get((a, J), ZERO)
 
     def apply(self, e) -> Expr:

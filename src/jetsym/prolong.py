@@ -9,7 +9,9 @@ mu lift by the zero form.  Every lift runs the same one-step recursion
 along the canonical multiindex path (all slot-0 steps, then slot 1, ...).
 Each step combines canonical values directly; the derivatives
 ``D_i xi^m`` of the field's base components, and the coefficients built
-from them, are computed once per lift and shared by every step.
+from them, are computed once per lift and shared by every step.  The
+standard lift is computed once per field and order: the field keeps it,
+and every later call returns that same read-only value.
 
 The mu lift is path-independent exactly when the form is flat,
 ``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
@@ -46,6 +48,7 @@ from .jets import (
     MultiIndex,
     MuForm,
     _Value,
+    _set_field,
     jet_order,
     mat_mul,
     mat_sub,
@@ -58,14 +61,16 @@ class PointVectorField(_Value):
     """A vector field on the base space: one coefficient per independent
     variable and one per dependent variable, functions of (x, u).  With
     ``generalized`` set, coefficients may also depend on derivative
-    coordinates and the same recursions apply verbatim."""
+    coordinates and the same recursions apply verbatim.  The private
+    ``_lifts`` maps an order to the field's standard lift (:func:`lift`)."""
 
-    __slots__ = ("spec", "xi", "phi", "generalized")
+    __slots__ = ("spec", "xi", "phi", "generalized", "_lifts")
 
     def __init__(self, spec, xi, phi, generalized=False):
         super().__init__(
             spec, tuple(as_expr(x) for x in xi), tuple(as_expr(f) for f in phi), generalized
         )
+        _set_field(self, "_lifts", {})
         if len(self.xi) != self.spec.p or len(self.phi) != self.spec.q:
             raise JetError("component counts must match the jet space")
         if not self.generalized:
@@ -201,11 +206,20 @@ def lift(
     ``[nabla_i, nabla_k]`` is multiplication by the curvature
     ``D_i L_k - D_k L_i + [L_i, L_k]``, so when that vanishes every path
     to ``J`` gives the same ``Q_J`` (Gaeta & Morando 2004, J. Phys. A
-    37:6955; Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467)."""
+    37:6955; Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467).
+
+    The standard lift depends only on the field and the order, so each
+    field keeps its standard lift of every order it was asked for and
+    returns that same read-only value again; a lift with a form is
+    computed afresh on every call."""
     spec = X.spec
     n = spec.order if n is None else n
     flat = Verdict.TRUE
-    if mu is not None:
+    if mu is None:
+        kept = X._lifts.get(n)
+        if kept is not None:
+            return kept
+    else:
         if mu.spec != spec:
             raise ProlongationError("mu must live on the field's jet space")
         if not X.generalized and any(jet_order(e, spec) > 1 for M in mu.matrices
@@ -231,7 +245,10 @@ def lift(
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
     psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}
-    return JetVectorField(spec, X.xi, psi, order=n)
+    Y = JetVectorField(spec, X.xi, psi, order=n)
+    if mu is None:
+        X._lifts[n] = Y
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Prolongation tests: the standard, lambda and mu lifts, their degenerations,
 difference terms."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -18,6 +20,7 @@ from forms import (
 )
 from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_unipotent_gauge
 from jetsym import prolong
+from jetsym.cli import run
 from jetsym.errors import InconsistentMuError, MuNotClosedError, ProlongationError
 from jetsym.expr import Verdict, ZERO, rational
 from jetsym.gauge import GaugeFunction, darboux_derivative
@@ -29,6 +32,7 @@ from jetsym.jets import (
     total_derivative,
 )
 from jetsym.parsing import parse
+from jetsym.problemfile import load_problem
 from jetsym.prolong import (
     PointVectorField,
     difference_terms,
@@ -524,3 +528,129 @@ def test_difference_recursion_holds_on_random_cases():
         mu = MuForm.scalar(ODE2, [lam])
         terms = difference_terms(X, mu, 2)
         assert difference_recursion(X, mu, terms)[0] is Verdict.TRUE
+
+
+# --- one standard lift per field and order -------------------------------------
+
+SHARED_LIFTS = """
+[jet]
+independent = x
+dependent = u
+order = 2
+
+[field S]
+xi x = 0
+phi u = u
+
+[field T]
+xi x = x
+phi u = 2*u
+
+[equation A]
+u_xx = u
+
+[equation B]
+u_xx = x*u_x
+
+[equation C]
+u_xx = u_x^2/u
+
+{tasks}"""
+
+
+def _symmetry_task(name, field, equation):
+    return (f"[task check-symmetry {name}]\nfield = {field}\nequation = {equation}\n"
+            "kind = standard\n\n")
+
+
+def _count_steps(monkeypatch):
+    made = []
+    real = prolong._make_step
+
+    def spy(X, mu=None):
+        made.append((X, mu))
+        return real(X, mu)
+
+    monkeypatch.setattr(prolong, "_make_step", spy)
+    return made
+
+
+def test_standard_checks_share_one_lift_per_field_and_order(monkeypatch):
+    made = _count_steps(monkeypatch)
+    tasks = "".join(_symmetry_task(f"s{k}", "S", eq) for k, eq in enumerate("ABC"))
+    report = run(load_problem(SHARED_LIFTS.format(tasks=tasks)))
+    assert [r.verdict for r in report.records] == ["pass", "pass", "pass"]
+    assert len(made) == 1
+    # another field, and another order of the same field, lift again
+    tasks += _symmetry_task("t", "T", "A")
+    tasks += "[task prolong p1]\nfield = S\nkind = standard\norder = 1\n\n"
+    tasks += "[task prolong p2]\nfield = S\nkind = standard\n\n"
+    made.clear()
+    run(load_problem(SHARED_LIFTS.format(tasks=tasks)))
+    assert [X.phi for X, _ in made] == [(parse("u"),), (parse("2*u"),), (parse("u"),)]
+
+
+def test_a_field_keeps_its_standard_lift_for_each_order(monkeypatch):
+    made = _count_steps(monkeypatch)
+    X = pvf(ODE2, ["x"], ["u^2"])
+    Y = lift(X)
+    assert lift(X, n=2) is Y and lift(X, None, 2) is Y
+    assert lift(X, n=1) is not Y and lift(X, n=1) is lift(X, n=1)
+    assert len(made) == 2
+    # an equal field built apart keeps its own lifts
+    assert lift(pvf(ODE2, ["x"], ["u^2"])) == Y
+    assert len(made) == 3
+    # a lift with a form is never kept, and the zero form is not "no form"
+    mu = zero_mu(ODE2)
+    assert lift(X, mu) == Y and lift(X, mu) is not lift(X, mu)
+    assert len(made) == 6
+    # difference terms take the kept standard lift
+    difference_terms(X, mu)
+    assert [m for _, m in made[6:]] == [mu]
+
+
+def test_a_failed_lift_is_not_kept():
+    X = pvf(ODE1, ["0"], ["u"])
+    for _ in range(2):
+        with pytest.raises(ProlongationError):
+            lift(X, n=0)
+    assert X._lifts == {}
+    lift(X)
+    assert list(X._lifts) == [1]
+
+
+def test_kept_lifts_stay_out_of_equality_hash_and_repr():
+    X, same = pvf(ODE2, ["x"], ["u"]), pvf(ODE2, ["x"], ["u"])
+    lift(X)
+    lift(X, n=1)
+    assert X == same and hash(X) == hash(same) and repr(X) == repr(same)
+    assert "_lifts" not in repr(X)
+    for twin in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert twin == X and twin._lifts == {}
+    assert len(X._lifts) == 2
+
+
+def test_a_lift_is_read_only():
+    Y = lift(pvf(ODE2, ["x"], ["u"]))
+    Y0 = lift(pvf(ODE2, ["x"], ["u"]))
+    for name, value in (("order", 1), ("xi", ()), ("psi", {}), ("spec", ODE1), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(Y, name, value)
+    with pytest.raises(AttributeError):
+        del Y.psi
+    with pytest.raises(TypeError):
+        Y.psi[(0, J((1,)))] = rational(1)
+    with pytest.raises(TypeError):
+        del Y.psi[(0, J((0,)))]
+    assert Y == Y0 and repr(Y) == repr(Y0)
+    assert repr(Y) == f"<JetVectorField order=2 xi={Y.xi} psi={dict(Y.psi)}>"
+    assert dict(Y.psi) == dict(Y0.psi) and type(dict(Y.psi)) is dict
+    for twin in (copy.copy(Y), copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
+        assert twin == Y and twin.order == Y.order and repr(twin) == repr(Y)
+
+
+def test_psi_at_takes_a_multiindex_or_a_tuple():
+    Y = lift(PointVectorField(ODE2, (ZERO,), (parse("u"),)))
+    assert Y.psi_at(0, J((2,))) == parse("u_xx")
+    assert Y.psi_at(0, (2,)) == parse("u_xx") and Y.psi_at(0, [1]) == parse("u_x")
+    assert Y.psi_at(0, (3,)) == ZERO

@@ -228,6 +228,15 @@ def _perturb(Y, a, Ji):
     return JetVectorField(Y.spec, Y.xi, psi, order=Y.order)
 
 
+def test_perturbing_a_shared_lift_leaves_it_unchanged():
+    X = pvf(ODE2, ["x"], ["u"])
+    Y = lift(X, n=2)
+    before = dict(Y.psi)
+    Z = _perturb(Y, 0, J((1,)))
+    assert Z.psi_at(0, J((1,))) == Y.psi_at(0, J((1,))) + rational(1)
+    assert Z != Y and dict(Y.psi) == before and lift(X, n=2) is Y
+
+
 def test_characterization_check_rejects_perturbed_fields():
     X = pvf(ODE2, ["x"], ["u"])
     Y = _perturb(lift(X, n=2), 0, J((1,)))
