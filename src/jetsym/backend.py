@@ -11,7 +11,6 @@ environment probes.
 
 from ._kernel_py import (
     RAT_ONE,
-    monomial_mul,
     poly_add,
     poly_mul,
     poly_neg,

@@ -76,6 +76,7 @@ import enum
 import math
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import backend as _k
@@ -715,7 +716,15 @@ class Derivation:
     memo grows only with the variables met.  An entry depends on its
     atom alone, so results do not depend on what was derived before.  A
     polynomial is walked once, monomial by monomial, with the product
-    rule over its atoms, into one numerator.  A quotient ``num/den``
+    rule over its atoms, into one numerator.  An image is direct when it
+    is a constant ``c`` or one exp-free atom power ``c*b^f``, as the
+    image of a variable under a total derivative or ``pdiff`` is: the
+    rest of the monomial then takes ``b^f`` in place, at the position
+    ``bisect_left(rest, (b,))`` finds, adding ``f`` to the exponent of a
+    ``b`` already there.  Every other image, a multi-atom monomial such
+    as ``2*x*u`` included, is multiplied in once per atom through the
+    partial derivative in that atom, as sums and quotients are.  A
+    quotient ``num/den``
     takes the quotient rule over ``den*den/g``, ``g = gcd(den, D den)``,
     and one ``_reduce``, so results are canonical like every other pair.
     A ``den`` with an ``exp`` atom takes ``g = 1``, the rule over den^2,
@@ -733,8 +742,8 @@ class Derivation:
         return Expr(self.rf(as_expr(e)._rf))
 
     def atom(self, key):
-        """The atom's memo entry: ``(monomial, coefficient)`` for a single
-        exp-free monomial, which the polynomial walk multiplies in place,
+        """The atom's memo entry: ``(monomial, coefficient)`` for a direct
+        image, whose monomial is ``()`` or one exp-free ``((b, f),)``,
         ``(None, (num, den))`` for any other nonzero pair, ``_CONSTANT``
         for zero."""
         if key[0] == 1:  # variable rank
@@ -750,7 +759,7 @@ class Derivation:
             hit = (None, r)
             if len(num) == 1 and den == _ONE_POLY:
                 ((m, c),) = num.items()
-                if not any(_is_exp_key(a) for a, _e in m):
+                if not m or (len(m) == 1 and not _is_exp_key(m[0][0])):
                     hit = (m, c)
         self.memo[key] = hit
         if key[0] == 1:
@@ -777,9 +786,17 @@ class Derivation:
                 gm, gc = hit
                 if gm is None:
                     _add_term(partial.setdefault(a, {}), rest, ce)
-                else:
-                    _add_term(direct, _k.monomial_mul(rest, gm),
-                              ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
+                    continue
+                if not rest:
+                    rest = gm
+                elif gm:
+                    ((b, f),) = gm
+                    k = bisect_left(rest, (b,))
+                    if k < len(rest) and rest[k][0] == b:
+                        rest = rest[:k] + ((b, rest[k][1] + f),) + rest[k + 1:]
+                    else:
+                        rest = rest[:k] + gm + rest[k:]
+                _add_term(direct, rest, ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
         out = (direct, _ONE_POLY)
         for a, pa in partial.items():
             if pa:

@@ -119,16 +119,21 @@ def _make_step(X: PointVectorField, mu=None):
                     if w != ZERO:
                         W[i, a, b, m] = w
 
-    jets = {}  # (b, counts) -> the jet variable u^b_counts, made once per lift
-
-    def jet(b, K):
-        u = jets.get((b, K.counts))
-        if u is None:
-            u = jets[b, K.counts] = spec.jet_var(b, K)
-        return u
+    # counts K -> the jet variables u^b_K for every b: a step builds the
+    # counts of each successor J+m once, and a lift makes the MultiIndex
+    # and the names of each K once, when a step first reaches it
+    jets = {}
 
     def step(i, J, row):
-        jets_J = [[jet(b, J.inc(m)) for b in range(q)] for m in range(p)]
+        c = J.counts
+        jets_J = []
+        for m in range(p):
+            K = c[:m] + (c[m] + 1,) + c[m + 1:]
+            us = jets.get(K)
+            if us is None:
+                index = MultiIndex(K)
+                us = jets[K] = [spec.jet_var(b, index) for b in range(q)]
+            jets_J.append(us)
         if mu is None:
             rows = [total_derivative(r, i, spec) for r in row]
         else:

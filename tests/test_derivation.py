@@ -6,9 +6,13 @@ against sympy on seeded random rational functions with negative powers,
 ``log`` and nested ``exp``/``sin``/``cos``, and on fixed quotients whose
 numerator alone or denominator alone moves along a direction; total
 derivatives also on a space of two independent and two dependent
-variables.  sympy reads a result from its printed text (pinned by
-``test_printing``), and the result agrees when sympy simplifies the
-difference to zero after rewriting every kernel through exponentials.
+variables, declared in either order, and vector fields also with
+components of several atoms.  sympy reads a result from its printed
+text (pinned by ``test_printing``), and the result agrees when sympy
+simplifies the difference to zero after rewriting every kernel through
+exponentials.  Printed text cannot show a monomial that holds an atom
+twice, so a Hypothesis property compares pairs: a one-atom image is
+placed into a monomial exactly as ``poly_mul`` places it.
 Exp-free quotients whose denominators are free of a direction, squared,
 or hold u and u_x must match sympy's ``cancel`` with a fully reduced
 denominator; the printed derivatives of seeded quotients of exp, sin
@@ -25,16 +29,29 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
+from jetsym import _kernel_py  # noqa: E402
 from jetsym.errors import SymbolicDivisionError  # noqa: E402
-from jetsym.expr import ZERO, pdiff, to_string  # noqa: E402
+from jetsym.expr import (  # noqa: E402
+    ZERO,
+    Derivation,
+    _rf_of,
+    expr_prod,
+    pdiff,
+    rational,
+    sin,
+    to_string,
+    variable,
+)
 from jetsym.jets import JetSpec, JetVectorField, MultiIndex, total_derivative  # noqa: E402
 from jetsym.parsing import parse  # noqa: E402
 
 from forms import basis_key_du, basis_key_dx, scalar_differential  # noqa: E402
-from helpers import rand_poly, run_child  # noqa: E402
+from helpers import atom_key, rand_poly, run_child  # noqa: E402
 
 SEED = 20240611
 CASES = 20
@@ -135,12 +152,65 @@ def test_total_derivative_matches_sympy():
         assert agrees(got, want), (str(e), str(got))
 
 
+# The atoms of a monomial, in atom order, and the direction variable w
+# among them, whose image is one atom power c*b^f: b can sort before,
+# between or after the other atoms, be one of them, be w itself, or be
+# the function atom sin(a).
+PLACED = (variable("a"), variable("m"), variable("w"), variable("z"), sin(variable("a")))
+W = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(exps=st.lists(st.integers(0, 3), min_size=len(PLACED), max_size=len(PLACED)),
+       w_exp=st.integers(1, 3), b=st.integers(0, len(PLACED) - 1), f=st.integers(1, 3),
+       c=st.integers(-3, 3).filter(bool))
+@example(exps=[0, 1, 0, 1, 0], w_exp=1, b=0, f=1, c=1)  # b absent, lands first
+@example(exps=[1, 0, 0, 1, 1], w_exp=2, b=1, f=2, c=2)  # b absent, lands in the middle
+@example(exps=[1, 1, 0, 1, 0], w_exp=1, b=4, f=3, c=-1)  # sin(a) absent, lands last
+@example(exps=[2, 1, 0, 1, 1], w_exp=1, b=0, f=1, c=1)  # b present and first
+@example(exps=[1, 3, 0, 1, 1], w_exp=3, b=1, f=3, c=3)  # b present in the middle
+@example(exps=[1, 1, 0, 1, 2], w_exp=1, b=4, f=2, c=-2)  # sin(a) present and last
+@example(exps=[0, 0, 0, 0, 0], w_exp=1, b=3, f=2, c=1)  # nothing else: the image itself
+@example(exps=[1, 0, 0, 0, 0], w_exp=3, b=W, f=2, c=1)  # b is w itself
+def test_a_one_atom_image_is_placed_as_poly_mul_places_it(exps, w_exp, b, f, c):
+    exps[W] = w_exp
+    image = rational(c) * PLACED[b] ** f
+    assert [atom_key(v) for v in PLACED] == sorted(atom_key(v) for v in PLACED)
+    e = expr_prod(v ** k for v, k in zip(PLACED, exps))
+    got = Derivation({"w": image}.get)(e)
+    # D(rest * w^k) = k * rest * w^(k-1) * image
+    rest = expr_prod(v ** (k - (j == W)) for j, (v, k) in enumerate(zip(PLACED, exps)))
+    want = _kernel_py.poly_mul(_rf_of(rational(w_exp) * rest)[0], _rf_of(image)[0])
+    assert _rf_of(got) == (want, {(): (1, 1)})
+
+
+def jet_symbols(spec):
+    """sympy symbols of the independent names and of every coordinate up
+    to one order above the space, the order of the images of its top
+    coordinates."""
+    return {n: sp.Symbol(n) for n in spec.independent + tuple(
+        spec.jet_name(a, J) for a in range(spec.q)
+        for J in spec.multi_indices(spec.order + 1))}
+
+
+def check_total_derivatives(spec, i, texts):
+    """D_i of each text on ``spec`` agrees with sympy's chain rule."""
+    symbols = jet_symbols(spec)
+    locals_ = {**symbols, **FUNCS}
+    coordinate = symbols[spec.independent[i]]
+    for text in texts:
+        expr = sp.sympify(text.replace("^", "**"), locals=locals_)
+        want = sp.diff(expr, coordinate)
+        for symbol in expr.free_symbols - set(map(symbols.get, spec.independent)):
+            a, J = spec.decode(symbol.name)[1:]
+            want += symbols[spec.jet_name(a, J.inc(i))] * sp.diff(expr, symbol)
+        got = total_derivative(parse(text), i, spec)
+        printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
+        assert sp.simplify((printed - want).rewrite(sp.exp)) == 0, (text, str(got))
+
+
 PDE = JetSpec(("x", "t"), ("u", "v"), 3)
 PDE_NAMES = ("x", "t", "u", "v", "u_x", "v_t", "u_xt")
-# every coordinate up to order 4, the order of the images of order 3
-PDE_SYMBOLS = {n: sp.Symbol(n) for n in PDE.independent + tuple(
-    PDE.jet_name(a, J) for a in range(PDE.q)
-    for J in PDE.multi_indices(PDE.order + 1))}
 # Monomials whose image atom under D_x or D_t lands before, between and
 # after the other atoms, merges with an atom already present, or sorts
 # before a function atom.  Atoms sort by name: t < u < u_t < u_x < u_xt <
@@ -168,16 +238,17 @@ def _rand_poly_text(rng, degree=3, terms=4, names=PDE_NAMES):
     return " + ".join(f"({part})" for part in parts)
 
 
-def rand_jet_text(rng):
-    """A random polynomial or quotient in ``PDE_NAMES``, at times times
-    ``exp`` or ``sin`` of a jet variable."""
+def rand_jet_text(rng, names=PDE_NAMES):
+    """A random polynomial or quotient in ``names`` (independent names
+    first, then two dependent ones), at times times ``exp`` or ``sin`` of
+    a jet variable."""
     while True:
-        text = _rand_poly_text(rng)
+        text = _rand_poly_text(rng, names=names)
         if rng.random() < 0.5:
-            text = f"({text})/({_rand_poly_text(rng, degree=2, terms=3)})"
+            text = f"({text})/({_rand_poly_text(rng, degree=2, terms=3, names=names)})"
         if rng.random() < 0.5:
             kernel = rng.choice(("exp", "sin"))
-            text = f"({text})*{kernel}({rng.choice(PDE_NAMES[2:])})"
+            text = f"({text})*{kernel}({rng.choice(names[2:])})"
         try:
             if parse(text) != ZERO:
                 return text
@@ -188,17 +259,32 @@ def rand_jet_text(rng):
 @pytest.mark.parametrize("i", (0, 1))
 def test_total_derivative_on_a_pde_space_matches_sympy(i):
     rng = random.Random(f"{SEED}:pde-total-{i}")
-    locals_ = {**PDE_SYMBOLS, **FUNCS}
-    coordinate = PDE_SYMBOLS[PDE.independent[i]]
-    for text in [rand_jet_text(rng) for _ in range(CASES)] + list(PLACEMENTS):
-        expr = sp.sympify(text.replace("^", "**"), locals=locals_)
-        want = sp.diff(expr, coordinate)
-        for symbol in expr.free_symbols - set(map(PDE_SYMBOLS.get, PDE.independent)):
-            a, J = PDE.decode(symbol.name)[1:]
-            want += PDE_SYMBOLS[PDE.jet_name(a, J.inc(i))] * sp.diff(expr, symbol)
-        got = total_derivative(parse(text), i, PDE)
-        printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
-        assert sp.simplify((printed - want).rewrite(sp.exp)) == 0, (text, str(got))
+    check_total_derivatives(PDE, i, [rand_jet_text(rng) for _ in range(CASES)]
+                            + list(PLACEMENTS))
+
+
+# The same space with t declared first: a mixed coordinate names t first,
+# so D_t u_x = u_tx sorts before its source u_x, D_t v_x = v_tx before
+# v_x, and D_x u_t = u_tx after u_t.  Atoms sort: t < u < u_t < u_tx < u_x <
+# u_xx < v < v_t < v_tx < v_x < x.
+TX = JetSpec(("t", "x"), ("u", "v"), 3)
+TX_NAMES = ("t", "x", "u", "v", "u_x", "v_x", "u_t", "u_tx")
+TX_PLACEMENTS = (
+    "u_x",  # D_t: u_tx alone
+    "u_x*x",  # D_t: u_tx before x
+    "t*u_x^2*v",  # D_t: u_tx between t and the remaining u_x
+    "u_tx*u_x",  # D_t: u_tx merges into u_tx^2; D_x: u_txx before u_x
+    "u_t*u_tx*v_x",  # D_t: u_tt first, u_ttx between; D_x: u_tx merges into u_tx^2
+    "v_x*exp(u)",  # D_t: v_tx before exp(u)
+    "(t*u_x + v)/(u_t*v_x + 1)",  # both parts move
+)
+
+
+@pytest.mark.parametrize("i", (0, 1))
+def test_total_derivative_on_a_space_declared_t_first_matches_sympy(i):
+    rng = random.Random(f"{SEED}:tx-total-{i}")
+    check_total_derivatives(TX, i, [rand_jet_text(rng, TX_NAMES) for _ in range(CASES // 2)]
+                            + list(TX_PLACEMENTS))
 
 
 # Denominators of the quotient rule: free of x or of u and u_x (so D den
@@ -299,6 +385,19 @@ def test_vector_field_apply_matches_sympy():
             (c * sp.diff(expr, SYMBOLS[n]) for c, n in zip((xi_s, psi0_s, psi1_s), NAMES)),
             sp.Integer(0),
         )
+        assert agrees(got, want), (str(e), str(got))
+
+
+def test_vector_field_apply_with_monomial_components_matches_sympy():
+    # components of several atoms, one with exp, take the product route
+    comps = ("2*x*u", "x*u*u_x", "-3*u^2*u_x*exp(x)")
+    Y = JetVectorField(ODE, (parse(comps[0]),),
+                       {(0, MultiIndex((k,))): parse(c) for k, c in enumerate(comps[1:])})
+    comps_s = [sp.sympify(c.replace("^", "**"), locals={**SYMBOLS, **FUNCS}) for c in comps]
+    for e, expr in cases("apply-monomials", CASES // 10):
+        got = Y.apply(e)
+        want = sum((c * sp.diff(expr, SYMBOLS[n]) for c, n in zip(comps_s, NAMES)),
+                   sp.Integer(0))
         assert agrees(got, want), (str(e), str(got))
 
 

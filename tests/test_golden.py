@@ -7,11 +7,16 @@ scalar- and matrix-mu prolongations (under flat and non-flat forms),
 rational and kernel symmetry checks, gauge-check, potential, check-compat,
 darboux and coincide tasks, and the printing of sum and monomial
 denominators, fraction coefficients, leading minus signs and kernels of
-rational arguments.  A change that
+rational arguments.  ``golden/corpus-pde-1.jsf`` and
+``golden/corpus-ode-1.jsf`` are the seed-1 problems of the two benchmark
+workloads, written by ``perfbench/corpus.py``, so the benchmark's
+reports are held byte for byte too.  A change that
 alters any printed canonical form or verdict fails here.
 
 Each golden task, run alone as the subcommand of its kind with its
-arguments as flags, must give the record that ``run-file`` gives it.  Re-record the
+arguments as flags, must give the record that ``run-file`` gives it; of
+a benchmark corpus, whose kinds repeat, the first task of each kind is
+run that way.  Re-record the
 reports with ``python tests/golden/record.py``, and only for a deliberate
 change of output.
 
@@ -34,9 +39,12 @@ from jetsym.parsing import parse
 from jetsym.problemfile import TASK_ARGS, load_problem, parse_flag
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# exit code of each run: the ODE, non-flat and rational problems hold tasks
-# that must fail
-EXIT_CODES = {"nonflat": 1, "ode": 1, "pde": 0, "rational": 1}
+# exit code of each run: the ODE, non-flat and rational problems, and the
+# ode-sweep corpus, hold tasks that must fail
+EXIT_CODES = {"corpus-ode-1": 1, "corpus-pde-1": 0, "nonflat": 1, "ode": 1, "pde": 0,
+              "rational": 1}
+# the problems that have a report in the tree printer's form
+TREE_ORDER = sorted(p.stem for p in (GOLDEN / "tree_order").glob("*.json"))
 # a detail line that holds an expression is a name such as
 # ``Psi[u_x] = `` or an error message ending in ``difference ``, then the
 # expression; any other line is plain text
@@ -64,7 +72,12 @@ def _read_detail(line):
     return (line, None) if m is None else (m.group(1), parse(m.group(2)))
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_every_golden_problem_has_an_exit_code():
+    assert sorted(p.stem for p in GOLDEN.glob("*.jsf")) == sorted(EXIT_CODES)
+    assert set(TREE_ORDER) < set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", TREE_ORDER)
 def test_tree_order_report_reads_as_golden(name):
     old = json.loads((GOLDEN / "tree_order" / f"{name}.json").read_text())
     new = json.loads((GOLDEN / f"{name}.json").read_text())
@@ -78,9 +91,20 @@ def test_tree_order_report_reads_as_golden(name):
                 == [_read_detail(d) for d in now["detail"]])
 
 
+def _golden_tasks(name):
+    """The tasks of a golden problem: all of them, or the first of each
+    kind for a benchmark corpus, whose kinds repeat many times."""
+    tasks = load_problem((GOLDEN / f"{name}.jsf").read_text()).tasks
+    if not name.startswith("corpus-"):
+        return tasks
+    first = {}
+    for task in tasks:
+        first.setdefault(task.kind, task)
+    return list(first.values())
+
+
 # each golden task, with the name of its problem
-TASKS = [(name, task) for name in sorted(EXIT_CODES)
-         for task in load_problem((GOLDEN / f"{name}.jsf").read_text()).tasks]
+TASKS = [(name, task) for name in sorted(EXIT_CODES) for task in _golden_tasks(name)]
 
 
 def _flags(task):

@@ -367,6 +367,35 @@ def test_a_lift_makes_each_jet_variable_once(monkeypatch):
     assert sorted(made) == sorted((0, K.counts) for K in PDE2.multi_indices(2, min_order=1))
 
 
+def test_a_lift_makes_each_successor_multiindex_once(monkeypatch):
+    made = []
+    real_init, real_inc = MultiIndex.__init__, MultiIndex.inc
+
+    def from_prolong():
+        return sys._getframe(2).f_globals["__name__"] == "jetsym.prolong"
+
+    def init_spy(self, counts):
+        if from_prolong():
+            made.append(tuple(counts))
+        real_init(self, counts)
+
+    def inc_spy(self, i):
+        K = real_inc(self, i)
+        if from_prolong():
+            made.append(K.counts)
+        return K
+
+    system = JetSpec(("x", "t"), ("u", "v"), 5)
+    rng = random.Random(12)
+    # a first lift warms the total derivations, which make the multiindices
+    # of their images themselves
+    lift(rand_point_field(rng, system))
+    monkeypatch.setattr(MultiIndex, "__init__", init_spy)
+    monkeypatch.setattr(MultiIndex, "inc", inc_spy)
+    lift(rand_point_field(rng, system))
+    assert sorted(made) == sorted(K.counts for K in system.multi_indices(5, min_order=1))
+
+
 # --- vector mu prolongation ---------------------------------------------------
 
 def test_vector_zero_matrices_degenerate_to_standard():
