@@ -38,7 +38,6 @@ from .gauge import (
     verify_gauge_equivalence_scalar,
 )
 from .jets import (
-    JetCoordinate,
     JetSpec,
     JetVectorField,
     MultiIndex,
@@ -71,7 +70,6 @@ __all__ = [
     "DifferentialEquation",
     "Expr",
     "GaugeFunction",
-    "JetCoordinate",
     "JetSpec",
     "JetVectorField",
     "JetsymError",

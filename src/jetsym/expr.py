@@ -873,13 +873,13 @@ def _poly_sample(p, atom_values):
     return math.fsum(terms), math.fsum(abs(v) for v in terms)
 
 
-def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
+def zero_verdict(e, *, seed=None) -> Verdict:
     """Classify ``e`` as zero.
 
     TRUE and FALSE are exact on the rational fragment.  When the
     canonical form ``N/D`` is nonzero but contains kernels, ``N`` is
-    sampled at ``samples`` random rational points inside the kernel
-    domains where ``D`` is finite and nonzero.  FALSE needs one sample
+    sampled at ``DEFAULT_SAMPLES`` random rational points inside the
+    kernel domains where ``D`` is finite and nonzero.  FALSE needs one sample
     whose value exceeds ``ZERO_MARGIN`` times eps times the sum of
     ``N``'s monomial magnitudes there, which rounding cannot explain;
     otherwise the verdict is PROBABLY (never silently TRUE).  Domain
@@ -896,9 +896,9 @@ def zero_verdict(e, *, seed=None, samples=DEFAULT_SAMPLES) -> Verdict:
     names = sorted(free_variables(nf))
     good = 0
     attempts = 0
-    while good < samples:
+    while good < DEFAULT_SAMPLES:
         attempts += 1
-        if attempts > 25 * samples:
+        if attempts > 25 * DEFAULT_SAMPLES:
             raise DomainError("could not sample inside kernel domains")
         point = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for n in names}
         try:

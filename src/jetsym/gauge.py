@@ -9,9 +9,11 @@ condition only needs to hold on the solution manifold
 ``expr.Check`` of the curvature entries keyed by ``(i, k, a, b)``.
 
 Flat forms are differential-logarithmic derivatives of gauge functions:
-:func:`darboux_derivative` computes ``gamma^-1 (D_i gamma)`` and the
-result is always flat.  In the scalar case a closed polynomial form has
-a polynomial potential whenever one exists within the derived degree and
+:func:`darboux_derivative` computes ``gamma^-1 (D_i gamma)`` of a
+:class:`GaugeFunction`, a frozen value that holds its entries and their
+inverse, and the result is always flat.  In the scalar case a closed
+polynomial form has a polynomial potential whenever one exists within
+the derived degree and
 order bounds (:func:`scalar_potential`, sound by post-verification), and
 :func:`verify_gauge_equivalence_scalar` checks constructively that the
 lift by the form ``lambda dx``, with ``lambda = D_x phi``, is the standard
@@ -49,9 +51,11 @@ from .expr import (
 from .jets import (
     JetSpec,
     MuForm,
+    _Value,
     jet_order,
     mat_identity,
     mat_mul,
+    mat_square,
     mat_sub,
     mat_total_derivative,
     total_derivative,
@@ -65,8 +69,8 @@ from .prolong import (
 from .symmetry import DifferentialEquation, restrict_to_solution_manifold
 
 
-class GaugeFunction:
-    """An invertible matrix of expressions on jet space.
+class GaugeFunction(_Value):
+    """An invertible q-by-q matrix of expressions on jet space.
 
     Either the inverse is supplied explicitly (and the product is checked
     to normalize to the identity), or the matrix must be triangular with
@@ -77,55 +81,48 @@ class GaugeFunction:
     __slots__ = ("spec", "entries", "inverse")
 
     def __init__(self, spec: JetSpec, entries, inverse=None):
-        self.spec = spec
-        q = spec.q
-        self.entries = tuple(tuple(as_expr(e) for e in row) for row in entries)
-        if len(self.entries) != q or any(len(r) != q for r in self.entries):
-            raise GaugeError("gauge function must be a q by q matrix")
-        if inverse is not None:
-            inverse = tuple(tuple(as_expr(e) for e in row) for row in inverse)
-            if len(inverse) != q or any(len(r) != q for r in inverse):
-                raise GaugeError("explicit inverse must be a q by q matrix")
-            prod = mat_mul(self.entries, inverse)
-            gap = mat_sub(prod, mat_identity(q))
-            for a in range(q):
-                for b in range(q):
-                    if zero_verdict(gap[a][b]) is not Verdict.TRUE:
+        entries = mat_square(spec, entries, GaugeError, "gauge function must be a q by q matrix")
+        if inverse is None:
+            inverse = _unipotent_inverse(entries)
+        else:
+            inverse = mat_square(spec, inverse, GaugeError,
+                                 "explicit inverse must be a q by q matrix")
+            prod = mat_mul(entries, inverse)
+            gap = mat_sub(prod, mat_identity(spec.q))
+            for a, row in enumerate(gap):
+                for b, e in enumerate(row):
+                    if zero_verdict(e) is not Verdict.TRUE:
                         raise GaugeError(
                             "supplied inverse does not normalize to the identity "
                             f"(entry {a},{b} gives {prod[a][b]})"
                         )
-            self.inverse = inverse
-        else:
-            self.inverse = self._unipotent_inverse()
+        super().__init__(spec, entries, inverse)
 
-    def _unipotent_inverse(self):
-        q = self.spec.q
-        upper = all(
-            self.entries[a][b] == ZERO for a in range(q) for b in range(a)
+
+def _unipotent_inverse(entries):
+    """The inverse of a triangular matrix with unit diagonal."""
+    q = len(entries)
+    upper = all(entries[a][b] == ZERO for a in range(q) for b in range(a))
+    lower = all(entries[a][b] == ZERO for a in range(q) for b in range(a + 1, q))
+    unit = all(entries[a][a] == ONE for a in range(q))
+    if not (unit and (upper or lower)):
+        raise GaugeError(
+            "without an explicit inverse the matrix must be triangular "
+            "with unit diagonal"
         )
-        lower = all(
-            self.entries[a][b] == ZERO for a in range(q) for b in range(a + 1, q)
+    # (I + N)^-1 = I - N + N^2 - ..., N nilpotent of index <= q
+    N = mat_sub(entries, mat_identity(q))
+    inv = mat_identity(q)
+    power = mat_identity(q)
+    sign = 1
+    for _ in range(1, q):
+        power = mat_mul(power, N)
+        sign = -sign
+        inv = tuple(
+            tuple(inv[a][b] + sign * power[a][b] for b in range(q))
+            for a in range(q)
         )
-        unit = all(self.entries[a][a] == ONE for a in range(q))
-        if not (unit and (upper or lower)):
-            raise GaugeError(
-                "without an explicit inverse the matrix must be triangular "
-                "with unit diagonal"
-            )
-        # (I + N)^-1 = I - N + N^2 - ..., N nilpotent of index <= q
-        N = mat_sub(self.entries, mat_identity(q))
-        inv = mat_identity(q)
-        power = mat_identity(q)
-        sign = 1
-        for _ in range(1, q):
-            power = mat_mul(power, N)
-            sign = -sign
-            inv = tuple(
-                tuple(inv[a][b] + sign * power[a][b] for b in range(q))
-                for a in range(q)
-            )
-        return inv
+    return inv
 
 
 def maurer_cartan_check_on_equation(

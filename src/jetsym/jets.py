@@ -1,12 +1,12 @@
 """Jet-space geometry: coordinates, total derivatives and vector fields.
 
 A jet space is described by a :class:`JetSpec` (independent names,
-dependent names, order).  Derivative coordinates are addressed by
-unordered multiindices, so mixed coordinates like ``u_xt`` and ``u_tx``
-are the same variable by construction.  The textual convention is fixed:
-dependent name, underscore, then the independent names repeated per
-count in declaration order (``u``, ``u_x``, ``u_xx``, ``u_xt`` when x is
-declared before t).
+dependent names, order).  A derivative coordinate is the pair ``(a, J)``
+of a dependent index and an unordered multiindex, so mixed coordinates
+like ``u_xt`` and ``u_tx`` are the same variable by construction.  Its
+name, ``JetSpec.jet_name(a, J)``, is the dependent name, underscore, then
+the independent names repeated per count in declaration order (``u``,
+``u_x``, ``u_xx``, ``u_xt`` when x is declared before t).
 
 A :class:`JetVectorField` acts as a derivation on functions of the jet
 coordinates; prolonged fields are built by ``prolong``.  Contact forms,
@@ -18,6 +18,9 @@ The deforming horizontal form :class:`MuForm` holds one q-by-q matrix of
 coefficients per independent direction, a scalar form being the q = 1
 case; its one compatibility check, flatness, is
 ``prolong.maurer_cartan_check``.
+
+Every class of values here, and the point fields, equations and gauge
+functions built on them, derive from the frozen base ``_Value``.
 """
 
 from __future__ import annotations
@@ -240,18 +243,6 @@ def jet_order(e, spec: JetSpec) -> int:
     return best
 
 
-class JetCoordinate(_Value):
-    """A derivative coordinate: dependent index plus multiindex."""
-
-    __slots__ = ("a", "index")
-
-    def __init__(self, a, index):
-        super().__init__(a, index)
-
-    def name(self, spec: JetSpec) -> str:
-        return spec.jet_name(self.a, self.index)
-
-
 # ---------------------------------------------------------------------------
 # total derivative
 
@@ -296,15 +287,16 @@ def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
 # vector fields on jet space
 
 
-class JetVectorField:
+class JetVectorField(_Value):
     """A vector field on the jet space with components ``xi`` along the
-    independent directions and ``psi`` on the derivative coordinates up
-    to ``order`` (missing entries are zero).  Lifts are shared between
-    their callers, so the field is read-only: its attributes cannot be
-    assigned and ``psi`` is a read-only mapping; ``dict(Y.psi)`` is a
-    copy to build another field from."""
+    independent directions and ``psi`` on the derivative coordinates
+    ``(a, J)`` up to ``order`` (missing entries are zero).  Lifts are
+    shared between their callers, so the field is a frozen value and
+    ``psi`` a read-only mapping; ``dict(Y.psi)`` is a copy to build
+    another field from.  The key holds that plain dict, which equality,
+    repr, copy and pickle read; a field has no hash."""
 
-    __slots__ = ("spec", "order", "xi", "psi")
+    __slots__ = ("spec", "xi", "psi", "order")
 
     def __init__(self, spec: JetSpec, xi, psi, order=None):
         xi = tuple(as_expr(x) for x in xi)
@@ -317,16 +309,8 @@ class JetVectorField:
             e = as_expr(e)
             if e != ZERO:
                 store[(a, J)] = e
-        _set_field(self, "spec", spec)
-        _set_field(self, "order", spec.order if order is None else order)
-        _set_field(self, "xi", xi)
+        super().__init__(spec, xi, store, spec.order if order is None else order)
         _set_field(self, "psi", MappingProxyType(store))
-
-    __setattr__ = _Value.__setattr__
-    __delattr__ = _Value.__delattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), (self.spec, self.xi, dict(self.psi), self.order)
 
     def psi_at(self, a: int, J) -> Expr:
         """The component on ``u^a_J``; ``J`` a multiindex or a tuple of
@@ -348,46 +332,29 @@ class JetVectorField:
 
         return Derivation(of_var)(e)
 
-    def __eq__(self, other):
-        if not isinstance(other, JetVectorField):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.xi == other.xi
-            and self.psi == other.psi
-        )
-
-    def __repr__(self):
-        return f"<JetVectorField order={self.order} xi={self.xi} psi={self.psi}>"
-
 
 # ---------------------------------------------------------------------------
 # the deforming horizontal form
 
 
-class MuForm:
+class MuForm(_Value):
     """A horizontal form with matrix coefficients, one q-by-q matrix per
     independent direction.  The scalar variant is the q = 1 case."""
 
     __slots__ = ("spec", "matrices")
 
     def __init__(self, spec: JetSpec, matrices):
-        self.spec = spec
-        mats = []
-        for M in matrices:
-            rows = tuple(tuple(as_expr(e) for e in row) for row in M)
-            if len(rows) != spec.q or any(len(r) != spec.q for r in rows):
-                raise JetError("each coefficient matrix must be q by q")
-            mats.append(rows)
-        if len(mats) != spec.p:
+        matrices = tuple(mat_square(spec, M, JetError, "each coefficient matrix must be q by q")
+                         for M in matrices)
+        if len(matrices) != spec.p:
             raise JetError("need one coefficient matrix per independent variable")
-        self.matrices = tuple(mats)
+        super().__init__(spec, matrices)
 
     @classmethod
     def scalar(cls, spec: JetSpec, lambdas) -> "MuForm":
         if spec.q != 1:
             raise JetError("scalar form requires exactly one dependent variable")
-        return cls(spec, [((as_expr(l),),) for l in lambdas])
+        return cls(spec, [((l,),) for l in lambdas])
 
     @property
     def lambdas(self):
@@ -398,17 +365,18 @@ class MuForm:
     def entry(self, i: int, a: int, b: int) -> Expr:
         return self.matrices[i][a][b]
 
-    def __eq__(self, other):
-        if not isinstance(other, MuForm):
-            return NotImplemented
-        return self.spec == other.spec and self.matrices == other.matrices
-
-    def __repr__(self):
-        return f"<MuForm p={self.spec.p} q={self.spec.q}>"
-
 
 # ---------------------------------------------------------------------------
 # small matrix helpers shared by the prolongation and compatibility layers
+
+
+def mat_square(spec: JetSpec, rows, error, text):
+    """``rows`` as a q-by-q matrix of values; any other shape raises
+    ``error(text)``."""
+    out = tuple(tuple(as_expr(e) for e in row) for row in rows)
+    if len(out) != spec.q or any(len(r) != spec.q for r in out):
+        raise error(text)
+    return out
 
 
 def mat_identity(q: int):

@@ -286,15 +286,7 @@ def _build_field(spec, entries, line_no):
         if name not in target:
             raise ProblemFileError(f"unknown variable {name!r} in field entry", ln)
         target[name] = _parse_expr(value, ln)
-    try:
-        return PointVectorField(
-            spec,
-            tuple(xi[n] for n in spec.independent),
-            tuple(phi[n] for n in spec.dependent),
-            generalized=generalized,
-        )
-    except JetsymError as err:
-        raise ProblemFileError(str(err), line_no)
+    return PointVectorField(spec, tuple(xi.values()), tuple(phi.values()), generalized)
 
 
 def _build_mu(spec, entries, line_no):
@@ -342,7 +334,7 @@ def _build_mu(spec, entries, line_no):
         mats[spec.independent.index(ind)][spec.dependent.index(row)][
             spec.dependent.index(col)
         ] = e
-    return MuForm(spec, [tuple(tuple(r) for r in M) for M in mats])
+    return MuForm(spec, mats)
 
 
 def _build_gauge(spec, entries, line_no):
@@ -366,25 +358,17 @@ def _build_gauge(spec, entries, line_no):
         target[spec.dependent.index(row)][spec.dependent.index(col)] = _parse_expr(
             value, ln
         )
-    try:
-        return GaugeFunction(
-            spec,
-            tuple(tuple(r) for r in direct),
-            inverse=tuple(tuple(r) for r in inverse) if has_inverse else None,
-        )
-    except JetsymError as err:
-        raise ProblemFileError(str(err), line_no)
+    return GaugeFunction(spec, direct, inverse if has_inverse else None)
 
 
 def _build_equation(spec, entries, line_no):
     mapping = {key: _parse_expr(value, ln) for key, value, ln in entries}
-    try:
-        return DifferentialEquation.from_strings(spec, mapping)
-    except JetsymError as err:
-        raise ProblemFileError(str(err), line_no)
+    return DifferentialEquation.from_strings(spec, mapping)
 
 
-# each declaration kind, with its noun in messages and its builder
+# each declaration kind, with its noun in messages and its builder; a
+# builder's own errors name their entry's line, and load_problem cites any
+# other error of the jet layer, such as a constructor's, at the section
 _DECLARATIONS = {
     "field": ("field", _build_field),
     "mu": ("mu form", _build_mu),
@@ -417,7 +401,12 @@ def load_problem(text: str) -> ProblemFile:
             key = (kind, header[1])
             if key in problem.declared:
                 raise ProblemFileError(f"duplicate {kind} name {header[1]!r}", line_no)
-            problem.declared[key] = _DECLARATIONS[kind][1](spec, entries, line_no)
+            try:
+                problem.declared[key] = _DECLARATIONS[kind][1](spec, entries, line_no)
+            except ProblemFileError:
+                raise
+            except JetsymError as err:
+                raise ProblemFileError(str(err), line_no)
             continue
         if kind == "task":
             if len(header) < 2 or header[1] not in TASK_ARGS:

@@ -119,13 +119,13 @@ def _make_step(X: PointVectorField, mu=None):
                     if w != ZERO:
                         W[i, a, b, m] = w
 
-    # counts K -> the jet variables u^b_K for every b: a step builds the
-    # counts of each successor J+m once, and a lift makes the MultiIndex
-    # and the names of each K once, when a step first reaches it
+    # counts K -> the jet variables u^b_K for every b: a step takes J by its
+    # counts c, builds the counts of each successor J+m once, and a lift
+    # makes the MultiIndex and the names of each K once, when a step first
+    # reaches it
     jets = {}
 
-    def step(i, J, row):
-        c = J.counts
+    def step(i, c, row):
         jets_J = []
         for m in range(p):
             K = c[:m] + (c[m] + 1,) + c[m + 1:]
@@ -162,16 +162,13 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
     """Every single-step edge of the table must be consistent; together
     the edges cover all increasing multiindex paths."""
     for J in spec.multi_indices(n, min_order=2):
-        slots = [i for i, c in enumerate(J.counts) if c]
-        if len(slots) < 2:
-            continue
-        for i in slots:
-            if i == J.last_slot():
-                continue  # the canonical edge produced the stored value
-            base = J.dec(i)
+        c = J.counts
+        slots = [i for i, k in enumerate(c) if k]
+        for i in slots[:-1]:  # the last slot's edge produced the stored value
+            base = c[:i] + (c[i] - 1,) + c[i + 1:]
             alt = step(i, base, table[base])
             for a in range(spec.q):
-                diff = table[J][a] - alt[a]
+                diff = table[c][a] - alt[a]
                 if zero_verdict(diff, seed=seed) is Verdict.FALSE:
                     raise InconsistentMuError(
                         f"recursion paths disagree at {spec.jet_name(a, J)}: "
@@ -240,16 +237,18 @@ def lift(
             )
     if n < 1:
         raise ProlongationError("prolongation order must be at least 1")
-    # the component table, filled along the canonical path
+    # the component table, keyed by counts and filled along the canonical path
     step = _make_step(X, mu)
-    table = {MultiIndex.zero(spec.p): tuple(X.phi)}
-    for J in spec.multi_indices(n, min_order=1):
+    indices = spec.multi_indices(n)
+    table = {indices[0].counts: tuple(X.phi)}
+    for J in indices[1:]:
+        c = J.counts
         i = J.last_slot()
-        base = J.dec(i)
-        table[J] = step(i, base, table[base])
+        base = c[:i] + (c[i] - 1,) + c[i + 1:]
+        table[c] = step(i, base, table[base])
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
-    psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}
+    psi = {(a, J): table[J.counts][a] for J in indices for a in range(spec.q)}
     Y = JetVectorField(spec, X.xi, psi, order=n)
     if mu is None:
         X._lifts[n] = Y

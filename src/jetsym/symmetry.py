@@ -35,7 +35,6 @@ from .expr import (
     zero_verdict,
 )
 from .jets import (
-    JetCoordinate,
     JetSpec,
     MultiIndex,
     MuForm,
@@ -57,32 +56,32 @@ class DifferentialEquation(_Value):
     """A determined system in solved form: one equation per dependent
     variable, each ``u^a_{J*} = f^a`` with ``|J*|`` equal to the jet
     order and ``f^a`` free of every leading coordinate and of all their
-    derivatives."""
+    derivatives.  ``equations`` holds the pairs ``((a, J*), f^a)`` in the
+    order of a, a jet coordinate being the pair ``(a, J)`` throughout."""
 
     __slots__ = ("spec", "equations")
 
     def __init__(self, spec, equations):
         eqs = []
         seen = set()
-        for coord, rhs in equations:
-            if not isinstance(coord, JetCoordinate):
-                coord = JetCoordinate(coord[0], MultiIndex(tuple(coord[1])))
+        for (a, J), rhs in equations:
+            if not isinstance(J, MultiIndex):
+                J = MultiIndex(tuple(J))
             rhs = as_expr(rhs)
-            if coord.index.order != spec.order:
+            if J.order != spec.order:
                 raise EquationError(
-                    f"leading coordinate {coord.name(spec)} must have "
+                    f"leading coordinate {spec.jet_name(a, J)} must have "
                     f"order {spec.order}"
                 )
-            if coord.a in seen:
+            if a in seen:
                 raise EquationError(
-                    f"two equations for dependent variable "
-                    f"{spec.dependent[coord.a]}"
+                    f"two equations for dependent variable {spec.dependent[a]}"
                 )
-            seen.add(coord.a)
-            eqs.append((coord, rhs))
+            seen.add(a)
+            eqs.append(((a, J), rhs))
         if len(eqs) != spec.q:
             raise EquationError("need exactly one equation per dependent variable")
-        eqs.sort(key=lambda it: it[0].a)
+        eqs.sort(key=lambda it: it[0][0])
         super().__init__(spec, tuple(eqs))
         for _coord, rhs in self.equations:
             for name in free_variables(rhs):
@@ -102,17 +101,17 @@ class DifferentialEquation(_Value):
             if kind[0] != "jet":
                 raise EquationError(f"{lead!r} is not a jet coordinate")
             rhs_expr = parse(rhs) if isinstance(rhs, str) else as_expr(rhs)
-            eqs.append((JetCoordinate(kind[1], kind[2]), rhs_expr))
+            eqs.append(((kind[1], kind[2]), rhs_expr))
         return cls(spec, tuple(eqs))
 
     def leading(self, a: int) -> MultiIndex:
-        return self.equations[a][0].index
+        return self.equations[a][0][1]
 
     def rhs(self, a: int) -> Expr:
         return self.equations[a][1]
 
     def _is_leading_derived(self, a: int, J: MultiIndex) -> bool:
-        return J.dominates(self.equations[a][0].index)
+        return J.dominates(self.leading(a))
 
 
 def invariant_set_relations(X: PointVectorField, n=None):
@@ -201,9 +200,9 @@ def check_symmetry(
         raise EquationError("field and equation live on different jet spaces")
     Y = lift(X, mu, spec.order, path_check=path_check, seed=seed)
     residuals = {}
-    for coord, rhs in eq.equations:
-        raw = Y.psi_at(coord.a, coord.index) - Y.apply(rhs)
-        residuals[coord.a] = restrict_to_solution_manifold(raw, eq)
+    for (a, J), rhs in eq.equations:
+        raw = Y.psi_at(a, J) - Y.apply(rhs)
+        residuals[a] = restrict_to_solution_manifold(raw, eq)
     return Check(residuals, seed=seed)
 
 

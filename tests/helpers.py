@@ -4,6 +4,7 @@ interpreter for checks that need a fresh process."""
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 from jetsym.expr import _rf_of, expr_prod, expr_sum, rational, variable
@@ -31,6 +32,25 @@ def atom_key(e):
     ((m, _c),) = _rf_of(e)[0].items()
     ((a, _e),) = m
     return a
+
+
+def assert_canonical(e):
+    """Fail unless the pair of ``e`` is canonical: every monomial of its
+    numerator and denominator strictly sorted by atom, so no atom twice,
+    with positive exponents and a nonzero reduced coefficient, and a
+    denominator of leading coefficient 1; function-atom arguments too.
+    A result read back from its printed text cannot show this:
+    ``u_xx*u_xx`` prints as ``u_xx^2``."""
+    num, den = _rf_of(e)
+    assert den and den[max(den)] == (1, 1), f"denominator of {e} is not monic"
+    for poly in (num, den):
+        for m, (n, d) in poly.items():
+            assert n and d > 0 and gcd(n, d) == 1, f"coefficient {n}/{d} in {e}"
+            assert all(x < y for (x, _), (y, _) in zip(m, m[1:])), f"monomial {m} in {e}"
+            for atom, k in m:
+                assert k > 0, f"exponent {k} in {e}"
+                if atom[0] == 5:
+                    assert_canonical(atom[2])
 
 
 def run_python(args, timeout):

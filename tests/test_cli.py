@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from jetsym import problemfile
 from jetsym.cli import main, run
-from jetsym.errors import ProblemFileError
+from jetsym.errors import JetError, ProblemFileError
+from jetsym.jets import MuForm
 from jetsym.parsing import MAX_NESTING, parse
 from jetsym.problemfile import TASK_ARGS, load_problem
+from jetsym.symmetry import DifferentialEquation
 
 from helpers import run_python
 
@@ -810,6 +813,42 @@ def test_zero_divisor_in_a_section_exits_two(tmp_path, capsys):
     assert main(["run-file", str(problem)]) == 2
     err = capsys.readouterr().err
     assert "line 6: bad expression" in err and "zero" in err
+
+
+DECLARATIONS = """[jet]
+independent = x
+dependent = u
+order = 2
+[field S]
+xi x = 0
+phi u = 1
+[mu M]
+x = u
+[gauge G]
+u u = 1
+[equation E]
+u_xx = u
+"""
+
+
+@pytest.mark.parametrize("kind, owner, name", [
+    ("field", problemfile, "PointVectorField"),
+    ("mu", MuForm, "scalar"),
+    ("gauge", problemfile, "GaugeFunction"),
+    ("equation", DifferentialEquation, "from_strings"),
+])
+def test_a_failing_constructor_exits_two_at_its_section(tmp_path, capsys, monkeypatch,
+                                                         kind, owner, name):
+    def boom(*args, **kwargs):
+        raise JetError("boom")
+
+    monkeypatch.setattr(owner, name, boom)
+    problem = tmp_path / "declared.jsf"
+    problem.write_text(DECLARATIONS)
+    assert main(["run-file", str(problem)]) == 2
+    line = next(k for k, text in enumerate(DECLARATIONS.splitlines(), 1)
+                if text.startswith(f"[{kind} "))
+    assert capsys.readouterr().err == f"input error: line {line}: boom\n"
 
 
 REPEATS = """[jet]

@@ -11,8 +11,10 @@ components of several atoms.  sympy reads a result from its printed
 text (pinned by ``test_printing``), and the result agrees when sympy
 simplifies the difference to zero after rewriting every kernel through
 exponentials.  Printed text cannot show a monomial that holds an atom
-twice, so a Hypothesis property compares pairs: a one-atom image is
-placed into a monomial exactly as ``poly_mul`` places it.
+twice, so every result is first checked to be canonical
+(``helpers.assert_canonical``), and a Hypothesis property compares
+pairs: a one-atom image is placed into a monomial exactly as
+``poly_mul`` places it.
 Exp-free quotients whose denominators are free of a direction, squared,
 or hold u and u_x must match sympy's ``cancel`` with a fully reduced
 denominator; the printed derivatives of seeded quotients of exp, sin
@@ -51,7 +53,7 @@ from jetsym.jets import JetSpec, JetVectorField, MultiIndex, total_derivative  #
 from jetsym.parsing import parse  # noqa: E402
 
 from forms import basis_key_du, basis_key_dx, scalar_differential  # noqa: E402
-from helpers import atom_key, rand_poly, run_child  # noqa: E402
+from helpers import assert_canonical, atom_key, rand_poly, run_child  # noqa: E402
 
 SEED = 20240611
 CASES = 20
@@ -120,7 +122,9 @@ def rand_function(rng, depth=3, min_ops=4):
 
 
 def to_sympy(e):
-    """The printed text of ``e`` read by sympy."""
+    """The printed text of ``e`` read by sympy, once ``e`` is checked to be
+    canonical."""
+    assert_canonical(e)
     return sp.sympify(to_string(e).replace("^", "**"), locals={**SYMBOLS, **FUNCS})
 
 
@@ -205,6 +209,7 @@ def check_total_derivatives(spec, i, texts):
             a, J = spec.decode(symbol.name)[1:]
             want += symbols[spec.jet_name(a, J.inc(i))] * sp.diff(expr, symbol)
         got = total_derivative(parse(text), i, spec)
+        assert_canonical(got)
         printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
         assert sp.simplify((printed - want).rewrite(sp.exp)) == 0, (text, str(got))
 

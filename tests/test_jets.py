@@ -29,8 +29,8 @@ from forms import (
 from helpers import rand_poly, run_child
 from jetsym.errors import JetError
 from jetsym.expr import Verdict, rational, to_string
+from jetsym.gauge import GaugeFunction
 from jetsym.jets import (
-    JetCoordinate,
     JetSpec,
     JetVectorField,
     MultiIndex,
@@ -99,13 +99,18 @@ def _equation(rhs):
     return DifferentialEquation.from_strings(ODE2, {"u_xx": rhs})
 
 
+def _gauge(corner):
+    return GaugeFunction(SYS1, [[1, parse(corner)], [0, 1]])
+
+
 # per value class: a field name, two equal values built apart, and a
 # value that differs from them
 VALUES = {
     "MultiIndex": ("counts", MultiIndex((1, 2)), MultiIndex((1, 2)), MultiIndex((2, 1))),
     "JetSpec": ("order", JetSpec(("x",), ("u",), 2), JetSpec(["x"], ["u"], 2), ODE1),
-    "JetCoordinate": ("a", JetCoordinate(0, J0_2), JetCoordinate(0, MultiIndex((0, 0))),
-                      JetCoordinate(1, J0_2)),
+    "MuForm": ("matrices", MuForm.scalar(ODE1, [parse("u")]), MuForm(ODE1, [[[parse("u")]]]),
+               MuForm.scalar(ODE1, [parse("x")])),
+    "GaugeFunction": ("entries", _gauge("u"), _gauge("u"), _gauge("x")),
     "PointVectorField": ("xi", _field("u"), _field("u"), _field("2*u")),
     "DifferentialEquation": ("equations", _equation("u"), _equation("u"), _equation("-u")),
 }

@@ -369,7 +369,7 @@ def test_a_lift_makes_each_jet_variable_once(monkeypatch):
 
 def test_a_lift_makes_each_successor_multiindex_once(monkeypatch):
     made = []
-    real_init, real_inc = MultiIndex.__init__, MultiIndex.inc
+    real_init = MultiIndex.__init__
 
     def from_prolong():
         return sys._getframe(2).f_globals["__name__"] == "jetsym.prolong"
@@ -379,11 +379,13 @@ def test_a_lift_makes_each_successor_multiindex_once(monkeypatch):
             made.append(tuple(counts))
         real_init(self, counts)
 
-    def inc_spy(self, i):
-        K = real_inc(self, i)
-        if from_prolong():
-            made.append(K.counts)
-        return K
+    def neighbour_spy(real):
+        def spy(self, i):
+            K = real(self, i)
+            if from_prolong():
+                made.append(K.counts)
+            return K
+        return spy
 
     system = JetSpec(("x", "t"), ("u", "v"), 5)
     rng = random.Random(12)
@@ -391,7 +393,8 @@ def test_a_lift_makes_each_successor_multiindex_once(monkeypatch):
     # of their images themselves
     lift(rand_point_field(rng, system))
     monkeypatch.setattr(MultiIndex, "__init__", init_spy)
-    monkeypatch.setattr(MultiIndex, "inc", inc_spy)
+    for name in ("inc", "dec"):  # each makes its MultiIndex in jets
+        monkeypatch.setattr(MultiIndex, name, neighbour_spy(getattr(MultiIndex, name)))
     lift(rand_point_field(rng, system))
     assert sorted(made) == sorted(K.counts for K in system.multi_indices(5, min_order=1))
 
@@ -672,10 +675,18 @@ def test_a_lift_is_read_only():
     with pytest.raises(TypeError):
         del Y.psi[(0, J((0,)))]
     assert Y == Y0 and repr(Y) == repr(Y0)
-    assert repr(Y) == f"<JetVectorField order=2 xi={Y.xi} psi={dict(Y.psi)}>"
+    assert repr(Y) == f"JetVectorField(spec={ODE2!r}, xi={Y.xi!r}, psi={dict(Y.psi)!r}, order=2)"
     assert dict(Y.psi) == dict(Y0.psi) and type(dict(Y.psi)) is dict
     for twin in (copy.copy(Y), copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
         assert twin == Y and twin.order == Y.order and repr(twin) == repr(Y)
+
+
+def test_lifts_of_different_orders_differ():
+    # every component past the zeroth vanishes, so only the order tells them apart
+    X = pvf(ODE2, ["0"], ["1"])
+    low, high = lift(X, n=2), lift(X, n=3)
+    assert dict(low.psi) == dict(high.psi) and low != high
+    assert low == pickle.loads(pickle.dumps(low)) != high
 
 
 def test_psi_at_takes_a_multiindex_or_a_tuple():

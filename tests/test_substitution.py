@@ -7,7 +7,8 @@ kernels, and against parsing the function's text with its variables
 replaced by the parenthesized replacement texts, which normalizes the
 syntax tree with its variables replaced.
 ``restrict_to_solution_manifold`` is checked against a sympy
-restriction on a random scalar second-order ODE.
+restriction on a random scalar second-order ODE.  Every result read
+by sympy is first checked to be canonical (``test_derivation.to_sympy``).
 """
 
 import random
