@@ -40,7 +40,6 @@ from .gauge import (
 from .jets import (
     JetSpec,
     JetVectorField,
-    MultiIndex,
     MuForm,
     total_derivative,
     total_derivative_path,
@@ -74,7 +73,6 @@ __all__ = [
     "JetVectorField",
     "JetsymError",
     "MuForm",
-    "MultiIndex",
     "PointVectorField",
     "ProblemFile",
     "Verdict",

@@ -2,9 +2,11 @@
 
 A jet space is described by a :class:`JetSpec` (independent names,
 dependent names, order).  A derivative coordinate is the pair ``(a, J)``
-of a dependent index and an unordered multiindex, so mixed coordinates
-like ``u_xt`` and ``u_tx`` are the same variable by construction.  Its
-name, ``JetSpec.jet_name(a, J)``, is the dependent name, underscore, then
+of a dependent index and an unordered multiindex J, the tuple of its p
+derivative counts (one per independent variable), so mixed coordinates
+like ``u_xt`` and ``u_tx`` are the same variable by construction;
+:func:`multiindex` validates a J given from outside.  The name,
+``JetSpec.jet_name(a, J)``, is the dependent name, underscore, then
 the independent names repeated per count in declaration order (``u``,
 ``u_x``, ``u_xx``, ``u_xt`` when x is declared before t).
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .errors import JetError
@@ -49,9 +52,10 @@ class _Value:
     """A frozen value whose fields are its leading ``__slots__``, one per
     argument of ``__init__``: equality, hash and repr come from the tuple
     of fields, which ``__init__`` sets once and keeps as ``_key`` (spec
-    and multiindex hashes key the jet caches and tables, so each costs
-    one tuple hash).  A slot after the fields is private state of the
-    object, outside equality, hash, repr, copy and pickle."""
+    hashes key the jet caches, so each costs one tuple hash).  Every
+    field is immutable, so a copy is the value itself.  A slot after the
+    fields is private state of the object, outside equality, hash, repr
+    and pickle."""
 
     __slots__ = ("_key",)
 
@@ -74,7 +78,13 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):  # pickle rebuilds through __init__, which checks
         return type(self), self._key
 
     def __repr__(self):
@@ -82,51 +92,19 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
-class MultiIndex(_Value):
-    """Unordered derivative counts, one slot per independent variable."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        if any(c < 0 for c in counts):
-            raise JetError(f"negative multiindex counts {counts}")
-        super().__init__(counts)
-
-    @staticmethod
-    def zero(p: int) -> "MultiIndex":
-        return MultiIndex((0,) * p)
-
-    @property
-    def order(self) -> int:
-        return sum(self.counts)
-
-    def inc(self, i: int) -> "MultiIndex":
-        c = list(self.counts)
-        c[i] += 1
-        return MultiIndex(tuple(c))
-
-    def dec(self, i: int) -> "MultiIndex":
-        c = list(self.counts)
-        c[i] -= 1
-        return MultiIndex(tuple(c))
-
-    def last_slot(self) -> int:
-        """The direction of the final step of the canonical build path
-        (all slot-0 steps first, then slot 1, ...)."""
-        for i in range(len(self.counts) - 1, -1, -1):
-            if self.counts[i]:
-                return i
-        raise JetError("empty multiindex has no predecessor")
-
-    def dominates(self, other: "MultiIndex") -> bool:
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
-    def __repr__(self):
-        return f"MultiIndex{self.counts}"
+def multiindex(spec, J) -> tuple:
+    """``J`` as a multiindex of ``spec``: the tuple of its p counts, each
+    a non-negative int; any other length or a negative count raises."""
+    J = tuple(J)
+    if len(J) != spec.p or any(c < 0 for c in J):
+        raise JetError(f"{J} is not a multiindex of {spec.p} non-negative counts")
+    return J
 
 
-def _graded_key(counts):
-    return (sum(counts), tuple(-c for c in counts))
+def last_slot(J) -> int:
+    """The direction of the final step of the canonical build path of the
+    nonzero multiindex ``J`` (all slot-0 steps first, then slot 1, ...)."""
+    return max(i for i, c in enumerate(J) if c)
 
 
 class JetSpec(_Value):
@@ -165,47 +143,37 @@ class JetSpec(_Value):
 
     # -- names ------------------------------------------------------------
 
-    def jet_name(self, a: int, index: MultiIndex) -> str:
-        if len(index.counts) != self.p:
-            raise JetError("multiindex length does not match the jet space")
-        if index.order == 0:
+    def jet_name(self, a: int, J) -> str:
+        J = multiindex(self, J)
+        if not any(J):
             return self.dependent[a]
-        suffix = "".join(
-            self.independent[i] * index.counts[i] for i in range(self.p)
-        )
+        suffix = "".join(x * c for x, c in zip(self.independent, J))
         return f"{self.dependent[a]}_{suffix}"
 
-    def jet_var(self, a: int, index: MultiIndex) -> Expr:
-        return variable(self.jet_name(a, index))
+    def jet_var(self, a: int, J) -> Expr:
+        return variable(self.jet_name(a, J))
 
     def decode(self, name: str):
         """Classify a variable name.
 
-        Returns ``("independent", i)``, ``("jet", a, MultiIndex)`` or
-        ``("auxiliary", None)``.  A name that looks like a jet coordinate
-        but does not decode (wrong letters or out-of-order suffix) is an
-        error, which catches typos like ``u_zz`` or ``u_tx``.
+        Returns ``("independent", i)``, ``("jet", a, J)`` with ``J`` the
+        tuple of counts, or ``("auxiliary", None)``.  A name that looks
+        like a jet coordinate but does not decode (wrong letters or
+        out-of-order suffix) is an error, which catches typos like
+        ``u_zz`` or ``u_tx``.
         """
         return _decode(self, str(name))
 
     def multi_indices(self, max_order=None, min_order=0):
         """All multiindices with ``min_order <= |J| <= max_order``, graded,
-        first slots first within each grade."""
+        first slots first within each grade: the lexicographic order of
+        the slot combinations of each grade gives that order."""
         if max_order is None:
             max_order = self.order
-        counts = []
-        for total in range(min_order, max_order + 1):
-            level = []
-            def rec2(prefix, slot, left):
-                if slot == self.p - 1:
-                    level.append(prefix + (left,))
-                    return
-                for c in range(left + 1):
-                    rec2(prefix + (c,), slot + 1, left - c)
-            rec2((), 0, total)
-            level.sort(key=_graded_key)
-            counts.extend(level)
-        return [MultiIndex(c) for c in counts]
+        slots = range(self.p)
+        return [tuple(map(combo.count, slots))
+                for total in range(min_order, max_order + 1)
+                for combo in combinations_with_replacement(slots, total)]
 
 
 @lru_cache(maxsize=4096)
@@ -213,7 +181,7 @@ def _decode(spec: JetSpec, name: str):
     if name in spec.independent:
         return ("independent", spec.independent.index(name))
     if name in spec.dependent:
-        return ("jet", spec.dependent.index(name), MultiIndex.zero(spec.p))
+        return ("jet", spec.dependent.index(name), (0,) * spec.p)
     head, sep, suffix = name.partition("_")
     if sep and head in spec.dependent:
         counts = [0] * spec.p
@@ -228,7 +196,7 @@ def _decode(spec: JetSpec, name: str):
                 f"{name!r} is not a jet coordinate of this space "
                 f"(suffix must repeat independent names in declaration order)"
             )
-        return ("jet", spec.dependent.index(head), MultiIndex(tuple(counts)))
+        return ("jet", spec.dependent.index(head), tuple(counts))
     return ("auxiliary", None)
 
 
@@ -239,7 +207,7 @@ def jet_order(e, spec: JetSpec) -> int:
     for name in free_variables(e):
         kind = spec.decode(name)
         if kind[0] == "jet":
-            best = max(best, kind[2].order)
+            best = max(best, sum(kind[2]))
     return best
 
 
@@ -256,7 +224,8 @@ def _total_derivation(spec: JetSpec, i: int):
     def successor(name):
         kind = _decode(spec, name)
         if kind[0] == "jet":
-            return spec.jet_var(kind[1], kind[2].inc(i))
+            J = kind[2]
+            return spec.jet_var(kind[1], J[:i] + (J[i] + 1,) + J[i + 1:])
         if kind[0] == "independent" and kind[1] == i:
             return ONE
         return None
@@ -274,10 +243,10 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     return _total_derivation(spec, i)(e)
 
 
-def total_derivative_path(e, index: MultiIndex, spec: JetSpec) -> Expr:
+def total_derivative_path(e, J, spec: JetSpec) -> Expr:
     """D_J along the canonical path (slot 0 first, then slot 1, ...)."""
     out = as_expr(e)
-    for i, c in enumerate(index.counts):
+    for i, c in enumerate(J):
         for _ in range(c):
             out = total_derivative(out, i, spec)
     return out
@@ -304,8 +273,7 @@ class JetVectorField(_Value):
             raise JetError("xi must have one component per independent variable")
         store = {}
         for (a, J), e in psi.items():
-            if not isinstance(J, MultiIndex):
-                J = MultiIndex(tuple(J))
+            J = multiindex(spec, J)
             e = as_expr(e)
             if e != ZERO:
                 store[(a, J)] = e
@@ -313,11 +281,9 @@ class JetVectorField(_Value):
         _set_field(self, "psi", MappingProxyType(store))
 
     def psi_at(self, a: int, J) -> Expr:
-        """The component on ``u^a_J``; ``J`` a multiindex or a tuple of
-        counts."""
-        if not isinstance(J, MultiIndex):
-            J = MultiIndex(tuple(J))
-        return self.psi.get((a, J), ZERO)
+        """The component on ``u^a_J``, ``J`` a tuple of counts or any
+        sequence of them."""
+        return self.psi.get((a, tuple(J)), ZERO)
 
     def apply(self, e) -> Expr:
         """Act as a derivation on a function of the jet coordinates."""

@@ -45,11 +45,11 @@ from .expr import (
 )
 from .jets import (
     JetVectorField,
-    MultiIndex,
     MuForm,
     _Value,
     _set_field,
     jet_order,
+    last_slot,
     mat_mul,
     mat_sub,
     mat_total_derivative,
@@ -89,7 +89,8 @@ def characteristic(X: PointVectorField):
     for a in range(spec.q):
         parts = [X.phi[a]]
         for i in range(spec.p):
-            parts.append(-spec.jet_var(a, MultiIndex.zero(spec.p).inc(i)) * X.xi[i])
+            unit = tuple(int(m == i) for m in range(spec.p))
+            parts.append(-spec.jet_var(a, unit) * X.xi[i])
         out.append(expr_sum(parts))
     return tuple(out)
 
@@ -119,20 +120,18 @@ def _make_step(X: PointVectorField, mu=None):
                     if w != ZERO:
                         W[i, a, b, m] = w
 
-    # counts K -> the jet variables u^b_K for every b: a step takes J by its
-    # counts c, builds the counts of each successor J+m once, and a lift
-    # makes the MultiIndex and the names of each K once, when a step first
-    # reaches it
+    # K -> the jet variables u^b_K for every b: a step builds each successor
+    # J+m of its J once, and a lift makes the names of each K once, when a
+    # step first reaches it
     jets = {}
 
-    def step(i, c, row):
+    def step(i, J, row):
         jets_J = []
         for m in range(p):
-            K = c[:m] + (c[m] + 1,) + c[m + 1:]
+            K = J[:m] + (J[m] + 1,) + J[m + 1:]
             us = jets.get(K)
             if us is None:
-                index = MultiIndex(K)
-                us = jets[K] = [spec.jet_var(b, index) for b in range(q)]
+                us = jets[K] = [spec.jet_var(b, K) for b in range(q)]
             jets_J.append(us)
         if mu is None:
             rows = [total_derivative(r, i, spec) for r in row]
@@ -162,13 +161,12 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
     """Every single-step edge of the table must be consistent; together
     the edges cover all increasing multiindex paths."""
     for J in spec.multi_indices(n, min_order=2):
-        c = J.counts
-        slots = [i for i, k in enumerate(c) if k]
+        slots = [i for i, k in enumerate(J) if k]
         for i in slots[:-1]:  # the last slot's edge produced the stored value
-            base = c[:i] + (c[i] - 1,) + c[i + 1:]
+            base = J[:i] + (J[i] - 1,) + J[i + 1:]
             alt = step(i, base, table[base])
             for a in range(spec.q):
-                diff = table[c][a] - alt[a]
+                diff = table[J][a] - alt[a]
                 if zero_verdict(diff, seed=seed) is Verdict.FALSE:
                     raise InconsistentMuError(
                         f"recursion paths disagree at {spec.jet_name(a, J)}: "
@@ -237,18 +235,18 @@ def lift(
             )
     if n < 1:
         raise ProlongationError("prolongation order must be at least 1")
-    # the component table, keyed by counts and filled along the canonical path
+    # the component table, keyed by multiindex and filled along the
+    # canonical path, graded
     step = _make_step(X, mu)
     indices = spec.multi_indices(n)
-    table = {indices[0].counts: tuple(X.phi)}
+    table = {indices[0]: tuple(X.phi)}
     for J in indices[1:]:
-        c = J.counts
-        i = J.last_slot()
-        base = c[:i] + (c[i] - 1,) + c[i + 1:]
-        table[c] = step(i, base, table[base])
+        i = last_slot(J)
+        base = J[:i] + (J[i] - 1,) + J[i + 1:]
+        table[J] = step(i, base, table[base])
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
-    psi = {(a, J): table[J.counts][a] for J in indices for a in range(spec.q)}
+    psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}
     Y = JetVectorField(spec, X.xi, psi, order=n)
     if mu is None:
         X._lifts[n] = Y

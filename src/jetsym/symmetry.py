@@ -36,9 +36,10 @@ from .expr import (
 )
 from .jets import (
     JetSpec,
-    MultiIndex,
     MuForm,
     jet_order,
+    last_slot,
+    multiindex,
     total_derivative,
     total_derivative_path,
     _Value,
@@ -65,10 +66,9 @@ class DifferentialEquation(_Value):
         eqs = []
         seen = set()
         for (a, J), rhs in equations:
-            if not isinstance(J, MultiIndex):
-                J = MultiIndex(tuple(J))
+            J = multiindex(spec, J)
             rhs = as_expr(rhs)
-            if J.order != spec.order:
+            if sum(J) != spec.order:
                 raise EquationError(
                     f"leading coordinate {spec.jet_name(a, J)} must have "
                     f"order {spec.order}"
@@ -104,14 +104,14 @@ class DifferentialEquation(_Value):
             eqs.append(((kind[1], kind[2]), rhs_expr))
         return cls(spec, tuple(eqs))
 
-    def leading(self, a: int) -> MultiIndex:
+    def leading(self, a: int) -> tuple:
         return self.equations[a][0][1]
 
     def rhs(self, a: int) -> Expr:
         return self.equations[a][1]
 
-    def _is_leading_derived(self, a: int, J: MultiIndex) -> bool:
-        return J.dominates(self.leading(a))
+    def _is_leading_derived(self, a: int, J) -> bool:
+        return all(j >= k for j, k in zip(J, self.leading(a)))
 
 
 def invariant_set_relations(X: PointVectorField, n=None):
@@ -139,20 +139,18 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
     closed = {}
     bindings = {}
     for a in range(spec.q):
-        closed[(a, MultiIndex.zero(spec.p))] = eq.rhs(a)
+        closed[(a, (0,) * spec.p)] = eq.rhs(a)
         lead = eq.leading(a)
         bindings[spec.jet_name(a, lead)] = eq.rhs(a)
     for K in spec.multi_indices(depth, min_order=1):
         for a in range(spec.q):
-            i = K.last_slot()
-            base = closed[(a, K.dec(i))]
+            i = last_slot(K)
+            base = closed[(a, K[:i] + (K[i] - 1,) + K[i + 1:])]
             raw = total_derivative(base, i, spec)
             cooked = substitute(raw, bindings)
             closed[(a, K)] = cooked
             lead = eq.leading(a)
-            name = spec.jet_name(a, MultiIndex(
-                tuple(l + k for l, k in zip(lead.counts, K.counts))
-            ))
+            name = spec.jet_name(a, tuple(l + k for l, k in zip(lead, K)))
             bindings[name] = cooked
     return bindings
 
@@ -274,15 +272,15 @@ def coincide_on_invariant_set(
             break
         jet_names = sorted(
             (name for name in free_variables(r) if spec.decode(name)[0] == "jet"),
-            key=lambda nm: (-spec.decode(nm)[2].order, nm),
+            key=lambda nm: (-sum(spec.decode(nm)[2]), nm),
         )
         if not jet_names:
             unverifiable = True
             continue
-        top_order = spec.decode(jet_names[0])[2].order
+        top_order = sum(spec.decode(jet_names[0])[2])
         hit = None
         for name in jet_names:
-            if spec.decode(name)[2].order != top_order:
+            if sum(spec.decode(name)[2]) != top_order:
                 break
             sol = _try_solve_linear(r, name, seed=seed)
             if sol is not None:

@@ -10,7 +10,7 @@ the functions here state the definitions, and the tests check the
 recursion against them.
 
 A form is a map from basis keys to coefficients: ``("x", i)`` for
-``dx^i`` and ``("u", a, counts)`` for ``du^a_J``.  A two-form is keyed by
+``dx^i`` and ``("u", a, J)`` for ``du^a_J``, J the tuple of counts.  A two-form is keyed by
 pairs ``(k1, k2)`` with ``k1 < k2``, its antisymmetric completion being
 implicit.  Absent entries are zero.
 """
@@ -23,7 +23,6 @@ from jetsym.jets import (
     JetSpec,
     JetVectorField,
     MuForm,
-    MultiIndex,
     total_derivative,
     total_derivative_path,
 )
@@ -34,8 +33,13 @@ def basis_key_dx(i):
     return ("x", i)
 
 
-def basis_key_du(a, index):
-    return ("u", a, index.counts)
+def basis_key_du(a, J):
+    return ("u", a, J)
+
+
+def inc(J, i):
+    """The multiindex ``J + i``, one more count in slot i."""
+    return J[:i] + (J[i] + 1,) + J[i + 1:]
 
 
 class Form:
@@ -79,19 +83,19 @@ def dx(i):
     return Form({basis_key_dx(i): ONE})
 
 
-def du(a, index):
-    return Form({basis_key_du(a, index): ONE})
+def du(a, J):
+    return Form({basis_key_du(a, J): ONE})
 
 
-def contact_form(a, index, spec):
+def contact_form(a, J, spec):
     """The contact form ``du^a_J - u^a_{J+i} dx^i``, for |J| below the
     jet order."""
-    if index.order > spec.order - 1:
+    if sum(J) > spec.order - 1:
         raise JetError(
-            f"no contact form at order {index.order} on a jet space of order {spec.order}"
+            f"no contact form at order {sum(J)} on a jet space of order {spec.order}"
         )
-    coeffs = {basis_key_dx(i): -spec.jet_var(a, index.inc(i)) for i in range(spec.p)}
-    coeffs[basis_key_du(a, index)] = ONE
+    coeffs = {basis_key_dx(i): -spec.jet_var(a, inc(J, i)) for i in range(spec.p)}
+    coeffs[basis_key_du(a, J)] = ONE
     return Form(coeffs)
 
 
@@ -100,7 +104,7 @@ def component(Y, key):
     above the field's order."""
     if key[0] == "x":
         return Y.xi[key[1]]
-    return Y.psi_at(key[1], MultiIndex(key[2]))
+    return Y.psi_at(key[1], key[2])
 
 
 def interior_product(Y, omega):
@@ -159,10 +163,10 @@ def in_contact_module(omega, spec):
         if key[0] == "x":
             horizontal[key[1]].append(c)
             continue
-        a, J = key[1], MultiIndex(key[2])
-        if J.order < spec.order:
+        a, J = key[1], key[2]
+        if sum(J) < spec.order:
             for i in range(spec.p):
-                horizontal[i].append(c * spec.jet_var(a, J.inc(i)))
+                horizontal[i].append(c * spec.jet_var(a, inc(J, i)))
         else:
             tops[(a, J)] = c
     remainders = [expr_sum(parts) for parts in horizontal]
@@ -182,7 +186,7 @@ def truncated_total_derivative(spec, i, order=None):
     (default: the jet order)."""
     order = spec.order if order is None else order
     xi = [ONE if m == i else ZERO for m in range(spec.p)]
-    psi = {(a, J): spec.jet_var(a, J.inc(i))
+    psi = {(a, J): spec.jet_var(a, inc(J, i))
            for J in spec.multi_indices(order) for a in range(spec.q)}
     return JetVectorField(spec, xi, psi, order=order)
 
@@ -225,14 +229,14 @@ def difference_recursion(X, mu, terms):
     Q is the characteristic and ``F_0 = 0``.  Returns the verdict over
     every edge and the nonzero residuals, keyed by ``(J, i)``."""
     spec = X.spec
-    n = max(J.order for _a, J in terms)
+    n = max(sum(J) for _a, J in terms)
     Q = characteristic(X)[0]
     residuals = {}
     verdicts = []
     for J in spec.multi_indices(n - 1):
         F, dq = terms[(0, J)], total_derivative_path(Q, J, spec)
         for i, lam in enumerate(mu.lambdas):
-            r = terms[(0, J.inc(i))] - total_derivative(F, i, spec) - lam * (F + dq)
+            r = terms[(0, inc(J, i))] - total_derivative(F, i, spec) - lam * (F + dq)
             if r != ZERO:
                 residuals[(J, i)] = r
             verdicts.append(zero_verdict(r))

@@ -49,10 +49,10 @@ from jetsym.expr import (  # noqa: E402
     to_string,
     variable,
 )
-from jetsym.jets import JetSpec, JetVectorField, MultiIndex, total_derivative  # noqa: E402
+from jetsym.jets import JetSpec, JetVectorField, total_derivative  # noqa: E402
 from jetsym.parsing import parse  # noqa: E402
 
-from forms import basis_key_du, basis_key_dx, scalar_differential  # noqa: E402
+from forms import basis_key_du, basis_key_dx, inc, scalar_differential  # noqa: E402
 from helpers import assert_canonical, atom_key, rand_poly, run_child  # noqa: E402
 
 SEED = 20240611
@@ -207,7 +207,7 @@ def check_total_derivatives(spec, i, texts):
         want = sp.diff(expr, coordinate)
         for symbol in expr.free_symbols - set(map(symbols.get, spec.independent)):
             a, J = spec.decode(symbol.name)[1:]
-            want += symbols[spec.jet_name(a, J.inc(i))] * sp.diff(expr, symbol)
+            want += symbols[spec.jet_name(a, inc(J, i))] * sp.diff(expr, symbol)
         got = total_derivative(parse(text), i, spec)
         assert_canonical(got)
         printed = sp.sympify(to_string(got).replace("^", "**"), locals=locals_)
@@ -383,7 +383,7 @@ def test_vector_field_apply_matches_sympy():
             comps[QUOTIENTS[k - CASES // 2][1]] = (ZERO, sp.Integer(0))
         (xi, xi_s), (psi0, psi0_s), (psi1, psi1_s) = comps
         Y = JetVectorField(
-            ODE, (xi,), {(0, MultiIndex((0,))): psi0, (0, MultiIndex((1,))): psi1}
+            ODE, (xi,), {(0, (0,)): psi0, (0, (1,)): psi1}
         )
         got = Y.apply(e)
         want = sum(
@@ -397,7 +397,7 @@ def test_vector_field_apply_with_monomial_components_matches_sympy():
     # components of several atoms, one with exp, take the product route
     comps = ("2*x*u", "x*u*u_x", "-3*u^2*u_x*exp(x)")
     Y = JetVectorField(ODE, (parse(comps[0]),),
-                       {(0, MultiIndex((k,))): parse(c) for k, c in enumerate(comps[1:])})
+                       {(0, (k,)): parse(c) for k, c in enumerate(comps[1:])})
     comps_s = [sp.sympify(c.replace("^", "**"), locals={**SYMBOLS, **FUNCS}) for c in comps]
     for e, expr in cases("apply-monomials", CASES // 10):
         got = Y.apply(e)
@@ -409,8 +409,8 @@ def test_vector_field_apply_with_monomial_components_matches_sympy():
 def test_scalar_differential_matches_sympy():
     keys = {
         "x": basis_key_dx(0),
-        "u": basis_key_du(0, MultiIndex((0,))),
-        "u_x": basis_key_du(0, MultiIndex((1,))),
+        "u": basis_key_du(0, (0,)),
+        "u_x": basis_key_du(0, (1,)),
     }
     for e, expr in cases("differential", CASES // 2):
         omega = scalar_differential(e, ODE)
@@ -437,7 +437,7 @@ def standard_psi(xi, phi):
 
 LIFT = """
 from jetsym.expr import to_string
-from jetsym.jets import JetSpec, MultiIndex
+from jetsym.jets import JetSpec
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, lift
 
@@ -446,7 +446,7 @@ for xi, phi in FIELDS:
     X = PointVectorField(spec, (parse(xi),), (parse(phi),))
     Y = lift(X, n=2)
     for k in (1, 2):
-        print(to_string(Y.psi_at(0, MultiIndex((k,)))))
+        print(to_string(Y.psi_at(0, (k,))))
 """
 
 

@@ -1,11 +1,13 @@
 """Compatibility-structure tests: flatness, potentials, Darboux, gauge moves."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from forms import Form, basis_key_dx, dx, exterior_derivative, zero_mu
+from forms import Form, basis_key_dx, dx, exterior_derivative, inc, zero_mu
 from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_unipotent_gauge
 from jetsym.errors import (
     GaugeError,
@@ -13,7 +15,7 @@ from jetsym.errors import (
     NoPotentialError,
     PotentialNotClosedError,
 )
-from jetsym import expr
+from jetsym import expr, gauge
 from jetsym.expr import Verdict, exp, rational, zero_verdict
 from jetsym.gauge import (
     GaugeFunction,
@@ -24,7 +26,7 @@ from jetsym.gauge import (
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
-from jetsym.jets import JetSpec, MultiIndex, MuForm, total_derivative
+from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField
 from jetsym.symmetry import DifferentialEquation
@@ -232,6 +234,24 @@ def test_gauge_validation():
         )
 
 
+def test_copying_a_gauge_does_not_check_it_again(monkeypatch):
+    # a copy is the frozen value itself; a pickle, which may come from
+    # another process, rebuilds through __init__ and checks the inverse
+    spec = JetSpec(("x",), ("u", "v", "w"), 1)
+    gamma = GaugeFunction(spec, rand_unipotent_gauge(random.Random(5), spec))
+    calls = []
+
+    def spy(e, *, seed=None):
+        calls.append(e)
+        return zero_verdict(e, seed=seed)
+
+    monkeypatch.setattr(gauge, "zero_verdict", spy)
+    assert copy.deepcopy(gamma) is gamma and copy.copy(gamma) is gamma
+    assert calls == []
+    assert pickle.loads(pickle.dumps(gamma)) == gamma
+    assert len(calls) == 9
+
+
 def test_darboux_derivatives_are_flat():
     rng = random.Random(33)
     for q in (2, 3):
@@ -265,15 +285,14 @@ def test_darboux_then_potential_consistency():
 
 def _horizontalize(tau, spec):
     """Project a two-form to its horizontal part by du^a_J -> u^a_{J,i} dx^i."""
-    from jetsym.jets import MultiIndex as MI
 
     def expand(key):
         # returns [(dx-key, coefficient-expr)]
         if key[0] == "x":
             return [(key, rational(1))]
-        a, counts = key[1], key[2]
+        a, J = key[1], key[2]
         return [
-            (basis_key_dx(i), spec.jet_var(a, MI(counts).inc(i)))
+            (basis_key_dx(i), spec.jet_var(a, inc(J, i)))
             for i in range(spec.p)
         ]
 
@@ -357,8 +376,8 @@ def test_gauge_equivalence_lists_its_probable_multiindex(monkeypatch):
     res = verify_gauge_equivalence_scalar(X, parse("x*u"), 2)
     assert len(calls) == 3
     assert res.verdict is Verdict.PROBABLY
-    assert res.probable == (MultiIndex((1,)),)
-    assert list(res.residuals) == [MultiIndex((0,)), MultiIndex((1,)), MultiIndex((2,))]
+    assert res.probable == ((1,),)
+    assert list(res.residuals) == [(0,), (1,), (2,)]
 
 
 def test_gauge_equivalence_linear_potential():

@@ -28,16 +28,16 @@ from forms import (
 )
 from helpers import rand_poly, run_child
 from jetsym.errors import JetError
-from jetsym.expr import Verdict, rational, to_string
+from jetsym.expr import ZERO, Verdict, rational, to_string
 from jetsym.gauge import GaugeFunction
 from jetsym.jets import (
     JetSpec,
     JetVectorField,
-    MultiIndex,
     MuForm,
     total_derivative,
     _decode,
     _total_derivation,
+    multiindex,
 )
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, maurer_cartan_check
@@ -57,16 +57,16 @@ def field(spec, xi, psi):
     )
 
 
-J0_1 = MultiIndex.zero(1)
-J0_2 = MultiIndex.zero(2)
+J0_1 = (0,)
+J0_2 = (0, 0)
 
 
 # --- naming -----------------------------------------------------------------
 
 def test_jet_names_follow_declaration_order():
-    assert PDE2.jet_name(0, MultiIndex((2, 1))) == "u_xxt"
+    assert PDE2.jet_name(0, (2, 1)) == "u_xxt"
     assert PDE2.jet_name(0, J0_2) == "u"
-    assert PDE2.decode("u_xt") == ("jet", 0, MultiIndex((1, 1)))
+    assert PDE2.decode("u_xt") == ("jet", 0, (1, 1))
     assert PDE2.decode("x") == ("independent", 0)
     assert PDE2.decode("c") == ("auxiliary", None)
 
@@ -106,7 +106,6 @@ def _gauge(corner):
 # per value class: a field name, two equal values built apart, and a
 # value that differs from them
 VALUES = {
-    "MultiIndex": ("counts", MultiIndex((1, 2)), MultiIndex((1, 2)), MultiIndex((2, 1))),
     "JetSpec": ("order", JetSpec(("x",), ("u",), 2), JetSpec(["x"], ["u"], 2), ODE1),
     "MuForm": ("matrices", MuForm.scalar(ODE1, [parse("u")]), MuForm(ODE1, [[[parse("u")]]]),
                MuForm.scalar(ODE1, [parse("x")])),
@@ -122,7 +121,9 @@ def test_values_compare_and_hash_by_their_fields(name):
     assert a is not same and a == same and hash(a) == hash(same)
     assert a != other and not a == other
     assert {a: 1, other: 2}[same] == 1 and len({a, same, other}) == 2
-    assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+    # a copy is the frozen value itself; a pickle rebuilds an equal one
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 @pytest.mark.parametrize("name", list(VALUES))
@@ -140,7 +141,7 @@ def test_equal_specs_share_the_jet_caches():
     _decode.cache_clear()
     _total_derivation.cache_clear()
     assert _total_derivation(first, 0) is _total_derivation(again, 0)
-    assert _decode(first, "u_xt") == _decode(again, "u_xt") == ("jet", 0, MultiIndex((1, 1)))
+    assert _decode(first, "u_xt") == _decode(again, "u_xt") == ("jet", 0, (1, 1))
     assert _total_derivation.cache_info().hits == 1 and _decode.cache_info().hits == 1
 
 
@@ -187,20 +188,46 @@ def test_a_total_derivation_keeps_only_variable_images_across_calls():
 
 
 def test_values_validate_and_coerce_their_fields():
-    with pytest.raises(JetError, match="negative multiindex counts"):
-        MultiIndex((-1,))
     for independent, dependent in (((), ("u",)), (("x",), ())):
         with pytest.raises(JetError, match="at least one independent"):
             JetSpec(independent, dependent, 1)
     spec = JetSpec(["x"], ["u", "v"], 1)
     assert spec.independent == ("x",) and spec.dependent == ("u", "v")
     assert repr(spec) == "JetSpec(independent=('x',), dependent=('u', 'v'), order=1)"
-    assert repr(MultiIndex((1, 2))) == "MultiIndex(1, 2)"
+
+
+@pytest.mark.parametrize("J", [(-1,), (0, 1), (), (1, -1)])
+def test_a_multiindex_is_a_tuple_of_p_non_negative_counts(J):
+    with pytest.raises(JetError, match="not a multiindex"):
+        multiindex(ODE1, J)
+    with pytest.raises(JetError, match="not a multiindex"):
+        JetVectorField(ODE1, (ZERO,), {(0, J): ZERO})
+    with pytest.raises(JetError, match="not a multiindex"):
+        DifferentialEquation(ODE1, [((0, J), parse("u"))])
+    with pytest.raises(JetError, match="not a multiindex"):
+        ODE1.jet_name(0, J)
+
+
+def test_a_multiindex_given_as_a_sequence_becomes_its_tuple():
+    assert multiindex(PDE2, [2, 0]) == (2, 0)
+    eq = DifferentialEquation(ODE2, [((0, [2]), parse("u"))])
+    assert eq.leading(0) == (2,) and eq == _equation("u")
 
 
 def test_multi_index_enumeration_is_graded_first_slot_first():
     names = [PDE2.jet_name(0, J) for J in PDE2.multi_indices(2)]
     assert names == ["u", "u_x", "u_t", "u_xx", "u_xt", "u_tt"]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_multi_indices_match_a_sorted_brute_force_enumeration(p):
+    spec = JetSpec([f"x{i}" for i in range(p)], ["u"], 1)
+    for max_order in range(5):
+        every = list(itertools.product(range(max_order + 1), repeat=p))
+        for min_order in range(max_order + 2):
+            want = sorted((c for c in every if min_order <= sum(c) <= max_order),
+                          key=lambda c: (sum(c), tuple(-k for k in c)))
+            assert spec.multi_indices(max_order, min_order=min_order) == want
 
 
 # --- total derivative -------------------------------------------------------
@@ -255,8 +282,8 @@ def test_contact_form_scalar():
 
 
 def test_contact_form_higher_and_second_component():
-    theta = contact_form(0, MultiIndex((1, 0)), PDE2)
-    assert theta.coefficient(basis_key_du(0, MultiIndex((1, 0)))) == rational(1)
+    theta = contact_form(0, (1, 0), PDE2)
+    assert theta.coefficient(basis_key_du(0, (1, 0))) == rational(1)
     assert theta.coefficient(basis_key_dx(0)) == parse("-u_xx")
     assert theta.coefficient(basis_key_dx(1)) == parse("-u_xt")
     theta_v = contact_form(1, J0_1, SYS1)
@@ -266,7 +293,7 @@ def test_contact_form_higher_and_second_component():
 
 def test_no_contact_form_at_top_order():
     with pytest.raises(JetError):
-        contact_form(0, MultiIndex((1,)), ODE1)
+        contact_form(0, (1,), ODE1)
 
 
 def test_contact_forms_annihilate_total_derivative_directions():
@@ -290,8 +317,8 @@ def test_interior_product_examples():
 
 def test_interior_product_prolonged_field():
     # scaling field x d_x + u d_u prolonged to order 1 has psi_x = 0
-    Y = field(ODE2, ["x"], {(0, J0_1): "u", (0, MultiIndex((1,))): "0"})
-    omega = contact_form(0, MultiIndex((1,)), ODE2)
+    Y = field(ODE2, ["x"], {(0, J0_1): "u", (0, (1,)): "0"})
+    omega = contact_form(0, (1,), ODE2)
     assert interior_product(Y, omega) == parse("-x*u_xx")
 
 
@@ -312,7 +339,7 @@ def test_exterior_derivative_of_constant_coefficient():
 def test_exterior_derivative_of_contact_form():
     theta = contact_form(0, J0_1, ODE1)
     tau = exterior_derivative(theta, ODE1)
-    assert tau.coefficient(basis_key_dx(0), basis_key_du(0, MultiIndex((1,)))) == rational(1)
+    assert tau.coefficient(basis_key_dx(0), basis_key_du(0, (1,))) == rational(1)
     assert len(tau.coeffs) == 1
 
 
@@ -327,7 +354,7 @@ def test_form_subtraction_adds_the_negated_coefficients():
     # d(u dx + x du) = 0 and d(theta) = dx ^ du_x, so the difference is du_x ^ dx
     assert tau.is_structurally_zero
     low = tau - sigma
-    assert low.coefficient(basis_key_du(0, MultiIndex((1,))), basis_key_dx(0)) == rational(1)
+    assert low.coefficient(basis_key_du(0, (1,)), basis_key_dx(0)) == rational(1)
     assert low + sigma == tau and (sigma - sigma).is_structurally_zero
 
 
@@ -339,7 +366,7 @@ def test_exterior_derivative_against_sympy():
     spec = JetSpec(("x", "t"), ("u",), 1)
     keys = [basis_key_dx(i) for i in range(spec.p)]
     keys += [basis_key_du(0, K) for K in spec.multi_indices(1)]
-    names = [spec.independent[k[1]] if k[0] == "x" else spec.jet_name(0, MultiIndex(k[2]))
+    names = [spec.independent[k[1]] if k[0] == "x" else spec.jet_name(0, k[2])
              for k in keys]
     symbol = {n: sympy.Symbol(n) for n in names}
 
@@ -377,7 +404,7 @@ def test_lie_derivative_vertical_shift_kills_contact_form():
 def test_scaling_identity_for_lie_derivatives():
     # L_{fY}(w) = f L_Y(w) + (Y . w) df, checked on concrete data
     spec = ODE2
-    Y = field(spec, ["u"], {(0, J0_1): "x*u", (0, MultiIndex((1,))): "u_x^2"})
+    Y = field(spec, ["u"], {(0, J0_1): "x*u", (0, (1,)): "u_x^2"})
     omega = du(0, J0_1).scale(parse("x")) + dx(0).scale(parse("u_x"))
     for f_text in ("x", "u", "x*u_x + 1"):
         f = parse(f_text)
@@ -402,24 +429,24 @@ def test_horizontal_form_is_not_in_module():
 
 
 def test_top_order_differential_is_not_in_module():
-    m = in_contact_module(du(0, MultiIndex((1,))), ODE1)
+    m = in_contact_module(du(0, (1,)), ODE1)
     assert m.verdict is Verdict.FALSE
-    assert m.top_residuals[(0, MultiIndex((1,)))] == rational(1)
+    assert m.top_residuals[(0, (1,))] == rational(1)
 
 
 def test_decomposition_reconstructs_the_form():
     spec = PDE2
     omega = (
         du(0, J0_2).scale(parse("x*t"))
-        + du(0, MultiIndex((1, 0))).scale(parse("u_t"))
+        + du(0, (1, 0)).scale(parse("u_t"))
         + dx(0).scale(parse("u + t"))
-        + du(0, MultiIndex((2, 0))).scale(parse("3"))
+        + du(0, (2, 0)).scale(parse("3"))
     )
     m = in_contact_module(omega, spec)
-    rebuilt = du(0, MultiIndex((2, 0))).scale(rational(0))
+    rebuilt = du(0, (2, 0)).scale(rational(0))
     for key, c in omega.coeffs.items():
-        if key[0] == "u" and MultiIndex(key[2]).order <= spec.order - 1:
-            rebuilt = rebuilt + contact_form(key[1], MultiIndex(key[2]), spec).scale(c)
+        if key[0] == "u" and sum(key[2]) <= spec.order - 1:
+            rebuilt = rebuilt + contact_form(key[1], key[2], spec).scale(c)
     for i, r in m.horizontal_residuals.items():
         rebuilt = rebuilt + dx(i).scale(r)
     for (a, J), c in m.top_residuals.items():

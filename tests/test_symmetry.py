@@ -16,7 +16,7 @@ from forms import (
 from helpers import rand_point_field, rand_poly
 from jetsym.errors import EquationError, RestrictionError
 from jetsym.expr import Verdict, rational
-from jetsym.jets import JetSpec, MultiIndex, MuForm
+from jetsym.jets import JetSpec, MuForm
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, lambda_form, lift
 from jetsym.symmetry import (
@@ -31,8 +31,6 @@ from jetsym.symmetry import (
 ODE1 = JetSpec(("x",), ("u",), 1)
 ODE2 = JetSpec(("x",), ("u",), 2)
 PDE1 = JetSpec(("x", "t"), ("u",), 1)
-
-J = MultiIndex
 
 
 def pvf(spec, xi, phi, generalized=False):
@@ -195,7 +193,7 @@ def test_constructed_symmetric_equations_pass():
 def test_commutator_pairs_to_zero_for_standard_prolongations():
     Y = lift(pvf(ODE1, ["1"], ["0"]), n=1)
     C = commutator_with_total_derivative(Y, 0)
-    theta = contact_form(0, J((0,)), ODE1)
+    theta = contact_form(0, (0,), ODE1)
     assert interior_product(C, theta) == rational(0)
 
     Y2 = lift(pvf(ODE1, ["x"], ["u"]), n=1)
@@ -207,7 +205,7 @@ def test_commutator_recovers_lambda():
     X = pvf(ODE1, ["0"], ["1"])
     Y = lift(X, lambda_form(X, parse("u")), 1)
     C = commutator_with_total_derivative(Y, 0)
-    theta = contact_form(0, J((0,)), ODE1)
+    theta = contact_form(0, (0,), ODE1)
     assert interior_product(C, theta) == parse("u")
 
 
@@ -232,17 +230,17 @@ def test_perturbing_a_shared_lift_leaves_it_unchanged():
     X = pvf(ODE2, ["x"], ["u"])
     Y = lift(X, n=2)
     before = dict(Y.psi)
-    Z = _perturb(Y, 0, J((1,)))
-    assert Z.psi_at(0, J((1,))) == Y.psi_at(0, J((1,))) + rational(1)
+    Z = _perturb(Y, 0, (1,))
+    assert Z.psi_at(0, (1,)) == Y.psi_at(0, (1,)) + rational(1)
     assert Z != Y and dict(Y.psi) == before and lift(X, n=2) is Y
 
 
 def test_characterization_check_rejects_perturbed_fields():
     X = pvf(ODE2, ["x"], ["u"])
-    Y = _perturb(lift(X, n=2), 0, J((1,)))
+    Y = _perturb(lift(X, n=2), 0, (1,))
     assert characterization_check(Y) is Verdict.FALSE
     lam = parse("x*u")
-    Yl = _perturb(lift(X, lambda_form(X, lam), 2), 0, J((2,)))
+    Yl = _perturb(lift(X, lambda_form(X, lam), 2), 0, (2,))
     assert characterization_check(Yl, lam) is Verdict.FALSE
 
 
@@ -251,7 +249,7 @@ def test_characterization_agrees_with_contact_membership():
     for _ in range(4):
         X = rand_point_field(rng, ODE2)
         Y = lift(X, n=2)
-        for cand in (Y, _perturb(Y, 0, J((2,)))):
+        for cand in (Y, _perturb(Y, 0, (2,))):
             char = characterization_check(cand)
             member = Verdict.combine(
                 in_contact_module(
@@ -288,8 +286,8 @@ def test_coincidence_lists_its_probable_difference_terms():
     res = coincide_on_invariant_set(X, MuForm.scalar(ODE1, [parse("x")]), 1)
     assert res.verdict is Verdict.PROBABLY
     assert res.unverifiable and not res.vacuous
-    assert res.probable == ((0, J((1,))),)
-    assert res.residuals[0, J((0,))] == rational(0)
+    assert res.probable == ((0, (1,)),)
+    assert res.residuals[0, (0,)] == rational(0)
 
 
 def test_coincidence_vacuous_for_vertical_shift():
