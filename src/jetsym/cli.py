@@ -21,12 +21,16 @@ With --strict everything except a plain pass fails the run.  Randomized
 zero tests derive from --seed (default fixed), and the seed is recorded
 in the report; the machine-readable report (--json) contains no
 wall-clock fields, so identical inputs and seed give byte-identical
-documents.
+documents.  ``main``, the command line, holds the cyclic garbage
+collector off for its run and then restores it: values are acyclic dicts
+of tuples, which reference counting frees; ``run`` and the library leave
+the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -226,6 +230,18 @@ def _load(path) -> ProblemFile:
 
 
 def main(argv=None) -> int:
+    # jetsym's values are acyclic dicts of tuples that reference counting
+    # frees when dropped, so the cyclic collector would only re-walk live ones
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="jetsym",
         description="Prolongation calculus and symmetry checks for ODEs/PDEs",

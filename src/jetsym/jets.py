@@ -5,7 +5,7 @@ dependent names, order).  A derivative coordinate is the pair ``(a, J)``
 of a dependent index and an unordered multiindex J, the tuple of its p
 derivative counts (one per independent variable), so mixed coordinates
 like ``u_xt`` and ``u_tx`` are the same variable by construction;
-:func:`multiindex` validates a J given from outside.  The name,
+:func:`jet_coordinate` validates a pair given from outside.  The name,
 ``JetSpec.jet_name(a, J)``, is the dependent name, underscore, then
 the independent names repeated per count in declaration order (``u``,
 ``u_x``, ``u_xx``, ``u_xt`` when x is declared before t).
@@ -101,6 +101,14 @@ def multiindex(spec, J) -> tuple:
     return J
 
 
+def jet_coordinate(spec, a, J, error=JetError) -> tuple:
+    """``(a, J)`` as a jet coordinate of ``spec``: ``a`` an int in
+    ``range(q)``, else ``error`` is raised, and ``J`` a multiindex."""
+    if not isinstance(a, int) or not 0 <= a < spec.q:
+        raise error(f"dependent index {a!r} is not in range({spec.q})")
+    return a, multiindex(spec, J)
+
+
 def last_slot(J) -> int:
     """The direction of the final step of the canonical build path of the
     nonzero multiindex ``J`` (all slot-0 steps first, then slot 1, ...)."""
@@ -144,7 +152,7 @@ class JetSpec(_Value):
     # -- names ------------------------------------------------------------
 
     def jet_name(self, a: int, J) -> str:
-        J = multiindex(self, J)
+        a, J = jet_coordinate(self, a, J)
         if not any(J):
             return self.dependent[a]
         suffix = "".join(x * c for x, c in zip(self.independent, J))
@@ -273,10 +281,10 @@ class JetVectorField(_Value):
             raise JetError("xi must have one component per independent variable")
         store = {}
         for (a, J), e in psi.items():
-            J = multiindex(spec, J)
+            coord = jet_coordinate(spec, a, J)
             e = as_expr(e)
             if e != ZERO:
-                store[(a, J)] = e
+                store[coord] = e
         super().__init__(spec, xi, store, spec.order if order is None else order)
         _set_field(self, "psi", MappingProxyType(store))
 

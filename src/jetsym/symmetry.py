@@ -37,9 +37,9 @@ from .expr import (
 from .jets import (
     JetSpec,
     MuForm,
+    jet_coordinate,
     jet_order,
     last_slot,
-    multiindex,
     total_derivative,
     total_derivative_path,
     _Value,
@@ -66,7 +66,7 @@ class DifferentialEquation(_Value):
         eqs = []
         seen = set()
         for (a, J), rhs in equations:
-            J = multiindex(spec, J)
+            a, J = jet_coordinate(spec, a, J, EquationError)
             rhs = as_expr(rhs)
             if sum(J) != spec.order:
                 raise EquationError(

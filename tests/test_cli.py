@@ -1,6 +1,8 @@
 """Problem-file and CLI tests: parsing, dispatch, reports, exit codes."""
 
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from jetsym.errors import JetError, ProblemFileError
 from jetsym.jets import MuForm
 from jetsym.parsing import MAX_NESTING, parse
 from jetsym.problemfile import TASK_ARGS, load_problem
+from jetsym.prolong import lift
 from jetsym.symmetry import DifferentialEquation
 
 from helpers import run_python
@@ -946,3 +949,73 @@ def test_distinct_given_and_generated_ids_load():
     )
     ids = [t.task_id for t in load_problem(text).tasks]
     assert ids == ["task-1", "p", "task-3"]
+
+
+# --- the cyclic collector ----------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BARE = "[jet]\nindependent = x\ndependent = u\norder = 1\n"
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_a_run_makes_no_cycles_of_its_own(tmp_path, capsys, collector):
+    """``main`` holds the cyclic collector off because jetsym's values form
+    no reference cycles: what any run leaves to the collector is what
+    argparse and json leave on a problem without tasks."""
+    out = str(tmp_path / "report.json")
+    bare = tmp_path / "bare.jsf"
+    bare.write_text(BARE)
+    gc.disable()
+
+    def unreachable_after(problem):
+        gc.collect()
+        main(["--json", out, "run-file", str(problem)])
+        return gc.collect()
+
+    unreachable_after(bare)  # a first call's one-time set-up is not garbage
+    baseline = unreachable_after(bare)
+    for problem in sorted(GOLDEN.glob("*.jsf")):
+        assert unreachable_after(problem) == baseline, problem.name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", [
+    (["run-file", str(GOLDEN / "pde.jsf")], 0),
+    (["run-file", str(GOLDEN / "ode.jsf")], 1),
+    (["run-file", str(GOLDEN / "absent.jsf")], 2),
+    (["run-file"], SystemExit),
+], ids=["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector, enabled, argv, code):
+    (gc.enable if enabled else gc.disable)()
+    if code is SystemExit:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_library_leaves_the_collector_alone(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    problem = load_problem(REGRESSION)
+    assert run(problem).exit_code == 1
+    lift(problem.named("field", "S"), n=2)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("state", ["enable", "disable"])
+def test_importing_the_command_line_leaves_the_collector_alone(state):
+    proc = run_python(["-c", f"import gc; gc.{state}(); import jetsym.cli; "
+                             "print(gc.isenabled())"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(state == "enable")]

@@ -27,7 +27,7 @@ from forms import (
     truncated_total_derivative,
 )
 from helpers import rand_poly, run_child
-from jetsym.errors import JetError
+from jetsym.errors import EquationError, JetError
 from jetsym.expr import ZERO, Verdict, rational, to_string
 from jetsym.gauge import GaugeFunction
 from jetsym.jets import (
@@ -37,11 +37,12 @@ from jetsym.jets import (
     total_derivative,
     _decode,
     _total_derivation,
+    jet_coordinate,
     multiindex,
 )
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, maurer_cartan_check
-from jetsym.symmetry import DifferentialEquation
+from jetsym.symmetry import DifferentialEquation, check_symmetry
 
 ODE1 = JetSpec(("x",), ("u",), 1)
 ODE2 = JetSpec(("x",), ("u",), 2)
@@ -212,6 +213,32 @@ def test_a_multiindex_given_as_a_sequence_becomes_its_tuple():
     assert multiindex(PDE2, [2, 0]) == (2, 0)
     eq = DifferentialEquation(ODE2, [((0, [2]), parse("u"))])
     assert eq.leading(0) == (2,) and eq == _equation("u")
+
+
+@pytest.mark.parametrize("a", [5, -1, 1, "0"])
+def test_a_dependent_index_out_of_range_is_an_error(a):
+    """An index outside range(q), negative ones included, is refused by
+    every constructor that takes one, not read as another coordinate or
+    as a coordinate that no equation or verdict can see."""
+    u = parse("u")
+    with pytest.raises(JetError, match="dependent index"):
+        jet_coordinate(ODE1, a, (1,))
+    with pytest.raises(JetError, match="dependent index"):
+        ODE1.jet_name(a, (1,))
+    for J in ((0,), (1,)):
+        with pytest.raises(JetError, match="dependent index"):
+            JetVectorField(ODE1, (ZERO,), {(a, J): u})
+    with pytest.raises(EquationError, match="dependent index"):
+        DifferentialEquation(ODE1, [((a, (1,)), u)])
+
+
+def test_the_dependent_index_zero_is_the_first_coordinate():
+    assert jet_coordinate(ODE1, 0, [1]) == (0, (1,))
+    assert ODE1.jet_name(0, (1,)) == "u_x"
+    assert SYS1.jet_name(1, (1,)) == "v_x"
+    equation = DifferentialEquation(ODE1, [((0, (1,)), parse("u"))])
+    scaling = PointVectorField(ODE1, [ZERO], [parse("u")])
+    assert check_symmetry(scaling, equation).verdict is Verdict.TRUE
 
 
 def test_multi_index_enumeration_is_graded_first_slot_first():
