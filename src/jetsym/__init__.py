@@ -42,7 +42,6 @@ from .jets import (
     JetVectorField,
     MuForm,
     total_derivative,
-    total_derivative_path,
 )
 from .parsing import parse
 from .problemfile import ProblemFile, load_problem
@@ -103,7 +102,6 @@ __all__ = [
     "substitute",
     "to_string",
     "total_derivative",
-    "total_derivative_path",
     "variable",
     "verify_gauge_equivalence_scalar",
     "zero_verdict",

@@ -327,19 +327,6 @@ def _is_exp_key(a) -> bool:
 
 def _fix_exp(p):
     """Merge exponential atoms inside every monomial of ``p``."""
-    bad = None
-    for m in p:
-        n_exp = 0
-        for a, e in m:
-            if _is_exp_key(a):
-                n_exp += 1
-                if e != 1 or n_exp > 1:
-                    bad = True
-                    break
-        if bad:
-            break
-    if not bad:
-        return p
     r = {}
     for m, c in p.items():
         rest = []
@@ -357,15 +344,7 @@ def _fix_exp(p):
                 if arg != ZERO:
                     rest.append((_function_key("exp", arg), 1))
             mm = tuple(sorted(rest))
-        v = r.get(mm)
-        if v is None:
-            r[mm] = c
-        else:
-            v = _k.rat_add(v, c)
-            if v[0]:
-                r[mm] = v
-            else:
-                del r[mm]
+        _add_term(r, mm, c)
     return r
 
 

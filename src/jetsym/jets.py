@@ -10,6 +10,10 @@ like ``u_xt`` and ``u_tx`` are the same variable by construction;
 the independent names repeated per count in declaration order (``u``,
 ``u_x``, ``u_xx``, ``u_xt`` when x is declared before t).
 
+``JetSpec.canonical_steps`` owns the canonical path over multiindices,
+which every recursion over J walks.  A value that names a misspelled jet
+coordinate (``u_tx`` when x is declared before t) raises ``JetError``.
+
 A :class:`JetVectorField` acts as a derivation on functions of the jet
 coordinates; prolonged fields are built by ``prolong``.  Contact forms,
 Lie derivatives and the contact module are not part of the package: the
@@ -109,12 +113,6 @@ def jet_coordinate(spec, a, J, error=JetError) -> tuple:
     return a, multiindex(spec, J)
 
 
-def last_slot(J) -> int:
-    """The direction of the final step of the canonical build path of the
-    nonzero multiindex ``J`` (all slot-0 steps first, then slot 1, ...)."""
-    return max(i for i, c in enumerate(J) if c)
-
-
 class JetSpec(_Value):
     """The jet space over p independent and q dependent variables."""
 
@@ -183,6 +181,15 @@ class JetSpec(_Value):
                 for total in range(min_order, max_order + 1)
                 for combo in combinations_with_replacement(slots, total)]
 
+    def canonical_steps(self, n):
+        """The canonical path: ``(J, i, K)`` for each J with ``1 <= |J| <=
+        n`` in ``multi_indices`` order, i the last nonzero slot of J and
+        ``K = J - e_i``, so K comes before J and J is built by all its
+        slot-0 steps first, then its slot-1 steps, and so on."""
+        for J in self.multi_indices(n, min_order=1):
+            i = max(m for m, c in enumerate(J) if c)
+            yield J, i, J[:i] + (J[i] - 1,) + J[i + 1:]
+
 
 @lru_cache(maxsize=4096)
 def _decode(spec: JetSpec, name: str):
@@ -249,15 +256,6 @@ def total_derivative(e, i: int, spec: JetSpec) -> Expr:
     direction of one jet space share one cached derivation, so each
     variable's image is worked out once per process."""
     return _total_derivation(spec, i)(e)
-
-
-def total_derivative_path(e, J, spec: JetSpec) -> Expr:
-    """D_J along the canonical path (slot 0 first, then slot 1, ...)."""
-    out = as_expr(e)
-    for i, c in enumerate(J):
-        for _ in range(c):
-            out = total_derivative(out, i, spec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +343,14 @@ class MuForm(_Value):
 
 
 def mat_square(spec: JetSpec, rows, error, text):
-    """``rows`` as a q-by-q matrix of values; any other shape raises
-    ``error(text)``."""
+    """``rows`` as a q-by-q matrix of values on ``spec``; any other shape
+    raises ``error(text)``, a misspelled jet coordinate ``JetError``."""
     out = tuple(tuple(as_expr(e) for e in row) for row in rows)
     if len(out) != spec.q or any(len(r) != spec.q for r in out):
         raise error(text)
+    for row in out:
+        for e in row:
+            jet_order(e, spec)
     return out
 
 

@@ -6,7 +6,7 @@ of q-by-q matrix coefficients the mu-deformed one, the scalar form
 being its q = 1 case.  The lambda lift of a scalar ODE is the mu lift by
 the form ``lambda dx`` (:func:`lambda_form`), and the standard lift the
 mu lift by the zero form.  Every lift runs the same one-step recursion
-along the canonical multiindex path (all slot-0 steps, then slot 1, ...).
+along the canonical multiindex path, ``JetSpec.canonical_steps``.
 Each step combines canonical values directly; the derivatives
 ``D_i xi^m`` of the field's base components, and the coefficients built
 from them, are computed once per lift and shared by every step.  The
@@ -49,7 +49,6 @@ from .jets import (
     _Value,
     _set_field,
     jet_order,
-    last_slot,
     mat_mul,
     mat_sub,
     mat_total_derivative,
@@ -73,13 +72,12 @@ class PointVectorField(_Value):
         _set_field(self, "_lifts", {})
         if len(self.xi) != self.spec.p or len(self.phi) != self.spec.q:
             raise JetError("component counts must match the jet space")
-        if not self.generalized:
-            for e in self.xi + self.phi:
-                if jet_order(e, self.spec) >= 1:
-                    raise JetError(
-                        "point field coefficients may depend on (x, u) only; "
-                        "set generalized=True for jet-dependent coefficients"
-                    )
+        for e in self.xi + self.phi:  # jet_order rejects a misspelled jet name
+            if jet_order(e, self.spec) >= 1 and not self.generalized:
+                raise JetError(
+                    "point field coefficients may depend on (x, u) only; "
+                    "set generalized=True for jet-dependent coefficients"
+                )
 
 
 def characteristic(X: PointVectorField):
@@ -159,11 +157,13 @@ def _make_step(X: PointVectorField, mu=None):
 
 def _verify_path_independence(step, table, spec, n, *, seed=None):
     """Every single-step edge of the table must be consistent; together
-    the edges cover all increasing multiindex paths."""
-    for J in spec.multi_indices(n, min_order=2):
-        slots = [i for i, k in enumerate(J) if k]
-        for i in slots[:-1]:  # the last slot's edge produced the stored value
-            base = J[:i] + (J[i] - 1,) + J[i + 1:]
+    the edges cover all increasing multiindex paths.  The canonical edge
+    into each J made its stored value; the others are re-derived."""
+    for J, last, _K in spec.canonical_steps(n):
+        for i, c in enumerate(J):
+            if not c or i == last:
+                continue
+            base = J[:i] + (c - 1,) + J[i + 1:]
             alt = step(i, base, table[base])
             for a in range(spec.q):
                 diff = table[J][a] - alt[a]
@@ -238,12 +238,9 @@ def lift(
     # the component table, keyed by multiindex and filled along the
     # canonical path, graded
     step = _make_step(X, mu)
-    indices = spec.multi_indices(n)
-    table = {indices[0]: tuple(X.phi)}
-    for J in indices[1:]:
-        i = last_slot(J)
-        base = J[:i] + (J[i] - 1,) + J[i + 1:]
-        table[J] = step(i, base, table[base])
+    table = {(0,) * spec.p: tuple(X.phi)}
+    for J, i, K in spec.canonical_steps(n):
+        table[J] = step(i, K, table[K])
     if path_check and flat is not Verdict.TRUE:
         _verify_path_independence(step, table, spec, n, seed=seed)
     psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}

@@ -4,7 +4,9 @@ An equation system assigns to each dependent variable one leading
 derivative of top order and a right-hand side that contains no leading
 derivative or derivative thereof.  Restriction to the solution manifold
 substitutes the leading coordinates and their derivative consequences,
-innermost first, so it terminates by construction.
+innermost first, so it terminates by construction; it closes each
+grade of them before the next, so it does not depend on the order of
+the independent variables.
 
 A field is a symmetry, for a form ``mu`` a mu-symmetry (a lambda-symmetry
 when ``mu = lambda dx``), when its lift by that form, applied as a
@@ -19,6 +21,8 @@ the set was empty or could not be solved.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .errors import EquationError, RestrictionError
 from .expr import (
@@ -39,9 +43,7 @@ from .jets import (
     MuForm,
     jet_coordinate,
     jet_order,
-    last_slot,
     total_derivative,
-    total_derivative_path,
     _Value,
 )
 from .parsing import parse
@@ -83,14 +85,12 @@ class DifferentialEquation(_Value):
             raise EquationError("need exactly one equation per dependent variable")
         eqs.sort(key=lambda it: it[0][0])
         super().__init__(spec, tuple(eqs))
-        for _coord, rhs in self.equations:
-            for name in free_variables(rhs):
-                kind = self.spec.decode(name)
-                if kind[0] == "jet" and self._is_leading_derived(kind[1], kind[2]):
-                    raise EquationError(
-                        f"right-hand side contains {name}, which is a leading "
-                        "coordinate or a derivative of one"
-                    )
+        bad = [name for _coord, rhs in self.equations for name in self._leading_derived(rhs)]
+        if bad:
+            raise EquationError(
+                f"right-hand side contains {bad[0]}, which is a leading "
+                "coordinate or a derivative of one"
+            )
 
     @classmethod
     def from_strings(cls, spec: JetSpec, mapping) -> "DifferentialEquation":
@@ -110,21 +110,30 @@ class DifferentialEquation(_Value):
     def rhs(self, a: int) -> Expr:
         return self.equations[a][1]
 
-    def _is_leading_derived(self, a: int, J) -> bool:
-        return all(j >= k for j, k in zip(J, self.leading(a)))
+    def _leading_derived(self, e) -> list:
+        """The sorted names of the leading coordinates, and of their
+        derivatives, that ``e`` holds."""
+        out = []
+        for name in free_variables(e):
+            kind = self.spec.decode(name)
+            if kind[0] == "jet" and all(
+                    j >= k for j, k in zip(kind[2], self.leading(kind[1]))):
+                out.append(name)
+        return sorted(out)
 
 
 def invariant_set_relations(X: PointVectorField, n=None):
-    """All total derivatives of the characteristic up to order n-1; their
-    common zero set is the invariant set of the field."""
+    """All total derivatives ``D_J Q`` of the characteristic with ``|J| <
+    n``, one step of the canonical path each; their common zero set is
+    the invariant set of the field."""
     spec = X.spec
     n = spec.order if n is None else n
-    Q = characteristic(X)
-    out = []
-    for J in spec.multi_indices(n - 1):
-        for q in Q:
-            out.append(total_derivative_path(q, J, spec))
-    return out
+    if n < 1:
+        return []
+    table = {(0,) * spec.p: characteristic(X)}
+    for J, i, K in spec.canonical_steps(n - 1):
+        table[J] = tuple(total_derivative(q, i, spec) for q in table[K])
+    return [q for row in table.values() for q in row]
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +142,41 @@ def invariant_set_relations(X: PointVectorField, n=None):
 
 def _closed_substitutions(eq: DifferentialEquation, depth: int):
     """Replacement map for all leading coordinates and their derivatives
-    up to ``depth`` extra orders; built lowest order outward so every
-    replacement is free of leading-derived coordinates."""
+    up to ``depth`` extra orders, free of leading-derived coordinates:
+    the value at ``J* + K`` is D_i of the value at ``K - e_i`` along the
+    canonical path, with the bindings so far substituted.  A value that
+    still names a coordinate its grade binds later waits until the grade
+    ends, when the waiting values are resolved in dependency order; a
+    cycle among them raises ``RestrictionError``."""
     spec = eq.spec
     closed = {}
     bindings = {}
     for a in range(spec.q):
         closed[(a, (0,) * spec.p)] = eq.rhs(a)
-        lead = eq.leading(a)
-        bindings[spec.jet_name(a, lead)] = eq.rhs(a)
-    for K in spec.multi_indices(depth, min_order=1):
-        for a in range(spec.q):
-            i = last_slot(K)
-            base = closed[(a, K[:i] + (K[i] - 1,) + K[i + 1:])]
-            raw = total_derivative(base, i, spec)
-            cooked = substitute(raw, bindings)
-            closed[(a, K)] = cooked
-            lead = eq.leading(a)
-            name = spec.jet_name(a, tuple(l + k for l, k in zip(lead, K)))
-            bindings[name] = cooked
+        bindings[spec.jet_name(a, eq.leading(a))] = eq.rhs(a)
+    for _grade, steps in groupby(spec.canonical_steps(depth), lambda step: sum(step[0])):
+        waiting = {}
+        for K, i, base in steps:
+            for a in range(spec.q):
+                value = substitute(total_derivative(closed[(a, base)], i, spec), bindings)
+                name = spec.jet_name(a, tuple(l + k for l, k in zip(eq.leading(a), K)))
+                needs = eq._leading_derived(value)
+                if needs:
+                    waiting[name] = ((a, K), value, needs)
+                else:
+                    closed[(a, K)] = bindings[name] = value
+        while waiting:
+            ready = [name for name, (_c, _v, needs) in waiting.items()
+                     if bindings.keys() >= set(needs)]
+            if not ready:
+                raise RestrictionError(
+                    f"the derivative consequences of {', '.join(waiting)} "
+                    "depend on each other"
+                )
+            for name in ready:
+                coord, value, needs = waiting.pop(name)
+                value = substitute(value, {n: bindings[n] for n in needs})
+                closed[coord] = bindings[name] = value
     return bindings
 
 
@@ -163,12 +188,9 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
         depth = max(0, jet_order(e, spec) - spec.order)
     bindings = _closed_substitutions(eq, depth)
     out = substitute(e, bindings)
-    for name in free_variables(out):
-        kind = spec.decode(name)
-        if kind[0] == "jet" and eq._is_leading_derived(kind[1], kind[2]):
-            raise RestrictionError(
-                f"{name} exceeds the substitution depth {depth}"
-            )
+    bad = eq._leading_derived(out)
+    if bad:
+        raise RestrictionError(f"{bad[0]} exceeds the substitution depth {depth}")
     return out
 
 

@@ -24,7 +24,6 @@ from jetsym.jets import (
     JetVectorField,
     MuForm,
     total_derivative,
-    total_derivative_path,
 )
 from jetsym.prolong import characteristic
 
@@ -40,6 +39,14 @@ def basis_key_du(a, J):
 def inc(J, i):
     """The multiindex ``J + i``, one more count in slot i."""
     return J[:i] + (J[i] + 1,) + J[i + 1:]
+
+
+def total_derivative_along(e, J, spec):
+    """``D_J e``, taken as ``J[i]`` total derivatives along each slot i."""
+    for i, c in enumerate(J):
+        for _ in range(c):
+            e = total_derivative(e, i, spec)
+    return e
 
 
 class Form:
@@ -234,7 +241,7 @@ def difference_recursion(X, mu, terms):
     residuals = {}
     verdicts = []
     for J in spec.multi_indices(n - 1):
-        F, dq = terms[(0, J)], total_derivative_path(Q, J, spec)
+        F, dq = terms[(0, J)], total_derivative_along(Q, J, spec)
         for i, lam in enumerate(mu.lambdas):
             r = terms[(0, inc(J, i))] - total_derivative(F, i, spec) - lam * (F + dq)
             if r != ZERO:

@@ -819,7 +819,7 @@ def test_zero_divisor_in_a_section_exits_two(tmp_path, capsys):
 
 
 DECLARATIONS = """[jet]
-independent = x
+independent = t, x
 dependent = u
 order = 2
 [field S]
@@ -832,26 +832,48 @@ u u = 1
 [equation E]
 u_xx = u
 """
+# u_xt with t declared before x: the message of every declaration that names it
+MISSPELT = ("'u_xt' is not a jet coordinate of this space "
+            "(suffix must repeat independent names in declaration order)")
 
 
-@pytest.mark.parametrize("kind, owner, name", [
-    ("field", problemfile, "PointVectorField"),
-    ("mu", MuForm, "scalar"),
-    ("gauge", problemfile, "GaugeFunction"),
-    ("equation", DifferentialEquation, "from_strings"),
+@pytest.mark.parametrize("kind, patch, edit", [
+    # a constructor that raises
+    pytest.param("field", (problemfile, "PointVectorField"), None,
+                 id="field-jetsym.problemfile-PointVectorField"),
+    pytest.param("mu", (MuForm, "scalar"), None, id="mu-MuForm-scalar"),
+    pytest.param("gauge", (problemfile, "GaugeFunction"), None,
+                 id="gauge-jetsym.problemfile-GaugeFunction"),
+    pytest.param("equation", (DifferentialEquation, "from_strings"), None,
+                 id="equation-DifferentialEquation-from_strings"),
+    # a misspelled jet coordinate, whether or not a task reads the declaration
+    pytest.param("field", None, ("phi u = 1", "phi u = u_xt"), id="field-misspelt"),
+    pytest.param("field", None, ("phi u = 1", "generalized = true\nphi u = u_xt"),
+                 id="generalized-field-misspelt"),
+    pytest.param("mu", None, ("[mu M]\nx = u", "[mu M]\nx = u_xt"), id="mu-misspelt"),
+    pytest.param("gauge", None, ("u u = 1", "u u = exp(u_xt)\ninverse u u = exp(-u_xt)"),
+                 id="gauge-misspelt"),
+    pytest.param("equation", None, ("u_xx = u", "u_xx = u_xt"), id="equation-misspelt"),
 ])
 def test_a_failing_constructor_exits_two_at_its_section(tmp_path, capsys, monkeypatch,
-                                                         kind, owner, name):
+                                                         kind, patch, edit):
     def boom(*args, **kwargs):
         raise JetError("boom")
 
-    monkeypatch.setattr(owner, name, boom)
+    text = DECLARATIONS
+    if patch is None:
+        assert text.count(edit[0]) == 1
+        text = text.replace(*edit)
+        message = MISSPELT
+    else:
+        monkeypatch.setattr(*patch, boom)
+        message = "boom"
     problem = tmp_path / "declared.jsf"
-    problem.write_text(DECLARATIONS)
+    problem.write_text(text)
     assert main(["run-file", str(problem)]) == 2
-    line = next(k for k, text in enumerate(DECLARATIONS.splitlines(), 1)
-                if text.startswith(f"[{kind} "))
-    assert capsys.readouterr().err == f"input error: line {line}: boom\n"
+    line = next(k for k, entry in enumerate(text.splitlines(), 1)
+                if entry.startswith(f"[{kind} "))
+    assert capsys.readouterr().err == f"input error: line {line}: {message}\n"
 
 
 REPEATS = """[jet]

@@ -577,5 +577,7 @@ def _exp_normal_polys(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_exp_normal_polys(), _exp_normal_polys())
+# x * (2*exp(x) - 1): no monomial of the product holds two exp atoms
+@example({((_VAR_ATOMS[0], 1),): (1, 1)}, {((_EXP_ATOMS[0], 1),): (2, 1), (): (-1, 1)})
 def test_pmul_equals_the_merged_product(p, q):
     assert _pmul(p, q) == _fix_exp(backend.poly_mul(p, q))

@@ -7,11 +7,15 @@ scalar- and matrix-mu prolongations (under flat and non-flat forms),
 rational and kernel symmetry checks, gauge-check, potential, check-compat,
 darboux and coincide tasks, and the printing of sum and monomial
 denominators, fraction coefficients, leading minus signs and kernels of
-rational arguments.  ``golden/corpus-pde-1.jsf`` and
-``golden/corpus-ode-1.jsf`` are the seed-1 problems of the two benchmark
-workloads, written by ``perfbench/corpus.py``, so the benchmark's
-reports are held byte for byte too.  A change that
-alters any printed canonical form or verdict fails here.
+rational arguments.  ``golden/wave.jsf`` holds generalized symmetry
+checks on the wave equation whose restriction binds a leading-derived
+coordinate to one that its grade binds later; with ``independent = t,
+x`` the same problem must give the same verdicts.
+``golden/corpus-pde-1.jsf`` and ``golden/corpus-ode-1.jsf`` are the
+seed-1 problems of the two benchmark workloads, written by
+``perfbench/corpus.py``, so the benchmark's reports are held byte for
+byte too.  A change that alters any printed canonical form or verdict
+fails here.
 
 Each golden task, run alone as the subcommand of its kind with its
 arguments as flags, must give the record that ``run-file`` gives it; of
@@ -39,10 +43,10 @@ from jetsym.parsing import parse
 from jetsym.problemfile import TASK_ARGS, load_problem, parse_flag
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# exit code of each run: the ODE, non-flat and rational problems, and the
-# ode-sweep corpus, hold tasks that must fail
+# exit code of each run: the ODE, non-flat, rational and wave problems, and
+# the ode-sweep corpus, hold tasks that must fail
 EXIT_CODES = {"corpus-ode-1": 1, "corpus-pde-1": 0, "nonflat": 1, "ode": 1, "pde": 0,
-              "rational": 1}
+              "rational": 1, "wave": 1}
 # the problems that have a report in the tree printer's form
 TREE_ORDER = sorted(p.stem for p in (GOLDEN / "tree_order").glob("*.json"))
 # a detail line that holds an expression is a name such as
@@ -133,3 +137,18 @@ def test_subcommand_gives_the_run_file_record(name, task, tmp_path, capsys):
     # a subcommand's task is named after its kind
     assert record == dict(expected, id=task.kind)
     assert code == (1 if record["verdict"] == "fail" else 0)
+
+
+def test_wave_verdicts_do_not_depend_on_the_order_of_the_independent_variables(
+        tmp_path, capsys):
+    text = (GOLDEN / "wave.jsf").read_text()
+    swapped = text.replace("independent = x, t", "independent = t, x").replace("u_xt", "u_tx")
+    assert swapped.count("independent = t, x") == 1 and "u_tx" in swapped
+    problem = tmp_path / "wave-tx.jsf"
+    problem.write_text(swapped)
+    out = tmp_path / "report.json"
+    assert main(["--json", str(out), "run-file", str(problem)]) == 1
+    capsys.readouterr()
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [(t["id"], t["verdict"], t["residuals"]) for t in tasks] == [
+        ("time", "pass", []), ("mixed", "pass", []), ("scaled", "fail", ["2*u_ttx"])]

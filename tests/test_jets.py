@@ -257,6 +257,22 @@ def test_multi_indices_match_a_sorted_brute_force_enumeration(p):
             assert spec.multi_indices(max_order, min_order=min_order) == want
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_canonical_steps_reach_each_multiindex_once_along_its_last_slot(p):
+    spec = JetSpec([f"x{i}" for i in range(p)], ["u"], 1)
+    for n in range(5):
+        steps = list(spec.canonical_steps(n))
+        every = [c for c in itertools.product(range(n + 1), repeat=p) if 1 <= sum(c) <= n]
+        assert sorted(J for J, _i, _K in steps) == sorted(every)
+        assert [J for J, _i, _K in steps] == spec.multi_indices(n, min_order=1)
+        reached = {(0,) * p}
+        for J, i, K in steps:
+            assert i == max(m for m in range(p) if J[m])
+            assert K == tuple(c - (m == i) for m, c in enumerate(J))
+            assert K in reached
+            reached.add(J)
+
+
 # --- total derivative -------------------------------------------------------
 
 def test_total_derivative_base_case():

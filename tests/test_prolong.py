@@ -28,7 +28,6 @@ from jetsym.gauge import GaugeFunction, darboux_derivative
 from jetsym.jets import (
     JetSpec,
     MuForm,
-    last_slot,
     mat_mul,
     total_derivative,
 )
@@ -259,8 +258,9 @@ def _edge_differences(Y, X, mu):
     and yield the stored value minus the recomputed one."""
     spec = Y.spec
     for Jt in spec.multi_indices(Y.order, min_order=2):
+        last = max(m for m, k in enumerate(Jt) if k)
         for i, c in enumerate(Jt):
-            if not c or i == last_slot(Jt):
+            if not c or i == last:
                 continue
             K = Jt[:i] + (c - 1,) + Jt[i + 1:]
             L = mu.matrices[i]

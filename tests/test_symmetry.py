@@ -11,12 +11,14 @@ from forms import (
     in_contact_module,
     interior_product,
     lie_derivative,
+    total_derivative_along,
     zero_mu,
 )
 from helpers import rand_point_field, rand_poly
+from jetsym import symmetry
 from jetsym.errors import EquationError, RestrictionError
 from jetsym.expr import Verdict, rational
-from jetsym.jets import JetSpec, MuForm
+from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField, lambda_form, lift
 from jetsym.symmetry import (
@@ -57,6 +59,24 @@ def test_invariant_set_relations_examples():
     assert rels2 == [rational(1), rational(0)]
     rels3 = invariant_set_relations(pvf(ODE1, ["1"], ["0"]), 1)
     assert rels3 == [parse("-u_x")]
+    assert invariant_set_relations(pvf(ODE2, ["x"], ["u"]), 0) == []
+
+
+def test_invariant_set_relations_take_one_total_derivative_per_multiindex(monkeypatch):
+    spec = JetSpec(("x", "t"), ("u", "v"), 4)
+    X = rand_point_field(random.Random(29), spec)
+    Q = characteristic(X)
+    want = [total_derivative_along(q, J, spec) for J in spec.multi_indices(3) for q in Q]
+    steps = []
+
+    def counted(e, i, spec):
+        steps.append(i)
+        return total_derivative(e, i, spec)
+
+    monkeypatch.setattr(symmetry, "total_derivative", counted)
+    assert invariant_set_relations(X, 4) == want
+    # one total derivative per multiindex 0 < |J| <= 3 and component of Q
+    assert len(steps) == len(spec.multi_indices(3, min_order=1)) * spec.q
 
 
 # --- equations and restriction ------------------------------------------------
@@ -95,6 +115,31 @@ def test_restrict_depth_failure_is_reported():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "u"})
     with pytest.raises(RestrictionError):
         restrict_to_solution_manifold(parse("u_xxx"), eq, depth=0)
+
+
+@pytest.mark.parametrize("independent", ["xt", "tx"])
+@pytest.mark.parametrize("lead, other", ["xt", "tx"])
+def test_wave_restriction_does_not_depend_on_the_order_of_the_variables(
+        independent, lead, other):
+    # on u_ll = u_oo two steps along l are two along o: a coordinate with
+    # counts (c, d) along (l, o) restricts to (c mod 2, d + c - c mod 2),
+    # u_xxxx to u_tttt for u_xx = u_tt
+    spec = JetSpec(tuple(independent), ("u",), 2)
+    eq = DifferentialEquation.from_strings(spec, {f"u_{lead}{lead}": f"u_{other}{other}"})
+    l, o = spec.independent.index(lead), spec.independent.index(other)
+    for J in spec.multi_indices(5, min_order=3):
+        K = [0, 0]
+        K[l], K[o] = J[l] % 2, J[o] + J[l] - J[l] % 2
+        assert restrict_to_solution_manifold(spec.jet_var(0, J), eq) == spec.jet_var(0, K)
+
+
+def test_circular_consequences_are_a_restriction_error():
+    # D_t u_xx = v_xtt and D_x v_tt = u_xxt bind each of two leading-derived
+    # coordinates to the other
+    spec = JetSpec(("x", "t"), ("u", "v"), 2)
+    eq = DifferentialEquation.from_strings(spec, {"u_xx": "v_xt", "v_tt": "u_xt"})
+    with pytest.raises(RestrictionError, match="depend on each other"):
+        restrict_to_solution_manifold(parse("u_xxt"), eq)
 
 
 # --- symmetry verdicts ----------------------------------------------------------
