@@ -568,6 +568,13 @@ def substitute(e, bindings) -> Expr:
             raise SubstitutionError(
                 f"replacement for {name!r} contains bound variable(s) {sorted(hit)}"
             )
+    return _substitute(e, named)
+
+
+def _substitute(e, named) -> Expr:
+    """``substitute`` of the map ``named`` (name -> value) into the value
+    ``e``, for a caller that knows the map is closed: no replacement
+    names a bound variable, so nothing is re-checked."""
     if not named:
         return e
     out = _Substitution(named).rf(e._rf)
@@ -689,35 +696,38 @@ class Derivation:
     a name the same image every time.  Function kernels follow the chain
     rule.
 
-    Each atom's derivative is worked out once and kept in a memo: a
-    variable's for as long as the instance lives, a function atom's,
-    whose key holds its whole argument, for one call, so the lasting
-    memo grows only with the variables met.  An entry depends on its
-    atom alone, so results do not depend on what was derived before.  A
+    Each atom's derivative is worked out once.  A variable's image goes
+    into ``images``, the one memo the instance keeps across calls; a
+    function atom's derivative, whose key holds its whole argument, goes
+    into ``memo``, a dict for the current call that is made only when the
+    call meets a function atom, so the lasting memo grows only with the
+    variables met and no call copies it.  An entry depends on its atom
+    alone, so results do not depend on what was derived before.  A
     polynomial is walked once, monomial by monomial, with the product
     rule over its atoms, into one numerator.  An image is direct when it
     is a constant ``c`` or one exp-free atom power ``c*b^f``, as the
     image of a variable under a total derivative or ``pdiff`` is: the
-    rest of the monomial then takes ``b^f`` in place, at the position
-    ``bisect_left(rest, (b,))`` finds, adding ``f`` to the exponent of a
-    ``b`` already there.  Every other image, a multi-atom monomial such
-    as ``2*x*u`` included, is multiplied in once per atom through the
-    partial derivative in that atom, as sums and quotients are.  A
-    quotient ``num/den``
-    takes the quotient rule over ``den*den/g``, ``g = gcd(den, D den)``,
-    and one ``_reduce``, so results are canonical like every other pair.
-    A ``den`` with an ``exp`` atom takes ``g = 1``, the rule over den^2,
-    as its reduced form depends on the order of the arithmetic until
-    exp forms are canonical.
+    monomial then becomes the product in one list splice, which drops or
+    lowers the derived atom, places ``b^f`` at the position
+    ``bisect_left`` finds, adding ``f`` to the exponent of a ``b``
+    already there, and is made a tuple once.  Every other image, a
+    multi-atom monomial such as ``2*x*u`` included, is multiplied in once
+    per atom through the partial derivative in that atom, as sums and
+    quotients are.  A quotient ``num/den`` takes the quotient rule over
+    ``den*den/g``, ``g = gcd(den, D den)``, and one ``_reduce``, so
+    results are canonical like every other pair.  A ``den`` with an
+    ``exp`` atom takes ``g = 1``, the rule over den^2, as its reduced
+    form depends on the order of the arithmetic until exp forms are
+    canonical.
     """
 
     def __init__(self, of_var):
         self.of_var = of_var
         self.images = {}  # variable key -> memo entry, kept across calls
-        self.memo = {}
+        self.memo = None  # function atom key -> memo entry, for one call
 
     def __call__(self, e) -> Expr:
-        self.memo = dict(self.images)
+        self.memo = None
         return Expr(self.rf(as_expr(e)._rf))
 
     def atom(self, key):
@@ -728,7 +738,15 @@ class Derivation:
         if key[0] == 1:  # variable rank
             image = self.of_var(key[1])
             r = None if image is None else image._rf
+            memo = self.images
         else:
+            memo = self.memo
+            if memo is None:
+                memo = self.memo = {}
+            else:
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
             inner = self.rf(key[2]._rf)
             r = _rmul(_outer_derivative(key), inner) if inner[0] else None
         if r is None or not r[0]:
@@ -740,46 +758,46 @@ class Derivation:
                 ((m, c),) = num.items()
                 if not m or (len(m) == 1 and not _is_exp_key(m[0][0])):
                     hit = (m, c)
-        self.memo[key] = hit
-        if key[0] == 1:
-            self.images[key] = hit
+        memo[key] = hit
         return hit
 
     def poly(self, p):
-        memo = self.memo
+        images = self.images
         direct = {}  # the numerator built monomial by monomial
-        partial = {}  # atom key -> partial derivative of p in that atom
+        partial = {}  # atom key -> (partial derivative of p in it, its image)
         for m, c in p.items():
             for idx, (a, e) in enumerate(m):
-                hit = memo.get(a)
+                hit = images.get(a)
                 if hit is None:
                     hit = self.atom(a)
                 if hit is _CONSTANT:
                     continue
+                rest = list(m)
                 if e == 1:
-                    rest = m[:idx] + m[idx + 1:]
+                    del rest[idx]
                     ce = c
                 else:
-                    rest = m[:idx] + ((a, e - 1),) + m[idx + 1:]
+                    rest[idx] = (a, e - 1)
                     ce = _k.rat_mul(c, (e, 1))
                 gm, gc = hit
                 if gm is None:
-                    _add_term(partial.setdefault(a, {}), rest, ce)
+                    pa = partial.get(a)
+                    if pa is None:
+                        pa = partial[a] = ({}, gc)
+                    _add_term(pa[0], tuple(rest), ce)
                     continue
-                if not rest:
-                    rest = gm
-                elif gm:
+                if gm:
                     ((b, f),) = gm
                     k = bisect_left(rest, (b,))
                     if k < len(rest) and rest[k][0] == b:
-                        rest = rest[:k] + ((b, rest[k][1] + f),) + rest[k + 1:]
+                        rest[k] = (b, rest[k][1] + f)
                     else:
-                        rest = rest[:k] + gm + rest[k:]
-                _add_term(direct, rest, ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
+                        rest.insert(k, gm[0])
+                _add_term(direct, tuple(rest), ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
         out = (direct, _ONE_POLY)
-        for a, pa in partial.items():
+        for pa, image in partial.values():
             if pa:
-                out = _radd(out, _rmul((pa, _ONE_POLY), memo[a][1]))
+                out = _radd(out, _rmul((pa, _ONE_POLY), image))
         return out
 
     def rf(self, r):

@@ -14,6 +14,14 @@ the independent names repeated per count in declaration order (``u``,
 which every recursion over J walks.  A value that names a misspelled jet
 coordinate (``u_tx`` when x is declared before t) raises ``JetError``.
 
+A space keeps the name of every coordinate it has named, so it builds
+each name once.  ``total_derivative`` takes D_i from a cache of one
+lasting derivation per space and direction; a caller that takes many
+total derivatives on one space, as a lift does, fetches its p
+derivations once through ``total_derivations`` and calls them directly.
+No derivation is kept on the space itself: a derivation holds its
+space, and the pair would be a reference cycle.
+
 A :class:`JetVectorField` acts as a derivation on functions of the jet
 coordinates; prolonged fields are built by ``prolong``.  Contact forms,
 Lie derivatives and the contact module are not part of the package: the
@@ -113,17 +121,29 @@ def jet_coordinate(spec, a, J, error=JetError) -> tuple:
     return a, multiindex(spec, J)
 
 
-class JetSpec(_Value):
-    """The jet space over p independent and q dependent variables."""
+def as_order(n, what, error=JetError) -> int:
+    """``n`` as a jet or prolongation order: an int, not a bool, of at
+    least 1; anything else raises ``error``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise error(f"{what} order must be an int, got {n!r}")
+    if n < 1:
+        raise error(f"{what} order must be at least 1")
+    return n
 
-    __slots__ = ("independent", "dependent", "order")
+
+class JetSpec(_Value):
+    """The jet space over p independent and q dependent variables.  The
+    private ``_names`` maps each coordinate ``(a, J)`` that ``jet_name``
+    has named to its name, so a space builds each name once."""
+
+    __slots__ = ("independent", "dependent", "order", "_names")
 
     def __init__(self, independent, dependent, order):
         super().__init__(tuple(independent), tuple(dependent), order)
+        _set_field(self, "_names", {})
         if not self.independent or not self.dependent:
             raise JetError("need at least one independent and one dependent variable")
-        if self.order < 1:
-            raise JetError("jet order must be at least 1")
+        as_order(order, "jet")
         names = self.independent + self.dependent
         if len(set(names)) != len(names):
             raise JetError("independent and dependent names must be distinct")
@@ -150,11 +170,24 @@ class JetSpec(_Value):
     # -- names ------------------------------------------------------------
 
     def jet_name(self, a: int, J) -> str:
+        """The name of ``u^a_J``.  A coordinate given as an int ``a`` and a
+        tuple ``J`` that this space has named before is looked up; any
+        other call validates ``(a, J)`` through ``jet_coordinate``, so it
+        raises as it would on a space that has named nothing yet."""
+        if type(a) is int and type(J) is tuple:
+            name = self._names.get((a, J))
+            # a count equal to an int but of another type (1.0) must not
+            # find the name
+            if name is not None and all(type(c) is int for c in J):
+                return name
         a, J = jet_coordinate(self, a, J)
         if not any(J):
-            return self.dependent[a]
-        suffix = "".join(x * c for x, c in zip(self.independent, J))
-        return f"{self.dependent[a]}_{suffix}"
+            name = self.dependent[a]
+        else:
+            suffix = "".join(x * c for x, c in zip(self.independent, J))
+            name = f"{self.dependent[a]}_{suffix}"
+        self._names[a, J] = name
+        return name
 
     def jet_var(self, a: int, J) -> Expr:
         return variable(self.jet_name(a, J))
@@ -246,6 +279,13 @@ def _total_derivation(spec: JetSpec, i: int):
         return None
 
     return Derivation(successor)
+
+
+def total_derivations(spec: JetSpec) -> list:
+    """D_0, ..., D_{p-1} on ``spec``, each the callable derivation that
+    :func:`total_derivative` applies, fetched once for a caller that
+    takes many total derivatives on one space."""
+    return [_total_derivation(spec, i) for i in range(spec.p)]
 
 
 def total_derivative(e, i: int, spec: JetSpec) -> Expr:

@@ -48,10 +48,12 @@ from .jets import (
     MuForm,
     _Value,
     _set_field,
+    as_order,
     jet_order,
     mat_mul,
     mat_sub,
     mat_total_derivative,
+    total_derivations,
     total_derivative,
 )
 
@@ -102,11 +104,18 @@ def _make_step(X: PointVectorField, mu=None):
     summed over b and m, where L_i is the deforming form's matrix along i
     and ``nabla_i = D_i + L_i`` the deformed total derivative (no form for
     the standard lift, whose step takes D_i alone, and the 1x1 matrix
-    lambda_i for a scalar form).  The coefficients W, and with them every
-    D_i xi^m, are worked out once per lift instead of once per step."""
+    lambda_i for a scalar form).  What a step needs that does not depend
+    on J is worked out once per lift: the p total derivations, fetched
+    through ``jets.total_derivations`` and called directly by every
+    step; the nonzero coefficients W, with every D_i xi^m; and the
+    nonzero entries of each L_i, so a step multiplies by those alone."""
     spec = X.spec
     p, q = spec.p, spec.q
-    W = {}
+    D = total_derivations(spec)
+    # i -> a -> the nonzero (m, b, W_i[a][b][m]), in the order of m, then b
+    W = [[[] for _a in range(q)] for _i in range(p)]
+    # i -> a -> the nonzero (b, L_i[a][b])
+    L = [[[] for _a in range(q)] for _i in range(p)]
     for i in range(p):
         for m, x in enumerate(X.xi):
             dxi = total_derivative(x, i, spec)
@@ -116,7 +125,10 @@ def _make_step(X: PointVectorField, mu=None):
                     if mu is not None:
                         w = w + mu.matrices[i][a][b] * x
                     if w != ZERO:
-                        W[i, a, b, m] = w
+                        W[i][a].append((m, b, w))
+        if mu is not None:
+            for a, row in enumerate(mu.matrices[i]):
+                L[i][a] = [(b, l) for b, l in enumerate(row) if l != ZERO]
 
     # K -> the jet variables u^b_K for every b: a step builds each successor
     # J+m of its J once, and a lift makes the names of each K once, when a
@@ -131,24 +143,14 @@ def _make_step(X: PointVectorField, mu=None):
             if us is None:
                 us = jets[K] = [spec.jet_var(b, K) for b in range(q)]
             jets_J.append(us)
-        if mu is None:
-            rows = [total_derivative(r, i, spec) for r in row]
-        else:
-            M = mu.matrices[i]
-            rows = []
-            for a in range(q):
-                r = total_derivative(row[a], i, spec)
-                for b in range(q):
-                    r = r + M[a][b] * row[b]
-                rows.append(r)
+        Di = D[i]
         out = []
         for a in range(q):
-            r = rows[a]
-            for m in range(p):
-                for b in range(q):
-                    w = W.get((i, a, b, m))
-                    if w is not None:
-                        r = r - jets_J[m][b] * w
+            r = Di(row[a])
+            for b, l in L[i][a]:
+                r = r + l * row[b]
+            for m, b, w in W[i][a]:
+                r = r - jets_J[m][b] * w
             out.append(r)
         return tuple(out)
 
@@ -189,7 +191,8 @@ def lambda_form(X: PointVectorField, lam) -> MuForm:
 def lift(
     X: PointVectorField, mu: MuForm = None, n=None, *, path_check=False, seed=None
 ) -> JetVectorField:
-    """The lift of ``X`` to order ``n``: without a form the standard,
+    """The lift of ``X`` to order ``n`` (the space's order by default, else
+    an int of at least 1): without a form the standard,
     contact-preserving one; with a form ``mu`` the mu-deformed one, for
     every number q of dependent variables.  The form of a point field
     lives on the first jet space; a generalized field takes any form.  A
@@ -213,7 +216,7 @@ def lift(
     returns that same read-only value again; a lift with a form is
     computed afresh on every call."""
     spec = X.spec
-    n = spec.order if n is None else n
+    n = spec.order if n is None else as_order(n, "prolongation", ProlongationError)
     flat = Verdict.TRUE
     if mu is None:
         kept = X._lifts.get(n)
@@ -233,8 +236,6 @@ def lift(
                 "the form is not flat (not closed when q = 1); "
                 "pass path_check=True to verify path independence instead"
             )
-    if n < 1:
-        raise ProlongationError("prolongation order must be at least 1")
     # the component table, keyed by multiindex and filled along the
     # canonical path, graded
     step = _make_step(X, mu)

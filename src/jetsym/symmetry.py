@@ -30,6 +30,7 @@ from .expr import (
     Expr,
     Verdict,
     ZERO,
+    _substitute,
     as_expr,
     constant_value,
     free_variables,
@@ -147,7 +148,13 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
     canonical path, with the bindings so far substituted.  A value that
     still names a coordinate its grade binds later waits until the grade
     ends, when the waiting values are resolved in dependency order; a
-    cycle among them raises ``RestrictionError``."""
+    cycle among them raises ``RestrictionError``.
+
+    Every bound name is a leading-derived coordinate, and a value is
+    bound only once it names none (the equation's right-hand sides are
+    checked when it is built, every other value when it is bound), so
+    the map is closed at every step and is substituted without
+    ``substitute``'s re-check of the whole map."""
     spec = eq.spec
     closed = {}
     bindings = {}
@@ -158,7 +165,7 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
         waiting = {}
         for K, i, base in steps:
             for a in range(spec.q):
-                value = substitute(total_derivative(closed[(a, base)], i, spec), bindings)
+                value = _substitute(total_derivative(closed[(a, base)], i, spec), bindings)
                 name = spec.jet_name(a, tuple(l + k for l, k in zip(eq.leading(a), K)))
                 needs = eq._leading_derived(value)
                 if needs:
@@ -175,7 +182,7 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
                 )
             for name in ready:
                 coord, value, needs = waiting.pop(name)
-                value = substitute(value, {n: bindings[n] for n in needs})
+                value = _substitute(value, {n: bindings[n] for n in needs})
                 closed[coord] = bindings[name] = value
     return bindings
 
@@ -186,8 +193,7 @@ def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Ex
     e = as_expr(e)
     if depth is None:
         depth = max(0, jet_order(e, spec) - spec.order)
-    bindings = _closed_substitutions(eq, depth)
-    out = substitute(e, bindings)
+    out = _substitute(e, _closed_substitutions(eq, depth))
     bad = eq._leading_derived(out)
     if bad:
         raise RestrictionError(f"{bad[0]} exceeds the substitution depth {depth}")

@@ -232,6 +232,44 @@ def test_a_dependent_index_out_of_range_is_an_error(a):
         DifferentialEquation(ODE1, [((a, (1,)), u)])
 
 
+BAD_COORDINATES = [(5, (1, 0)), (-1, (1, 0)), (1.0, (1, 0)), ("0", (1, 0)),
+                   (0, (1,)), (0, (-1, 1)), (0, (1.0, 0))]
+
+
+def _outcome(spec, a, J):
+    try:
+        return spec.jet_name(a, J)
+    except Exception as exc:  # the comparison covers any exception
+        return type(exc), str(exc)
+
+
+def test_a_space_that_has_named_a_coordinate_still_checks_every_call():
+    """A space keeps the names it has made, yet a call with an invalid
+    coordinate, or with a count that only equals an int, fails as it does
+    on a space that has named nothing."""
+    named = JetSpec(("x", "t"), ("u", "v"), 2)
+    for J in named.multi_indices():
+        for a in range(named.q):
+            named.jet_name(a, J)
+    for a, J in BAD_COORDINATES:
+        fresh = JetSpec(("x", "t"), ("u", "v"), 2)
+        assert _outcome(named, a, J) == _outcome(fresh, a, J)
+    for a, J in BAD_COORDINATES[:4]:
+        with pytest.raises(JetError, match="dependent index"):
+            named.jet_name(a, J)
+    for a, J in BAD_COORDINATES[4:6]:
+        with pytest.raises(JetError, match="not a multiindex"):
+            named.jet_name(a, J)
+    assert named.jet_name(0, [1, 0]) == named.jet_name(0, (1, 0)) == "u_x"
+    assert named.jet_name(True, (0, 1)) == "v_t"
+
+
+@pytest.mark.parametrize("order", [2.0, True, "2", 0, -1, None])
+def test_a_jet_order_is_an_int_of_at_least_one(order):
+    with pytest.raises(JetError, match="jet order must be"):
+        JetSpec(("x",), ("u",), order)
+
+
 def test_the_dependent_index_zero_is_the_first_coordinate():
     assert jet_coordinate(ODE1, 0, [1]) == (0, (1,))
     assert ODE1.jet_name(0, (1,)) == "u_x"

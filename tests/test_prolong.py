@@ -366,6 +366,50 @@ def test_a_lift_makes_each_jet_variable_once(monkeypatch):
     assert sorted(made) == sorted((0, K) for K in PDE2.multi_indices(2, min_order=1))
 
 
+def test_a_second_lift_on_a_space_builds_no_new_name():
+    # names of its own, so the space's total derivations name through it
+    spec = JetSpec(("y", "s"), ("p", "w"), 3)
+    lift(pvf(spec, ["p*w + y", "s*p + w"], ["y*w + p^2", "s*p*w + 1"]))
+    names = dict(spec._names)
+    lift(pvf(spec, ["w + s*p", "y*p*w"], ["p + w^2", "y*s + p*w"]))
+    # a name built again would be stored again, as a new string
+    assert spec._names.keys() == names.keys()
+    assert all(spec._names[coord] is name for coord, name in names.items())
+
+
+def test_a_lift_hashes_its_space_once_per_derivation_it_fetches(monkeypatch):
+    """A lift fetches each of its p total derivations once and its steps
+    call them directly; the p^2 derivatives D_i xi^m of its coefficients
+    go through ``total_derivative``, one cache lookup each.  So the lift
+    hashes its space at most p + p^2 times whatever its order, once the
+    derivations have met every variable (a new variable is decoded
+    through a cache keyed by the space)."""
+    spec = JetSpec(("x", "t"), ("u", "v"), 5)
+    X = rand_point_field(random.Random(5), spec)
+    Y = lift(X)
+    again = PointVectorField(spec, X.xi, X.phi)
+    hashes = []
+    real = JetSpec.__hash__
+
+    def spy(self):
+        hashes.append(self)
+        return real(self)
+
+    monkeypatch.setattr(JetSpec, "__hash__", spy)
+    Z = lift(again)
+    assert len(hashes) <= spec.p + spec.p ** 2
+    assert Z == Y and Z is not Y
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", 0, -1])
+def test_a_prolongation_order_is_an_int_of_at_least_one(n):
+    X = pvf(ODE2, ["x"], ["u"])
+    for form in (None, lambda_form(X, parse("x"))):
+        with pytest.raises(ProlongationError, match="prolongation order must be"):
+            lift(X, form, n)
+    assert X._lifts == {}
+
+
 # --- vector mu prolongation ---------------------------------------------------
 
 def test_vector_zero_matrices_degenerate_to_standard():

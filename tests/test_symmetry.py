@@ -15,7 +15,7 @@ from forms import (
     zero_mu,
 )
 from helpers import rand_point_field, rand_poly
-from jetsym import symmetry
+from jetsym import expr, jets, symmetry
 from jetsym.errors import EquationError, RestrictionError
 from jetsym.expr import Verdict, rational
 from jetsym.jets import JetSpec, MuForm, total_derivative
@@ -140,6 +140,37 @@ def test_circular_consequences_are_a_restriction_error():
     eq = DifferentialEquation.from_strings(spec, {"u_xx": "v_xt", "v_tt": "u_xt"})
     with pytest.raises(RestrictionError, match="depend on each other"):
         restrict_to_solution_manifold(parse("u_xxt"), eq)
+
+
+# u_xxxxxxxxxxxxt restricted to u_xx = u_tt + x*u_t on (x, t; u)
+DEEP_RESTRICTION = (
+    "280*u_ttttt + 260*u_tttttt*x^3 + 780*u_ttttttt*x^2 + u_ttttttt*x^6 + "
+    "780*u_tttttttt*x + 6*u_tttttttt*x^5 + 260*u_ttttttttt + "
+    "15*u_ttttttttt*x^4 + 20*u_tttttttttt*x^3 + 15*u_ttttttttttt*x^2 + "
+    "6*u_tttttttttttt*x + u_ttttttttttttt + 600*u_xttttt*x + 600*u_xtttttt + "
+    "30*u_xtttttt*x^4 + 120*u_xttttttt*x^3 + 180*u_xtttttttt*x^2 + "
+    "120*u_xttttttttt*x + 30*u_xtttttttttt"
+)
+
+
+def test_a_deep_restriction_checks_each_bound_value_once(monkeypatch):
+    """The bindings of a restriction name no bound coordinate by
+    construction: each value is checked once, when it is bound, and the
+    growing map is not checked again on each substitution."""
+    spec = JetSpec(("x", "t"), ("u",), 2)
+    eq = DifferentialEquation.from_strings(spec, {"u_xx": "u_tt + x*u_t"})
+    walks = []
+    real = expr.free_variables
+
+    def spy(e):
+        walks.append(e)
+        return real(e)
+
+    for module in (expr, jets, symmetry):
+        monkeypatch.setattr(module, "free_variables", spy)
+    got = restrict_to_solution_manifold(spec.jet_var(0, (12, 1)), eq)
+    assert len(walks) < 200
+    assert got == parse(DEEP_RESTRICTION)
 
 
 # --- symmetry verdicts ----------------------------------------------------------
