@@ -24,7 +24,14 @@ wall-clock fields, so identical inputs and seed give byte-identical
 documents.  ``main``, the command line, holds the cyclic garbage
 collector off for its run and then restores it: values are acyclic dicts
 of tuples, which reference counting frees; ``run`` and the library leave
-the collector alone.
+the collector alone.  ``command_line``, the process entry of ``python -m
+jetsym.cli`` and of the ``jetsym`` console script, runs ``main`` and then
+freezes the heap (``gc.freeze``), so the interpreter's last collection at
+shutdown has no object of the run to walk; atexit handlers still run and
+stdout and stderr are still flushed.  A run whose stdout is closed early
+(``jetsym run-file f.jsf | head -n 1``) writes the rest of its text to
+the null device, still writes its --json report, and exits with the
+report's code.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 
@@ -277,7 +285,15 @@ def _main(argv) -> int:
     except ProblemFileError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    print(report.render_text())
+    try:
+        print(report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send the rest, and the flush at
+        # exit, to the null device, and go on to the report and its code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if opts.json:
         try:
             with open(opts.json, "w", encoding="utf-8") as handle:
@@ -289,5 +305,17 @@ def _main(argv) -> int:
     return report.exit_code
 
 
+def command_line() -> int:
+    """The process entry: ``main`` on ``sys.argv``, then ``gc.freeze()``.
+    The interpreter's last collection at shutdown would walk every object
+    of the process, whose memory the operating system takes back anyway;
+    unlike ``os._exit``, freezing still lets atexit handlers run and
+    stdout and stderr flush."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command_line())

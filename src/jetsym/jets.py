@@ -106,10 +106,11 @@ class _Value:
 
 def multiindex(spec, J) -> tuple:
     """``J`` as a multiindex of ``spec``: the tuple of its p counts, each
-    a non-negative int; any other length or a negative count raises."""
+    a non-negative int, not a bool; any other length or count raises."""
     J = tuple(J)
-    if len(J) != spec.p or any(c < 0 for c in J):
-        raise JetError(f"{J} is not a multiindex of {spec.p} non-negative counts")
+    if len(J) != spec.p or not all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in J):
+        raise JetError(f"{J} is not a multiindex of {spec.p} non-negative int counts")
     return J
 
 

@@ -53,15 +53,16 @@ def assert_canonical(e):
                     assert_canonical(atom[2])
 
 
-def run_python(args, timeout):
-    """A fresh interpreter run with ``args`` on this checkout's ``src``;
-    fails when it runs past ``timeout`` seconds."""
+def run_python(args, timeout, stdout=subprocess.PIPE):
+    """A fresh interpreter run with ``args`` on this checkout's ``src``,
+    its stdout to ``stdout`` and its stderr captured; fails when it runs
+    past ``timeout`` seconds."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=timeout,
     )
 
 

@@ -1,13 +1,16 @@
 """Problem-file and CLI tests: parsing, dispatch, reports, exit codes."""
 
+import ast
 import gc
 import json
+import os
+import re
 from pathlib import Path
 
 import pytest
 
 from jetsym import problemfile
-from jetsym.cli import main, run
+from jetsym.cli import command_line, main, run
 from jetsym.errors import JetError, ProblemFileError
 from jetsym.jets import MuForm
 from jetsym.parsing import MAX_NESTING, parse
@@ -1016,23 +1019,29 @@ def test_a_run_makes_no_cycles_of_its_own(tmp_path, capsys, collector):
     (["run-file"], SystemExit),
 ], ids=["exit-0", "exit-1", "exit-2", "raises"])
 def test_main_leaves_the_collector_as_it_found_it(capsys, collector, enabled, argv, code):
+    """Only the process entry freezes the heap; ``main`` called in a
+    process leaves the collector on or off and nothing frozen."""
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     if code is SystemExit:
         with pytest.raises(SystemExit):
             main(argv)
     else:
         assert main(argv) == code
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_the_library_leaves_the_collector_alone(collector, enabled):
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     problem = load_problem(REGRESSION)
     assert run(problem).exit_code == 1
     lift(problem.named("field", "S"), n=2)
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("state", ["enable", "disable"])
@@ -1041,3 +1050,55 @@ def test_importing_the_command_line_leaves_the_collector_alone(state):
                              "print(gc.isenabled())"], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(state == "enable")]
+
+
+# --- the process entry ---------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_the_process_entry_leaves_the_exit_nothing_to_collect():
+    """``python -m jetsym.cli`` freezes the heap after ``main``, so the
+    interpreter's last collection at shutdown has no object to walk; an
+    atexit hook registered before the entry still runs and sees it."""
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['jetsym', 'run-file', {str(GOLDEN / 'pde.jsf')!r}]\n"
+        "runpy.run_module('jetsym.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = run_python(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_the_console_script_and_the_module_share_one_entry():
+    """``[project.scripts] jetsym`` and the ``__main__`` block of the
+    module call the same function."""
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)",
+                        (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+                        re.M | re.S).group(1)
+    target = re.fullmatch(r'jetsym = "jetsym\.cli:(\w+)"', scripts.strip()).group(1)
+    module = ast.parse((ROOT / "src" / "jetsym" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [node for node in module.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body) == f"sys.exit({target}())"
+    assert target == command_line.__name__
+
+
+@pytest.mark.parametrize("name, code", [("pde", 0), ("ode", 1)])
+def test_a_closed_stdout_still_gets_the_report_and_its_code(tmp_path, name, code):
+    """A reader that closes stdout before the run prints (``| head``)
+    costs no traceback and no ignored exception: the --json report is
+    written byte for byte and the exit code is the report's own."""
+    out = tmp_path / "report.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python(["-m", "jetsym.cli", "--json", str(out), "run-file",
+                           str(GOLDEN / f"{name}.jsf")], timeout=60, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

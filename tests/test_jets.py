@@ -257,11 +257,33 @@ def test_a_space_that_has_named_a_coordinate_still_checks_every_call():
     for a, J in BAD_COORDINATES[:4]:
         with pytest.raises(JetError, match="dependent index"):
             named.jet_name(a, J)
-    for a, J in BAD_COORDINATES[4:6]:
+    for a, J in BAD_COORDINATES[4:]:
         with pytest.raises(JetError, match="not a multiindex"):
             named.jet_name(a, J)
     assert named.jet_name(0, [1, 0]) == named.jet_name(0, (1, 0)) == "u_x"
     assert named.jet_name(True, (0, 1)) == "v_t"
+
+
+def test_a_float_count_is_not_a_multiindex():
+    with pytest.raises(JetError, match="not a multiindex"):
+        JetSpec(("x",), ("u",), 2).jet_name(0, (1.5,))
+
+
+def test_a_field_refuses_a_float_count_in_a_key():
+    spec = JetSpec(("x",), ("u",), 2)
+    with pytest.raises(JetError, match="not a multiindex"):
+        JetVectorField(spec, [0], {(0, (1.0,)): parse("u")})
+
+
+def test_a_bool_count_is_not_a_multiindex():
+    """``True`` equals 1 and hashes as 1, yet it is not a count, on a
+    space that has named ``u_x`` as on one that has named nothing."""
+    for named in (False, True):
+        spec = JetSpec(("x",), ("u",), 2)
+        if named:
+            assert spec.jet_name(0, (1,)) == "u_x"
+        with pytest.raises(JetError, match="not a multiindex"):
+            spec.jet_name(0, (True,))
 
 
 @pytest.mark.parametrize("order", [2.0, True, "2", 0, -1, None])
