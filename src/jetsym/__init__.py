@@ -33,7 +33,7 @@ from .expr import (
 from .gauge import (
     GaugeFunction,
     darboux_derivative,
-    maurer_cartan_check_on_equation,
+    maurer_cartan_check,
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
@@ -51,7 +51,6 @@ from .prolong import (
     difference_terms,
     lambda_form,
     lift,
-    maurer_cartan_check,
 )
 from .symmetry import (
     DifferentialEquation,
@@ -93,7 +92,6 @@ __all__ = [
     "lift",
     "load_problem",
     "maurer_cartan_check",
-    "maurer_cartan_check_on_equation",
     "parse",
     "pdiff",
     "rational",

@@ -47,12 +47,12 @@ from .errors import BudgetError, JetsymError, ProblemFileError
 from .expr import DEFAULT_SEED, ZERO, Verdict, to_string
 from .gauge import (
     darboux_derivative,
-    maurer_cartan_check_on_equation,
+    maurer_cartan_check,
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
 from .problemfile import TASK_ARGS, ProblemFile, TaskDecl, flag, load_problem, read_args
-from .prolong import lambda_form, lift, maurer_cartan_check
+from .prolong import lambda_form, lift
 from .symmetry import check_symmetry, coincide_on_invariant_set
 
 PASS = "pass"
@@ -176,10 +176,7 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
             verdict = PASS
             detail = _field_detail(Y, problem.spec)
         elif task.kind == "check-compat":
-            if a["equation"] is not None:
-                res = maurer_cartan_check_on_equation(mu, a["equation"], seed=seed)
-            else:
-                res = maurer_cartan_check(mu, seed=seed)
+            res = maurer_cartan_check(mu, a["equation"], seed=seed)
         elif task.kind == "potential":
             verdict = PASS
             detail = [f"potential = {to_string(scalar_potential(mu))}"]

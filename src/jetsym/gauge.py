@@ -2,11 +2,11 @@
 
 The form is admissible when its coefficient matrices satisfy the
 horizontal flatness condition ``D_i L_k - D_k L_i + [L_i, L_k] = 0``,
-closedness when q = 1; the one check of it is
-``prolong.maurer_cartan_check``.  For symmetries of a fixed equation the
-condition only needs to hold on the solution manifold
-(:func:`maurer_cartan_check_on_equation`).  Both return an
-``expr.Check`` of the curvature entries keyed by ``(i, k, a, b)``.
+closedness when q = 1.  :func:`maurer_cartan_check` is the one check of
+it: an ``expr.Check`` of the entries of ``MuForm.curvature``, keyed by
+``(i, k, a, b)``.  For symmetries of a fixed equation the condition only
+needs to hold on the solution manifold, so given the equation the check
+restricts each entry there before zero testing.
 
 Flat forms are differential-logarithmic derivatives of gauge functions:
 :func:`darboux_derivative` computes ``gamma^-1 (D_i gamma)`` of a
@@ -60,12 +60,7 @@ from .jets import (
     mat_total_derivative,
     total_derivative,
 )
-from .prolong import (
-    PointVectorField,
-    lift,
-    maurer_cartan_check,
-    mu_compatibility_residuals,
-)
+from .prolong import PointVectorField, lift
 from .symmetry import DifferentialEquation, restrict_to_solution_manifold
 
 
@@ -125,14 +120,17 @@ def _unipotent_inverse(entries):
     return inv
 
 
-def maurer_cartan_check_on_equation(
-    mu: MuForm, eq: DifferentialEquation, *, seed=None
-) -> Check:
-    """The same residuals, but restricted to the solution manifold before
-    zero testing: compatibility is only required there when the form is
-    used for symmetries of a fixed equation."""
-    return Check({key: restrict_to_solution_manifold(e, eq)
-                  for key, e in mu_compatibility_residuals(mu).items()}, seed=seed)
+def maurer_cartan_check(mu: MuForm, eq: DifferentialEquation = None, *, seed=None) -> Check:
+    """Flatness of the form: every entry of ``mu.curvature()`` must
+    vanish; for a scalar form the commutator drops and this is plain
+    closedness.  Given an equation, each entry is restricted to its
+    solution manifold before zero testing: compatibility is only required
+    there when the form is used for symmetries of a fixed equation."""
+    curvature = mu.curvature()
+    if eq is not None:
+        curvature = {key: restrict_to_solution_manifold(e, eq)
+                     for key, e in curvature.items()}
+    return Check(curvature, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ against those geometric definitions (``tests/forms.py``).
 
 The deforming horizontal form :class:`MuForm` holds one q-by-q matrix of
 coefficients per independent direction, a scalar form being the q = 1
-case; its one compatibility check, flatness, is
-``prolong.maurer_cartan_check``.
+case.  The form owns its curvature: ``MuForm.curvature`` is the one
+place that computes ``D_i L_k - D_k L_i + [L_i, L_k]``, which the lifts
+test for flatness and ``gauge.maurer_cartan_check`` zero-tests, on the
+solution manifold of an equation when it is given one.
 
 Every class of values here, and the point fields, equations and gauge
 functions built on them, derive from the frozen base ``_Value``.
@@ -115,9 +117,10 @@ def multiindex(spec, J) -> tuple:
 
 
 def jet_coordinate(spec, a, J, error=JetError) -> tuple:
-    """``(a, J)`` as a jet coordinate of ``spec``: ``a`` an int in
-    ``range(q)``, else ``error`` is raised, and ``J`` a multiindex."""
-    if not isinstance(a, int) or not 0 <= a < spec.q:
+    """``(a, J)`` as a jet coordinate of ``spec``: ``a`` an int, not a
+    bool, in ``range(q)``, else ``error`` is raised, and ``J`` a
+    multiindex."""
+    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < spec.q:
         raise error(f"dependent index {a!r} is not in range({spec.q})")
     return a, multiindex(spec, J)
 
@@ -378,9 +381,30 @@ class MuForm(_Value):
     def entry(self, i: int, a: int, b: int) -> Expr:
         return self.matrices[i][a][b]
 
+    def curvature(self) -> dict:
+        """For every direction pair i < k, the entries ``(i, k, a, b)`` of
+        the matrix D_i L_k - D_k L_i + [L_i, L_k]; all zero exactly when
+        the deformed derivatives ``D_i + L_i`` along different directions
+        commute, that is when the form is flat (closed when q = 1, where
+        the commutator drops)."""
+        spec = self.spec
+        out = {}
+        for i, Li in enumerate(self.matrices):
+            for k in range(i + 1, spec.p):
+                Lk = self.matrices[k]
+                R = mat_sub(
+                    mat_total_derivative(Lk, i, spec),
+                    mat_total_derivative(Li, k, spec),
+                )
+                R = mat_sub(R, mat_sub(mat_mul(Lk, Li), mat_mul(Li, Lk)))
+                for a, row in enumerate(R):
+                    for b, e in enumerate(row):
+                        out[i, k, a, b] = e
+        return out
+
 
 # ---------------------------------------------------------------------------
-# small matrix helpers shared by the prolongation and compatibility layers
+# small matrix helpers shared by the form's curvature and the gauge layer
 
 
 def mat_square(spec: JetSpec, rows, error, text):

@@ -11,14 +11,17 @@ Each step combines canonical values directly; the derivatives
 ``D_i xi^m`` of the field's base components, and the coefficients built
 from them, are computed once per lift and shared by every step.  The
 standard lift is computed once per field and order: the field keeps it,
-and every later call returns that same read-only value.
+and every later call returns that same read-only value, from which
+``symmetry.invariant_set_relations`` also reads the total derivatives of
+the characteristic.
 
 The mu lift is path-independent exactly when the form is flat,
 ``D_i L_k - D_k L_i + [L_i, L_k] = 0``; at q = 1 the commutator drops
 and flatness is closedness (Gaeta & Morando 2004, J. Phys. A 37:6955;
-Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467).
-:func:`maurer_cartan_check` is the one check of that condition: an
-``expr.Check`` of the curvature entries keyed by ``(i, k, a, b)``.  The
+Cicogna, Gaeta & Morando 2004, J. Phys. A 37:9467).  A lift tests that
+condition as an ``expr.Check`` of ``mu.curvature()``, the entries keyed
+by ``(i, k, a, b)`` that the form computes; ``gauge.maurer_cartan_check``
+is the same check for callers, on an equation's solutions if asked.  The
 form of a point field must live on the first jet space; a field with
 ``generalized`` set takes a form of any jet order.  A ``path_check``
 option accepts a form that is not proven flat and then verifies path
@@ -50,9 +53,6 @@ from .jets import (
     _set_field,
     as_order,
     jet_order,
-    mat_mul,
-    mat_sub,
-    mat_total_derivative,
     total_derivations,
     total_derivative,
 )
@@ -196,7 +196,7 @@ def lift(
     contact-preserving one; with a form ``mu`` the mu-deformed one, for
     every number q of dependent variables.  The form of a point field
     lives on the first jet space; a generalized field takes any form.  A
-    form must be flat (:func:`maurer_cartan_check`; closed when q = 1),
+    form must be flat (``mu.curvature()`` vanishes; closed when q = 1),
     or carry an explicit ``path_check`` waiver under which path
     independence of the recursion is verified and any disagreement
     raises.
@@ -230,7 +230,7 @@ def lift(
             raise ProlongationError(
                 "the form depends on jet order > 1; set generalized=True on the field"
             )
-        flat = maurer_cartan_check(mu, seed=seed).verdict
+        flat = Check(mu.curvature(), seed=seed).verdict
         if flat is Verdict.FALSE and not path_check:
             raise MuNotClosedError(
                 "the form is not flat (not closed when q = 1); "
@@ -249,37 +249,6 @@ def lift(
     if mu is None:
         X._lifts[n] = Y
     return Y
-
-
-# ---------------------------------------------------------------------------
-# flatness of the form (shared with the gauge layer)
-
-
-def mu_compatibility_residuals(mu: MuForm):
-    """For every direction pair i < k, the entries ``(i, k, a, b)`` of the
-    matrix D_i L_k - D_k L_i + [L_i, L_k]; all zero exactly when the
-    deformed derivatives along different directions commute."""
-    spec = mu.spec
-    out = {}
-    for i in range(spec.p):
-        for k in range(i + 1, spec.p):
-            Li, Lk = mu.matrices[i], mu.matrices[k]
-            R = mat_sub(
-                mat_total_derivative(Lk, i, spec),
-                mat_total_derivative(Li, k, spec),
-            )
-            R = mat_sub(R, mat_sub(mat_mul(Lk, Li), mat_mul(Li, Lk)))
-            for a, row in enumerate(R):
-                for b, e in enumerate(row):
-                    out[i, k, a, b] = e
-    return out
-
-
-def maurer_cartan_check(mu: MuForm, *, seed=None) -> Check:
-    """Flatness of the form: for every pair of directions the residual
-    D_i L_k - D_k L_i + [L_i, L_k] must vanish entrywise.  For a scalar
-    form the commutator drops and this is plain closedness."""
-    return Check(mu_compatibility_residuals(mu), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .expr import (
     _substitute,
     as_expr,
     constant_value,
+    expr_sum,
     free_variables,
     pdiff,
-    substitute,
     variable,
     zero_verdict,
 )
@@ -48,12 +48,7 @@ from .jets import (
     _Value,
 )
 from .parsing import parse
-from .prolong import (
-    PointVectorField,
-    characteristic,
-    difference_terms,
-    lift,
-)
+from .prolong import PointVectorField, difference_terms, lift
 
 
 class DifferentialEquation(_Value):
@@ -124,17 +119,19 @@ class DifferentialEquation(_Value):
 
 
 def invariant_set_relations(X: PointVectorField, n=None):
-    """All total derivatives ``D_J Q`` of the characteristic with ``|J| <
-    n``, one step of the canonical path each; their common zero set is
-    the invariant set of the field."""
+    """All total derivatives ``Q_J = D_J Q`` of the characteristic with
+    ``|J| < n``, graded, q per multiindex; their common zero set is the
+    invariant set of the field.  Each is read off the field's kept
+    standard lift of order n, whose components are ``Psi_J = Q_J +
+    xi^m u_{J+e_m}``, so no total derivative is taken here."""
     spec = X.spec
     n = spec.order if n is None else n
     if n < 1:
         return []
-    table = {(0,) * spec.p: characteristic(X)}
-    for J, i, K in spec.canonical_steps(n - 1):
-        table[J] = tuple(total_derivative(q, i, spec) for q in table[K])
-    return [q for row in table.values() for q in row]
+    Y = lift(X, n=n)
+    return [Y.psi_at(a, J) - expr_sum(xi * spec.jet_var(a, J[:m] + (J[m] + 1,) + J[m + 1:])
+                                      for m, xi in enumerate(X.xi))
+            for J in spec.multi_indices(n - 1) for a in range(spec.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +184,12 @@ def _closed_substitutions(eq: DifferentialEquation, depth: int):
     return bindings
 
 
-def restrict_to_solution_manifold(e, eq: DifferentialEquation, depth=None) -> Expr:
-    """Substitute the equation and its derivative consequences into ``e``."""
-    spec = eq.spec
+def restrict_to_solution_manifold(e, eq: DifferentialEquation) -> Expr:
+    """Substitute the equation and its derivative consequences, up to the
+    jet order of ``e``, into ``e``."""
     e = as_expr(e)
-    if depth is None:
-        depth = max(0, jet_order(e, spec) - spec.order)
-    out = _substitute(e, _closed_substitutions(eq, depth))
-    bad = eq._leading_derived(out)
-    if bad:
-        raise RestrictionError(f"{bad[0]} exceeds the substitution depth {depth}")
-    return out
+    depth = max(0, jet_order(e, eq.spec) - eq.spec.order)
+    return _substitute(e, _closed_substitutions(eq, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -278,50 +270,36 @@ def coincide_on_invariant_set(
     X: PointVectorField, mu: MuForm, n=None, *, path_check=False, seed=None
 ) -> CoincidenceResult:
     """Substitute the solved invariant-set relations into every difference
-    term and verify that all of them vanish."""
+    term and verify that all of them vanish.  Each relation is solved
+    after the solutions so far are substituted into it, and each new
+    solution goes into those before it, so the solved map is closed by
+    construction and is substituted without ``substitute``'s re-check."""
     spec = X.spec
     n = spec.order if n is None else n
     diff = difference_terms(X, mu, n, path_check=path_check, seed=seed)
-    relations = invariant_set_relations(X, n)
-
     solved = {}
-    vacuous = False
     unverifiable = False
-
-    def apply_solutions(e):
-        return substitute(e, solved) if solved else e
-
-    for rel in relations:
-        r = apply_solutions(rel)
+    for rel in invariant_set_relations(X, n):
+        r = _substitute(rel, solved)
         if r == ZERO:
             continue
         if constant_value(r) is not None:
-            vacuous = True  # a nonzero constant relation: empty invariant set
-            break
-        jet_names = sorted(
-            (name for name in free_variables(r) if spec.decode(name)[0] == "jet"),
-            key=lambda nm: (-sum(spec.decode(nm)[2]), nm),
-        )
-        if not jet_names:
-            unverifiable = True
-            continue
-        top_order = sum(spec.decode(jet_names[0])[2])
-        hit = None
-        for name in jet_names:
-            if sum(spec.decode(name)[2]) != top_order:
-                break
+            # a nonzero constant relation: empty invariant set
+            return CoincidenceResult({}, solved, vacuous=True)
+        orders = {}  # jet name -> its order, each name decoded once
+        for name in free_variables(r):
+            kind = spec.decode(name)
+            if kind[0] == "jet":
+                orders[name] = sum(kind[2])
+        top = max(orders.values(), default=None)
+        for name in sorted(name for name, order in orders.items() if order == top):
             sol = _try_solve_linear(r, name, seed=seed)
             if sol is not None:
-                hit = (name, sol)
                 break
-        if hit is None:
+        else:  # no jet coordinate of the top order solves it
             unverifiable = True
             continue
-        name, sol = hit
-        solved = {k: substitute(v, {name: sol}) for k, v in solved.items()}
+        solved = {k: _substitute(v, {name: sol}) for k, v in solved.items()}
         solved[name] = sol
-
-    if vacuous:
-        return CoincidenceResult({}, dict(solved), vacuous=True)
-    return CoincidenceResult({key: apply_solutions(term) for key, term in diff.items()},
-                             dict(solved), unverifiable=unverifiable, seed=seed)
+    return CoincidenceResult({key: _substitute(term, solved) for key, term in diff.items()},
+                             solved, unverifiable=unverifiable, seed=seed)

@@ -35,7 +35,6 @@ from jetsym.gauge import (
     GaugeFunction,
     darboux_derivative,
     maurer_cartan_check,
-    maurer_cartan_check_on_equation,
     verify_gauge_equivalence_scalar,
 )
 from jetsym.jets import (
@@ -388,6 +387,6 @@ def test_criterion_10_on_equation_compatibility():
     eq = DifferentialEquation.from_strings(spec, {"u_t": "0"})
     globally = maurer_cartan_check(mu)
     assert globally.verdict is Verdict.FALSE
-    restricted = maurer_cartan_check_on_equation(mu, eq)
+    restricted = maurer_cartan_check(mu, eq)
     assert restricted.verdict is Verdict.TRUE
     report(10, True, "fails globally, passes restricted to the equation")

@@ -16,20 +16,19 @@ from jetsym.errors import (
     PotentialNotClosedError,
 )
 from jetsym import expr, gauge
-from jetsym.expr import Verdict, exp, rational, zero_verdict
+from jetsym.expr import Check, Verdict, exp, rational, zero_verdict
 from jetsym.gauge import (
     GaugeFunction,
     _solve_exact,
     darboux_derivative,
     maurer_cartan_check,
-    maurer_cartan_check_on_equation,
     scalar_potential,
     verify_gauge_equivalence_scalar,
 )
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField
-from jetsym.symmetry import DifferentialEquation
+from jetsym.symmetry import DifferentialEquation, restrict_to_solution_manifold
 
 ODE1 = JetSpec(("x",), ("u",), 1)
 ODE2 = JetSpec(("x",), ("u",), 2)
@@ -73,7 +72,7 @@ def test_flatness_lists_its_probable_entries():
     assert res.verdict is Verdict.PROBABLY
     assert res.probable == ((0, 1, 0, 0),)
     eq = DifferentialEquation.from_strings(PDE1, {"u_t": "0"})
-    on_eq = maurer_cartan_check_on_equation(mu, eq)
+    on_eq = maurer_cartan_check(mu, eq)
     assert on_eq.verdict is Verdict.PROBABLY
     assert on_eq.probable == ((0, 1, 0, 0),)
 
@@ -89,7 +88,7 @@ def test_on_equation_flatness():
     mu = MuForm.scalar(PDE1, [parse("u_t"), parse("0")])
     eq = DifferentialEquation.from_strings(PDE1, {"u_t": "0"})
     assert maurer_cartan_check(mu).verdict is Verdict.FALSE
-    assert maurer_cartan_check_on_equation(mu, eq).verdict is Verdict.TRUE
+    assert maurer_cartan_check(mu, eq).verdict is Verdict.TRUE
 
 
 def test_globally_flat_forms_pass_on_any_equation():
@@ -97,7 +96,7 @@ def test_globally_flat_forms_pass_on_any_equation():
     eq = DifferentialEquation.from_strings(PDE1, {"u_t": "u*u_x"})
     for _ in range(3):
         mu, _phi = rand_closed_scalar_mu(rng, PDE1)
-        assert maurer_cartan_check_on_equation(mu, eq).verdict is Verdict.TRUE
+        assert maurer_cartan_check(mu, eq).verdict is Verdict.TRUE
 
 
 def test_constant_residual_fails_on_every_equation():
@@ -108,7 +107,32 @@ def test_constant_residual_fails_on_every_equation():
     eq = DifferentialEquation.from_strings(
         SYS2, {"u_t": "u_x", "v_t": "v_x"}
     )
-    assert maurer_cartan_check_on_equation(mu, eq).verdict is Verdict.FALSE
+    assert maurer_cartan_check(mu, eq).verdict is Verdict.FALSE
+
+
+@pytest.mark.parametrize("spec, eq, rows", [
+    (PDE1, {"u_t": "u*u_x"}, [["u_t"], ["u_x"]]),
+    (PDE1, {"u_t": "0"}, [["t*(sin(x)^2 + cos(x)^2)"], ["x"]]),
+    (PDE2, {"u_xx": "u_tt"}, [["u_t"], ["u_x"]]),
+    (SYS2, {"u_t": "u_x", "v_t": "v*u_x"},
+     [[["0", "u_t"], ["v", "0"]], [["x", "0"], ["u_x", "v_x"]]]),
+])
+def test_flatness_on_an_equation_checks_the_restricted_curvature(spec, eq, rows):
+    """The check on an equation is the ``Check`` of the form's curvature
+    entries, each restricted to the solution manifold: same keys, same
+    residuals, same verdict and same probable keys."""
+    if spec.q == 1:
+        mu = MuForm.scalar(spec, [parse(l) for (l,) in rows])
+    else:
+        mu = MuForm(spec, [mat(spec, M) for M in rows])
+    eq = DifferentialEquation.from_strings(spec, eq)
+    want = Check({key: restrict_to_solution_manifold(e, eq)
+                  for key, e in mu.curvature().items()})
+    got = maurer_cartan_check(mu, eq)
+    assert got.residuals == want.residuals
+    assert list(got.residuals) == list(mu.curvature())
+    assert (got.verdict, got.probable) == (want.verdict, want.probable)
+    assert maurer_cartan_check(mu).residuals == mu.curvature()
 
 
 # --- scalar potentials ----------------------------------------------------------
@@ -313,8 +337,6 @@ def _horizontalize(tau, spec):
 def test_flatness_residual_equals_two_form_expansion():
     # the residual matrices match the coefficients of D(mu) + mu ^ mu
     rng = random.Random(35)
-    from jetsym.prolong import mu_compatibility_residuals
-
     for _ in range(4):
         spec = SYS2
         mats = [
@@ -325,7 +347,7 @@ def test_flatness_residual_equals_two_form_expansion():
             for _ in range(2)
         ]
         mu = MuForm(spec, mats)
-        residuals = mu_compatibility_residuals(mu)
+        residuals = mu.curvature()
         for a in range(2):
             for b in range(2):
                 entry_form = dx(0).scale(mu.entry(0, a, b)) + dx(1).scale(

@@ -9,8 +9,9 @@ darboux and coincide tasks, and the printing of sum and monomial
 denominators, fraction coefficients, leading minus signs and kernels of
 rational arguments.  ``golden/wave.jsf`` holds generalized symmetry
 checks on the wave equation whose restriction binds a leading-derived
-coordinate to one that its grade binds later; with ``independent = t,
-x`` the same problem must give the same verdicts.
+coordinate to one that its grade binds later, and the flatness of a form
+that is closed only on the wave equation's solutions; with
+``independent = t, x`` the same problem must give the same verdicts.
 ``golden/corpus-pde-1.jsf`` and ``golden/corpus-ode-1.jsf`` are the
 seed-1 problems of the two benchmark workloads, written by
 ``perfbench/corpus.py``, so the benchmark's reports are held byte for
@@ -151,4 +152,5 @@ def test_wave_verdicts_do_not_depend_on_the_order_of_the_independent_variables(
     capsys.readouterr()
     tasks = json.loads(out.read_text())["tasks"]
     assert [(t["id"], t["verdict"], t["residuals"]) for t in tasks] == [
-        ("time", "pass", []), ("mixed", "pass", []), ("scaled", "fail", ["2*u_ttx"])]
+        ("time", "pass", []), ("mixed", "pass", []), ("scaled", "fail", ["2*u_ttx"]),
+        ("closed", "fail", ["u_tt - u_xx"]), ("closed-on-wave", "pass", [])]

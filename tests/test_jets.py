@@ -29,7 +29,7 @@ from forms import (
 from helpers import rand_poly, run_child
 from jetsym.errors import EquationError, JetError
 from jetsym.expr import ZERO, Verdict, rational, to_string
-from jetsym.gauge import GaugeFunction
+from jetsym.gauge import GaugeFunction, maurer_cartan_check
 from jetsym.jets import (
     JetSpec,
     JetVectorField,
@@ -41,7 +41,7 @@ from jetsym.jets import (
     multiindex,
 )
 from jetsym.parsing import parse
-from jetsym.prolong import PointVectorField, maurer_cartan_check
+from jetsym.prolong import PointVectorField
 from jetsym.symmetry import DifferentialEquation, check_symmetry
 
 ODE1 = JetSpec(("x",), ("u",), 1)
@@ -261,7 +261,21 @@ def test_a_space_that_has_named_a_coordinate_still_checks_every_call():
         with pytest.raises(JetError, match="not a multiindex"):
             named.jet_name(a, J)
     assert named.jet_name(0, [1, 0]) == named.jet_name(0, (1, 0)) == "u_x"
-    assert named.jet_name(True, (0, 1)) == "v_t"
+    with pytest.raises(JetError, match="dependent index"):
+        named.jet_name(True, (0, 1))
+
+
+@pytest.mark.parametrize("a", [True, False])
+def test_a_bool_dependent_index_is_not_a_coordinate(a):
+    """A bool equals 0 or 1 but is not a dependent index: a field keyed
+    by one is refused, not kept under the key ``(True, J)``."""
+    spec = JetSpec(("x",), ("u", "v"), 1)
+    with pytest.raises(JetError, match="dependent index"):
+        jet_coordinate(spec, a, (1,))
+    with pytest.raises(JetError, match="dependent index"):
+        spec.jet_name(a, (1,))
+    with pytest.raises(JetError, match="dependent index"):
+        JetVectorField(spec, [ZERO], {(a, (0,)): parse("u")})
 
 
 def test_a_float_count_is_not_a_multiindex():

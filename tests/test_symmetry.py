@@ -20,10 +20,9 @@ from jetsym.errors import EquationError, RestrictionError
 from jetsym.expr import Verdict, rational
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.parsing import parse
-from jetsym.prolong import PointVectorField, lambda_form, lift
+from jetsym.prolong import PointVectorField, characteristic, lambda_form, lift
 from jetsym.symmetry import (
     DifferentialEquation,
-    characteristic,
     check_symmetry,
     coincide_on_invariant_set,
     invariant_set_relations,
@@ -62,7 +61,7 @@ def test_invariant_set_relations_examples():
     assert invariant_set_relations(pvf(ODE2, ["x"], ["u"]), 0) == []
 
 
-def test_invariant_set_relations_take_one_total_derivative_per_multiindex(monkeypatch):
+def test_invariant_set_relations_are_read_off_the_kept_lift(monkeypatch):
     spec = JetSpec(("x", "t"), ("u", "v"), 4)
     X = rand_point_field(random.Random(29), spec)
     Q = characteristic(X)
@@ -74,9 +73,12 @@ def test_invariant_set_relations_take_one_total_derivative_per_multiindex(monkey
         return total_derivative(e, i, spec)
 
     monkeypatch.setattr(symmetry, "total_derivative", counted)
+    Y = lift(X, n=4)
     assert invariant_set_relations(X, 4) == want
-    # one total derivative per multiindex 0 < |J| <= 3 and component of Q
-    assert len(steps) == len(spec.multi_indices(3, min_order=1)) * spec.q
+    # the relations come from the field's kept standard lift, with no
+    # total derivative of their own
+    assert steps == []
+    assert lift(X, n=4) is Y
 
 
 # --- equations and restriction ------------------------------------------------
@@ -109,12 +111,6 @@ def test_restrict_leaves_nonleading_expressions_alone():
     eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "u"})
     e = parse("x*u_x + u^2")
     assert restrict_to_solution_manifold(e, eq) == e
-
-
-def test_restrict_depth_failure_is_reported():
-    eq = DifferentialEquation.from_strings(ODE2, {"u_xx": "u"})
-    with pytest.raises(RestrictionError):
-        restrict_to_solution_manifold(parse("u_xxx"), eq, depth=0)
 
 
 @pytest.mark.parametrize("independent", ["xt", "tx"])

@@ -24,10 +24,12 @@ GOLDEN = ROOT / "tests" / "golden"
 PRODUCTS = ("backend.poly_mul.calls", "backend.poly_add.calls")
 
 
-# the PDE problem is polynomial throughout, so it never needs a gcd
+# the PDE problem is polynomial throughout, so it never needs a gcd; its
+# check-compat task reaches the flatness check in the gauge layer
 @pytest.mark.parametrize("name, exit_code, counters", [
     ("ode", 1, PRODUCTS + ("_gcd.poly_gcd.calls",)),
-    ("pde", 0, PRODUCTS + ("jets.total_derivative.calls", "expr.to_string.calls")),
+    ("pde", 0, PRODUCTS + ("jets.total_derivative.calls", "expr.to_string.calls",
+                           "gauge.maurer_cartan_check.calls")),
 ])
 def test_traced_run_counts_kernel_calls(name, exit_code, counters, tmp_path):
     trace, report = tmp_path / "trace.json", tmp_path / "report.json"
