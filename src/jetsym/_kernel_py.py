@@ -11,8 +11,8 @@ Coefficients are exact rationals stored as ``(numerator, denominator)``
 pairs of ints, gcd reduced with positive denominator; this avoids the
 dispatch overhead of ``fractions.Fraction`` in the inner loops.
 
-Polynomial dicts are treated as frozen values everywhere above this
-layer: the kernel returns fresh dicts and never mutates its inputs.
+Polynomial dicts are frozen values above this layer: the kernel returns
+fresh dicts and mutates no input but the sum ``poly_add_mul`` adds to.
 
 The other library modules import the kernel through ``backend``.
 """
@@ -159,7 +159,11 @@ def poly_mul(p, q):
         if not m1:
             return poly_scale(q, c1)
         return {monomial_mul(m1, m2): rat_mul(c1, c2) for m2, c2 in q.items()}
-    r = {}
+    return poly_add_mul({}, p, q)
+
+
+def poly_add_mul(r, p, q):
+    """Add ``p*q`` to ``r``, a sum its caller owns, in place; return ``r``."""
     qitems = list(q.items())
     for m1, c1 in p.items():
         for m2, c2 in qitems:

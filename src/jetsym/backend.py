@@ -12,6 +12,7 @@ environment probes.
 from ._kernel_py import (
     RAT_ONE,
     poly_add,
+    poly_add_mul,
     poly_mul,
     poly_neg,
     poly_scale,

@@ -18,11 +18,11 @@ the same rational function of their variables and kernels.
 itself: printing sorts each polynomial's monomials as it writes them.
 
 A monomial is a tuple of ``(atom, exponent)`` pairs sorted by atom, with
-positive exponents.  A variable atom is ``(1, name)``; a function atom
-is ``(5, name, argument)``, so it describes itself and variables come
-before function atoms.  Atoms, monomials and frozen pairs compare as
-tuples, and two function atoms of one name by the frozen pairs of their
-arguments.
+positive exponents.  A variable atom is ``(1, name)``, one object per
+name for the life of the process, so equal atoms compare by identity;
+a function atom ``(5, name, argument)`` describes itself and sorts after
+the variables.  Atoms, monomials and frozen pairs compare as tuples, and
+two function atoms of one name by the frozen pairs of their arguments.
 
 A value prints as ``N`` when its denominator is 1 and as ``(N)/(D)``
 otherwise.  ``N`` and ``D`` list their terms in ascending order of their
@@ -62,12 +62,14 @@ every one is proven zero.
 Products of exponentials are merged (``exp(a)*exp(b) -> exp(a+b)``,
 ``exp(a)**k -> exp(k*a)``, ``1/exp(a) -> exp(-a)``); this is the one
 rewrite applied beyond rational-function arithmetic, and it keeps
-inverse-pair cancellations exact.  No other function identities are
-applied.  The gcd works over the atoms, where ``exp(2*x)`` and
-``exp(x)**2`` are unrelated, so a denominator holding a sum with
-exponentials can keep a common factor, and its form then depends on the
-order of the arithmetic.  So the quotient rule skips gcd(D, D') when D
-holds an exp atom, until exp forms are canonical.
+inverse-pair cancellations exact.  A sum of polynomial products none
+of which has an exp atom on both sides needs no merging, so
+``_radd_products`` adds two or more of them into one numerator dict.  No
+other function identities are applied.  The gcd works over the atoms,
+where ``exp(2*x)`` and ``exp(x)**2`` are unrelated, so a denominator
+holding a sum with exponentials can keep a common factor, and its form
+then depends on the order of the arithmetic.  So the quotient rule skips
+gcd(D, D') when D holds an exp atom, until exp forms are canonical.
 """
 
 from __future__ import annotations
@@ -258,8 +260,12 @@ def rational(num, den=1) -> Expr:
     return _const(Fraction(num, den))
 
 
+_VARIABLES: dict = {}  # name -> the one-term monomial of the variable
+
+
 def variable(name) -> Expr:
-    return Expr(({(((1, str(name)), 1),): _RAT_ONE}, _ONE_POLY))
+    name = str(name)
+    return Expr(({_VARIABLES.setdefault(name, (((1, name), 1),)): _RAT_ONE}, _ONE_POLY))
 
 
 def constant_value(e):
@@ -460,6 +466,24 @@ def _rmul(r1, r2):
     if (d1 is _ONE_POLY or d1 == _ONE_POLY) and (d2 is _ONE_POLY or d2 == _ONE_POLY):
         return (_pmul(n1, n2), _ONE_POLY)
     return _reduce(_pmul(n1, n2), _pmul(d1, d2))
+
+
+def _radd_products(r, terms):
+    """``r + s*x*y`` summed over the ``(s, x, y)`` of ``terms``, s = 1 or
+    -1, on canonical pairs: into one copy of r's numerator when there are
+    two or more products, every denominator is 1 and none merges exp
+    atoms (``_pmul``); else by the ``_radd``/``_rmul`` fold, as cheap for one."""
+    if len(terms) > 1 and r[1] == _ONE_POLY and all(
+            x[1] == y[1] == _ONE_POLY and not (_has_exp(x[0]) and _has_exp(y[0]))
+            for _s, x, y in terms):
+        out = dict(r[0])
+        for s, x, y in terms:
+            _k.poly_add_mul(out, x[0] if s > 0 else _k.poly_neg(x[0]), y[0])
+        return (out, _ONE_POLY)
+    for s, x, y in terms:
+        xy = _rmul(x, y)
+        r = _radd(r, xy if s > 0 else _rneg(xy))
+    return r
 
 
 def _rneg(r):

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import (
+    EquationError,
     GaugeError,
     NonPolynomialError,
     NoPotentialError,
@@ -125,7 +126,10 @@ def maurer_cartan_check(mu: MuForm, eq: DifferentialEquation = None, *, seed=Non
     vanish; for a scalar form the commutator drops and this is plain
     closedness.  Given an equation, each entry is restricted to its
     solution manifold before zero testing: compatibility is only required
-    there when the form is used for symmetries of a fixed equation."""
+    there when the form is used for symmetries of a fixed equation.  An
+    equation on another jet space raises ``EquationError``."""
+    if eq is not None and eq.spec != mu.spec:
+        raise EquationError("form and equation live on different jet spaces")
     curvature = mu.curvature()
     if eq is not None:
         curvature = {key: restrict_to_solution_manifold(e, eq)

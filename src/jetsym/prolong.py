@@ -7,7 +7,7 @@ being its q = 1 case.  The lambda lift of a scalar ODE is the mu lift by
 the form ``lambda dx`` (:func:`lambda_form`), and the standard lift the
 mu lift by the zero form.  Every lift runs the same one-step recursion
 along the canonical multiindex path, ``JetSpec.canonical_steps``.
-Each step combines canonical values directly; the derivatives
+A step builds each component in one numerator; the derivatives
 ``D_i xi^m`` of the field's base components, and the coefficients built
 from them, are computed once per lift and shared by every step.  The
 standard lift is computed once per field and order: the field keeps it,
@@ -40,8 +40,10 @@ from __future__ import annotations
 from .errors import InconsistentMuError, JetError, MuNotClosedError, ProlongationError
 from .expr import (
     Check,
+    Expr,
     Verdict,
     ZERO,
+    _radd_products,
     as_expr,
     expr_sum,
     zero_verdict,
@@ -107,16 +109,17 @@ def _make_step(X: PointVectorField, mu=None):
     lambda_i for a scalar form).  What a step needs that does not depend
     on J is worked out once per lift: the p total derivations, fetched
     through ``jets.total_derivations`` and called directly by every
-    step; the nonzero coefficients W, with every D_i xi^m; and the
-    nonzero entries of each L_i, so a step multiplies by those alone."""
+    step; the nonzero coefficients W and entries of each L_i, as pairs.
+    A step hands D_i Psi^a_J and its products to ``_radd_products``."""
     spec = X.spec
     p, q = spec.p, spec.q
     D = total_derivations(spec)
-    # i -> a -> the nonzero (m, b, W_i[a][b][m]), in the order of m, then b
-    W = [[[] for _a in range(q)] for _i in range(p)]
-    # i -> a -> the nonzero (b, L_i[a][b])
-    L = [[[] for _a in range(q)] for _i in range(p)]
+    # i -> a -> the nonzero (None, b, L_i[a][b]), then (m, b, W_i[a][b][m])
+    T = [[[] for _a in range(q)] for _i in range(p)]
     for i in range(p):
+        if mu is not None:
+            for a, row in enumerate(mu.matrices[i]):
+                T[i][a] = [(None, b, l._rf) for b, l in enumerate(row) if l != ZERO]
         for m, x in enumerate(X.xi):
             dxi = total_derivative(x, i, spec)
             for a in range(q):
@@ -125,10 +128,7 @@ def _make_step(X: PointVectorField, mu=None):
                     if mu is not None:
                         w = w + mu.matrices[i][a][b] * x
                     if w != ZERO:
-                        W[i][a].append((m, b, w))
-        if mu is not None:
-            for a, row in enumerate(mu.matrices[i]):
-                L[i][a] = [(b, l) for b, l in enumerate(row) if l != ZERO]
+                        T[i][a].append((m, b, w._rf))
 
     # K -> the jet variables u^b_K for every b: a step builds each successor
     # J+m of its J once, and a lift makes the names of each K once, when a
@@ -141,17 +141,15 @@ def _make_step(X: PointVectorField, mu=None):
             K = J[:m] + (J[m] + 1,) + J[m + 1:]
             us = jets.get(K)
             if us is None:
-                us = jets[K] = [spec.jet_var(b, K) for b in range(q)]
+                us = jets[K] = [spec.jet_var(b, K)._rf for b in range(q)]
             jets_J.append(us)
         Di = D[i]
         out = []
         for a in range(q):
-            r = Di(row[a])
-            for b, l in L[i][a]:
-                r = r + l * row[b]
-            for m, b, w in W[i][a]:
-                r = r - jets_J[m][b] * w
-            out.append(r)
+            terms = []
+            for m, b, c in T[i][a]:
+                terms.append((1, c, row[b]._rf) if m is None else (-1, jets_J[m][b], c))
+            out.append(Expr(_radd_products(Di(row[a])._rf, terms)))
         return tuple(out)
 
     return step

@@ -46,10 +46,11 @@ from jetsym.expr import (
     variable,
     zero_verdict,
 )
-from jetsym.expr import _fix_exp, _pmul
+from jetsym.expr import Expr, _fix_exp, _pmul, _radd_products, _rf_of
+from jetsym.jets import JetSpec, total_derivative
 from jetsym.parsing import MAX_NESTING, parse
 
-from helpers import atom_key
+from helpers import assert_canonical, atom_key
 
 # test-side trees: ("const", c), ("var", name), ("add", a, b, ...),
 # ("mul", a, b, ...), ("pow", a, k), ("func", name, a)
@@ -256,6 +257,16 @@ def test_constant_value(text, expected):
         assert value is None
     else:
         assert isinstance(value, Fraction) and value == expected
+
+
+def test_a_variable_name_has_one_atom_object():
+    # equal atoms are one object wherever they are made, so sorting and
+    # looking up monomials compares them by identity first
+    spec = JetSpec(("x",), ("u",), 2)
+    atom = atom_key(variable("u_x"))
+    assert atom_key(parse("2*u_x")) is atom
+    assert atom_key(spec.jet_var(0, (1,))) is atom
+    assert atom_key(total_derivative(variable("u"), 0, spec)) is atom
 
 
 def test_division_by_zero_expression():
@@ -581,3 +592,44 @@ def _exp_normal_polys(draw):
 @example({((_VAR_ATOMS[0], 1),): (1, 1)}, {((_EXP_ATOMS[0], 1),): (2, 1), (): (-1, 1)})
 def test_pmul_equals_the_merged_product(p, q):
     assert _pmul(p, q) == _fix_exp(backend.poly_mul(p, q))
+
+
+@st.composite
+def _pair_operands(draw, plain):
+    """A value for ``_radd_products``: a polynomial with exp atoms or
+    without, of integer or rational coefficients; unless ``plain``, it
+    may be a quotient, some by a denominator that holds an exp atom."""
+    p = draw(_exp_normal_polys())
+    if draw(st.booleans()):
+        p = {m: c for m, c in p.items() if all(a not in _EXP_ATOMS for a, _e in m)}
+    e = Expr((p, {(): (1, 1)})) * rational(1, draw(st.sampled_from([1, 1, 2, 3])))
+    if plain:
+        return e
+    return e / parse(draw(st.sampled_from(["1", "1 + u^2", "x - 2", "1 + exp(x)"])))
+
+
+@st.composite
+def _sums_of_products(draw):
+    """``r`` and the ``(s, x, y)`` of a sum: all of them polynomials in
+    half of the draws, so both routes of ``_radd_products`` are taken."""
+    plain = draw(st.booleans())
+    operand = _pair_operands(plain)
+    terms = st.lists(st.tuples(st.sampled_from([1, -1]), operand, operand), max_size=4)
+    return draw(operand), draw(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sums_of_products())
+# two products, every denominator 1, exp atoms on one side of each only
+@example((parse("u*exp(x) + x"),
+          [(1, parse("x*exp(u)"), parse("u^2 - 1")), (-1, parse("u"), parse("x*u + exp(x)"))]))
+# exp atoms on both sides of a product: exp(x)*exp(-x) merges to 1
+@example((parse("x"), [(1, parse("u"), parse("x")), (-1, parse("exp(x)"), parse("exp(-x)"))]))
+def test_radd_products_equals_the_fold(case):
+    r, terms = case
+    want = r
+    for s, x, y in terms:
+        want = want + x * y if s > 0 else want - x * y
+    got = _radd_products(_rf_of(r), [(s, _rf_of(x), _rf_of(y)) for s, x, y in terms])
+    assert got == _rf_of(want)
+    assert_canonical(Expr(got))

@@ -10,6 +10,7 @@ import pytest
 from forms import Form, basis_key_dx, dx, exterior_derivative, inc, zero_mu
 from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_unipotent_gauge
 from jetsym.errors import (
+    EquationError,
     GaugeError,
     NonPolynomialError,
     NoPotentialError,
@@ -89,6 +90,19 @@ def test_on_equation_flatness():
     eq = DifferentialEquation.from_strings(PDE1, {"u_t": "0"})
     assert maurer_cartan_check(mu).verdict is Verdict.FALSE
     assert maurer_cartan_check(mu, eq).verdict is Verdict.TRUE
+
+
+def test_flatness_on_an_equation_of_another_jet_space_raises():
+    # the form lives on (x, t; u); restricting by w_y = 0 on (x, y; w)
+    # would judge the curvature by an unrelated equation
+    mu = MuForm.scalar(PDE1, [parse("u_t"), parse("0")])
+    other = JetSpec(("x", "y"), ("w",), 1)
+    eq = DifferentialEquation.from_strings(other, {"w_y": "0"})
+    with pytest.raises(EquationError, match="different jet spaces"):
+        maurer_cartan_check(mu, eq)
+    # the same space built again is the same space
+    same = DifferentialEquation.from_strings(JetSpec(("x", "t"), ("u",), 1), {"u_t": "0"})
+    assert maurer_cartan_check(mu, same).verdict is Verdict.TRUE
 
 
 def test_globally_flat_forms_pass_on_any_equation():

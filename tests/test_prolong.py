@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from helpers import rand_closed_scalar_mu, rand_point_field, rand_poly, rand_uni
 from jetsym import prolong
 from jetsym.cli import run
 from jetsym.errors import InconsistentMuError, MuNotClosedError, ProlongationError
-from jetsym.expr import Verdict, ZERO, rational
+from jetsym.expr import Verdict, ZERO, _rf_of, rational
 from jetsym.gauge import GaugeFunction, darboux_derivative, maurer_cartan_check
 from jetsym.jets import (
     JetSpec,
@@ -315,6 +316,52 @@ def test_flat_forms_make_every_edge_exactly_consistent():
         assert all(d == ZERO for d in edges.values()), [
             k for k, d in edges.items() if d != ZERO
         ]
+
+
+def _operator_lift(X, mu, n):
+    """Test-only copy of the lift's step as Expr operators, one product
+    and one sum at a time along the canonical path:
+
+        Psi^a_{J+i} = (D_i Psi^a_J + L_i[a][b] Psi^b_J) - u^b_{J+m} W_i[a][b][m]
+
+    with W_i[a][b][m] = delta_ab D_i xi^m + L_i[a][b] xi^m, its zero
+    entries skipped.  Returns the component table keyed by J."""
+    spec = X.spec
+    table = {(0,) * spec.p: tuple(X.phi)}
+    for J, i, K in spec.canonical_steps(n):
+        row = table[K]
+        out = []
+        for a in range(spec.q):
+            r = total_derivative(row[a], i, spec)
+            for b, l in enumerate(mu.matrices[i][a]):
+                if l != ZERO:
+                    r = r + l * row[b]
+            for m, x in enumerate(X.xi):
+                for b in range(spec.q):
+                    w = total_derivative(x, i, spec) if a == b else ZERO
+                    w = w + mu.matrices[i][a][b] * x
+                    if w != ZERO:
+                        r = r - spec.jet_var(b, inc(K, m)) * w
+            out.append(r)
+        table[J] = tuple(out)
+    return table
+
+
+def test_the_one_numerator_step_matches_the_operator_step():
+    # each step adds its products into one numerator; the form M and the
+    # Darboux derivative of the gauge G of the golden PDE problem, lifted
+    # to order 4, must give the pairs that operator arithmetic gives
+    golden = Path(__file__).parent / "golden" / "pde.jsf"
+    problem = load_problem(golden.read_text(encoding="utf-8"))
+    X = problem.declared["field", "F"]
+    forms = [problem.declared["mu", "M"], darboux_derivative(problem.declared["gauge", "G"])]
+    for mu in forms:
+        Y = lift(X, mu, 4, path_check=True)
+        table = _operator_lift(X, mu, 4)
+        assert len(table) == len(X.spec.multi_indices(4))
+        for J, row in table.items():
+            for a, e in enumerate(row):
+                assert _rf_of(Y.psi_at(a, J)) == _rf_of(e), (J, a)
 
 
 def test_path_check_skips_edges_only_on_exact_flatness(monkeypatch):
