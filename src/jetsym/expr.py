@@ -818,11 +818,8 @@ class Derivation:
                     else:
                         rest.insert(k, gm[0])
                 _add_term(direct, tuple(rest), ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
-        out = (direct, _ONE_POLY)
-        for pa, image in partial.values():
-            if pa:
-                out = _radd(out, _rmul((pa, _ONE_POLY), image))
-        return out
+        return _radd_products((direct, _ONE_POLY), [
+            (1, (pa, _ONE_POLY), image) for pa, image in partial.values() if pa])
 
     def rf(self, r):
         num, den = r
@@ -866,10 +863,14 @@ def _eval_atom(key, vals):
         raise DomainError("overflow in kernel function") from None
 
 
-def _eval_rf(rf, vals):
+def _sample(rf, vals):
+    """The numerator's ``(value, scale)`` (``_poly_sample``) and the
+    denominator's value of ``rf`` at ``vals``, for ``eval_expr`` and
+    ``zero_verdict``: ``DomainError`` when an atom, a kernel argument or
+    a monomial is not a finite float, or the denominator is zero."""
     atoms = {a for p in rf for m in p for a, _k in m}
-    values = {a: _eval_atom(a, vals) for a in atoms}
     try:
+        values = {a: _eval_atom(a, vals) for a in atoms}
         num, den = [_poly_sample(p, values) for p in rf]
     except OverflowError:
         num = None
@@ -877,7 +878,15 @@ def _eval_rf(rf, vals):
         raise DomainError("overflow in evaluation")
     if den[0] == 0.0:
         raise DomainError("zero denominator")
-    return num[0] / den[0]
+    return num, den[0]
+
+
+def _eval_rf(rf, vals):
+    (value, _scale), den = _sample(rf, vals)
+    value /= den
+    if not math.isfinite(value):  # the quotient overflowed, without raising
+        raise DomainError("overflow in evaluation")
+    return value
 
 
 def _poly_sample(p, atom_values):
@@ -903,8 +912,8 @@ def zero_verdict(e, *, seed=None) -> Verdict:
     kernel domains where ``D`` is finite and nonzero.  FALSE needs one sample
     whose value exceeds ``ZERO_MARGIN`` times eps times the sum of
     ``N``'s monomial magnitudes there, which rounding cannot explain;
-    otherwise the verdict is PROBABLY (never silently TRUE).  Domain
-    errors and overflow trigger resampling up to a cap.
+    otherwise the verdict is PROBABLY (never silently TRUE).  A point
+    outside the domain by ``_sample``'s rule is resampled, up to a cap.
     """
     nf = as_expr(e)
     num, den = nf._rf
@@ -912,7 +921,6 @@ def zero_verdict(e, *, seed=None) -> Verdict:
         return Verdict.TRUE
     if not (_has_kernel_poly(num) or _has_kernel_poly(den)):
         return Verdict.FALSE
-    atoms = {a for p in (num, den) for m in p for a, _k in m}
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     names = sorted(free_variables(nf))
     good = 0
@@ -923,14 +931,9 @@ def zero_verdict(e, *, seed=None) -> Verdict:
             raise DomainError("could not sample inside kernel domains")
         point = {n: Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for n in names}
         try:
-            values = {a: _eval_atom(a, point) for a in atoms}
-            d = _poly_sample(den, values)
-            n = _poly_sample(num, values)
-        except (DomainError, ZeroDivisionError, OverflowError):
+            (value, scale), _den = _sample((num, den), point)
+        except DomainError:
             continue
-        if d is None or d[0] == 0.0 or n is None:
-            continue
-        value, scale = n
         if abs(value) > ZERO_MARGIN * sys.float_info.epsilon * scale:
             return Verdict.FALSE
         good += 1

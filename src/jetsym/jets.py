@@ -10,9 +10,12 @@ like ``u_xt`` and ``u_tx`` are the same variable by construction;
 the independent names repeated per count in declaration order (``u``,
 ``u_x``, ``u_xx``, ``u_xt`` when x is declared before t).
 
-``JetSpec.canonical_steps`` owns the canonical path over multiindices,
-which every recursion over J walks.  A value that names a misspelled jet
-coordinate (``u_tx`` when x is declared before t) raises ``JetError``.
+This module owns the jet coordinates: :func:`shifted` is the one step
+``J + k*e_i`` between multiindices, ``JetSpec.canonical_steps`` the
+canonical path over them, which every recursion over J walks, and
+``JetSpec.coordinates_of`` lists the coordinates ``(a, J)`` that a value
+names.  A value that names a misspelled jet coordinate (``u_tx`` when x
+is declared before t) raises ``JetError``.
 
 A space keeps the name of every coordinate it has named, so it builds
 each name once.  ``total_derivative`` takes D_i from a cache of one
@@ -125,6 +128,11 @@ def jet_coordinate(spec, a, J, error=JetError) -> tuple:
     return a, multiindex(spec, J)
 
 
+def shifted(J, i, k=1) -> tuple:
+    """The multiindex ``J + k*e_i``: ``J`` with its i-th count moved by k."""
+    return J[:i] + (J[i] + k,) + J[i + 1:]
+
+
 def as_order(n, what, error=JetError) -> int:
     """``n`` as a jet or prolongation order: an int, not a bool, of at
     least 1; anything else raises ``error``."""
@@ -207,6 +215,12 @@ class JetSpec(_Value):
         """
         return _decode(self, str(name))
 
+    def coordinates_of(self, e) -> dict:
+        """``{name: (a, J)}`` for the jet coordinates that ``e`` names; a
+        misspelled one raises ``JetError``, as in ``decode``."""
+        kinds = {name: _decode(self, name) for name in free_variables(e)}
+        return {name: k[1:] for name, k in kinds.items() if k[0] == "jet"}
+
     def multi_indices(self, max_order=None, min_order=0):
         """All multiindices with ``min_order <= |J| <= max_order``, graded,
         first slots first within each grade: the lexicographic order of
@@ -225,7 +239,7 @@ class JetSpec(_Value):
         slot-0 steps first, then its slot-1 steps, and so on."""
         for J in self.multi_indices(n, min_order=1):
             i = max(m for m, c in enumerate(J) if c)
-            yield J, i, J[:i] + (J[i] - 1,) + J[i + 1:]
+            yield J, i, shifted(J, i, -1)
 
 
 @lru_cache(maxsize=4096)
@@ -255,12 +269,7 @@ def _decode(spec: JetSpec, name: str):
 def jet_order(e, spec: JetSpec) -> int:
     """The highest order of a jet coordinate in ``e``, or -1 when ``e``
     holds none."""
-    best = -1
-    for name in free_variables(e):
-        kind = spec.decode(name)
-        if kind[0] == "jet":
-            best = max(best, sum(kind[2]))
-    return best
+    return max((sum(J) for _a, J in spec.coordinates_of(e).values()), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +285,7 @@ def _total_derivation(spec: JetSpec, i: int):
     def successor(name):
         kind = _decode(spec, name)
         if kind[0] == "jet":
-            J = kind[2]
-            return spec.jet_var(kind[1], J[:i] + (J[i] + 1,) + J[i + 1:])
+            return spec.jet_var(kind[1], shifted(kind[2], i))
         if kind[0] == "independent" and kind[1] == i:
             return ONE
         return None

@@ -4,8 +4,9 @@ Plain-text, line oriented, diff friendly.  Sections open with a
 bracketed header and hold ``key = expression`` lines:
 
 * ``[jet]`` with ``independent``, ``dependent`` (comma separated) and
-  ``order``, an integer in ASCII digits ``0-9`` with an optional sign
-  (``٣`` or ``1_0`` is invalid input, though ``int()`` reads both);
+  ``order``, an integer of at least 1 in ASCII digits ``0-9`` with an
+  optional sign (``٣`` or ``1_0`` is invalid input, though ``int()``
+  reads both);
 * ``[field NAME]`` with ``xi <independent> = expr``,
   ``phi <dependent> = expr`` and optional ``generalized = true``
   (flags read true/yes/1/on or false/no/0/off);
@@ -39,8 +40,8 @@ in that order, each by the rule for its name:
 
 * ``field``, ``equation``, ``mu``, ``gauge``: the declaration of that
   section kind; an undeclared name is an error at the argument's line;
-* ``order``: an integer by the ASCII rule of ``[jet]``, default the jet
-  order;
+* ``order``: an integer of at least 1 by the rule of the ``[jet]``
+  order, default the jet order;
 * ``path-check``: a flag, default false;
 * ``lambda``, ``phi``: expressions, parsed like those of a section;
 * ``kind``: ``standard`` (the default), ``lambda`` or ``mu``.  An
@@ -59,7 +60,7 @@ from __future__ import annotations
 from .errors import ExprError, JetsymError, ProblemFileError
 from .expr import ZERO
 from .gauge import GaugeFunction
-from .jets import JetSpec, MuForm, mat_identity
+from .jets import JetSpec, MuForm, as_order, mat_identity
 from .parsing import parse
 from .prolong import PointVectorField
 from .symmetry import DifferentialEquation
@@ -136,15 +137,18 @@ def _parse_expr(text, line_no):
         raise ProblemFileError(f"bad expression {text.strip()!r}: {err}", line_no)
 
 
-def _parse_order(text, line_no, message):
+def _parse_order(text, line_no, what, message):
     """An order: ASCII digits with an optional sign, like a literal of the
     expression grammar; ``int()`` alone also reads other scripts' digits
-    and underscores.  Anything else is ``message`` at ``line_no``."""
+    and underscores.  Anything else is ``message`` at ``line_no``; a value
+    that ``jets.as_order`` refuses as a ``what`` order, its error there."""
     if text.isascii() and "_" not in text:
         try:
-            return int(text)
+            n = int(text)
         except ValueError:  # not digits, or past the digit limit
             pass
+        else:
+            return as_order(n, what, lambda m: ProblemFileError(m, line_no))
     raise ProblemFileError(message, line_no)
 
 
@@ -193,9 +197,9 @@ def read_args(problem: ProblemFile, task: TaskDecl) -> dict:
         elif name in _DECLARATIONS:
             values[name] = problem.named(name, text, line)
         elif name == "order":
+            what = f"task {task.task_id!r}:"
             values[name] = _parse_order(
-                text, line, f"task {task.task_id!r}: order must be an integer, got {text!r}"
-            )
+                text, line, what, f"{what} order must be an integer, got {text!r}")
         elif name == "path-check":
             values[name] = parse_flag(text, line)
         else:
@@ -260,7 +264,7 @@ def _build_jet(entries, line_no):
             f"[jet] needs independent, dependent and order ({missing} missing)",
             line_no,
         )
-    order = _parse_order(order_text, order_line, "order must be an integer")
+    order = _parse_order(order_text, order_line, "jet", "order must be an integer")
     try:
         return JetSpec(independent, dependent, order)
     except JetsymError as err:

@@ -6,8 +6,10 @@ of q-by-q matrix coefficients the mu-deformed one, the scalar form
 being its q = 1 case.  The lambda lift of a scalar ODE is the mu lift by
 the form ``lambda dx`` (:func:`lambda_form`), and the standard lift the
 mu lift by the zero form.  Every lift runs the same one-step recursion
-along the canonical multiindex path, ``JetSpec.canonical_steps``.
-A step builds each component in one numerator; the derivatives
+along the canonical multiindex path, ``JetSpec.canonical_steps``, and
+takes its jet coordinates from ``jets``: the multiindex steps ``J + e_i``
+from ``jets.shifted``, the variables from the space, which keeps their
+names.  A step builds each component in one numerator; the derivatives
 ``D_i xi^m`` of the field's base components, and the coefficients built
 from them, are computed once per lift and shared by every step.  The
 standard lift is computed once per field and order: the field keeps it,
@@ -55,6 +57,7 @@ from .jets import (
     _set_field,
     as_order,
     jet_order,
+    shifted,
     total_derivations,
     total_derivative,
 )
@@ -91,8 +94,7 @@ def characteristic(X: PointVectorField):
     for a in range(spec.q):
         parts = [X.phi[a]]
         for i in range(spec.p):
-            unit = tuple(int(m == i) for m in range(spec.p))
-            parts.append(-spec.jet_var(a, unit) * X.xi[i])
+            parts.append(-spec.jet_var(a, shifted((0,) * spec.p, i)) * X.xi[i])
         out.append(expr_sum(parts))
     return tuple(out)
 
@@ -110,7 +112,9 @@ def _make_step(X: PointVectorField, mu=None):
     on J is worked out once per lift: the p total derivations, fetched
     through ``jets.total_derivations`` and called directly by every
     step; the nonzero coefficients W and entries of each L_i, as pairs.
-    A step hands D_i Psi^a_J and its products to ``_radd_products``."""
+    A step takes each ``u^b_{J+m}`` from the space, ``spec.jet_var(b,
+    shifted(J, m))``, which names each coordinate once, and hands
+    D_i Psi^a_J and its products to ``_radd_products``."""
     spec = X.spec
     p, q = spec.p, spec.q
     D = total_derivations(spec)
@@ -130,25 +134,13 @@ def _make_step(X: PointVectorField, mu=None):
                     if w != ZERO:
                         T[i][a].append((m, b, w._rf))
 
-    # K -> the jet variables u^b_K for every b: a step builds each successor
-    # J+m of its J once, and a lift makes the names of each K once, when a
-    # step first reaches it
-    jets = {}
-
     def step(i, J, row):
-        jets_J = []
-        for m in range(p):
-            K = J[:m] + (J[m] + 1,) + J[m + 1:]
-            us = jets.get(K)
-            if us is None:
-                us = jets[K] = [spec.jet_var(b, K)._rf for b in range(q)]
-            jets_J.append(us)
         Di = D[i]
         out = []
         for a in range(q):
-            terms = []
-            for m, b, c in T[i][a]:
-                terms.append((1, c, row[b]._rf) if m is None else (-1, jets_J[m][b], c))
+            terms = [(1, c, row[b]._rf) if m is None
+                     else (-1, spec.jet_var(b, shifted(J, m))._rf, c)
+                     for m, b, c in T[i][a]]
             out.append(Expr(_radd_products(Di(row[a])._rf, terms)))
         return tuple(out)
 
@@ -163,7 +155,7 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
         for i, c in enumerate(J):
             if not c or i == last:
                 continue
-            base = J[:i] + (c - 1,) + J[i + 1:]
+            base = shifted(J, i, -1)
             alt = step(i, base, table[base])
             for a in range(spec.q):
                 diff = table[J][a] - alt[a]

@@ -44,6 +44,7 @@ from .jets import (
     MuForm,
     jet_coordinate,
     jet_order,
+    shifted,
     total_derivative,
     _Value,
 )
@@ -109,13 +110,8 @@ class DifferentialEquation(_Value):
     def _leading_derived(self, e) -> list:
         """The sorted names of the leading coordinates, and of their
         derivatives, that ``e`` holds."""
-        out = []
-        for name in free_variables(e):
-            kind = self.spec.decode(name)
-            if kind[0] == "jet" and all(
-                    j >= k for j, k in zip(kind[2], self.leading(kind[1]))):
-                out.append(name)
-        return sorted(out)
+        return sorted(name for name, (a, J) in self.spec.coordinates_of(e).items()
+                      if all(j >= k for j, k in zip(J, self.leading(a))))
 
 
 def invariant_set_relations(X: PointVectorField, n=None):
@@ -129,7 +125,7 @@ def invariant_set_relations(X: PointVectorField, n=None):
     if n < 1:
         return []
     Y = lift(X, n=n)
-    return [Y.psi_at(a, J) - expr_sum(xi * spec.jet_var(a, J[:m] + (J[m] + 1,) + J[m + 1:])
+    return [Y.psi_at(a, J) - expr_sum(xi * spec.jet_var(a, shifted(J, m))
                                       for m, xi in enumerate(X.xi))
             for J in spec.multi_indices(n - 1) for a in range(spec.q)]
 
@@ -286,11 +282,7 @@ def coincide_on_invariant_set(
         if constant_value(r) is not None:
             # a nonzero constant relation: empty invariant set
             return CoincidenceResult({}, solved, vacuous=True)
-        orders = {}  # jet name -> its order, each name decoded once
-        for name in free_variables(r):
-            kind = spec.decode(name)
-            if kind[0] == "jet":
-                orders[name] = sum(kind[2])
+        orders = {name: sum(J) for name, (_a, J) in spec.coordinates_of(r).items()}
         top = max(orders.values(), default=None)
         for name in sorted(name for name, order in orders.items() if order == top):
             sol = _try_solve_linear(r, name, seed=seed)

@@ -476,6 +476,22 @@ def test_oversized_coefficient_is_unverifiable_without_a_traceback(tmp_path):
     assert "Traceback" not in strict.stderr
 
 
+def test_kernel_argument_past_the_float_range_is_resampled(tmp_path):
+    # x^100/u^300 overflows to inf at many sample points, and sin(inf)
+    # raised ValueError: the run ended in a traceback at --seed 30
+    problem = tmp_path / "overflow.jsf"
+    problem.write_text(
+        "[jet]\nindependent = x\ndependent = u\norder = 1\n[field F]\nxi x = x\n"
+        "[equation E]\nu_x = (sin(x^100/u^300)^2 + cos(x^100/u^300)^2 - 1)*x\n"
+        "[task check-symmetry s]\nfield = F\nequation = E\n"
+    )
+    proc = run_python(["-m", "jetsym.cli", "--seed", "30", "run-file", str(problem)],
+                      timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "[probably-pass] s (check-symmetry, " in proc.stdout
+
+
 def test_problem_file_errors_carry_lines():
     with pytest.raises(ProblemFileError) as err:
         load_problem("[jet]\nindependent = x\ndependent = u\norder = 1\nboom\n")
@@ -519,16 +535,32 @@ kind = standard
 
 @pytest.mark.parametrize("kind", ["standard", "lambda", "mu"])
 @pytest.mark.parametrize("order", [0, -1])
-def test_prolong_order_below_one_fails(kind, order):
+def test_prolong_order_below_one_fails(tmp_path, capsys, kind, order):
+    # a task's order follows the rule of the [jet] order: below 1 it is an
+    # input error at its line or flag, not a failed task
     extra = {"standard": "", "lambda": "lambda = x\n", "mu": "mu = M\n"}[kind]
-    text = (
+    problem = tmp_path / "order.jsf"
+    problem.write_text(
         "[jet]\nindependent = x\ndependent = u\norder = 1\n"
         "[field S]\nxi x = 0\nphi u = 1\n[mu M]\nx = u\n"
         f"[task prolong p]\nfield = S\nkind = {kind}\n{extra}order = {order}\n"
     )
-    record = run(load_problem(text)).records[0]
-    assert record.verdict == "fail"
-    assert record.detail == ["error: prolongation order must be at least 1"]
+    assert main(["run-file", str(problem)]) == 2
+    line = 13 + bool(extra)
+    assert capsys.readouterr().err == (
+        f"input error: line {line}: task 'p': order must be at least 1\n")
+    flags = {"standard": [], "lambda": ["--lam", "x"], "mu": ["--mu", "M"]}[kind]
+    argv = ["prolong", str(problem), "--field", "S", "--kind", kind, *flags]
+    assert main([*argv, f"--order={order}"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --order: task 'prolong': order must be at least 1\n")
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_jet_order_below_one_is_cited_at_its_line(order):
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(f"# a comment\n[jet]\nindependent = x\ndependent = u\norder = {order}\n")
+    assert str(err.value) == "line 5: jet order must be at least 1"
 
 
 FLAGS = """[jet]

@@ -459,6 +459,14 @@ def test_log_domain_triggers_resampling():
     assert zero_verdict(parse("log(x^2+1) - log(x^2+1) + sin(x)")) is not Verdict.TRUE
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_kernel_argument_past_the_float_range_is_resampled(seed):
+    # x^100/y^300 is a float quotient that overflows to inf without raising;
+    # sin(inf) raised ValueError at seeds 2 and 3
+    e = parse("sin(x^100/y^300)^2 + cos(x^100/y^300)^2 - 1")
+    assert zero_verdict(e, seed=seed) is Verdict.PROBABLY
+
+
 # --- eval -------------------------------------------------------------------
 
 def test_eval_examples():
@@ -474,6 +482,10 @@ def test_eval_errors():
         eval_expr(parse("log(x)"), {"x": -1})
     with pytest.raises(DomainError):
         eval_expr(parse("1/x"), {"x": 0})
+    with pytest.raises(DomainError):
+        eval_expr(parse("sin(x^100/y^300)"), {"x": 24, "y": Fraction(1, 8)})
+    with pytest.raises(DomainError):
+        eval_expr(parse("x^100/y^300"), {"x": 24, "y": Fraction(1, 8)})
 
 
 # --- properties -------------------------------------------------------------

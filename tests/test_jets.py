@@ -39,6 +39,7 @@ from jetsym.jets import (
     _total_derivation,
     jet_coordinate,
     multiindex,
+    shifted,
 )
 from jetsym.parsing import parse
 from jetsym.prolong import PointVectorField
@@ -347,6 +348,22 @@ def test_canonical_steps_reach_each_multiindex_once_along_its_last_slot(p):
             reached.add(J)
 
 
+def test_shifted_moves_one_count():
+    assert shifted((1, 0, 2), 0) == (2, 0, 2)
+    assert shifted((1, 0, 2), 1) == (1, 1, 2)
+    assert shifted((1, 0, 2), 2, -1) == (1, 0, 1)
+    assert shifted((3,), 0, -1) == (2,)
+    assert shifted(shifted((0, 4), 1), 1, -1) == (0, 4)
+
+
+def test_coordinates_of_lists_the_jet_coordinates_a_value_names():
+    e = parse("x*u_xt + t^2*exp(c*u) + sin(u_tt)/c")
+    assert PDE2.coordinates_of(e) == {"u_xt": (0, (1, 1)), "u": (0, (0, 0)),
+                                      "u_tt": (0, (0, 2))}
+    assert PDE2.coordinates_of(parse("x + t*c")) == {}
+    assert SYS1.coordinates_of(parse("v_xx*u")) == {"v_xx": (1, (2,)), "u": (0, (0,))}
+
+
 # --- total derivative -------------------------------------------------------
 
 def test_total_derivative_base_case():
@@ -376,6 +393,7 @@ def test_malformed_jet_names_raise_wherever_they_occur(text):
         lambda: total_derivative(e, 0, PDE2),
         lambda: Y.apply(e),
         lambda: scalar_differential(e, PDE2),
+        lambda: PDE2.coordinates_of(e),
     ):
         with pytest.raises(JetError):
             derive()

@@ -4,7 +4,6 @@ difference terms."""
 import copy
 import pickle
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -387,32 +386,9 @@ def test_path_check_skips_edges_only_on_exact_flatness(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_lift_makes_each_jet_variable_once(monkeypatch):
-    made = []
-    real = JetSpec.jet_var
-
-    def spy(spec, a, K):
-        # total derivatives make their images of jet variables themselves
-        if sys._getframe(1).f_globals["__name__"] == "jetsym.prolong":
-            made.append((a, K))
-        return real(spec, a, K)
-
-    monkeypatch.setattr(JetSpec, "jet_var", spy)
-    system = JetSpec(("x", "t"), ("u", "v"), 3)
-    lift(rand_point_field(random.Random(11), system))
-    assert sorted(made) == sorted((a, K) for K in system.multi_indices(3, min_order=1)
-                                  for a in range(2))
-    # the edge checks of a form that is not proven flat take no new ones
-    made.clear()
-    X = pvf(PDE2, ["t", "x*u"], ["u^2 + x"])
-    probable = MuForm.scalar(PDE2, [parse("(u + x*u_x)*(sin(t)^2 + cos(t)^2)"),
-                                    parse("x*u_t")])
-    lift(X, probable, 2, path_check=True)
-    assert sorted(made) == sorted((0, K) for K in PDE2.multi_indices(2, min_order=1))
-
-
 def test_a_second_lift_on_a_space_builds_no_new_name():
-    # names of its own, so the space's total derivations name through it
+    # a lift step takes its jet variables from the space, as the space's
+    # total derivations do, so every name of a coordinate is the space's one
     spec = JetSpec(("y", "s"), ("p", "w"), 3)
     lift(pvf(spec, ["p*w + y", "s*p + w"], ["y*w + p^2", "s*p*w + 1"]))
     names = dict(spec._names)
