@@ -35,6 +35,10 @@ unique; the steps above change how it is found, never what it is, and
 every reduced pair built from it, with every printed report, stays the
 same.
 
+Exact division and the pseudo-remainder update a univariate view by one
+step, ``u -= c * z^s * v`` (``_sub_shifted``), in place; the view is always
+one they built for the call, so no input of this module is ever changed.
+
 Everything here works in the free commutative ring over the atoms; callers
 that maintain extra monomial invariants (for instance merged exponential
 atoms) keep them because a divisor of a polynomial only ever uses atom
@@ -43,7 +47,7 @@ exponents bounded by the dividend's.
 
 from math import gcd, lcm
 
-from .backend import RAT_ONE, poly_mul, poly_scale, poly_sub, rat_inv, rat_make
+from .backend import RAT_ONE, poly_add_mul, poly_mul, poly_neg, poly_scale, rat_inv, rat_make
 
 
 def poly_one():
@@ -111,34 +115,33 @@ def poly_divexact(p, q):
             raise ValueError("inexact polynomial division")
         c = poly_divexact(pu[dp], lead_q)
         quot[dp - dq] = c
-        for k, qc in qu.items():
-            kk = k + dp - dq
-            r = poly_sub(pu.get(kk, {}), poly_mul(c, qc))
-            if r:
-                pu[kk] = r
-            else:
-                pu.pop(kk, None)
+        _sub_shifted(pu, c, qu, dp - dq)
     return _from_univariate(quot, z)
+
+
+def _sub_shifted(u, c, v, s):
+    """``u -= c * z^s * v`` on univariate views, in place: ``u`` and its
+    coefficient dicts are the caller's own, ``c`` and ``v`` stay as they
+    are.  A coefficient that cancels leaves the view."""
+    neg = poly_neg(c)
+    for k, vc in v.items():
+        if not poly_add_mul(u.setdefault(k + s, {}), neg, vc):
+            del u[k + s]
 
 
 def _pseudo_rem(au, bu):
     """Pseudo-remainder of two univariate views with polynomial coefficients."""
     db = max(bu)
     lb = bu[db]
-    r = dict(au)
+    r = au
     while r:
         dr = max(r)
         if dr < db:
             break
+        # r := lb*r - lr * z^(dr-db) * b, on a new view of new products
         lr = r[dr]
-        # r := lb*r - lr * z^(dr-db) * b
-        nr = {}
-        for k, c in r.items():
-            nr[k] = poly_mul(lb, c)
-        for k, c in bu.items():
-            kk = k + dr - db
-            nr[kk] = poly_sub(nr.get(kk, {}), poly_mul(lr, c))
-        r = {k: v for k, v in nr.items() if v}
+        r = {k: poly_mul(lb, c) for k, c in r.items()}
+        _sub_shifted(r, lr, bu, dr - db)
     return r
 
 

@@ -13,6 +13,9 @@ dispatch overhead of ``fractions.Fraction`` in the inner loops.
 
 Polynomial dicts are frozen values above this layer: the kernel returns
 fresh dicts and mutates no input but the sum ``poly_add_mul`` adds to.
+The kernel has no subtraction: a difference is a sum with a negated
+operand, ``poly_add(p, poly_neg(q))``, and ``r - p*q`` is
+``poly_add_mul(r, poly_neg(p), q)``.
 
 The other library modules import the kernel through ``backend``.
 """
@@ -41,14 +44,6 @@ def rat_add(a, b):
     if ad == 1 and bd == 1:
         return (an + bn, 1)
     return rat_make(an * bd + bn * ad, ad * bd)
-
-
-def rat_sub(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == 1 and bd == 1:
-        return (an - bn, 1)
-    return rat_make(an * bd - bn * ad, ad * bd)
 
 
 def rat_mul(a, b):
@@ -118,23 +113,6 @@ def poly_add(p, q):
 
 def poly_neg(p):
     return {m: (-c[0], c[1]) for m, c in p.items()}
-
-
-def poly_sub(p, q):
-    if not q:
-        return dict(p)
-    r = dict(p)
-    for m, c in q.items():
-        v = r.get(m)
-        if v is None:
-            r[m] = (-c[0], c[1])
-        else:
-            v = rat_sub(v, c)
-            if v[0]:
-                r[m] = v
-            else:
-                del r[m]
-    return r
 
 
 def poly_scale(p, c):

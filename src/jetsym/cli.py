@@ -6,11 +6,13 @@ potential, darboux, gauge-check, coincide), which runs one task of that
 kind on the declarations of a problem file.  ``problemfile.TASK_ARGS``
 is the one table of task kinds and of the arguments each reads, which
 of them are required, and in what order; ``problemfile.read_args`` reads
-them by the rule for each name.  A subcommand's flags are its task's
-arguments (``--lam`` gives ``lambda``, a bare ``--path-check`` gives
-``path-check = true``), read by the same rules, with the flag cited in
-place of a line.  Exit codes: 0 all tasks passed, 1 at least one task
-failed, 2 invalid input.
+them by the rule for each name.  ``run`` reads every task's arguments
+before the first task runs, so invalid input anywhere in the file ends
+the run (exit 2) before any task computes.  A subcommand's flags are its
+task's arguments (``--lam`` gives ``lambda``, a bare ``--path-check``
+gives ``path-check = true``), read by the same rules, with the flag
+cited in place of a line.  Exit codes: 0 all tasks passed, 1 at least
+one task failed, 2 invalid input.
 
 Verdict vocabulary of task records (closed): pass, fail, probably-pass,
 vacuous-pass, unverifiable.  A task over a budget is unverifiable, never
@@ -158,13 +160,14 @@ def _mu_detail(mu):
 
 
 def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
+    """Run one task whose arguments ``run`` has read into ``task.values``."""
     start = time.perf_counter()
     res = None  # the Check of a checking task
     verdict = None  # the record's word, unless the Check's verdict gives it
     residuals: list = []
     detail: list = []
+    a = task.values
     try:
-        a = read_args(problem, task)
         mu = a.get("mu")
         if a.get("lambda") is not None:
             mu = lambda_form(a["field"], a["lambda"])
@@ -201,8 +204,6 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                 every = task.kind == "check-symmetry"
                 residuals = [to_string(e) for e in res.residuals.values()
                              if every or e != ZERO]
-    except ProblemFileError:
-        raise
     except BudgetError as err:  # over a budget is never a fail
         verdict = UNVERIFIABLE
         detail = [f"budget: {err}"]
@@ -214,7 +215,11 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
 
 
 def run(problem: ProblemFile, *, seed=None, strict=False) -> Report:
-    """Execute the problem file's tasks one after another, in file order."""
+    """Read every task's arguments, then execute the tasks one after
+    another, in file order; invalid input stops the run before any task
+    computes."""
+    for task in problem.tasks:
+        task.values = read_args(problem, task)
     seed = DEFAULT_SEED if seed is None else seed
     report = Report(seed=seed, strict=strict)
     for task in problem.tasks:

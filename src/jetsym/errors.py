@@ -24,8 +24,8 @@ class UnknownFunctionError(ParseError):
     """A function name outside the supported set (exp, log, sin, cos)."""
 
 
-class NonIntegerExponentError(ExprError):
-    """Exponents must normalize to integer constants."""
+class NonIntegerExponentError(ParseError):
+    """An exponent that does not read as an integer constant."""
 
 
 class SymbolicDivisionError(ExprError):

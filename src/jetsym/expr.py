@@ -86,7 +86,6 @@ from ._gcd import poly_divexact, poly_gcd
 from .errors import (
     BudgetError,
     DomainError,
-    ExprError,
     SubstitutionError,
     SymbolicDivisionError,
     UnboundVariableError,
@@ -535,20 +534,6 @@ def _has_kernel_poly(p):
     return False
 
 
-def polynomial_terms(e) -> dict:
-    """Coefficients of a polynomial expression, keyed by monomials given
-    as sorted tuples of (variable name, exponent); raises on non-polynomial
-    input (denominators or kernels)."""
-    e = as_expr(e)
-    num, den = e._rf
-    if den != _ONE_POLY or _has_kernel_poly(num):
-        raise ExprError(f"not a polynomial: {to_string(e)}")
-    out = {}
-    for m, c in num.items():
-        out[tuple(sorted((a[1], k) for a, k in m))] = Fraction(*c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -833,7 +818,8 @@ class Derivation:
         # with h = den/g, k = c/g; g = 1 keeps exp forms as they were
         g = _ONE_POLY if _has_exp(den) else poly_gcd(den, c)
         h = poly_divexact(den, g)
-        top = _k.poly_sub(_pmul(_pmul(a, e), h), _pmul(_pmul(num, poly_divexact(c, g)), b))
+        top = _k.poly_add(_pmul(_pmul(a, e), h),
+                          _k.poly_neg(_pmul(_pmul(num, poly_divexact(c, g)), b)))
         return _reduce(top, _pmul(_pmul(b, e), _pmul(den, h)))
 
 

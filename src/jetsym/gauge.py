@@ -45,7 +45,6 @@ from .expr import (
     expr_sum,
     free_variables,
     is_polynomial,
-    polynomial_terms,
     variable,
     zero_verdict,
 )
@@ -142,7 +141,7 @@ def maurer_cartan_check(mu: MuForm, eq: DifferentialEquation = None, *, seed=Non
 
 
 def _total_degree(e):
-    return max((sum(k for _n, k in m) for m in polynomial_terms(e)), default=0)
+    return max((sum(k for _a, k in m) for m in e._rf[0]), default=0)
 
 
 def scalar_potential(mu: MuForm) -> Expr:
@@ -185,17 +184,19 @@ def scalar_potential(mu: MuForm) -> Expr:
             candidates.append(expr_prod(variable(n) for n in combo))
 
     # one linear equation per (direction, monomial of the expansion),
-    # held as its nonzero coefficients, the right-hand side under ncols
+    # held as its nonzero coefficients, the right-hand side under ncols;
+    # the monomials are the numerators' own, whose variable atoms sort by
+    # name, and the coefficients the kernel's pairs until the solve
     ncols = len(candidates)
     rows = {}
     for i in range(spec.p):
-        for mono, c in polynomial_terms(lambdas[i]).items():
+        for mono, c in lambdas[i]._rf[0].items():
             rows.setdefault((i, mono), {})[ncols] = c
         for col, cand in enumerate(candidates):
-            d = total_derivative(cand, i, spec)
-            for mono, c in polynomial_terms(d).items():
+            for mono, c in total_derivative(cand, i, spec)._rf[0].items():
                 rows.setdefault((i, mono), {})[col] = c
-    solution = _solve_exact([rows[k] for k in sorted(rows)], ncols)
+    solution = _solve_exact([{col: Fraction(*c) for col, c in rows[k].items()}
+                             for k in sorted(rows)], ncols)
     if solution is None:
         raise NoPotentialError("no polynomial potential within the derived bounds")
     phi = expr_sum(c * cand for c, cand in zip(solution, candidates) if c)
@@ -275,7 +276,6 @@ def verify_gauge_equivalence_scalar(
     phi = as_expr(phi)
     if not is_polynomial(phi):
         raise NonPolynomialError("the potential must be polynomial")
-    n = spec.order if n is None else n
     jet_dependent = jet_order(phi, spec) >= 1
     if jet_dependent and not X.generalized:
         raise GaugeError(
@@ -287,6 +287,6 @@ def verify_gauge_equivalence_scalar(
     rescaled = PointVectorField(
         spec, (scale * X.xi[0],), (scale * X.phi[0],), generalized=True
     )
-    B = lift(rescaled, n=n)
+    B = lift(rescaled, n=A.order)
     return Check({J: scale * A.psi_at(0, J) - B.psi_at(0, J)
-                  for J in spec.multi_indices(n)}, seed=seed)
+                  for J in spec.multi_indices(A.order)}, seed=seed)

@@ -177,7 +177,8 @@ class _Parser:
             self.depth -= 1
             k = num.get(()) if num else (0, 1)
             if k is None or k[1] != 1 or len(num) > 1 or den != _ONE_POLY:
-                self.fail(caret, "exponent must be an integer constant", _NonIntExp)
+                self.fail(caret, "exponent must be an integer constant",
+                          NonIntegerExponentError)
             r = _rpow(r, k[0])
         self.depth -= minus
         return _rneg(r) if minus & 1 else r
@@ -211,10 +212,6 @@ class _Parser:
             self.i += 1
             return _KERNELS[t[1]](Expr(self.group(opening)))._rf
         self.fail(t, "expected an operand, found {}")
-
-
-class _NonIntExp(ParseError, NonIntegerExponentError):
-    pass
 
 
 def parse(text: str) -> Expr:

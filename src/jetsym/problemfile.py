@@ -35,8 +35,9 @@ arguments in reading order, each mapped to whether it is required
     gauge-check     field*, phi*, order
     coincide        field*, mu*, order, path-check
 
-``read_args`` reads a task's arguments at task time, one after another
-in that order, each by the rule for its name:
+``read_args`` reads a task's arguments, one after another in that
+order, each by the rule for its name; ``cli.run`` reads every task's
+before the first task runs:
 
 * ``field``, ``equation``, ``mu``, ``gauge``: the declaration of that
   section kind; an undeclared name is an error at the argument's line;
@@ -84,13 +85,18 @@ _KIND_ARGS = {"standard": (), "lambda": ("lambda",), "mu": ("mu", "path-check")}
 
 
 class TaskDecl:
-    __slots__ = ("kind", "task_id", "args", "line")
+    """A task as written: its kind, id, argument texts with their lines,
+    and its own line; ``values`` holds the arguments once ``cli.run``
+    has read them with ``read_args``."""
+
+    __slots__ = ("kind", "task_id", "args", "line", "values")
 
     def __init__(self, kind, task_id, args, line):
         self.kind = kind
         self.task_id = task_id
         self.args = args
         self.line = line
+        self.values = None
 
 
 class ProblemFile:

@@ -252,8 +252,7 @@ def difference_terms(
     standard lift, keyed by ``(a, J)`` for every ``|J| <= n``; the
     zero-order rows are identically zero."""
     spec = X.spec
-    n = spec.order if n is None else n
     deformed = lift(X, mu, n, path_check=path_check, seed=seed)
-    standard = lift(X, n=n)
+    standard = lift(X, n=deformed.order)
     return {(a, J): deformed.psi_at(a, J) - standard.psi_at(a, J)
-            for J in spec.multi_indices(n) for a in range(spec.q)}
+            for J in spec.multi_indices(deformed.order) for a in range(spec.q)}

@@ -271,7 +271,6 @@ def coincide_on_invariant_set(
     solution goes into those before it, so the solved map is closed by
     construction and is substituted without ``substitute``'s re-check."""
     spec = X.spec
-    n = spec.order if n is None else n
     diff = difference_terms(X, mu, n, path_check=path_check, seed=seed)
     solved = {}
     unverifiable = False

@@ -556,6 +556,35 @@ def test_prolong_order_below_one_fails(tmp_path, capsys, kind, order):
         "input error: --order: task 'prolong': order must be at least 1\n")
 
 
+LATE_FAULT = (
+    "[jet]\nindependent = x\ndependent = u\norder = 1\n"
+    "[field S]\nxi x = 0\nphi u = 1\n"
+    "[task prolong good]\nfield = S\n"
+    "[task prolong late]\nfield = S\norder = 0\n"
+)
+
+
+def test_a_fault_in_a_late_task_stops_the_run_before_any_task(tmp_path, capsys,
+                                                              monkeypatch):
+    # every task is read before the first runs, so the second task's order
+    # ends the run before the good first task is lifted
+    lifts = []
+
+    def counted(*args, **kwargs):
+        lifts.append(args)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr("jetsym.cli.lift", counted)
+    problem = tmp_path / "late.jsf"
+    problem.write_text(LATE_FAULT)
+    report = tmp_path / "report.json"
+    assert main(["--json", str(report), "run-file", str(problem)]) == 2
+    line = LATE_FAULT.splitlines().index("order = 0") + 1
+    out, err = capsys.readouterr()
+    assert err == f"input error: line {line}: task 'late': order must be at least 1\n"
+    assert out == "" and not report.exists() and lifts == []
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_jet_order_below_one_is_cited_at_its_line(order):
     with pytest.raises(ProblemFileError) as err:

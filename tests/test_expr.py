@@ -152,8 +152,12 @@ def test_parse_errors_carry_position():
     assert err.value.column == 5
     with pytest.raises(UnknownFunctionError):
         parse("tan(x)")
-    with pytest.raises(NonIntegerExponentError):
+    with pytest.raises(NonIntegerExponentError) as err:
         parse("x^u")
+    # both are parse errors by their class, with the caret's position
+    assert issubclass(UnknownFunctionError, ParseError)
+    assert issubclass(NonIntegerExponentError, ParseError)
+    assert err.value.column == 2
     with pytest.raises(ParseError):
         parse("x + ")
     with pytest.raises(ParseError):

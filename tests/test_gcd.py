@@ -3,13 +3,15 @@
 For random ``a``, ``b`` and ``g`` over ``x``, ``u``, ``u_x`` and one
 opaque kernel atom, ``poly_gcd(a*g, b*g)`` must equal sympy's gcd scaled
 to the kernel's leading coefficient 1 (the coefficient of the largest
-monomial), and ``poly_divexact`` must divide both products by it exactly.
+monomial), and ``poly_divexact`` must divide both products by it exactly;
+neither may change its inputs.
 Each input shape is drawn so that it reaches one branch of ``poly_gcd``:
 a one-term input, inputs without a shared atom, a gcd that lives in the
 shared atoms only, the general remainder sequence, and the remainder
 sequence on integer lists when both inputs hold the one atom ``x``.
 """
 
+import copy
 from fractions import Fraction
 from unittest import mock
 
@@ -131,11 +133,15 @@ def test_gcd_matches_sympy(shape):
     def check(a, b, g):
         p = _kernel_py.poly_mul(a, g)
         q = _kernel_py.poly_mul(b, g)
+        before = copy.deepcopy((p, q))
         got = _gcd.poly_gcd(p, q)
+        assert (p, q) == before  # the gcd changes only views it builds
         want = from_sympy(sp.gcd(to_sympy(p), to_sympy(q)))
         assert as_fractions(got) == want
         for f in (p, q):
+            before = copy.deepcopy((f, got))
             quot = _gcd.poly_divexact(f, got)
+            assert (f, got) == before
             assert _kernel_py.poly_mul(quot, got) == f
 
     with mock.patch.multiple(_gcd, **{name: spy(name) for name in hits}):

@@ -45,7 +45,6 @@ def test_rational_pairs_match_fraction_semantics(a, b):
     fa, fb = Fraction(*a), Fraction(*b)
     assert Fraction(*_kernel_py.rat_add(a, b)) == fa + fb
     assert Fraction(*_kernel_py.rat_mul(a, b)) == fa * fb
-    assert Fraction(*_kernel_py.rat_sub(a, b)) == fa - fb
     n, d = _kernel_py.rat_add(a, b)
     import math
     assert d > 0 and (n == 0 or math.gcd(n, d) == 1)
@@ -58,7 +57,15 @@ def test_ring_axioms_python_kernel(p, q, r):
     assert k.poly_add(p, q) == k.poly_add(q, p)
     assert k.poly_mul(p, q) == k.poly_mul(q, p)
     assert k.poly_mul(p, k.poly_add(q, r)) == k.poly_add(k.poly_mul(p, q), k.poly_mul(p, r))
-    assert k.poly_sub(p, p) == {}
+    # r - p*q, the one subtraction route: a product added with a negated factor
+    p_before, q_before = dict(p), dict(q)
+    got = k.poly_add_mul(dict(r), k.poly_neg(p), q)
+    want = {m: Fraction(*c) for m, c in r.items()}
+    for m, c in reference_product(p, q).items():
+        want[m] = want.get(m, 0) - c
+    assert {m: Fraction(*c) for m, c in got.items()} == {m: c for m, c in want.items() if c}
+    assert all(c[0] and c[1] > 0 for c in got.values())
+    assert p == p_before and q == q_before
 
 
 @st.composite
