@@ -264,7 +264,7 @@ def _main(argv) -> int:
                         help="also write the machine-readable report here")
     sub = parser.add_subparsers(dest="command", required=True)
     # one subcommand per task kind, one flag per argument of the kind; the
-    # values are checked where a [task] section's are, by run_task
+    # values are checked where a [task] section's are, by run
     for kind in (*TASK_ARGS, "run-file"):
         p = sub.add_parser(kind)
         p.add_argument("file", help="problem file with the declarations")
