@@ -1,10 +1,12 @@
 """Multivariate polynomial gcd and exact division over the kernel's dicts.
 
-Polynomials are the kernel's dict-of-monomials with rational-pair coefficients
-and opaque, totally ordered atoms; canonical monomials carry positive
-exponents, so they live in the polynomial ring Q[atoms], a unique
-factorization domain whose units are the nonzero rationals.  ``poly_gcd``
-reduces the problem in four steps before any remainder sequence runs:
+Polynomials are the kernel's dict-of-monomials with rational coefficients
+and opaque, totally ordered atoms; as everywhere outside the kernel, a
+coefficient is built with ``rat_make`` and read with ``rat_parts``.
+Canonical monomials carry positive exponents, so they live in the
+polynomial ring Q[atoms], a unique factorization domain whose units are
+the nonzero rationals.  ``poly_gcd`` reduces the problem in four steps
+before any remainder sequence runs:
 
 1. One-term input.  A divisor of a monomial is a monomial (the atoms are
    primes of the ring), so the gcd takes each atom of the one-term input
@@ -25,9 +27,10 @@ reduces the problem in four steps before any remainder sequence runs:
    remainder is divided by its content and then made primitive over Z:
    divided by the gcd of its coefficients' numerators and multiplied by
    the lcm of their denominators.  The remainders then stay integral
-   and primitive, so their arithmetic stays on the kernel's integer
-   path.  With one shared atom the inputs are univariate, and the
-   sequence runs on lists of integer coefficients instead of dicts.
+   and primitive: their coefficients are ints, and their arithmetic runs
+   on the kernel's inline integer path.  With one shared atom the inputs
+   are univariate, and the sequence runs on lists of integer
+   coefficients instead of dicts.
 
 The result is scaled to leading coefficient 1 (the coefficient of the
 largest monomial).  A gcd is unique up to a unit, so scaled that way it is
@@ -47,7 +50,16 @@ exponents bounded by the dividend's.
 
 from math import gcd, lcm
 
-from .backend import RAT_ONE, poly_add_mul, poly_mul, poly_neg, poly_scale, rat_inv, rat_make
+from .backend import (
+    RAT_ONE,
+    poly_add_mul,
+    poly_mul,
+    poly_neg,
+    poly_scale,
+    rat_inv,
+    rat_make,
+    rat_parts,
+)
 
 
 def poly_one():
@@ -172,11 +184,10 @@ def _primitive(u):
     cont = _content(u)
     if not is_const(cont):
         u = {k: poly_divexact(c, cont) for k, c in u.items()}
-    coeffs = [c for coeff in u.values() for c in coeff.values()]
+    coeffs = [rat_parts(c) for coeff in u.values() for c in coeff.values()]
     num, den = gcd(*(n for n, _d in coeffs)), lcm(*(d for _n, d in coeffs))
     if num != 1 or den != 1:
-        # reduced: a prime of num divides every numerator, so no denominator
-        scale = (den, num)
+        scale = rat_make(den, num)
         u = {k: poly_scale(c, scale) for k, c in u.items()}
     return cont, u
 
@@ -218,9 +229,10 @@ def _coefficients(p, shared):
 
 def _dense(p):
     """Univariate ``p`` as integer coefficients, lowest degree first."""
-    den = lcm(*(d for _n, d in p.values()))
+    terms = [(m, *rat_parts(c)) for m, c in p.items()]
+    den = lcm(*(d for _m, _n, d in terms))
     out = [0] * (max(p)[0][1] + 1)
-    for m, (n, d) in p.items():
+    for m, n, d in terms:
         out[m[0][1] if m else 0] = n * den // d
     return _primitive_list(out)
 

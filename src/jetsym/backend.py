@@ -21,6 +21,7 @@ from ._kernel_py import (
     rat_inv,
     rat_make,
     rat_mul,
+    rat_parts,
 )
 
 BACKEND = "python"

@@ -11,11 +11,14 @@ combines pairs and returns a canonical value, so no unreduced tree ever
 exists.  ``Expr`` is the one value class: it holds the pair, and works
 out its frozen pair when it is first hashed or ordered: the numerator's
 and the denominator's ``(monomial, coefficient)`` items as tuples sorted
-by monomial.  The frozen pair is the value's identity, hash and order.
-Two values are equal exactly when their pairs are, that is when they are
-the same rational function of their variables and kernels.
-``to_string``, ``free_variables`` and ``eval_expr`` read the pair
-itself: printing sorts each polynomial's monomials as it writes them.
+by monomial, each coefficient as its ``(n, d)`` (``rat_parts``), so an
+int coefficient of the kernel never meets a pair in a comparison and
+function atoms keep one order.  The frozen pair is the value's identity,
+hash and order.  Two values are equal exactly when their pairs are, that
+is when they are the same rational function of their variables and
+kernels.  ``to_string``, ``free_variables`` and ``eval_expr`` read the
+pair itself: printing sorts each polynomial's monomials as it writes
+them.
 
 A monomial is a tuple of ``(atom, exponent)`` pairs sorted by atom, with
 positive exponents.  A variable atom is ``(1, name)``, one object per
@@ -30,7 +33,8 @@ monomials: the constant first, then the monomials lexicographically by
 their ``(atom, exponent)`` pairs, so ``1 + u + u*x + u^2 + x``.  A term
 prints as its coefficient (left out when it is 1) followed by its
 factors in atom order, joined by ``*``, as ``atom`` or ``atom^k``; the
-sign of a term after the first is printed as `` + `` or `` - ``.
+coefficient ``n/d`` (``rat_parts``) prints as ``n`` when ``d`` is 1, and
+the sign of a term after the first is printed as `` + `` or `` - ``.
 
 Derivatives are computed on the pair: a ``Derivation`` is the
 derivation along one direction, fixed by its image of each variable, as
@@ -99,7 +103,7 @@ DEFAULT_SAMPLES = 8
 # sin and cos see them, and that error is not bounded term by term.
 ZERO_MARGIN = 2.0 ** 24
 
-_RAT_ONE = (1, 1)
+_RAT_ONE = _k.RAT_ONE
 _ONE_POLY = {(): _RAT_ONE}
 _ZERO_POLY: dict = {}
 _RF_ONE = (_ONE_POLY, _ONE_POLY)
@@ -140,12 +144,13 @@ class Expr:
 
     def frozen(self):
         """The frozen pair: the numerator's and the denominator's
-        ``(monomial, coefficient)`` items, sorted by monomial."""
+        ``(monomial, (n, d))`` items, sorted by monomial."""
         f = self._frozen
         if f is None:
             num, den = self._rf
-            f = self._frozen = (tuple([(m, num[m]) for m in sorted(num)]),
-                                tuple([(m, den[m]) for m in sorted(den)]))
+            parts = _k.rat_parts
+            f = self._frozen = (tuple([(m, parts(num[m])) for m in sorted(num)]),
+                                tuple([(m, parts(den[m])) for m in sorted(den)]))
         return f
 
     def __lt__(self, other):
@@ -229,7 +234,8 @@ def _rf_of(e):
 
 def _const(v):
     """The constant of the int or Fraction ``v``."""
-    return Expr(({(): (v.numerator, v.denominator)} if v else _ZERO_POLY, _ONE_POLY))
+    return Expr(({(): _k.rat_make(v.numerator, v.denominator)} if v else _ZERO_POLY,
+                 _ONE_POLY))
 
 
 ZERO = _const(0)
@@ -275,7 +281,7 @@ def constant_value(e):
     if not num:
         return Fraction(0)
     c = num.get(())
-    return None if c is None else Fraction(*c)
+    return None if c is None else Fraction(*_k.rat_parts(c))
 
 
 def exp(e) -> Expr:
@@ -686,8 +692,8 @@ def _add_term(p, m, c):
     if v is None:
         p[m] = c
         return
-    v = _k.rat_add(v, c)
-    if v[0]:
+    v = v + c if type(v) is int and type(c) is int else _k.rat_add(v, c)
+    if v:
         p[m] = v
     else:
         del p[m]
@@ -719,15 +725,16 @@ class Derivation:
     monomial then becomes the product in one list splice, which drops or
     lowers the derived atom, places ``b^f`` at the position
     ``bisect_left`` finds, adding ``f`` to the exponent of a ``b``
-    already there, and is made a tuple once.  Every other image, a
-    multi-atom monomial such as ``2*x*u`` included, is multiplied in once
-    per atom through the partial derivative in that atom, as sums and
-    quotients are.  A quotient ``num/den`` takes the quotient rule over
-    ``den*den/g``, ``g = gcd(den, D den)``, and one ``_reduce``, so
-    results are canonical like every other pair.  A ``den`` with an
-    ``exp`` atom takes ``g = 1``, the rule over den^2, as its reduced
-    form depends on the order of the arithmetic until exp forms are
-    canonical.
+    already there, and is made a tuple once; its term is added into the
+    numerator in place, with int arithmetic when both coefficients are
+    ints.  Every other image, a multi-atom monomial such as ``2*x*u``
+    included, is multiplied in once per atom through the partial
+    derivative in that atom, as sums and quotients are.  A quotient
+    ``num/den`` takes the quotient rule over ``den*den/g``,
+    ``g = gcd(den, D den)``, and one ``_reduce``, so results are
+    canonical like every other pair.  A ``den`` with an ``exp`` atom
+    takes ``g = 1``, the rule over den^2, as its reduced form depends on
+    the order of the arithmetic until exp forms are canonical.
     """
 
     def __init__(self, of_var):
@@ -773,6 +780,7 @@ class Derivation:
     def poly(self, p):
         images = self.images
         direct = {}  # the numerator built monomial by monomial
+        get = direct.get
         partial = {}  # atom key -> (partial derivative of p in it, its image)
         for m, c in p.items():
             for idx, (a, e) in enumerate(m):
@@ -787,7 +795,7 @@ class Derivation:
                     ce = c
                 else:
                     rest[idx] = (a, e - 1)
-                    ce = _k.rat_mul(c, (e, 1))
+                    ce = c * e if type(c) is int else _k.rat_mul(c, e)
                 gm, gc = hit
                 if gm is None:
                     pa = partial.get(a)
@@ -802,7 +810,19 @@ class Derivation:
                         rest[k] = (b, rest[k][1] + f)
                     else:
                         rest.insert(k, gm[0])
-                _add_term(direct, tuple(rest), ce if gc == _RAT_ONE else _k.rat_mul(ce, gc))
+                if gc != _RAT_ONE:
+                    ce = _k.rat_mul(ce, gc)
+                # _add_term inlined: the lift cascade spends its time here
+                rest = tuple(rest)
+                v = get(rest)
+                if v is None:
+                    direct[rest] = ce
+                else:
+                    v = v + ce if type(v) is int and type(ce) is int else _k.rat_add(v, ce)
+                    if v:
+                        direct[rest] = v
+                    else:
+                        del direct[rest]
         return _radd_products((direct, _ONE_POLY), [
             (1, (pa, _ONE_POLY), image) for pa, image in partial.values() if pa])
 
@@ -879,7 +899,8 @@ def _poly_sample(p, atom_values):
     """Value of ``p`` at sampled atom values and the sum of its monomials'
     magnitudes; None when a monomial is not a finite float."""
     terms = []
-    for m, (cn, cd) in p.items():
+    for m, c in p.items():
+        cn, cd = _k.rat_parts(c)
         v = cn / cd
         for a, k in m:
             v *= atom_values[a] ** k
@@ -966,10 +987,15 @@ class _Printer:
         get = self.texts.get
         parts = []
         for m in sorted(p):
-            n, d = p[m]
-            parts.append(" - " if n < 0 else " + ")
-            c = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
-            fs = [] if c == "1" and m else [c]
+            c = p[m]
+            if type(c) is int:
+                parts.append(" - " if c < 0 else " + ")
+                c = abs(c)
+                fs = [] if c == 1 and m else [str(c)]
+            else:
+                n, d = _k.rat_parts(c)
+                parts.append(" - " if n < 0 else " + ")
+                fs = [f"{abs(n)}/{d}"]
             for a, e in m:
                 t = a[1] if a[0] == 1 else get(a) or self.function(a)
                 fs.append(t if e == 1 else f"{t}^{e}")

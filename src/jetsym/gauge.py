@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .backend import rat_parts
 from .errors import (
     EquationError,
     GaugeError,
@@ -186,7 +187,7 @@ def scalar_potential(mu: MuForm) -> Expr:
     # one linear equation per (direction, monomial of the expansion),
     # held as its nonzero coefficients, the right-hand side under ncols;
     # the monomials are the numerators' own, whose variable atoms sort by
-    # name, and the coefficients the kernel's pairs until the solve
+    # name, and the coefficients the kernel's own until the solve
     ncols = len(candidates)
     rows = {}
     for i in range(spec.p):
@@ -195,7 +196,7 @@ def scalar_potential(mu: MuForm) -> Expr:
         for col, cand in enumerate(candidates):
             for mono, c in total_derivative(cand, i, spec)._rf[0].items():
                 rows.setdefault((i, mono), {})[col] = c
-    solution = _solve_exact([{col: Fraction(*c) for col, c in rows[k].items()}
+    solution = _solve_exact([{col: Fraction(*rat_parts(c)) for col, c in rows[k].items()}
                              for k in sorted(rows)], ncols)
     if solution is None:
         raise NoPotentialError("no polynomial potential within the derived bounds")

@@ -14,12 +14,14 @@ Grammar (fixed, text-level contract of the package):
 * unary minus.
 
 An ASCII scanner makes the tokens, plain ``(kind, value, start, stop)``
-tuples; a number's value is its reduced ``(n, d)`` pair.  The parser
-builds no tree: each rule folds the canonical pairs of its operands
-left to right with the pair arithmetic of ``expr`` (``_radd``,
-``_rmul``, ``_rneg``, ``_rpow``) and the kernel constructors, so a
-sub-expression is reduced as soon as it is read, and a division by zero
-raises ``SymbolicDivisionError`` there, before any later syntax error.
+tuples; a number's value is the kernel's coefficient of it, made by
+``rat_make`` (an int when it is integral, else a reduced pair) and read
+back by ``rat_parts``.  The parser builds no tree: each rule folds the
+canonical pairs of its operands left to right with the pair arithmetic
+of ``expr`` (``_radd``, ``_rmul``, ``_rneg``, ``_rpow``) and the kernel
+constructors, so a sub-expression is reduced as soon as it is read, and
+a division by zero raises ``SymbolicDivisionError`` there, before any
+later syntax error.
 Only the result is wrapped in an ``Expr``.
 
 Parentheses, function calls, unary minus and exponents may nest at most
@@ -30,7 +32,7 @@ in the parser or in the layers that recurse into kernel arguments.
 
 import sys
 
-from .backend import rat_make
+from .backend import rat_make, rat_parts
 from .errors import NonIntegerExponentError, ParseError, UnknownFunctionError
 from .expr import (
     _ONE_POLY,
@@ -175,11 +177,12 @@ class _Parser:
             self.enter(caret)
             num, den = self.signed()
             self.depth -= 1
-            k = num.get(()) if num else (0, 1)
-            if k is None or k[1] != 1 or len(num) > 1 or den != _ONE_POLY:
+            n, d = rat_parts(num.get((), 0))
+            # any(num): the numerator has a monomial other than the constant ()
+            if d != 1 or any(num) or den != _ONE_POLY:
                 self.fail(caret, "exponent must be an integer constant",
                           NonIntegerExponentError)
-            r = _rpow(r, k[0])
+            r = _rpow(r, n)
         self.depth -= minus
         return _rneg(r) if minus & 1 else r
 
@@ -200,7 +203,7 @@ class _Parser:
         kind = t[0]
         if kind == "number":
             c = t[1]
-            return ({(): c}, _ONE_POLY) if c[0] else (_ZERO_POLY, _ONE_POLY)
+            return ({(): c}, _ONE_POLY) if c else (_ZERO_POLY, _ONE_POLY)
         if kind == "(":
             return self.group(t)
         if kind == "name":

@@ -7,6 +7,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
+from jetsym.backend import RAT_ONE
 from jetsym.expr import _rf_of, expr_prod, expr_sum, rational, variable
 from jetsym.jets import JetSpec, MuForm, total_derivative
 from jetsym.prolong import PointVectorField
@@ -34,18 +35,29 @@ def atom_key(e):
     return a
 
 
+def assert_one_form(c, where=""):
+    """``c`` is a nonzero coefficient in the kernel's one form for its
+    value: an int when it is integral, else the reduced pair ``(n, d)``
+    with ``d > 1``."""
+    if type(c) is tuple:
+        n, d = c
+        assert n and d > 1 and gcd(n, d) == 1, f"coefficient {n}/{d}{where}"
+    else:
+        assert type(c) is int and c, f"coefficient {c!r}{where}"
+
+
 def assert_canonical(e):
     """Fail unless the pair of ``e`` is canonical: every monomial of its
     numerator and denominator strictly sorted by atom, so no atom twice,
-    with positive exponents and a nonzero reduced coefficient, and a
-    denominator of leading coefficient 1; function-atom arguments too.
-    A result read back from its printed text cannot show this:
-    ``u_xx*u_xx`` prints as ``u_xx^2``."""
+    with positive exponents and a nonzero coefficient in the kernel's one
+    form (``assert_one_form``), and a denominator of leading coefficient
+    1; function-atom arguments too.  A result read back from its printed
+    text cannot show this: ``u_xx*u_xx`` prints as ``u_xx^2``."""
     num, den = _rf_of(e)
-    assert den and den[max(den)] == (1, 1), f"denominator of {e} is not monic"
+    assert den and den[max(den)] == RAT_ONE, f"denominator of {e} is not monic"
     for poly in (num, den):
-        for m, (n, d) in poly.items():
-            assert n and d > 0 and gcd(n, d) == 1, f"coefficient {n}/{d} in {e}"
+        for m, c in poly.items():
+            assert_one_form(c, f" in {e}")
             assert all(x < y for (x, _), (y, _) in zip(m, m[1:])), f"monomial {m} in {e}"
             for atom, k in m:
                 assert k > 0, f"exponent {k} in {e}"

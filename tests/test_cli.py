@@ -1037,10 +1037,72 @@ def test_distinct_given_and_generated_ids_load():
     assert ids == ["task-1", "p", "task-3"]
 
 
+# one minimal file per input error of the problem file, most of them a bare
+# [jet] section and one more: the file's text, the line the message cites
+# and the message
+BARE = "[jet]\nindependent = x\ndependent = u\norder = 1\n"
+BARE2 = "[jet]\nindependent = x\ndependent = u, v\norder = 1\n"
+INPUT_ERRORS = {
+    "unterminated-header": (BARE + "[field F\n", 5, "unterminated section header"),
+    "empty-header": (BARE + "[ ]\n", 5, "empty section header"),
+    "content-first": ("# a comment\nx = 1\n" + BARE, 2,
+                      "content before the first section header"),
+    "no-key-value": (BARE + "[field F]\nxi x\n", 6, "expected 'key = value', got 'xi x'"),
+    "unknown-section": (BARE + "[frob F]\n", 5, "unknown section kind 'frob'"),
+    "two-jets": (BARE + BARE, 5, "need exactly one [jet] section"),
+    "jet-key-missing": ("[jet]\nindependent = x\norder = 1\n", 1,
+                        "[jet] needs independent, dependent and order ('dependent' missing)"),
+    "unnamed-declaration": (BARE + "[field]\n", 5, "[field] needs exactly one name"),
+    "duplicate-field": (BARE + "[field F]\nxi x = 1\n[field F]\nxi x = 2\n", 7,
+                        "duplicate field name 'F'"),
+    "duplicate-mu": (BARE + "[mu M]\nx = 1\n[mu M]\nx = 2\n", 7, "duplicate mu name 'M'"),
+    "duplicate-task-id": (BARE + "[field F]\nxi x = 1\n[task prolong p]\nfield = F\n"
+                          "[task prolong p]\nfield = F\n", 9, "duplicate task id 'p'"),
+    "task-header-too-long": (BARE + "[field F]\nxi x = 1\n[task prolong p q]\nfield = F\n", 7,
+                             "[task] takes a kind and at most one id"),
+    "task-id-line": (BARE + "[field F]\nxi x = 1\n[task prolong]\nid = p\nfield = F\n", 8,
+                     "a task is named in its header, [task KIND ID], not by an 'id' line"),
+    "task-unknown-argument": (BARE + "[field F]\nxi x = 1\n[task prolong]\nfield = F\nfrob = 1\n",
+                              7, "task 'task-1' has unknown argument(s) ['frob']"),
+    "field-entry-shape": (BARE + "[field F]\neta x = 1\n", 6,
+                          "field entries are 'xi <independent>' or 'phi <dependent>'"),
+    "field-unknown-variable": (BARE + "[field F]\nxi t = 1\n", 6,
+                               "unknown variable 't' in field entry"),
+    "mu-mixed": (BARE + "[mu M]\nx = 1\nx u u = 1\n", 5,
+                 "a mu section must be all scalar or all matrix entries"),
+    "mu-entry-shape": (BARE + "[mu M]\nx u = 1\n", 6,
+                       "mu entries are '<independent> = expr' (scalar)"),
+    "mu-scalar-needs-one-dependent": (BARE2 + "[mu M]\nx = 1\n", 5,
+                                      "scalar mu entries need exactly one dependent variable"),
+    "mu-scalar-unknown-independent": (BARE + "[mu M]\ny = 1\n", 6,
+                                      "unknown independent name 'y' in mu entry"),
+    "mu-matrix-unknown-independent": (BARE + "[mu M]\ny u u = 1\n", 6,
+                                      "unknown independent name 'y'"),
+    "mu-matrix-unknown-dependent": (BARE + "[mu M]\nx u w = 1\n", 6,
+                                    "unknown dependent name in x u w"),
+    "gauge-entry-shape": (BARE + "[gauge G]\nu = 1\n", 6,
+                          "gauge entries are '<dep> <dep> = expr', got 'u'"),
+    "gauge-unknown-dependent": (BARE + "[gauge G]\nu w = 1\n", 6,
+                                "unknown dependent name in 'u w'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_every_problem_file_error_exits_two_at_its_line(tmp_path, capsys, name):
+    text, line, message = INPUT_ERRORS[name]
+    problem = tmp_path / "bad.jsf"
+    problem.write_text(text)
+    report = tmp_path / "report.json"
+    assert main(["--json", str(report), "run-file", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: line {line}: {message}" in err, err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 # --- the cyclic collector ----------------------------------------------------
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-BARE = "[jet]\nindependent = x\ndependent = u\norder = 1\n"
 
 
 @pytest.fixture

@@ -598,14 +598,16 @@ def _exp_normal_polys(draw):
         mono = [(a, draw(st.integers(1, 2))) for a in _VAR_ATOMS if draw(st.booleans())]
         if draw(st.booleans()):
             mono.append((draw(st.sampled_from(_EXP_ATOMS)), 1))
-        p[tuple(sorted(mono))] = (draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])), 1)
+        p[tuple(sorted(mono))] = backend.rat_make(
+            draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])), 1)
     return p
 
 
 @settings(max_examples=150, deadline=None)
 @given(_exp_normal_polys(), _exp_normal_polys())
 # x * (2*exp(x) - 1): no monomial of the product holds two exp atoms
-@example({((_VAR_ATOMS[0], 1),): (1, 1)}, {((_EXP_ATOMS[0], 1),): (2, 1), (): (-1, 1)})
+@example({((_VAR_ATOMS[0], 1),): backend.rat_make(1, 1)},
+         {((_EXP_ATOMS[0], 1),): backend.rat_make(2, 1), (): backend.rat_make(-1, 1)})
 def test_pmul_equals_the_merged_product(p, q):
     assert _pmul(p, q) == _fix_exp(backend.poly_mul(p, q))
 
@@ -618,7 +620,7 @@ def _pair_operands(draw, plain):
     p = draw(_exp_normal_polys())
     if draw(st.booleans()):
         p = {m: c for m, c in p.items() if all(a not in _EXP_ATOMS for a, _e in m)}
-    e = Expr((p, {(): (1, 1)})) * rational(1, draw(st.sampled_from([1, 1, 2, 3])))
+    e = Expr((p, {(): backend.rat_make(1, 1)})) * rational(1, draw(st.sampled_from([1, 1, 2, 3])))
     if plain:
         return e
     return e / parse(draw(st.sampled_from(["1", "1 + u^2", "x - 2", "1 + exp(x)"])))

@@ -93,7 +93,7 @@ BRANCHES = {
 def to_sympy(p):
     total = sp.Integer(0)
     for m, c in p.items():
-        term = sp.Rational(*c)
+        term = sp.Rational(*_kernel_py.rat_parts(c))
         for a, e in m:
             term *= SYMBOLS[a] ** e
         total += term
@@ -112,7 +112,7 @@ def from_sympy(expr):
 
 
 def as_fractions(p):
-    return {m: Fraction(*c) for m, c in p.items()}
+    return {m: Fraction(*_kernel_py.rat_parts(c)) for m, c in p.items()}
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -153,9 +153,10 @@ def test_gcd_matches_sympy(shape):
 
 
 def test_gcd_of_equal_and_zero_inputs_is_monic():
-    p = {((X, 1),): (2, 1), ((U, 2),): (-3, 1)}
+    rat = _kernel_py.rat_make
+    p = {((X, 1),): rat(2, 1), ((U, 2),): rat(-3, 1)}
     # x sorts after u, so x carries the leading coefficient
-    assert _gcd.poly_gcd(p, p) == {((X, 1),): (1, 1), ((U, 2),): (-3, 2)}
+    assert _gcd.poly_gcd(p, p) == {((X, 1),): rat(1, 1), ((U, 2),): rat(-3, 2)}
     assert _gcd.poly_gcd({}, p) == _gcd.poly_gcd(p, p)
     assert _gcd.poly_gcd(p, {}) == _gcd.poly_gcd(p, p)
 

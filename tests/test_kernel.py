@@ -1,14 +1,15 @@
 """The polynomial kernel matches exact rational and ring semantics."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetsym import _kernel_py
 from jetsym.expr import variable
 
-from helpers import atom_key
+from helpers import assert_one_form, atom_key
 
 ATOMS = [atom_key(variable(n)) for n in ("x", "t", "u", "u_x")]
 
@@ -17,8 +18,14 @@ def rat(n, d):
     return _kernel_py.rat_make(n, d)
 
 
+def frac(c):
+    """The coefficient ``c`` as a Fraction, read through the kernel."""
+    return Fraction(*_kernel_py.rat_parts(c))
+
+
 @st.composite
 def rationals(draw):
+    """Ints and reduced pairs mixed: an integral quotient comes out an int."""
     return rat(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
 
 
@@ -31,8 +38,8 @@ def polys(draw):
         chosen = draw(st.permutations(ATOMS))[:n_atoms]
         mono = tuple(sorted((a, draw(st.integers(1, 3))) for a in chosen))
         c = draw(rationals())
-        acc = _kernel_py.rat_add(p.get(mono, (0, 1)), c)
-        if acc[0]:
+        acc = _kernel_py.rat_add(p.get(mono, rat(0, 1)), c)
+        if acc:
             p[mono] = acc
         else:
             p.pop(mono, None)
@@ -41,13 +48,26 @@ def polys(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(rationals(), rationals())
+# int and int, int and pair, pair and int; two pairs whose sum and
+# product are integral
+@example(rat(3, 1), rat(-2, 1))
+@example(rat(3, 1), rat(-1, 2))
+@example(rat(-1, 2), rat(2, 1))
+@example(rat(2, 3), rat(4, 3))
+@example(rat(-2, 3), rat(3, 2))
 def test_rational_pairs_match_fraction_semantics(a, b):
-    fa, fb = Fraction(*a), Fraction(*b)
-    assert Fraction(*_kernel_py.rat_add(a, b)) == fa + fb
-    assert Fraction(*_kernel_py.rat_mul(a, b)) == fa * fb
-    n, d = _kernel_py.rat_add(a, b)
-    import math
-    assert d > 0 and (n == 0 or math.gcd(n, d) == 1)
+    fa, fb = frac(a), frac(b)
+    assert frac(_kernel_py.rat_add(a, b)) == fa + fb
+    assert frac(_kernel_py.rat_mul(a, b)) == fa * fb
+    for c in (a, b, _kernel_py.rat_add(a, b), _kernel_py.rat_mul(a, b)):
+        if c:
+            assert_one_form(c)
+        n, d = _kernel_py.rat_parts(c)
+        assert d > 0 and (n == 0 or math.gcd(n, d) == 1)
+        assert _kernel_py.rat_make(n, d) == c
+    if fb:
+        assert frac(_kernel_py.rat_inv(b)) == 1 / fb
+        assert_one_form(_kernel_py.rat_inv(b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,11 +80,12 @@ def test_ring_axioms_python_kernel(p, q, r):
     # r - p*q, the one subtraction route: a product added with a negated factor
     p_before, q_before = dict(p), dict(q)
     got = k.poly_add_mul(dict(r), k.poly_neg(p), q)
-    want = {m: Fraction(*c) for m, c in r.items()}
+    want = {m: frac(c) for m, c in r.items()}
     for m, c in reference_product(p, q).items():
         want[m] = want.get(m, 0) - c
-    assert {m: Fraction(*c) for m, c in got.items()} == {m: c for m, c in want.items() if c}
-    assert all(c[0] and c[1] > 0 for c in got.values())
+    assert {m: frac(c) for m, c in got.items()} == {m: c for m, c in want.items() if c}
+    for c in got.values():
+        assert_one_form(c)
     assert p == p_before and q == q_before
 
 
@@ -75,7 +96,7 @@ def laurent_polys(draw, max_terms=5):
     for _ in range(draw(st.integers(0, max_terms))):
         chosen = draw(st.permutations(ATOMS))[:draw(st.integers(0, 3))]
         exps = [draw(st.integers(-3, 3).filter(bool)) for _ in chosen]
-        p[tuple(sorted(zip(chosen, exps)))] = draw(rationals().filter(lambda c: c[0]))
+        p[tuple(sorted(zip(chosen, exps)))] = draw(rationals().filter(bool))
     return p
 
 
@@ -89,13 +110,14 @@ def reference_product(p, q):
             for a, e in m2:
                 exps[a] = exps.get(a, 0) + e
             m = tuple(sorted((a, e) for a, e in exps.items() if e))
-            out[m] = out.get(m, 0) + Fraction(*c1) * Fraction(*c2)
+            out[m] = out.get(m, 0) + frac(c1) * frac(c2)
     return {m: c for m, c in out.items() if c}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.just({(): (1, 1)}), laurent_polys(max_terms=1)), laurent_polys())
+@given(st.one_of(st.just({(): rat(1, 1)}), laurent_polys(max_terms=1)), laurent_polys())
 def test_one_term_products_match_fractions(p, q):
     for r in (_kernel_py.poly_mul(p, q), _kernel_py.poly_mul(q, p)):
-        assert {m: Fraction(*c) for m, c in r.items()} == reference_product(p, q)
-        assert all(c[1] > 0 and c[0] for c in r.values())
+        assert {m: frac(c) for m, c in r.items()} == reference_product(p, q)
+        for c in r.values():
+            assert_one_form(c)

@@ -25,6 +25,7 @@ from helpers import rand_point_field, rand_unipotent_gauge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetsym.backend import rat_make
 from jetsym.errors import SymbolicDivisionError
 from jetsym.expr import (
     _rf_of,
@@ -141,14 +142,18 @@ def _split_top(text, seps):
     return parts
 
 
+ONE_POLY = {(): rat_make(1, 1)}
+ZERO_TERM = ((), rat_make(0, 1))  # the one item "0" is printed for
+
+
 def _printed_terms(text):
     """The terms of a printed polynomial, each as its one (monomial,
     coefficient) item."""
     items = []
     for part in _split_top(text, (" + ", " - ")):
         num, den = _rf_of(parse(part.replace(" ", "").removeprefix("+")))
-        assert den == {(): (1, 1)} and len(num) <= 1, part
-        items.extend(num.items() or [((), (0, 1))])
+        assert den == ONE_POLY and len(num) <= 1, part
+        items.extend(num.items() or [ZERO_TERM])
     return items
 
 
@@ -157,8 +162,8 @@ def _check_printed_form(e):
     and its text parses back to an equal value with an equal hash."""
     text = to_string(e)
     num, den = _rf_of(e)
-    if den == {(): (1, 1)}:
-        want = [(m, num[m]) for m in sorted(num)] or [((), (0, 1))]
+    if den == ONE_POLY:
+        want = [(m, num[m]) for m in sorted(num)] or [ZERO_TERM]
         assert _printed_terms(text) == want, text
     else:
         n_text, d_text = _split_top(text, (")/(",))
