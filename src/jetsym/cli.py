@@ -159,10 +159,22 @@ def _mu_detail(mu):
     return lines
 
 
+def _premise_detail(premise, path_check):
+    """The detail line that names the PROBABLY premise of a lift: its
+    re-derived edges under a path check, else the form's curvature."""
+    what = "path edges (a, J, i)" if path_check else "curvature (i, k, a, b)"
+    keys = ", ".join(str(key) for key in premise.probable)
+    return f"premise: {PROBABLY} on {what} = {keys}"
+
+
 def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
-    """Run one task whose arguments ``run`` has read into ``task.values``."""
+    """Run one task whose arguments ``run`` has read into ``task.values``.
+    A record that reads ``probably-pass`` only because the lift it rests
+    on does (``prolong.lift``'s premise) names that premise in a detail
+    line."""
     start = time.perf_counter()
     res = None  # the Check of a checking task
+    premise = None  # the Check that a lift rests on
     verdict = None  # the record's word, unless the Check's verdict gives it
     residuals: list = []
     detail: list = []
@@ -176,11 +188,14 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                                  path_check=a["path-check"], seed=seed)
         elif task.kind == "prolong":
             Y = lift(a["field"], mu, a["order"], path_check=a["path-check"], seed=seed)
-            verdict = PASS
+            premise = Y.premise
+            verdict = _WORDS[premise.verdict]
             detail = _field_detail(Y, problem.spec)
         elif task.kind == "check-compat":
             res = maurer_cartan_check(mu, a["equation"], seed=seed)
         elif task.kind == "potential":
+            # scalar_potential verifies its result exactly, and a gauge's
+            # given inverse must reduce to the identity exactly: both pass
             verdict = PASS
             detail = [f"potential = {to_string(scalar_potential(mu))}"]
         elif task.kind == "darboux":
@@ -198,12 +213,16 @@ def run_task(problem: ProblemFile, task: TaskDecl, *, seed) -> TaskRecord:
                 verdict = UNVERIFIABLE
         if res is not None:
             verdict = verdict or _WORDS[res.verdict]
+            premise = res.premise
             if res.verdict is not Verdict.TRUE:
                 # the nonzero residuals in key order; check-symmetry keeps
                 # one line per equation, zeros included
                 every = task.kind == "check-symmetry"
                 residuals = [to_string(e) for e in res.residuals.values()
                              if every or e != ZERO]
+        # with no probable residual, only the premise makes probably-pass
+        if verdict == PROBABLY and not (res is not None and res.probable):
+            detail = [_premise_detail(premise, a["path-check"]), *detail]
     except BudgetError as err:  # over a budget is never a fail
         verdict = UNVERIFIABLE
         detail = [f"budget: {err}"]

@@ -51,9 +51,9 @@ derivative for one call.  ``pdiff`` and the vector fields of
 Substitution works on the canonical form too.  ``substitute`` maps each
 atom once (a bound variable to its replacement, a function atom to the
 function of its substituted argument), brings the images of the changed
-atoms over one common denominator, and multiplies every monomial of the
-numerator and denominator by its share of it, so the result needs one
-reduction instead of one gcd per summand.
+atoms over one common denominator, and adds each group of monomials with
+the same changed exponents times its share of it (``_padd_products``),
+so the result needs one reduction instead of one gcd per summand.
 
 Zero testing is exact on the rational fragment.  When kernels are
 present and the canonical form is not syntactically zero, the verdict
@@ -61,14 +61,14 @@ is decided numerically at seeded random rational points: FALSE when a
 sampled numerator is far above the rounding error of its terms, else
 ``Verdict.PROBABLY`` rather than a proof.  ``Check`` is the one verdict
 on a set of residuals: it zero-tests each of them and is TRUE only when
-every one is proven zero.
+every one is proven zero and the premise it rests on, if any, is TRUE.
 
 Products of exponentials are merged (``exp(a)*exp(b) -> exp(a+b)``,
 ``exp(a)**k -> exp(k*a)``, ``1/exp(a) -> exp(-a)``); this is the one
 rewrite applied beyond rational-function arithmetic, and it keeps
-inverse-pair cancellations exact.  A sum of polynomial products none
-of which has an exp atom on both sides needs no merging, so
-``_radd_products`` adds two or more of them into one numerator dict.  No
+inverse-pair cancellations exact.  ``_padd_products`` is the one route
+for a sum of polynomial products: it adds them all into one numerator
+dict and merges only a product with an exp atom on both sides.  No
 other function identities are applied.  The gcd works over the atoms,
 where ``exp(2*x)`` and ``exp(x)**2`` are unrelated, so a denominator
 holding a sum with exponentials can keep a common factor, and its form
@@ -337,7 +337,7 @@ def _is_exp_key(a) -> bool:
 
 
 def _fix_exp(p):
-    """Merge exponential atoms inside every monomial of ``p``."""
+    """Merge exponential atoms inside every monomial of ``p``, summing alike terms."""
     r = {}
     for m, c in p.items():
         rest = []
@@ -347,16 +347,14 @@ def _fix_exp(p):
                 pieces.append((a[2], e))
             else:
                 rest.append((a, e))
-        if len(pieces) == 1 and pieces[0][1] == 1:
-            mm = m
-        else:
-            if pieces:
-                arg = expr_sum(a if e == 1 else a * e for a, e in pieces)
-                if arg != ZERO:
-                    rest.append((_function_key("exp", arg), 1))
-            mm = tuple(sorted(rest))
-        _add_term(r, mm, c)
-    return r
+        if pieces and (len(pieces) > 1 or pieces[0][1] != 1):
+            arg = expr_sum(a if e == 1 else a * e for a, e in pieces)
+            if arg != ZERO:
+                rest.append((_function_key("exp", arg), 1))
+            m = tuple(sorted(rest))
+        v = r.get(m)
+        r[m] = c if v is None else _k.rat_add(v, c)
+    return {m: c for m, c in r.items() if c}
 
 
 def _has_exp(p) -> bool:
@@ -377,6 +375,20 @@ def _pmul(p, q):
     are merged only when both operands carry one."""
     r = _k.poly_mul(p, q)
     return _fix_exp(r) if _has_exp(p) and _has_exp(q) else r
+
+
+def _padd_products(terms, out=None):
+    """Add each ``s*x*y`` of ``terms`` (s = 1 or -1; x, y exp-normal, left
+    as they are) into ``out`` in place, a new dict when None, and return
+    it, through ``poly_add_mul``; only a product with an exp atom on both
+    sides is merged first, as ``_pmul`` merges it."""
+    out = {} if out is None else out
+    for s, x, y in terms:
+        x = x if s > 0 else _k.poly_neg(x)
+        if _has_exp(x) and _has_exp(y):
+            x, y = _fix_exp(_k.poly_mul(x, y)), _ONE_POLY
+        _k.poly_add_mul(out, x, y)
+    return out
 
 
 def _ppow(p, k):
@@ -457,8 +469,7 @@ def _radd(r1, r2):
         if d1 is _ONE_POLY or d1 == _ONE_POLY:
             return (_k.poly_add(n1, n2), _ONE_POLY)
         return _reduce(_k.poly_add(n1, n2), d1)
-    num = _k.poly_add(_pmul(n1, d2), _pmul(n2, d1))
-    return _reduce(num, _pmul(d1, d2))
+    return _reduce(_padd_products(((1, n1, d2), (1, n2, d1))), _pmul(d1, d2))
 
 
 def _rmul(r1, r2):
@@ -475,16 +486,13 @@ def _rmul(r1, r2):
 
 def _radd_products(r, terms):
     """``r + s*x*y`` summed over the ``(s, x, y)`` of ``terms``, s = 1 or
-    -1, on canonical pairs: into one copy of r's numerator when there are
-    two or more products, every denominator is 1 and none merges exp
-    atoms (``_pmul``); else by the ``_radd``/``_rmul`` fold, as cheap for one."""
+    -1, on canonical pairs: by ``_padd_products`` into one copy of r's
+    numerator when there are two or more products and every denominator
+    is 1; else by the ``_radd``/``_rmul`` fold, as cheap for one."""
     if len(terms) > 1 and r[1] == _ONE_POLY and all(
-            x[1] == y[1] == _ONE_POLY and not (_has_exp(x[0]) and _has_exp(y[0]))
-            for _s, x, y in terms):
-        out = dict(r[0])
-        for s, x, y in terms:
-            _k.poly_add_mul(out, x[0] if s > 0 else _k.poly_neg(x[0]), y[0])
-        return (out, _ONE_POLY)
+            x[1] == y[1] == _ONE_POLY for _s, x, y in terms):
+        return (_padd_products([(s, x[0], y[0]) for s, x, y in terms], dict(r[0])),
+                _ONE_POLY)
     for s, x, y in terms:
         xy = _rmul(x, y)
         r = _radd(r, xy if s > 0 else _rneg(xy))
@@ -640,7 +648,7 @@ class _Substitution:
         factors = {}  # exponents of the changed atoms -> their factor
 
         def image(p):
-            out = {}
+            groups = {}  # exponents of the changed atoms -> the rest of p's terms
             for m, c in p.items():
                 exps = dict.fromkeys(top, 0)
                 rest = []
@@ -649,17 +657,16 @@ class _Substitution:
                         exps[a] = e
                     else:
                         rest.append((a, e))
-                key = tuple(exps.values())
-                f = factors.get(key)
-                if f is None:
+                # m is its rest and its exponents, so no two terms meet
+                groups.setdefault(tuple(exps.values()), {})[tuple(rest)] = c
+            for key in groups:
+                if key not in factors:
                     f = _ONE_POLY
-                    for a, e in exps.items():
+                    for a, e in zip(top, key):
                         pa, qa = memo[a]
                         f = _pmul(f, _pmul(_ppow(pa, e), _ppow(qa, top[a] - e)))
                     factors[key] = f
-                for mm, cc in _pmul({tuple(rest): c}, f).items():
-                    _add_term(out, mm, cc)
-            return out
+            return _padd_products([(1, g, factors[key]) for key, g in groups.items()])
 
         num, den = image(r[0]), image(r[1])
         if not den:
@@ -684,19 +691,6 @@ def _outer_derivative(key):
     if name == "sin":
         return cos(arg)._rf
     return _rneg(sin(arg)._rf)
-
-
-def _add_term(p, m, c):
-    """Add ``c`` times the monomial ``m`` to ``p`` in place."""
-    v = p.get(m)
-    if v is None:
-        p[m] = c
-        return
-    v = v + c if type(v) is int and type(c) is int else _k.rat_add(v, c)
-    if v:
-        p[m] = v
-    else:
-        del p[m]
 
 
 _CONSTANT = (None, None)  # the memo entry of an atom the derivation fixes
@@ -729,12 +723,13 @@ class Derivation:
     numerator in place, with int arithmetic when both coefficients are
     ints.  Every other image, a multi-atom monomial such as ``2*x*u``
     included, is multiplied in once per atom through the partial
-    derivative in that atom, as sums and quotients are.  A quotient
-    ``num/den`` takes the quotient rule over ``den*den/g``,
-    ``g = gcd(den, D den)``, and one ``_reduce``, so results are
-    canonical like every other pair.  A ``den`` with an ``exp`` atom
-    takes ``g = 1``, the rule over den^2, as its reduced form depends on
-    the order of the arithmetic until exp forms are canonical.
+    derivative in that atom, whose terms are set, not added: lowering
+    one atom's exponent is one-to-one.  A quotient ``num/den`` takes the
+    quotient rule over ``den*den/g``, ``g = gcd(den, D den)``, and one
+    ``_reduce``, so results are canonical like every other pair.  A
+    ``den`` with an ``exp`` atom takes ``g = 1``, the rule over den^2, as
+    its reduced form depends on the order of the arithmetic until exp
+    forms are canonical.
     """
 
     def __init__(self, of_var):
@@ -801,7 +796,9 @@ class Derivation:
                     pa = partial.get(a)
                     if pa is None:
                         pa = partial[a] = ({}, gc)
-                    _add_term(pa[0], tuple(rest), ce)
+                    # lowering a's exponent is one-to-one on monomials and
+                    # c*e is not 0, so no two terms of pa meet
+                    pa[0][tuple(rest)] = ce
                     continue
                 if gm:
                     ((b, f),) = gm
@@ -812,7 +809,7 @@ class Derivation:
                         rest.insert(k, gm[0])
                 if gc != _RAT_ONE:
                     ce = _k.rat_mul(ce, gc)
-                # _add_term inlined: the lift cascade spends its time here
+                # added in place: the lift cascade spends its time here
                 rest = tuple(rest)
                 v = get(rest)
                 if v is None:
@@ -838,8 +835,8 @@ class Derivation:
         # with h = den/g, k = c/g; g = 1 keeps exp forms as they were
         g = _ONE_POLY if _has_exp(den) else poly_gcd(den, c)
         h = poly_divexact(den, g)
-        top = _k.poly_add(_pmul(_pmul(a, e), h),
-                          _k.poly_neg(_pmul(_pmul(num, poly_divexact(c, g)), b)))
+        top = _padd_products(((1, _pmul(a, e), h),
+                              (-1, _pmul(num, poly_divexact(c, g)), b)))
         return _reduce(top, _pmul(_pmul(b, e), _pmul(den, h)))
 
 
@@ -948,18 +945,20 @@ def zero_verdict(e, *, seed=None) -> Verdict:
 
 
 class Check:
-    """The verdict on a dict of residuals, each zero-tested in key order
-    and combined by :meth:`Verdict.combine`: TRUE only when every residual
-    is proven zero.  ``residuals`` keeps them all, zeros included, and
-    ``probable`` lists the keys whose test gave PROBABLY."""
+    """The verdict on a dict of residuals, each zero-tested in key order,
+    and on the ``premise`` they rest on (a lift's Check), if any, combined
+    by :meth:`Verdict.combine`.  ``residuals`` keeps them all, zeros
+    included, and ``probable`` lists the keys whose test gave PROBABLY."""
 
-    __slots__ = ("verdict", "residuals", "probable")
+    __slots__ = ("verdict", "residuals", "probable", "premise")
 
-    def __init__(self, residuals, *, seed=None):
+    def __init__(self, residuals, *, seed=None, premise=None):
         verdicts = [(key, zero_verdict(e, seed=seed)) for key, e in residuals.items()]
-        self.verdict = Verdict.combine(v for _key, v in verdicts)
+        own = [v for _key, v in verdicts]
+        self.verdict = Verdict.combine(own if premise is None else own + [premise.verdict])
         self.residuals = residuals
         self.probable = tuple(key for key, v in verdicts if v is Verdict.PROBABLY)
+        self.premise = premise
 
     def __bool__(self):
         return self.verdict is Verdict.TRUE

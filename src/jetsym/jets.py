@@ -45,7 +45,7 @@ functions built on them, derive from the frozen base ``_Value``.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
@@ -321,11 +321,14 @@ class JetVectorField(_Value):
     shared between their callers, so the field is a frozen value and
     ``psi`` a read-only mapping; ``dict(Y.psi)`` is a copy to build
     another field from.  The key holds that plain dict, which equality,
-    repr, copy and pickle read; a field has no hash."""
+    repr, copy and pickle read; a field has no hash.  ``premise`` is the
+    ``expr.Check`` that the components rest on, a lift's flatness or path
+    check (``prolong.lift``), or None; it stays outside equality and
+    repr, and a pickle keeps it."""
 
-    __slots__ = ("spec", "xi", "psi", "order")
+    __slots__ = ("spec", "xi", "psi", "order", "premise")
 
-    def __init__(self, spec: JetSpec, xi, psi, order=None):
+    def __init__(self, spec: JetSpec, xi, psi, order=None, *, premise=None):
         xi = tuple(as_expr(x) for x in xi)
         if len(xi) != spec.p:
             raise JetError("xi must have one component per independent variable")
@@ -337,6 +340,10 @@ class JetVectorField(_Value):
                 store[coord] = e
         super().__init__(spec, xi, store, spec.order if order is None else order)
         _set_field(self, "psi", MappingProxyType(store))
+        _set_field(self, "premise", premise)
+
+    def __reduce__(self):
+        return partial(JetVectorField, premise=self.premise), self._key
 
     def psi_at(self, a: int, J) -> Expr:
         """The component on ``u^a_J``, ``J`` a tuple of counts or any

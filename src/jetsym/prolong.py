@@ -30,7 +30,10 @@ option accepts a form that is not proven flat and then verifies path
 independence edge by edge; an exactly flat form needs no edge check,
 because each step is ``Q_{J+i} = (D_i + L_i) Q_J`` on the characteristic
 ``Q_J = Psi_J - xi^m u_{J+m}`` and these deformed derivatives commute up
-to the curvature.
+to the curvature.  A lift keeps the check it rests on, of the curvature
+or of the re-derived edges, as its ``premise``; the verdicts of
+``symmetry`` rest on it too, so a form that is only probably flat makes
+no verdict TRUE.
 
 The difference terms between a deformed and the standard lift vanish on
 the invariant set of the field; :func:`difference_terms` computes them by
@@ -48,7 +51,6 @@ from .expr import (
     _radd_products,
     as_expr,
     expr_sum,
-    zero_verdict,
 )
 from .jets import (
     JetVectorField,
@@ -147,10 +149,13 @@ def _make_step(X: PointVectorField, mu=None):
     return step
 
 
-def _verify_path_independence(step, table, spec, n, *, seed=None):
-    """Every single-step edge of the table must be consistent; together
-    the edges cover all increasing multiindex paths.  The canonical edge
-    into each J made its stored value; the others are re-derived."""
+def _verify_path_independence(step, table, spec, n, *, seed=None) -> Check:
+    """The ``Check`` of every single-step edge of the table, keyed by
+    ``(a, J, i)``: the stored ``u^a_J`` minus the step into J along i;
+    together the edges cover all increasing multiindex paths.  The
+    canonical edge into each J made its stored value; the others are
+    re-derived.  An edge that reads FALSE raises, the first one named."""
+    edges = {}
     for J, last, _K in spec.canonical_steps(n):
         for i, c in enumerate(J):
             if not c or i == last:
@@ -158,12 +163,16 @@ def _verify_path_independence(step, table, spec, n, *, seed=None):
             base = shifted(J, i, -1)
             alt = step(i, base, table[base])
             for a in range(spec.q):
-                diff = table[J][a] - alt[a]
-                if zero_verdict(diff, seed=seed) is Verdict.FALSE:
-                    raise InconsistentMuError(
-                        f"recursion paths disagree at {spec.jet_name(a, J)}: "
-                        f"difference {diff}"
-                    )
+                edges[a, J, i] = table[J][a] - alt[a]
+    check = Check(edges, seed=seed)
+    if check.verdict is Verdict.FALSE:
+        # a nonzero edge that is not PROBABLY reads FALSE
+        (a, J, _i), diff = next((key, e) for key, e in edges.items()
+                                if e != ZERO and key not in check.probable)
+        raise InconsistentMuError(
+            f"recursion paths disagree at {spec.jet_name(a, J)}: difference {diff}"
+        )
+    return check
 
 
 def lambda_form(X: PointVectorField, lam) -> MuForm:
@@ -193,7 +202,14 @@ def lift(
 
     Exact flatness already proves path independence, so ``path_check``
     re-derives the edges of the table only when the flatness verdict is
-    not exactly TRUE.  With ``Q_J = Psi_J - xi^m u_{J+m}`` and the
+    not exactly TRUE.  The lift keeps what it rests on as its
+    ``premise``, an ``expr.Check``: the check of the form's curvature,
+    keyed by ``(i, k, a, b)`` (no entries for the standard lift, the
+    lift by the zero form), or, when the edges were re-derived, their
+    check, keyed by ``(a, J, i)``.  It is TRUE for the standard lift, for
+    exact flatness and when every re-derived edge is exactly zero, and
+    PROBABLY otherwise, its ``probable`` keys naming the entries or
+    edges that read so.  With ``Q_J = Psi_J - xi^m u_{J+m}`` and the
     deformed derivative ``nabla_i = D_i + L_i``, the step reads
     ``Q_{J+i} = nabla_i Q_J``, for point and generalized fields alike;
     ``[nabla_i, nabla_k]`` is multiplication by the curvature
@@ -207,7 +223,7 @@ def lift(
     computed afresh on every call."""
     spec = X.spec
     n = spec.order if n is None else as_order(n, "prolongation", ProlongationError)
-    flat = Verdict.TRUE
+    premise = Check({})
     if mu is None:
         kept = X._lifts.get(n)
         if kept is not None:
@@ -220,8 +236,8 @@ def lift(
             raise ProlongationError(
                 "the form depends on jet order > 1; set generalized=True on the field"
             )
-        flat = Check(mu.curvature(), seed=seed).verdict
-        if flat is Verdict.FALSE and not path_check:
+        premise = Check(mu.curvature(), seed=seed)
+        if premise.verdict is Verdict.FALSE and not path_check:
             raise MuNotClosedError(
                 "the form is not flat (not closed when q = 1); "
                 "pass path_check=True to verify path independence instead"
@@ -232,10 +248,10 @@ def lift(
     table = {(0,) * spec.p: tuple(X.phi)}
     for J, i, K in spec.canonical_steps(n):
         table[J] = step(i, K, table[K])
-    if path_check and flat is not Verdict.TRUE:
-        _verify_path_independence(step, table, spec, n, seed=seed)
+    if path_check and premise.verdict is not Verdict.TRUE:
+        premise = _verify_path_independence(step, table, spec, n, seed=seed)
     psi = {(a, J): row[a] for J, row in table.items() for a in range(spec.q)}
-    Y = JetVectorField(spec, X.xi, psi, order=n)
+    Y = JetVectorField(spec, X.xi, psi, order=n, premise=premise)
     if mu is None:
         X._lifts[n] = Y
     return Y
@@ -251,8 +267,12 @@ def difference_terms(
     """The difference ``Psi^mu_J - Psi_J`` between the mu lift and the
     standard lift, keyed by ``(a, J)`` for every ``|J| <= n``; the
     zero-order rows are identically zero."""
+    return _differences(X, lift(X, mu, n, path_check=path_check, seed=seed))
+
+
+def _differences(X: PointVectorField, deformed) -> dict:
+    """``difference_terms`` of the deformed lift ``deformed`` of ``X``."""
     spec = X.spec
-    deformed = lift(X, mu, n, path_check=path_check, seed=seed)
     standard = lift(X, n=deformed.order)
     return {(a, J): deformed.psi_at(a, J) - standard.psi_at(a, J)
             for J in spec.multi_indices(deformed.order) for a in range(spec.q)}

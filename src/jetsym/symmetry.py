@@ -12,7 +12,8 @@ A field is a symmetry, for a form ``mu`` a mu-symmetry (a lambda-symmetry
 when ``mu = lambda dx``), when its lift by that form, applied as a
 derivation to each residual ``u^a_{J*} - f^a``, vanishes after
 restriction; :func:`check_symmetry` returns the ``expr.Check`` of these
-residuals, keyed by ``a``.  :func:`coincide_on_invariant_set` checks
+residuals, keyed by ``a``, resting on the lift's ``premise``
+(``prolong.lift``).  :func:`coincide_on_invariant_set` checks
 that a deformed lift agrees with the standard one on the invariant set
 of the field, where every total derivative of its characteristic
 vanishes; its :class:`CoincidenceResult` is a ``Check`` of the
@@ -49,7 +50,7 @@ from .jets import (
     _Value,
 )
 from .parsing import parse
-from .prolong import PointVectorField, difference_terms, lift
+from .prolong import PointVectorField, _differences, lift
 
 
 class DifferentialEquation(_Value):
@@ -207,7 +208,8 @@ def check_symmetry(
     ``u^a_{J*} - f^a``; the result is restricted to the solution manifold
     and keyed by the dependent index ``a``.  TRUE on every equation means
     symmetry; a PROBABLY verdict survives into the aggregate rather than
-    upgrading to TRUE.
+    upgrading to TRUE.  The check rests on the lift's ``premise``, so a
+    lift by a form that is only probably flat makes TRUE PROBABLY.
     """
     spec = eq.spec
     if X.spec != spec:
@@ -217,7 +219,7 @@ def check_symmetry(
     for (a, J), rhs in eq.equations:
         raw = Y.psi_at(a, J) - Y.apply(rhs)
         residuals[a] = restrict_to_solution_manifold(raw, eq)
-    return Check(residuals, seed=seed)
+    return Check(residuals, seed=seed, premise=Y.premise)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +229,21 @@ def check_symmetry(
 class CoincidenceResult(Check):
     """Whether the deformed prolongation agrees with the standard one on
     the field's invariant set: the difference terms, keyed by ``(a, J)``,
-    after the ``solved`` relations are substituted.  ``vacuous`` marks an
-    empty invariant set (reported as true but flagged); ``unverifiable``
-    marks relations that could not be solved for a jet coordinate, and
-    is dropped when the solved ones were enough for TRUE."""
+    after the ``solved`` relations are substituted, resting on the
+    deformed lift's ``premise``.  ``vacuous`` marks an empty invariant set
+    (reported as true but flagged); ``unverifiable`` marks relations that
+    could not be solved for a jet coordinate, and is dropped when the
+    solved ones were enough to make every residual zero."""
 
     __slots__ = ("vacuous", "unverifiable", "solved")
 
     def __init__(self, residuals, solved, *, vacuous=False, unverifiable=False,
-                 seed=None):
-        super().__init__(residuals, seed=seed)
+                 seed=None, premise=None):
+        super().__init__(residuals, seed=seed, premise=premise)
         self.vacuous = vacuous
-        self.unverifiable = unverifiable and self.verdict is not Verdict.TRUE
+        # a residual that is not zero reads FALSE or PROBABLY
+        self.unverifiable = unverifiable and (self.verdict is Verdict.FALSE
+                                              or bool(self.probable))
         self.solved = solved
 
     def __bool__(self):
@@ -271,7 +276,8 @@ def coincide_on_invariant_set(
     solution goes into those before it, so the solved map is closed by
     construction and is substituted without ``substitute``'s re-check."""
     spec = X.spec
-    diff = difference_terms(X, mu, n, path_check=path_check, seed=seed)
+    deformed = lift(X, mu, n, path_check=path_check, seed=seed)
+    diff = _differences(X, deformed)
     solved = {}
     unverifiable = False
     for rel in invariant_set_relations(X, n):
@@ -280,7 +286,7 @@ def coincide_on_invariant_set(
             continue
         if constant_value(r) is not None:
             # a nonzero constant relation: empty invariant set
-            return CoincidenceResult({}, solved, vacuous=True)
+            return CoincidenceResult({}, solved, vacuous=True, premise=deformed.premise)
         orders = {name: sum(J) for name, (_a, J) in spec.coordinates_of(r).items()}
         top = max(orders.values(), default=None)
         for name in sorted(name for name, order in orders.items() if order == top):
@@ -293,4 +299,5 @@ def coincide_on_invariant_set(
         solved = {k: _substitute(v, {name: sol}) for k, v in solved.items()}
         solved[name] = sol
     return CoincidenceResult({key: _substitute(term, solved) for key, term in diff.items()},
-                             solved, unverifiable=unverifiable, seed=seed)
+                             solved, unverifiable=unverifiable, seed=seed,
+                             premise=deformed.premise)

@@ -305,6 +305,89 @@ mu = M
     assert strict.exit_code == 1
 
 
+def test_coincide_with_an_unsolvable_relation_is_unverifiable(tmp_path, capsys):
+    # the relation u^2 is not affine in u, so nothing is substituted and the
+    # difference terms stay as they are
+    f = tmp_path / "problem.jsf"
+    f.write_text("[jet]\nindependent = x\ndependent = u\norder = 2\n"
+                 "[field F]\nxi x = 0\nphi u = u^2\n[mu M]\nx = x\n"
+                 "[task coincide c]\nfield = F\nmu = M\n")
+    assert main(["run-file", str(f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("[unverifiable] c (coincide, ")
+    assert out[2:4] == ["    residual: u^2*x", "    residual: u^2 + u^2*x^2"]
+    assert main(["--strict", "run-file", str(f)]) == 1
+
+
+# a form on (x, t; u) that is closed only up to an identity zero testing
+# cannot prove: every lift by it rests on a PROBABLY flatness
+PREMISE = """
+[jet]
+independent = x, t
+dependent = u
+order = 2
+
+[field Z]
+
+[field F]
+xi x = 1
+phi u = u
+
+[mu M]
+x = {form}
+t = x
+
+[equation E]
+u_xx = u_t
+
+[task check-compat compat]
+mu = M
+
+[task prolong lift]
+field = F
+kind = mu
+mu = M
+
+[task prolong checked]
+field = F
+kind = mu
+mu = M
+path-check = true
+
+[task coincide same]
+field = F
+mu = M
+
+[task check-symmetry zero]
+field = Z
+equation = E
+kind = mu
+mu = M
+"""
+
+
+@pytest.mark.parametrize("form", ["t*(sin(x)^2 + cos(x)^2)",
+                                  "t*(1 + log(x*t) - log(x) - log(t))"])
+def test_a_probable_premise_makes_every_lift_probably_pass(form):
+    report = run(load_problem(PREMISE.format(form=form)))
+    assert [r.verdict for r in report.records] == ["probably-pass"] * 5
+    curvature = "premise: probably-pass on curvature (i, k, a, b) = (0, 1, 0, 0)"
+    edges = "premise: probably-pass on path edges (a, J, i) = (0, (1, 1), 0)"
+    compat, lift_, checked, same, zero = report.records
+    assert not any(d.startswith("premise") for d in compat.detail)
+    assert lift_.detail[0] == same.detail[0] == zero.detail[0] == curvature
+    assert checked.detail[0] == edges
+    assert same.detail == [curvature] and zero.residuals == ["0"]
+    assert report.exit_code == 0
+    assert run(load_problem(PREMISE.format(form=form)), strict=True).exit_code == 1
+
+
+def test_an_exact_premise_still_passes():
+    report = run(load_problem(PREMISE.format(form="t")))
+    assert [r.verdict for r in report.records] == ["pass"] * 5
+    assert not any(d.startswith("premise") for r in report.records for d in r.detail)
+
+
 def test_input_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.jsf"
     bad.write_text("[jet]\nindependent = x\ndependent = u\norder = 1\n[task frobnicate]\n")

@@ -5,6 +5,7 @@ their values with the operators of the library; the trees' own float
 evaluator is the independent oracle for the values.
 """
 
+import copy
 import math
 import operator
 import random
@@ -46,7 +47,7 @@ from jetsym.expr import (
     variable,
     zero_verdict,
 )
-from jetsym.expr import Expr, _fix_exp, _pmul, _radd_products, _rf_of
+from jetsym.expr import Expr, _fix_exp, _padd_products, _pmul, _radd_products, _rf_of
 from jetsym.jets import JetSpec, total_derivative
 from jetsym.parsing import MAX_NESTING, parse
 
@@ -610,6 +611,35 @@ def _exp_normal_polys(draw):
          {((_EXP_ATOMS[0], 1),): backend.rat_make(2, 1), (): backend.rat_make(-1, 1)})
 def test_pmul_equals_the_merged_product(p, q):
     assert _pmul(p, q) == _fix_exp(backend.poly_mul(p, q))
+
+
+_SIGNED_PRODUCTS = st.lists(
+    st.tuples(st.sampled_from([1, -1]), _exp_normal_polys(), _exp_normal_polys()), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exp_normal_polys(), _SIGNED_PRODUCTS)
+# exp atoms on both sides: exp(x)*exp(-x) merges to 1 and cancels out's 1
+@example({(): 1, ((_VAR_ATOMS[0], 1),): 2},
+         [(-1, {((_EXP_ATOMS[0], 1),): 1}, {((_EXP_ATOMS[1], 1),): 1})])
+# exp(x)*exp(x) and exp(2*x) are one atom once merged, so their terms cancel
+@example({}, [(1, {((_EXP_ATOMS[0], 1),): 1}, {((_EXP_ATOMS[0], 1),): 3}),
+              (-1, {((_EXP_ATOMS[2], 1),): 1}, {(): 3})])
+def test_padd_products_equals_the_fold(out, terms):
+    """Every ``s*x*y`` added in place equals the fold of ``poly_add`` over
+    the merged products ``_pmul(s*x, y)``; the given ``out`` is the dict
+    returned, and no operand changes."""
+    def fold(p):
+        for s, x, y in terms:
+            p = backend.poly_add(p, _pmul(x if s > 0 else backend.poly_neg(x), y))
+        return p
+
+    before = copy.deepcopy(terms)
+    given = dict(out)
+    assert _padd_products(terms, given) is given
+    assert given == fold(out)
+    assert _padd_products(terms) == fold({})
+    assert terms == before
 
 
 @st.composite

@@ -386,6 +386,38 @@ def test_path_check_skips_edges_only_on_exact_flatness(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_lift_keeps_its_premise():
+    X = pvf(PDE2, ["1", "0"], ["u"])
+    standard = lift(X).premise
+    assert standard.verdict is Verdict.TRUE and standard.residuals == {}
+    exact = lift(X, MuForm.scalar(PDE2, [parse("t"), parse("x")])).premise
+    assert exact.verdict is Verdict.TRUE and list(exact.residuals) == [(0, 1, 0, 0)]
+    # closed only up to sin^2 + cos^2 = 1: the curvature entry reads PROBABLY,
+    # and so does the one re-derived edge, into u_xt along x
+    probable = MuForm.scalar(PDE2, [parse("t*(sin(x)^2 + cos(x)^2)"), parse("x")])
+    Y = lift(X, probable)
+    assert Y.premise.verdict is Verdict.PROBABLY and Y.premise.probable == ((0, 1, 0, 0),)
+    edges = lift(X, probable, path_check=True).premise
+    assert edges.verdict is Verdict.PROBABLY and edges.probable == ((0, (1, 1), 0),)
+    assert list(edges.residuals) == [(0, (1, 1), 0)]
+    # the premise stays out of equality and repr, and a pickle keeps it
+    assert Y == lift(X, probable, path_check=True) and "premise" not in repr(Y)
+    twin = pickle.loads(pickle.dumps(Y))
+    assert twin == Y and twin.premise.probable == ((0, 1, 0, 0),)
+    assert twin.premise.verdict is Verdict.PROBABLY
+
+
+def test_exactly_agreeing_edges_are_a_true_premise():
+    # the form is not flat, yet under the zero field every edge is zero
+    spec = JetSpec(("x", "t"), ("u", "v"), 2)
+    mu = MuForm(spec, [((parse("u"), parse("1")), (ZERO, ZERO)),
+                       ((ZERO, ZERO), (parse("x"), parse("v")))])
+    assert maurer_cartan_check(mu).verdict is Verdict.FALSE
+    premise = lift(pvf(spec, ["0", "0"], ["0", "0"]), mu, path_check=True).premise
+    assert premise.verdict is Verdict.TRUE
+    assert list(premise.residuals) == [(0, (1, 1), 0), (1, (1, 1), 0)]
+
+
 def test_a_second_lift_on_a_space_builds_no_new_name():
     # a lift step takes its jet variables from the space, as the space's
     # total derivations do, so every name of a coordinate is the space's one

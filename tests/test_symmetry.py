@@ -381,3 +381,22 @@ def test_coincidence_higher_order():
         if res.vacuous:
             continue
         assert res.verdict is Verdict.TRUE, res.residuals
+
+
+def test_verdicts_rest_on_the_lift_premise():
+    # a form closed only up to sin^2 + cos^2 = 1: a lift by it is only
+    # probably path-independent, so TRUE residuals read PROBABLY
+    spec = JetSpec(("x", "t"), ("u",), 2)
+    probable = MuForm.scalar(spec, [parse("t*(sin(x)^2 + cos(x)^2)"), parse("x")])
+    eq = DifferentialEquation.from_strings(spec, {"u_xx": "u_t"})
+    zero = pvf(spec, ["0", "0"], ["0"])
+    res = check_symmetry(zero, eq, probable)
+    assert res.verdict is Verdict.PROBABLY and res.probable == ()
+    assert res.premise.probable == ((0, 1, 0, 0),)
+    assert check_symmetry(zero, eq).verdict is Verdict.TRUE
+    F = pvf(spec, ["1", "0"], ["u"])
+    same = coincide_on_invariant_set(F, probable)
+    assert same.verdict is Verdict.PROBABLY and same.probable == ()
+    assert not same.unverifiable and not same
+    # FALSE stays FALSE: the premise only weakens a TRUE
+    assert check_symmetry(F, eq, probable).verdict is Verdict.FALSE
